@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from .errors import HeightTooLarge, PreconditionFailed
 from .ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat
 from .trees import (
-    CARD_OMEGA, Card, Child, Copy, Full, Graft, HatOf, Node, OMEGA_BRANCH,
-    Seg, TildeOf, Up, Word, ancestor_at, child_toward, children, height, leq,
-    leq_parts, meet, meet_parts, node_at, resolve, unc_sites, validate, view,
+    Card, Child, Copy, Full, Graft, HatOf, Node, Seg, TildeOf, Up, Word,
+    ancestor_at, child_toward, children, height, leq, leq_parts, meet_parts,
+    node_at, resolve, unc_sites, validate, view,
 )
 from .topology import (
-    Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, UnionSpec,
-    spec_parts, _series_of,
+    Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, series_of, spec_parts,
 )
-from .constructions import normalize
+from .constructions import normalize, r_flags
 
 
 class V3(enum.Enum):
@@ -134,15 +133,6 @@ class _Engine:
 
 
 # -- structural analyses ---------------------------------------------------------
-
-def r_flags(d):
-    """(is r-tree, is r1-tree): every uncountable-cofinality node has
-    finitely many / at most one immediate successor."""
-    sites = unc_sites(d)
-    is_r = all(s.ims.is_finite for s in sites)
-    is_r1 = all(s.ims.is_finite and s.ims.n <= 1 for s in sites)
-    return is_r, is_r1
-
 
 def tall_address(d):
     """Address of a node at the top level (following the tallest graft slot)."""
@@ -477,7 +467,7 @@ def _closure_of_D_part_contains(d, part, s):
         return any(resolve(d, p).parts == s.parts and s.ht.is_countable
                    for p in part.points)
     if isinstance(part, (OmegaFamily, ClubFamily)):
-        series = _series_of(d, part)
+        series = series_of(d, part)
         if series.eq_profile(s).ever and s.ht.is_countable:
             return True
         kind, sup = series.meet_profile_with(s)
@@ -570,7 +560,7 @@ def _marker_bound(d, part, s):
                 best = h
         return best
     if isinstance(part, (OmegaFamily, ClubFamily)):
-        series = _series_of(d, part)
+        series = series_of(d, part)
         kind, sup = series.meet_profile_with(s)
         return sup
     raise TypeError(part)
@@ -588,7 +578,7 @@ def _cone_meets_D_closure(d, part, ts):
         return any(leq(d, ts, resolve(d, p)) and resolve(d, p).ht.is_countable
                    for p in part.points)
     if isinstance(part, (OmegaFamily, ClubFamily)):
-        return _series_of(d, part).le_profile(ts).ever
+        return series_of(d, part).le_profile(ts).ever
     raise TypeError(part)
 
 

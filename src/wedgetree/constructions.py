@@ -16,17 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotClosed, PreconditionFailed, UndecidableTailPattern
-from .ordinals import ONE, Cofinality, add, cmp, nat, pred
+from .ordinals import ONE, Cofinality, add, cmp, pred
 from .trees import (
-    Below, CARD_OMEGA, Card, Child, Copy, Full, Graft, HatOf, Node,
-    OMEGA_BRANCH, Seg, TildeOf, Up, Word, ancestor_at, child_toward, children,
-    hat_shift, height, is_chain_complete, leq, leq_parts, meet, meet_parts,
-    node_at, resolve, structure_ok, tilde_shift, unc_sites, validate, view,
+    Below, Card, Full, Graft, HatOf, Node, Seg, TildeOf, ancestor_at,
+    children, hat_shift, height, leq_parts, node_at, resolve, structure_ok,
+    tilde_shift, unc_sites, validate, view,
 )
 from .topology import (
-    Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, SeqSpec, Topology,
-    UnionSpec, Verdict, cluster_or_limit, contains, fu_extract,
-    sample_members, spec_parts, _series_of,
+    Branch, ClubFamily, ConeSet, Explicit, contains, fu_extract,
+    sample_members, series_of, spec_parts,
 )
 
 
@@ -106,10 +104,12 @@ def normalize(d):
 
 
 def is_r1_tree(d):
-    return _r_flags(d)[1]
+    return r_flags(d)[1]
 
 
-def _r_flags(d):
+def r_flags(d):
+    """(is r-tree, is r1-tree): every uncountable-cofinality node has
+    finitely many / at most one immediate successor."""
     sites = unc_sites(d)
     is_r = all(s.ims.is_finite for s in sites)
     is_r1 = all(s.ims.is_finite and s.ims.n <= 1 for s in sites)
@@ -202,7 +202,7 @@ def roundtrip_check(d):
     ident = lambda a: a  # removing the split points restores original addresses
     tilde_hat_ok = iso_check(th, d) and \
         iso_check(th, d, translate=ident) and iso_check(d, th, translate=ident)
-    _, r1 = _r_flags(d)
+    _, r1 = r_flags(d)
     ht_ = HatOf(TildeOf(d))
     if not r1:
         hat_tilde_ok = False
@@ -260,11 +260,7 @@ def _sigma_closed_check(d, spec, name):
     for part in spec_parts(spec):
         if isinstance(part, (Explicit, Branch, ConeSet)):
             continue  # closed as they stand (cones and branches are clopen-ish)
-        if isinstance(part, OmegaFamily):
-            limits = _omega_limits(d, part)
-        else:
-            limits = _club_limits(d, part)
-        for x in limits:
+        for x in series_of(d, part).limit_nodes():
             if not contains(d, spec, x):
                 try:
                     seq = fu_extract(d, spec, x)
@@ -274,64 +270,6 @@ def _sigma_closed_check(d, spec, name):
                 raise NotClosed(
                     "%s is not closed in the countably coarse wedge topology" % name,
                     which=name, witness=(seq, x.address()))
-
-
-def _omega_limits(d, part):
-    """Limit candidates of an omega-indexed family: the supremum of the
-    varying run, or the common parent for an index-slot family."""
-    series = _series_of(d, part)
-    if series.constant:
-        return []
-    slot = series.slot
-    if slot.kind in ("copy", "letter"):
-        parts = series.parts[:slot.comp]
-        if slot.kind == "letter" and slot.run and slot.run > 0:
-            runs = series.parts[slot.comp][1][:slot.run]
-            parts = parts + (("runs", runs),)
-        return [node_at(d, parts)]
-    if slot.kind == "count":
-        sup = slot.sup()
-        runs = list(series.parts[slot.comp][1][:slot.run])
-        letter = series.parts[slot.comp][1][slot.run][0]
-        runs.append((letter, sup))
-        parts = series.parts[:slot.comp] + (("runs", tuple(runs)),)
-        try:
-            return [node_at(d, parts)]
-        except Exception:
-            return []
-    if slot.kind == "up":
-        parts = series.parts[:slot.comp] + (("up", slot.sup()),)
-        try:
-            return [node_at(d, parts)]
-        except Exception:
-            return []
-    return []
-
-
-def _club_limits(d, part):
-    """Countable-limit-parameter instantiations of a club family whose
-    trailing steps vanish in the limit."""
-    from .ordinals import OMEGA, times_nat
-    series = _series_of(d, part)
-    if series.constant:
-        return []
-    out = []
-    for lam in (OMEGA, times_nat(OMEGA, 2)):
-        if cmp(lam, series.bound) >= 0:
-            continue
-        slot = series.slot
-        if slot.kind != "count":
-            continue
-        runs = list(series.parts[slot.comp][1][:slot.run])
-        letter = series.parts[slot.comp][1][slot.run][0]
-        runs.append((letter, slot.value(lam)))
-        # the limit of s_alpha as alpha -> lam drops everything past the slot
-        parts = series.parts[:slot.comp] + (("runs", tuple(runs)),)
-        try:
-            out.append(node_at(d, parts))
-        except Exception:
-            pass
-    return out
 
 
 def _accumulating_split_points(d, spec):
@@ -347,7 +285,7 @@ def _accumulating_split_points(d, spec):
                 t = ancestor_at(d, top, site_ht)
                 out[t.parts] = t
         elif isinstance(part, ClubFamily):
-            series = _series_of(d, part)
+            series = series_of(d, part)
             anchor = resolve(d, part.anchor)
             for site_ht in _unc_heights_upto(d, anchor.ht):
                 t = ancestor_at(d, anchor, site_ht)

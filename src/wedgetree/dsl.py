@@ -22,15 +22,16 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .ordinals import (
-    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat,
+    OMEGA, OMEGA1, ONE, ZERO, add, nat, omega_power, times_nat,
 )
 from .trees import (
     Below, Card, CARD_OMEGA, CARD_OMEGA1, Child, Copy, Full, Graft, HatOf,
     OMEGA_BRANCH, Seg, TildeOf, Up, Word,
 )
+from .series import Param, has_param
 from .topology import (
     Branch, CDiff, ClubFamily, Cone, ConeComplement, ConeSet, EventuallyConstant,
-    Explicit, Indexed, OmegaFamily, Param, SeqSpec, UnionSpec, Wedge, has_param,
+    Explicit, Indexed, OmegaFamily, SeqSpec, UnionSpec, Wedge,
 )
 
 
@@ -404,17 +405,3 @@ def parse_open(x):
         excluded = tuple(parse_address(a) for a in x[2]) if len(x) > 2 else ()
         return CDiff(parse_address(x[1]), excluded)
     raise ParseError("unknown open form: %r" % (head,))
-
-
-def print_open(u):
-    if isinstance(u, Cone):
-        return "(cone %s)" % print_address(u.t)
-    if isinstance(u, ConeComplement):
-        return "(cocone %s)" % print_address(u.t)
-    if isinstance(u, Wedge):
-        return "(wedge %s (%s))" % (print_address(u.t),
-                                    " ".join(print_address(a) for a in u.excluded))
-    if isinstance(u, CDiff):
-        return "(cdiff %s (%s))" % (print_address(u.t),
-                                    " ".join(print_address(a) for a in u.excluded))
-    raise TypeError(u)

@@ -2,9 +2,11 @@
 
 Two topologies share the cone subbase {V_t, T \\ V_t}: the coarse wedge
 topology takes it at finite-cofinality points, the countably coarse wedge
-topology at all points of cofinality != omega.  Membership, subbasic tests,
-convergence verdicts and the witness constructions all run symbolically over
-set/sequence templates with one linear parameter.
+topology at all points of cofinality != omega.  This module holds the basic
+opens, the set and sequence specs, the deciders (membership, convergence
+verdicts) and the four witness constructions.  They run symbolically over
+set/sequence templates with one linear parameter; the templates and the
+series fitted from them live in ``wedgetree.series``.
 
 Deciders are sound and conservative: they raise UndecidableTailPattern when a
 tail falls outside the decidable fragment, and never return a wrong verdict.
@@ -15,22 +17,23 @@ reproducible.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 from .errors import (
-    ChoiceUnavailable, IllegalWedge, InvalidAddress, NotAccumulating,
-    NotInClosure, PreconditionFailed, SupNotRepresentable,
-    UndecidableTailPattern,
+    ChoiceUnavailable, IllegalWedge, NotAccumulating, NotInClosure,
+    PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
 )
 from .ordinals import (
     OMEGA, ONE, ZERO, Cofinality, Ordinal, add, cmp, left_sub,
-    limit_of_affine, nat, pred, times_nat,
+    limit_of_affine, pred,
+)
+from .series import Param as Param
+from .series import (
+    SymbolicSeries, fit_stable_template, fit_template, instantiate, next_param,
 )
 from .trees import (
-    Below, Child, Copy, Node, Up, Word, ancestor_at, child_toward, children,
-    cofinal_I_nodes, height, leq, leq_parts, meet, meet_parts, node_at,
-    resolve, unc_sites,
+    Node, ancestor_at, child_toward, children, cofinal_I_nodes, leq,
+    leq_parts, meet, meet_parts, node_at, resolve,
 )
 
 
@@ -123,49 +126,6 @@ def is_subbasic(d, t, topology):
     return t.cof is not Cofinality.OMEGA
 
 
-# -- parameterized templates -----------------------------------------------------
-
-@dataclass(frozen=True)
-class Param:
-    """Linear parameter slot: value(p) = base + scale*p (+ merged tails)."""
-    base: Ordinal = ZERO
-    scale: Ordinal = ONE
-
-    def at(self, p):
-        if isinstance(p, Ordinal):
-            if self.scale != ONE:
-                raise UndecidableTailPattern(
-                    "ordinal parameters support unit scale only")
-            return add(self.base, p)
-        return add(self.base, times_nat(self.scale, p))
-
-
-def instantiate(template, p):
-    steps = []
-    for s in template:
-        if isinstance(s, Word) and isinstance(s.count, Param):
-            steps.append(Word(s.letters, s.count.at(p)))
-        elif isinstance(s, Up) and isinstance(s.delta, Param):
-            steps.append(Up(s.delta.at(p)))
-        elif isinstance(s, Copy) and isinstance(s.idx, Param):
-            steps.append(Copy(s.slot, s.idx.at(p).to_int()))
-        elif isinstance(s, Child) and isinstance(s.i, Param):
-            steps.append(Child(s.i.at(p).to_int()))
-        else:
-            steps.append(s)
-    return tuple(steps)
-
-
-def has_param(template):
-    for s in template:
-        if isinstance(s, (Word, Up, Copy, Child)):
-            slot = getattr(s, "count", None) or getattr(s, "delta", None) or \
-                getattr(s, "idx", None) or getattr(s, "i", None)
-            if isinstance(slot, Param):
-                return True
-    return False
-
-
 # -- set and sequence specs -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -231,473 +191,10 @@ class SeqSpec:
         return resolve(d, self.term_steps(n))
 
 
-# -- fitting a series from probes --------------------------------------------------
-#
-# A template is turned into a SymbolicSeries by resolving it at probe
-# parameters and unifying the canonical parts: exactly one slot (a run count,
-# a copy index, a child letter) may vary, affinely.  Everything downstream
-# reasons over that one slot, with verification probes guarding the fit.
+# -- the members of set specs ------------------------------------------------------
 
-_NAT_PROBES = (2, 3, 5, 9)
-_NAT_VERIFY = (12, 20)
-_SOLVE_CAP = 4096
-
-
-def _ord_probes():
-    return (nat(2), nat(3), nat(5), nat(9), OMEGA, times_nat(OMEGA, 2))
-
-
-def _fit_affine(values, params, ordinal_params):
-    """Fit value(p) = base + scale*p + tail against sampled (param, value)."""
-    (p1, v1), (p2, v2) = values[0], values[1]
-    gap = p2 - p1 if not ordinal_params else None
-    candidates = []
-    if ordinal_params:
-        # unit scale: value(a) = base + a + tail
-        for split in _left_splits(v1):
-            base = split
-            try:
-                rest = left_sub(base, v1)
-            except Exception:
-                continue
-            try:
-                tail = left_sub(p1 if isinstance(p1, Ordinal) else nat(p1), rest)
-            except Exception:
-                continue
-            candidates.append((base, ONE, tail))
-    else:
-        delta = left_sub(v1, v2) if cmp(v1, v2) <= 0 else None
-        if delta is None:
-            return None
-        scale_opts = []
-        if delta.is_finite:
-            if delta.to_int() % gap == 0:
-                scale_opts.append((nat(delta.to_int() // gap), ZERO))
-        else:
-            k = delta.finite_tail
-            stripped = Ordinal(delta.omega1, delta.terms[:-1]) if k else delta
-            for scale_total, tail in ((stripped, nat(k)),):
-                # scale_total = scale * gap: recover scale by dividing the
-                # trailing coefficient when possible
-                if not scale_total.terms:
-                    continue
-                e, c = scale_total.terms[-1]
-                if c % gap == 0:
-                    scale = Ordinal(0, scale_total.terms[:-1] + ((e, c // gap),))
-                    scale_opts.append((scale, tail))
-        for scale, tail in scale_opts:
-            probe_contrib = add(times_nat(scale, p1), tail)
-            for split in _left_splits(v1):
-                if add(split, probe_contrib) == v1:
-                    candidates.append((split, scale, tail))
-                    break
-    for base, scale, tail in candidates:
-        ok = True
-        for p, v in values:
-            contrib = p if isinstance(p, Ordinal) else times_nat(scale, p)
-            if isinstance(p, Ordinal) and scale != ONE:
-                ok = False
-                break
-            if add(add(base, contrib), tail) != v:
-                ok = False
-                break
-        if ok:
-            return (base, scale, tail)
-    return None
-
-
-def _left_splits(c):
-    """Candidate left summands of c (prefixes with coefficient splits)."""
-    out = [Ordinal(c.omega1, ())]
-    for i in range(len(c.terms) + 1):
-        out.append(Ordinal(c.omega1, c.terms[:i]))
-        if i < len(c.terms):
-            e, coeff = c.terms[i]
-            for x in range(1, min(coeff, 50)):
-                out.append(Ordinal(c.omega1, c.terms[:i] + ((e, x),)))
-    seen, uniq = set(), []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
-    return uniq
-
-
-class _Slot:
-    """One affinely varying slot inside otherwise fixed canonical parts."""
-
-    __slots__ = ("kind", "comp", "run", "base", "scale", "tail", "ordinal")
-
-    def __init__(self, kind, comp, run, base, scale, tail, ordinal):
-        self.kind = kind      # "count" | "copy" | "letter" | "up"
-        self.comp = comp
-        self.run = run
-        self.base = base
-        self.scale = scale
-        self.tail = tail
-        self.ordinal = ordinal
-
-    def value(self, p):
-        if isinstance(p, Ordinal):
-            return add(add(self.base, p), self.tail)
-        return add(add(self.base, times_nat(self.scale, p)), self.tail)
-
-    def int_value(self, p):
-        return self.value(p).to_int()
-
-    def sup(self, bound=None):
-        """Supremum of values over the parameter range."""
-        if self.ordinal:
-            return add(self.base, bound)
-        return limit_of_affine(self.base, self.scale)
-
-    def solve_ge(self, c, bound=None):
-        """Least parameter p with value(p) >= c, or None."""
-        if self.ordinal:
-            lo = ZERO
-            if cmp(self.value(ZERO), c) >= 0:
-                return ZERO
-            try:
-                lo = left_sub(self.base, c)
-            except Exception:
-                return ZERO
-            for cand in (lo, add(lo, ONE)):
-                if bound is not None and cmp(cand, bound) >= 0:
-                    continue
-                if cmp(self.value(cand), c) >= 0:
-                    # walk down while the predecessor still satisfies
-                    return cand
-            return None
-        supv = limit_of_affine(self.base, self.scale) if not self.scale.is_zero else self.value(0)
-        if self.scale.is_zero:
-            return 0 if cmp(self.value(0), c) >= 0 else None
-        if cmp(c, supv) >= 0:
-            return None
-        p = 0
-        while p <= _SOLVE_CAP:
-            if cmp(self.value(p), c) >= 0:
-                return p
-            p += 1
-        raise UndecidableTailPattern("threshold search exceeded the cap")
-
-    def solve_eq(self, c, bound=None):
-        """All parameters with value(p) == c (finitely many for moving slots)."""
-        if self.ordinal:
-            try:
-                rho = left_sub(self.base, c)
-            except Exception:
-                return []
-            sols = []
-            for a in _left_splits(rho) + [rho]:
-                if bound is not None and cmp(a, bound) >= 0:
-                    continue
-                if self.value(a) == c and a not in sols:
-                    sols.append(a)
-            sols.sort(key=functools.cmp_to_key(cmp))
-            return sols
-        if self.scale.is_zero:
-            return []
-        if cmp(c, limit_of_affine(self.base, self.scale)) >= 0:
-            return []  # values stay strictly below their supremum
-        sols, p = [], 0
-        while p <= _SOLVE_CAP:
-            v = self.value(p)
-            if v == c:
-                sols.append(p)
-            if cmp(v, c) > 0:
-                break
-            p += 1
-        else:
-            raise UndecidableTailPattern("equality search exceeded the cap")
-        return sols
-
-
-class SymbolicSeries:
-    """Members s_p of a parameterized family, fitted from probes."""
-
-    def __init__(self, d, template, ordinal=False, bound=None):
-        self.d = d
-        self.template = template
-        self.ordinal = ordinal
-        self.bound = bound
-        self._small = {}
-        probes = _ord_probes() if ordinal else _NAT_PROBES
-        nodes = [resolve(d, instantiate(template, p)) for p in probes]
-        self.parts, self.slot = self._unify(probes, nodes)
-        if not ordinal:
-            for p in _NAT_VERIFY:
-                if self.at(p).parts != self._predict(p):
-                    raise UndecidableTailPattern("series fit failed verification")
-
-    # construction ------------------------------------------------------------
-
-    def _unify(self, probes, nodes):
-        shapes = [n.parts for n in nodes]
-        first = shapes[0]
-        for s in shapes[1:]:
-            if len(s) != len(first):
-                raise UndecidableTailPattern("template shape varies with the parameter")
-        diffs = []
-        for ci in range(len(first)):
-            kinds = {s[ci][0] for s in shapes}
-            if len(kinds) != 1:
-                raise UndecidableTailPattern("template component kind varies")
-            if all(s[ci] == first[ci] for s in shapes):
-                continue
-            diffs.append(ci)
-        if not diffs:
-            return first, None
-        if len(diffs) != 1:
-            raise UndecidableTailPattern("more than one varying slot")
-        ci = diffs[0]
-        kind = first[ci][0]
-        if kind == "up":
-            fit = _fit_affine([(p, s[ci][1]) for p, s in zip(probes, shapes)],
-                              probes, self.ordinal)
-            if fit is None:
-                raise UndecidableTailPattern("non-affine position slot")
-            return first, _Slot("up", ci, None, *fit, self.ordinal)
-        if kind == "copy":
-            slots = {s[ci][1] for s in shapes}
-            if len(slots) != 1:
-                raise UndecidableTailPattern("copy slot index varies")
-            fit = _fit_affine([(p, nat(s[ci][2])) for p, s in zip(probes, shapes)],
-                              probes, self.ordinal)
-            if fit is None:
-                raise UndecidableTailPattern("non-affine copy slot")
-            return first, _Slot("copy", ci, None, *fit, self.ordinal)
-        if kind == "runs":
-            runs = [s[ci][1] for s in shapes]
-            if len({len(r) for r in runs}) != 1:
-                raise UndecidableTailPattern("run shape varies with the parameter")
-            rdiffs = [j for j in range(len(runs[0]))
-                      if any(r[j] != runs[0][j] for r in runs)]
-            if len(rdiffs) != 1:
-                raise UndecidableTailPattern("more than one varying run")
-            j = rdiffs[0]
-            letters = {r[j][0] for r in runs}
-            counts = {r[j][1] for r in runs}
-            if len(letters) > 1 and len(counts) > 1:
-                raise UndecidableTailPattern("both letter and count vary")
-            if len(letters) > 1:
-                fit = _fit_affine([(p, nat(r[j][0])) for p, r in zip(probes, runs)],
-                                  probes, self.ordinal)
-                if fit is None:
-                    raise UndecidableTailPattern("non-affine letter slot")
-                return first, _Slot("letter", ci, j, *fit, self.ordinal)
-            fit = _fit_affine([(p, r[j][1]) for p, r in zip(probes, runs)],
-                              probes, self.ordinal)
-            if fit is None:
-                raise UndecidableTailPattern("non-affine count slot")
-            if self.ordinal and not fit[2].is_finite:
-                raise UndecidableTailPattern(
-                    "ordinal parameter followed by an infinite same-letter tail")
-            return first, _Slot("count", ci, j, *fit, self.ordinal)
-        raise UndecidableTailPattern("varying component of kind %s" % kind)
-
-    def _predict(self, p):
-        if self.slot is None:
-            return self.parts
-        out = list(self.parts)
-        s = self.slot
-        if s.kind == "up":
-            out[s.comp] = ("up", s.value(p))
-        elif s.kind == "copy":
-            c = self.parts[s.comp]
-            out[s.comp] = ("copy", c[1], s.int_value(p))
-        else:
-            runs = list(self.parts[s.comp][1])
-            letter, count = runs[s.run]
-            if s.kind == "letter":
-                runs[s.run] = (s.int_value(p), count)
-            else:
-                runs[s.run] = (letter, s.value(p))
-            out[s.comp] = ("runs", tuple(runs))
-        return tuple(out)
-
-    @property
-    def constant(self):
-        return self.slot is None
-
-    def at(self, p):
-        key = p if not isinstance(p, Ordinal) else ("o", p)
-        if key not in self._small:
-            self._small[key] = resolve(self.d, instantiate(self.template, p))
-        return self._small[key]
-
-    def params_upto(self, k):
-        if self.ordinal:
-            out = [nat(i) for i in range(k)]
-            if self.bound is not None and cmp(OMEGA, self.bound) < 0:
-                out += [OMEGA, add(OMEGA, ONE), times_nat(OMEGA, 2)]
-            return out
-        return list(range(k))
-
-    # profiles ------------------------------------------------------------------
-
-    def le_profile(self, u):
-        """Profile of {p : u <= s_p} over the parameter range."""
-        u = _as_node(self.d, u)
-        ucore = u.parts
-        while ucore and ucore[-1][0] == "below":
-            ucore = ucore[:-1]
-        if self.constant:
-            return Profile.const(leq_parts(ucore, self.parts) or ucore == self.parts)
-        return self._patch_small(self._walk_profile(ucore, equality=False),
-                                 ucore, equality=False)
-
-    def eq_profile(self, u):
-        u = _as_node(self.d, u)
-        if u.parts and u.parts[-1][0] == "below":
-            return Profile.never()
-        if self.constant:
-            return Profile.const(u.parts == self.parts)
-        return self._patch_small(self._walk_profile(u.parts, equality=True),
-                                 u.parts, equality=True)
-
-    def _patch_small(self, prof, u, equality):
-        """Small parameters canonicalize into different shapes than the tail
-        (runs merge, zero-count steps vanish); correct them pointwise."""
-        small = [nat(0), nat(1)] if self.ordinal else [0, 1]
-        extras, holes = list(prof.extras), list(prof.holes)
-        for p in small:
-            actual = self._concrete_holds(u, p, equality)
-            claimed = prof.holds_at(p)
-            if actual and not claimed:
-                extras.append(p)
-            elif claimed and not actual:
-                holes.append(p)
-        if extras == list(prof.extras) and holes == list(prof.holes):
-            return prof
-        return prof.patched(extras, holes)
-
-    def _concrete_holds(self, u_parts, p, equality):
-        sp = self.at(p).parts
-        return u_parts == sp if equality else (leq_parts(u_parts, sp))
-
-    def _walk_profile(self, u, equality):
-        s = self.parts
-        probe = 2 if not self.ordinal else nat(2)
-        for i in range(len(s)):
-            if i >= len(u):
-                # u is a proper prefix of every member
-                return Profile.never() if equality else Profile.always()
-            if i != self.slot.comp:
-                if u[i] == s[i]:
-                    continue
-                # divergence on a fixed component: answer is constant in p
-                return Profile.const(self._concrete_holds(u, probe, equality))
-            return self._slot_compare(u, i, equality)
-        return Profile.never()  # u has components past the whole member shape
-
-    def _rest_matches(self, u, i_next, p, equality):
-        """Compare the remainder of u against the instantiated member."""
-        sp = self.at(p).parts
-        if equality:
-            return u == sp
-        return leq_parts(u, sp)
-
-    def _slot_compare(self, u, i, equality):
-        slot = self.slot
-        s = self.parts
-        u_last_comp = i == len(u) - 1
-        uc, sc = u[i], s[i]
-        if uc[0] != sc[0]:
-            return Profile.never()
-        if slot.kind == "up":
-            c = uc[1]
-            if not equality and u_last_comp:
-                p0 = slot.solve_ge(c, self.bound)
-                return Profile.never() if p0 is None else self._le_from(u, p0)
-            sols = slot.solve_eq(c, self.bound)
-            good = [p for p in sols if self._rest_matches(u, i + 1, p, equality)]
-            return Profile.only(tuple(good))
-        if slot.kind == "copy":
-            if uc[1] != sc[1]:
-                return Profile.never()
-            sols = slot.solve_eq(nat(uc[2]), self.bound)
-            good = [p for p in sols if self._rest_matches(u, i + 1, p, equality)]
-            return Profile.only(tuple(good))
-        # runs component
-        uruns, sruns = uc[1], sc[1]
-        j = slot.run
-        if len(uruns) < j + (0 if u_last_comp else 1):
-            pass
-        # fixed runs before the slot must match (or u may end inside them)
-        for jj in range(min(j, len(uruns))):
-            if uruns[jj] == sruns[jj]:
-                continue
-            if equality:
-                return Profile.never()
-            # divergence before the slot: constant answer
-            return Profile.const(self._concrete_holds(u, 2 if not self.ordinal else nat(2), False))
-        if len(uruns) <= j:
-            if equality:
-                return Profile.never()
-            if u_last_comp:
-                return Profile.always()
-            return Profile.never()
-        ul, ucnt = uruns[j]
-        if slot.kind == "letter":
-            sols = slot.solve_eq(nat(ul), self.bound)
-            if uruns[j][1] != sruns[j][1]:
-                sols = []
-            good = [p for p in sols if self._rest_matches(u, i, p, equality)]
-            return Profile.only(tuple(good))
-        # count slot
-        sl = sruns[j][0]
-        if ul != sl:
-            return Profile.never()
-        u_ends_here = u_last_comp and j == len(uruns) - 1
-        if u_ends_here and not equality:
-            p0 = slot.solve_ge(ucnt, self.bound)
-            return Profile.never() if p0 is None else self._le_from(u, p0)
-        sols = slot.solve_eq(ucnt, self.bound)
-        good = [p for p in sols if self._rest_matches(u, i, p, equality)]
-        return Profile.only(tuple(good))
-
-    def _le_from(self, u, p0):
-        if not isinstance(p0, Ordinal):
-            if not self._concrete_holds(u, max(p0, 0), False):
-                raise UndecidableTailPattern("threshold verification failed")
-        return Profile.from_(p0, self.bound)
-
-    # meets ----------------------------------------------------------------------
-
-    def meet_profile_with(self, t):
-        """("const", height) or ("increasing", sup of heights) for
-        ht(meet(s_p, t)) over the parameter range, small parameters included."""
-        t = _as_node(self.d, t)
-        probes = [2, 3, 5, 9] if not self.ordinal else [nat(2), nat(3), nat(5), OMEGA]
-        hs = []
-        for p in probes:
-            m = meet_parts(self.at(p).parts, t.parts)
-            hs.append((p, node_at(self.d, m).ht))
-        small_sup = ZERO
-        for p in ([0, 1] if not self.ordinal else [nat(0), nat(1)]):
-            m = meet_parts(self.at(p).parts, t.parts)
-            h = node_at(self.d, m).ht
-            if cmp(h, small_sup) > 0:
-                small_sup = h
-        if all(h == hs[0][1] for _, h in hs):
-            sup = hs[0][1] if cmp(hs[0][1], small_sup) >= 0 else small_sup
-            return ("const", sup)
-        fit = _fit_affine(hs, probes, self.ordinal)
-        if fit is None:
-            raise UndecidableTailPattern("meet heights are not affine")
-        base, scale, tail = fit
-        if self.ordinal:
-            sup = add(base, self.bound)
-        else:
-            sup = limit_of_affine(base, scale)
-        if cmp(sup, small_sup) < 0:
-            sup = small_sup
-        if cmp(sup, t.ht) > 0:
-            sup = t.ht
-        return ("increasing", sup)
-
-
-def _series_of(d, spec):
+def series_of(d, spec):
+    """The SymbolicSeries of an omega- or club-indexed family spec."""
     if isinstance(spec, OmegaFamily):
         return SymbolicSeries(d, spec.template, ordinal=False)
     if isinstance(spec, ClubFamily):
@@ -705,95 +202,6 @@ def _series_of(d, spec):
         return SymbolicSeries(d, spec.template, ordinal=True, bound=bound)
     raise TypeError(spec)
 
-
-class Profile:
-    """The set {p : property(s_p)}: a tail, or a finite set, plus a finite
-    patch of small parameters whose canonical shapes differ from the tail."""
-
-    __slots__ = ("kind", "data", "bound", "extras", "holes")
-
-    def __init__(self, kind, data=None, bound=None, extras=(), holes=()):
-        self.kind = kind
-        self.data = data
-        self.bound = bound
-        self.extras = tuple(extras)
-        self.holes = tuple(holes)
-
-    @classmethod
-    def never(cls):
-        return cls("only", ())
-
-    @classmethod
-    def always(cls):
-        return cls("from", 0)
-
-    @classmethod
-    def from_(cls, p0, bound=None):
-        return cls("from", p0, bound)
-
-    @classmethod
-    def only(cls, ps):
-        return cls("only", tuple(ps))
-
-    @classmethod
-    def const(cls, b):
-        return cls.always() if b else cls.never()
-
-    def patched(self, extras, holes):
-        return Profile(self.kind, self.data, self.bound,
-                       tuple(extras), tuple(holes))
-
-    @property
-    def eventually(self):
-        """Holds for all sufficiently large parameters."""
-        return self.kind == "from"
-
-    @property
-    def infinitely(self):
-        return self.kind == "from"
-
-    @property
-    def ever(self):
-        return self.kind == "from" or bool(self.data) or bool(self.extras)
-
-    def _base_holds(self, p):
-        if self.kind == "from":
-            if isinstance(self.data, Ordinal) or isinstance(p, Ordinal):
-                pp = p if isinstance(p, Ordinal) else nat(p)
-                dd = self.data if isinstance(self.data, Ordinal) else nat(self.data)
-                return cmp(dd, pp) <= 0
-            return p >= self.data
-        return p in self.data
-
-    def holds_at(self, p):
-        if p in self.extras:
-            return True
-        if p in self.holes:
-            return False
-        return self._base_holds(p)
-
-    def first(self):
-        candidates = [p for p in self.extras]
-        if self.kind == "from":
-            base = self.data
-            while base in self.holes:
-                base = _next_param(base)
-            candidates.append(base)
-        else:
-            candidates.extend(p for p in self.data if p not in self.holes)
-        if not candidates:
-            return None
-        if any(isinstance(c, Ordinal) for c in candidates):
-            candidates = [c if isinstance(c, Ordinal) else nat(c) for c in candidates]
-            return sorted(candidates, key=functools.cmp_to_key(cmp))[0]
-        return min(candidates)
-
-    def __repr__(self):
-        return "Profile(%s, %r, +%r, -%r)" % (self.kind, self.data,
-                                              self.extras, self.holes)
-
-
-# -- the members of set specs ------------------------------------------------------
 
 def spec_parts(spec):
     if isinstance(spec, UnionSpec):
@@ -818,7 +226,7 @@ def contains(d, spec, x):
             if leq(d, _as_node(d, part.t), x):
                 return True
         elif isinstance(part, (OmegaFamily, ClubFamily)):
-            if _series_of(d, part).eq_profile(x).ever:
+            if series_of(d, part).eq_profile(x).ever:
                 return True
         else:
             raise TypeError(part)
@@ -845,7 +253,7 @@ def sample_members(d, spec, k=6):
         if isinstance(part, Explicit):
             out.extend(resolve(d, p) for p in part.points)
         elif isinstance(part, (OmegaFamily, ClubFamily)):
-            series = _series_of(d, part)
+            series = series_of(d, part)
             for p in series.params_upto(k):
                 out.append(series.at(p))
         elif isinstance(part, Branch):
@@ -901,7 +309,7 @@ def cluster_or_limit(d, seq, x, topology):
         p = start
         for _ in range(10):
             probe_ps.append(p)
-            p = _next_param(p)
+            p = next_param(p)
     cands = {}
     for p in probe_ps:
         sp = series.at(p)
@@ -917,24 +325,15 @@ def cluster_or_limit(d, seq, x, topology):
     own_cone = _local_base_uses_own_cone(x, topology)
     if own_cone:
         b1_conv = lex.eventually or eqx.eventually
-        b1_clust = lex.infinitely
-    elif x.cof is Cofinality.OMEGA:
-        if lex.eventually:
-            b1_conv = b1_clust = True
-        else:
-            kind, sup = series.meet_profile_with(x)
-            reach = kind == "increasing" and cmp(sup, x.ht) == 0
-            b1_conv = b1_clust = reach
+        b1_clust = lex.eventually
+    elif lex.eventually:
+        b1_conv = b1_clust = True
     else:
-        # coarse wedge base below an uncountable-cofinality point
-        if lex.eventually:
-            b1_conv = b1_clust = True
-        elif lex.infinitely:
-            b1_conv, b1_clust = False, True
-        else:
-            kind, sup = series.meet_profile_with(x)
-            reach = kind == "increasing" and cmp(sup, x.ht) == 0
-            b1_conv = b1_clust = reach
+        # wedge bases below x: cf(x) = omega, or uncountable in the coarse
+        # wedge topology
+        kind, sup = series.meet_profile_with(x)
+        reach = kind == "increasing" and cmp(sup, x.ht) == 0
+        b1_conv = b1_clust = reach
 
     if b1_conv and excl_ok:
         return Verdict.CONVERGES
@@ -976,7 +375,7 @@ def countably_closed_witness(d, t, S):
                 if cmp(h, sup) > 0:
                     sup = h
         elif isinstance(part, (OmegaFamily, ClubFamily)):
-            series = _series_of(d, part)
+            series = series_of(d, part)
             if series.le_profile(t).ever or series.eq_profile(t).ever:
                 raise PreconditionFailed("an element of S lies in the cone of t")
             kind, s = series.meet_profile_with(t)
@@ -1004,7 +403,7 @@ def _verify_cone_avoids(d, p, S):
             if any(leq(d, p, resolve(d, pt)) for pt in part.points):
                 return False
         elif isinstance(part, (OmegaFamily, ClubFamily)):
-            if _series_of(d, part).le_profile(p).ever:
+            if series_of(d, part).le_profile(p).ever:
                 return False
         elif isinstance(part, Branch):
             if leq(d, p, _as_node(d, part.top)):
@@ -1044,7 +443,7 @@ def _least_member_above(d, S, lower, avoid_cone):
                     if best is None:
                         best = n
         elif isinstance(part, (OmegaFamily, ClubFamily)):
-            series = _series_of(d, part)
+            series = series_of(d, part)
             prof = series.le_profile(lower)
             bad = series.le_profile(avoid_cone)
             p = prof.first()
@@ -1057,7 +456,7 @@ def _least_member_above(d, S, lower, avoid_cone):
                     if best is None:
                         best = cand
                     break
-                p = _next_param(p)
+                p = next_param(p)
                 tries += 1
         elif isinstance(part, Branch):
             top = _as_node(d, part.top)
@@ -1065,12 +464,6 @@ def _least_member_above(d, S, lower, avoid_cone):
                 if best is None:
                     best = top
     return best
-
-
-def _next_param(p):
-    if isinstance(p, Ordinal):
-        return add(p, ONE)
-    return p + 1
 
 
 def club_accumulation(d, t, S, steps=8):
@@ -1113,85 +506,12 @@ def club_accumulation(d, t, S, steps=8):
 
 def _cluster_of_concrete_tail(d, nodes, x):
     """Cluster verdict for a finite prefix extended by its affine pattern."""
-    tpl = _fit_template_from_nodes(d, nodes)
+    tpl = fit_template(nodes)
     if tpl is None:
         # fall back: every wedge at x must contain some node; sample checks
         ok = all(leq(d, node_at(d, meet_parts(n.parts, x.parts)), x) for n in nodes)
         return Verdict.CLUSTERS_ONLY if ok else Verdict.NEITHER
     return cluster_or_limit(d, SeqSpec(tail=Indexed(tpl)), x, Topology.CW)
-
-
-def _fit_template_from_nodes(d, nodes):
-    """Reconstruct a one-parameter template from concrete nodes, if affine."""
-    shapes = [n.parts for n in nodes]
-    if len({len(s) for s in shapes}) != 1:
-        return None
-    first = shapes[0]
-    diffs = []
-    for ci in range(len(first)):
-        if any(s[ci] != first[ci] for s in shapes):
-            diffs.append(ci)
-    if len(diffs) != 1:
-        return None
-    ci = diffs[0]
-    idx = list(range(len(shapes)))
-
-    def surround(mid):
-        steps = []
-        for k in range(ci):
-            steps.extend(_parts_component_steps(first[k]))
-        steps.extend(mid)
-        for k in range(ci + 1, len(first)):
-            steps.extend(_parts_component_steps(first[k]))
-        return tuple(steps)
-
-    if first[ci][0] == "copy":
-        if len({s[ci][1] for s in shapes}) != 1:
-            return None
-        fit = _fit_affine([(i, nat(s[ci][2])) for i, s in zip(idx, shapes)], idx, False)
-        if fit is None or not fit[0].is_finite or not fit[1].is_finite:
-            return None
-        return surround([Copy(first[ci][1], Param(fit[0], fit[1]))])
-    if first[ci][0] != "runs":
-        return None
-    runsets = [s[ci][1] for s in shapes]
-    if len({len(r) for r in runsets}) != 1:
-        return None
-    rdiffs = [j for j in range(len(runsets[0]))
-              if any(r[j] != runsets[0][j] for r in runsets)]
-    if len(rdiffs) != 1:
-        return None
-    j = rdiffs[0]
-    letters = {r[j][0] for r in runsets}
-    mid = []
-    if len(letters) > 1:
-        if len({r[j][1] for r in runsets}) != 1 or runsets[0][j][1] != ONE:
-            return None
-        fit = _fit_affine([(i, nat(r[j][0])) for i, r in zip(idx, runsets)], idx, False)
-        if fit is None or not fit[0].is_finite or not fit[1].is_finite:
-            return None
-        slot_step = Child(Param(fit[0], fit[1]))
-    else:
-        fit = _fit_affine([(i, r[j][1]) for i, r in zip(idx, runsets)], idx, False)
-        if fit is None:
-            return None
-        base, scale, tail = fit
-        if not tail.is_zero and not scale.is_finite:
-            return None
-        slot_step = Word((runsets[0][j][0],), Param(add(base, tail), scale))
-    for jj, (l, c) in enumerate(runsets[0]):
-        mid.append(slot_step if jj == j else Word((l,), c))
-    return surround(mid)
-
-
-def _parts_component_steps(comp):
-    if comp[0] == "up":
-        return [Up(comp[1])]
-    if comp[0] == "runs":
-        return [Word((l,), c) for l, c in comp[1]]
-    if comp[0] == "copy":
-        return [Copy(comp[1], comp[2])]
-    return [Below()]
 
 
 # -- Frechet-Urysohn extraction ----------------------------------------------------------
@@ -1222,7 +542,7 @@ def fu_extract(d, A, t):
     tpl = None
     for part in spec_parts(A):
         if isinstance(part, (OmegaFamily, ClubFamily)):
-            series = _series_of(d, part)
+            series = series_of(d, part)
             ok = True
             sel = []
             for u in base_nodes[:8]:
@@ -1235,7 +555,7 @@ def fu_extract(d, A, t):
                             and series.at(p).parts != t.parts:
                         sel.append((u, p))
                         break
-                    p = _next_param(p)
+                    p = next_param(p)
                     tries += 1
                 else:
                     ok = False
@@ -1243,7 +563,7 @@ def fu_extract(d, A, t):
                     break
             if ok and len(sel) == 8:
                 nodes = [series.at(p) for _, p in sel]
-                tpl = _fit_template_from_nodes(d, nodes)
+                tpl = fit_template(nodes)
                 head = [n.address() for n in nodes]
                 break
     if not head:
@@ -1270,7 +590,7 @@ def _meeting_children(d, A, t):
                     f = child_toward(d, t, n)
                     meeting[f.parts] = f
         elif isinstance(part, (OmegaFamily, ClubFamily)):
-            series = _series_of(d, part)
+            series = series_of(d, part)
             fs = {}
             for p in series.params_upto(10):
                 sp = series.at(p)
@@ -1300,25 +620,12 @@ def _meeting_children(d, A, t):
     return list(meeting.values()), infinite
 
 
-def _fit_stable_template(d, nodes, need=8):
-    """Fit a template from a run of the nodes, tolerating a few leading
-    members whose canonical shape differs (small-parameter merges)."""
-    for start in range(0, max(1, len(nodes) - need + 1)):
-        window = nodes[start:start + need]
-        if len(window) < need:
-            break
-        tpl = _fit_template_from_nodes(d, window)
-        if tpl is not None:
-            return tpl
-    return None
-
-
 def _pick_in_child_cones(d, A, t):
     """Case: countably many immediate-successor cones of t meet A."""
     picked = []
     for part in spec_parts(A):
         if isinstance(part, (OmegaFamily, ClubFamily)):
-            series = _series_of(d, part)
+            series = series_of(d, part)
             seen = set()
             for p in series.params_upto(40):
                 sp = series.at(p)
@@ -1330,7 +637,7 @@ def _pick_in_child_cones(d, A, t):
                 if len(picked) >= 12:
                     break
             if len(picked) >= 8:
-                tpl = _fit_stable_template(d, picked)
+                tpl = fit_stable_template(picked)
                 if tpl is not None:
                     seq = SeqSpec(head=tuple(n.address() for n in picked[:8]),
                                   tail=Indexed(tpl))
@@ -1387,7 +694,7 @@ def maximality_witness(d, opens):
             seq_nodes = cofinal_I_nodes(d, t, 8)
             outside = all(
                 not any(member(d, n, U) for U in opens) for n in seq_nodes)
-            tpl = _fit_template_from_nodes(d, seq_nodes)
+            tpl = fit_template(seq_nodes)
             seq = SeqSpec(head=tuple(n.address() for n in seq_nodes),
                           tail=Indexed(tpl) if tpl else None)
             verified = outside

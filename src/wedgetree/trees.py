@@ -32,8 +32,8 @@ from .errors import (
     UnsupportedAddress,
 )
 from .ordinals import (
-    OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, drop_leading_unit,
-    fundamental, left_sub, nat, pred,
+    ONE, ZERO, Cofinality, Ordinal, add, cmp, drop_leading_unit, fundamental,
+    left_sub, pred,
 )
 
 _EXPAND_CAP = 10000

@@ -1,12 +1,7 @@
 """Shared shorthand for the test suite."""
 
-import random
-
-from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat
-from wedgetree.trees import (
-    CARD_OMEGA, CARD_OMEGA1, Below, Card, Child, Copy, Full, Graft, HatOf,
-    OMEGA_BRANCH, Seg, TildeOf, Up, Word, resolve,
-)
+from wedgetree.ordinals import OMEGA, OMEGA1, ZERO, Ordinal, add, nat, omega_power
+from wedgetree.trees import CARD_OMEGA, CARD_OMEGA1, Card, Full, Graft, Seg, Up, Word
 
 W = OMEGA
 W1 = OMEGA1
@@ -53,60 +48,3 @@ REMARK_TREE = graft(seg(W1), (seg(0), CARD_OMEGA))  # w1-chain with omega points
 BINARY_W = full(2, o(W, 1))
 FAN_OMEGA = graft(seg(0), (seg(0), CARD_OMEGA))
 FAN_OMEGA1 = graft(seg(0), (seg(0), CARD_OMEGA1))
-
-
-SAMPLE_ORDINALS = [
-    o(0), o(1), o(2), o(5), W, o(W, 1), o(W, 3), times_nat(W, 2), W2,
-    o(W2, W, 2), W1, o(W1, 1), o(W1, W), o(W1, W, 4), times_nat(W1, 2),
-    o(times_nat(W1, 2), 1),
-]
-
-
-def random_desc(rng, depth=2, allow_wrappers=True, max_mult=None):
-    """A random valid (chain-complete) description, for corpus tests."""
-    choices = ["seg", "full"]
-    if depth > 0:
-        choices += ["graft", "graft"]
-        if allow_wrappers:
-            choices += ["hat", "tilde_safe"]
-    kind = rng.choice(choices)
-    if kind == "seg":
-        return seg(rng.choice(SAMPLE_ORDINALS))
-    if kind == "full":
-        k = rng.choice([1, 2, 3, OMEGA_BRANCH])
-        top = rng.choice(SAMPLE_ORDINALS)
-        return full(k, add(top, ONE))
-    if kind == "graft":
-        base = random_desc(rng, 0, False)
-        n = rng.randint(1, 2)
-        children = []
-        for _ in range(n):
-            mult = rng.choice([Card.fin(1), Card.fin(3), CARD_OMEGA, CARD_OMEGA1]
-                              if max_mult is None else max_mult)
-            children.append((random_desc(rng, depth - 1, False), mult))
-        return graft(base, *children)
-    if kind == "hat":
-        return HatOf(random_desc(rng, depth - 1, False))
-    # tilde only stays chain complete over trees whose uncountable-cofinality
-    # nodes have exactly one immediate successor: build a chain
-    return TildeOf(seg(rng.choice([o(W1, 1), o(W1, 5), o(times_nat(W1, 2), 2)])))
-
-
-def sample_nodes(d, rng, count=6):
-    """A few resolvable nodes of d, root included."""
-    from wedgetree.trees import resolve, children, view
-
-    out = [resolve(d, ())]
-    frontier = [out[0]]
-    for _ in range(count * 3):
-        if not frontier:
-            break
-        node = frontier.pop(0)
-        kids = children(d, node, 3)
-        for kid in kids:
-            out.append(kid)
-            if rng.random() < 0.7:
-                frontier.append(kid)
-        if len(out) >= count:
-            break
-    return out[:count]

@@ -15,10 +15,11 @@ from wedgetree.classify import (
     gdelta_class, gdelta_intersection_oracle, has_omega1_chain, r_flags,
 )
 from wedgetree.constructions import hat
+from wedgetree.corpus import random_description
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, W2, full, graft, o,
-    random_desc, seg, up, word,
+    seg, up, word,
 )
 
 
@@ -198,7 +199,7 @@ def test_report_consistency_on_random_corpus():
     rng = random.Random(2024)
     seen = 0
     while seen < 120:
-        d = random_desc(rng)
+        d = random_description(rng)
         try:
             validate(d)
         except Exception:
@@ -227,7 +228,7 @@ def test_hat_reports_r1_on_corpus():
     rng = random.Random(77)
     seen = 0
     while seen < 20:
-        d = random_desc(rng)
+        d = random_description(rng)
         try:
             validate(d)
         except Exception:

@@ -15,10 +15,11 @@ from wedgetree.constructions import (
     DisjointVerdict, disjoint_closures, hat, is_r1_tree, iso_check, normalize,
     roundtrip_check, tilde,
 )
+from wedgetree.corpus import random_description
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o,
-    random_desc, seg, up, word,
+    seg, up, word,
 )
 
 
@@ -111,7 +112,7 @@ def test_hat_output_is_always_r1():
     rng = random.Random(23)
     seen = 0
     while seen < 25:
-        d = random_desc(rng)
+        d = random_description(rng)
         try:
             validate(d)
         except Exception:

@@ -7,9 +7,9 @@ from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, add, nat, omega_power, 
 from wedgetree.trees import Below, Card, Child, Copy, Full, Seg, Up, Word, resolve
 from wedgetree.topology import Branch, ClubFamily, Explicit, OmegaFamily, Param, UnionSpec
 from wedgetree import dsl
+from wedgetree.corpus import random_description
 
 from helpers import BINARY_W1, REMARK_TREE, W, W1, full, graft, o, seg, up, word
-from helpers import random_desc
 
 
 def rt_ordinal(text):
@@ -67,7 +67,7 @@ def test_print_parse_roundtrip_corpus():
     rng = random.Random(99)
     count = 0
     while count < 1000:
-        d = random_desc(rng)
+        d = random_description(rng)
         text = dsl.print_desc(d)
         again = dsl.parse_desc(dsl.read_sexpr(text))
         assert again == d, text
@@ -76,11 +76,11 @@ def test_print_parse_roundtrip_corpus():
 
 def test_address_roundtrip():
     rng = random.Random(5)
-    from helpers import sample_nodes
+    from wedgetree.corpus import sample_nodes
     from wedgetree.trees import validate
     seen = 0
     while seen < 500:
-        d = random_desc(rng)
+        d = random_description(rng)
         try:
             validate(d)
         except Exception:
@@ -93,7 +93,7 @@ def test_address_roundtrip():
 
 
 def test_ordinal_print_roundtrip():
-    from helpers import SAMPLE_ORDINALS
+    from wedgetree.corpus import SAMPLE_ORDINALS
     for a in SAMPLE_ORDINALS:
         assert rt_ordinal(dsl.print_ordinal(a)) == a
 

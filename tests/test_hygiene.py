@@ -1,0 +1,57 @@
+"""Import hygiene of the library modules, checked with the stdlib ast module.
+
+Every name a module imports is used in it, unless the import is an explicit
+re-export (``import X as X``), and no module imports an underscore-prefixed
+name from another wedgetree module.  ``__init__.py`` only re-exports, so it is
+not checked.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wedgetree"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imports(tree):
+    """(bound name, imported name, from-module, level, is re-export) per import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], a.name, None, 0, a.asname == a.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, a.name, node.module, node.level, a.asname == a.name
+
+
+def _used_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _is_wedgetree(module, level):
+    return level > 0 or (module or "").split(".")[0] == "wedgetree"
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"series.py", "topology.py", "trees.py"}
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        for bound, _, _, _, reexport in _imports(tree):
+            if not reexport and bound not in used:
+                unused.append("%s: %s" % (path.name, bound))
+    assert not unused, unused
+
+
+def test_no_private_cross_module_imports():
+    private = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for _, name, module, level, _ in _imports(tree):
+            if _is_wedgetree(module, level) and name.startswith("_"):
+                private.append("%s: %s" % (path.name, name))
+    assert not private, private

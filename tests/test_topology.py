@@ -280,10 +280,10 @@ def test_maximality_mixed_union():
 
 def test_cw_subbasic_implies_sigma_subbasic():
     rng = random.Random(5)
-    from helpers import random_desc, sample_nodes
+    from wedgetree.corpus import random_description, sample_nodes
     checked = 0
     while checked < 1000:
-        d = random_desc(rng)
+        d = random_description(rng)
         try:
             validate(d)
         except Exception:

@@ -10,10 +10,11 @@ from wedgetree.trees import (
     cofinal_I_nodes, height, is_chain_complete, leq, meet, resolve, unc_sites,
     validate,
 )
+from wedgetree.corpus import random_description, sample_nodes
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o,
-    random_desc, sample_nodes, seg, up, word,
+    seg, up, word,
 )
 
 
@@ -150,7 +151,7 @@ def test_meet_is_greatest_lower_bound_on_random_triples():
     rng = random.Random(7)
     checked = 0
     while checked < 200:
-        d = random_desc(rng)
+        d = random_description(rng)
         try:
             validate(d)
         except Exception:
@@ -166,7 +167,7 @@ def test_meet_is_greatest_lower_bound_on_random_triples():
 def test_leq_antisymmetry_and_ht_monotone():
     rng = random.Random(13)
     for _ in range(100):
-        d = random_desc(rng)
+        d = random_description(rng)
         try:
             validate(d)
         except Exception:
