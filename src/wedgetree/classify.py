@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .errors import HeightTooLarge, PreconditionFailed
 from .ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat
 from .trees import (
-    Card, Child, Copy, Full, Graft, HatOf, Node, Seg, TildeOf, Up, Word,
-    ancestor_at, child_toward, children, height, leq, leq_parts, meet_parts,
-    node_at, resolve, unc_sites, validate, view,
+    Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
+    ancestor_at, as_node, child_toward, children, height, leq, leq_parts,
+    meet_parts, node_at, resolve, unc_sites, validate, view,
 )
 from .topology import (
     Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, series_of, spec_parts,
@@ -182,7 +182,7 @@ class BinaryEmbedding:
 
 def binary_obstruction(d):
     """A closed embedded full binary tree of height w1+1, when one exists."""
-    spec_ = _binary_region(normalize(d), (), ZERO)
+    spec_ = _binary_region(d, (), ZERO)
     if spec_ is None:
         return None
     emb = BinaryEmbedding(*spec_)
@@ -214,10 +214,11 @@ def _binary_region(d, prefix, offset):
         # the region survives: levels below w1 keep full branching and the
         # split points close the branches off
         return _binary_region(d.inner, prefix, offset)
-    if isinstance(d, TildeOf):
-        # a validated tilde has no surviving full w1-region (its level-w1
-        # nodes would violate chain completeness); stay conservative
-        return None
+    if isinstance(d, TildeOf) and isinstance(d.inner, HatOf):
+        # tilde(hat(x)) is x, with x's addresses
+        return _binary_region(d.inner.inner, prefix, offset)
+    # a validated tilde over anything else has no surviving full w1-region
+    # (its level-w1 nodes would violate chain completeness)
     return None
 
 
@@ -281,7 +282,7 @@ class GdeltaReport:
 def gdelta_analysis(d, x=None):
     point = None
     if x is not None:
-        point = gdelta_class(resolve(d, x) if not isinstance(x, Node) else x)
+        point = gdelta_class(as_node(d, x))
     dense, wits = _dense_gdelta(d)
     return GdeltaReport(point, dense, wits)
 
@@ -291,10 +292,7 @@ def _dense_gdelta(d):
     hunt for a successor-height, countably-branching point above each
     problematic site."""
     wits = []
-    problem_sites = [s for s in unc_sites(d)] + \
-        [s for s in _fat_sites(d)]
-    for site in problem_sites:
-        node = node_at(d, site.parts)
+    for node in unc_sites(d) + [resolve(d, a) for a in _fat_addresses(d)]:
         found = _gdelta_above(d, node)
         if found is None:
             return False, ()
@@ -302,30 +300,22 @@ def _dense_gdelta(d):
     return True, tuple(wits)
 
 
-def _fat_sites(d):
-    """Structural positions with uncountably many immediate successors."""
+def _fat_addresses(d):
+    """Addresses of the positions with uncountably many immediate successors."""
     out = []
     if isinstance(d, Graft):
+        btop = view(d.base).leftmost_top().address()
         total = Card.fin(0)
         for _, m in d.children:
             total = total.plus(m)
         if not total.le_omega:
-            out.append(view(d)._fixup_base_site(
-                _site_of(view(d.base).leftmost_top())))
+            out.append(btop)
         for slot, (child, _) in enumerate(d.children):
-            btop = view(d.base).leftmost_top()
-            for s in _fat_sites(child):
-                out.append(type(s)(btop.parts + (("copy", slot, 0),) + s.parts,
-                                   add(view(d.base).height(), s.ht), s.ims, s.maximal))
-        out.extend(_fat_sites(d.base))
+            out.extend(btop + (Copy(slot, 0),) + a for a in _fat_addresses(child))
+        out.extend(_fat_addresses(d.base))
     elif isinstance(d, (HatOf, TildeOf)):
-        out.extend(_fat_sites(d.inner))
+        out.extend(_fat_addresses(d.inner))
     return out
-
-
-def _site_of(node):
-    from .trees import Site
-    return Site(node.parts, node.ht, node.ims, node.maximal)
 
 
 def _gdelta_above(d, node, depth=4):
@@ -357,7 +347,7 @@ def gdelta_intersection_oracle(d, x, sample_bases):
     """Brute-force side of the not-G-delta verdicts: given countably many
     basic neighbourhoods of x (sampled), produce a point other than x inside
     all of them."""
-    x = resolve(d, x) if not isinstance(x, Node) else x
+    x = as_node(d, x)
     if x.cof is Cofinality.OMEGA1:
         best = ZERO
         for u, _ in sample_bases:
@@ -585,8 +575,7 @@ def _cone_meets_D_closure(d, part, ts):
 def check_t0(d, S, family, pairs):
     """Every pair of distinct points of S is split by some family member."""
     for a, b in pairs:
-        x = resolve(d, a) if not isinstance(a, Node) else a
-        y = resolve(d, b) if not isinstance(b, Node) else b
+        x, y = as_node(d, a), as_node(d, b)
         if x.parts == y.parts:
             continue
         sep = family.separator_for(x, y)
@@ -606,7 +595,7 @@ def check_point_countable(d, family, points):
     """Each point lies in countably many family members, certified by a
     countable predecessor-height index."""
     for p in points:
-        x = resolve(d, p) if not isinstance(p, Node) else p
+        x = as_node(d, p)
         marked = family.markers.get(x.parts)
         if marked is not None:
             bound = marked[1].ht

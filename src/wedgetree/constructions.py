@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotClosed, PreconditionFailed, UndecidableTailPattern
+from .errors import (
+    NotClosed, PreconditionFailed, UndecidableTailPattern, WedgeTreeError,
+)
 from .ordinals import ONE, Cofinality, add, cmp, pred
 from .trees import (
-    Below, Card, Full, Graft, HatOf, Node, Seg, TildeOf, ancestor_at,
-    children, hat_shift, height, leq_parts, node_at, resolve, structure_ok,
+    Below, Card, Full, Graft, HatOf, Seg, TildeOf, ancestor_at, as_node,
+    children, hat_shift, height, leq_parts, resolve, structure_ok,
     tilde_shift, unc_sites, validate, view,
 )
 from .topology import (
@@ -118,9 +120,6 @@ def r_flags(d):
 
 # -- structural isomorphism (normal forms plus node-level spot checks) -------------
 
-_SPOT_HEIGHT_SAMPLES = 5
-
-
 def _spot_addresses(d):
     """A panel of resolvable addresses of d covering the structural regions,
     every uncountable-cofinality site included."""
@@ -128,10 +127,10 @@ def _spot_addresses(d):
     v = view(d)
     try:
         out.append(v.leftmost_top().address())
-    except Exception:
+    except WedgeTreeError:
         pass
     for s in unc_sites(d):
-        out.append(node_at(d, s.parts).address())
+        out.append(s.address())
     rng_nodes = []
     try:
         root = resolve(d, ())
@@ -144,7 +143,7 @@ def _spot_addresses(d):
                     nxt.append(c)
             frontier = nxt[:3]
         out.extend(n.address() for n in rng_nodes[:6])
-    except Exception:
+    except WedgeTreeError:
         pass
     seen, uniq = set(), []
     for a in out:
@@ -175,11 +174,11 @@ def iso_check(d1, d2, translate=None):
         for addr in _spot_addresses(d1):
             try:
                 a = resolve(d1, addr)
-            except Exception:
+            except WedgeTreeError:
                 continue
             try:
                 b = resolve(d2, translate(addr))
-            except Exception:
+            except WedgeTreeError:
                 return False
             if not _node_data_match(a, b):
                 return False
@@ -203,13 +202,7 @@ def roundtrip_check(d):
     tilde_hat_ok = iso_check(th, d) and \
         iso_check(th, d, translate=ident) and iso_check(d, th, translate=ident)
     _, r1 = r_flags(d)
-    ht_ = HatOf(TildeOf(d))
-    if not r1:
-        hat_tilde_ok = False
-        if cmp(height(ht_), height(d)) == 0:
-            hat_tilde_ok = _hat_tilde_spot_iso(d, ht_)
-    else:
-        hat_tilde_ok = _hat_tilde_spot_iso(d, ht_)
+    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)))
     return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
 
 
@@ -232,7 +225,7 @@ def _hat_tilde_spot_iso(d, ht_):
     try:
         translate = _hat_tilde_translate(d)
         return iso_check(d, ht_, translate=translate)
-    except Exception:
+    except WedgeTreeError:
         return False
 
 
@@ -264,7 +257,7 @@ def _sigma_closed_check(d, spec, name):
             if not contains(d, spec, x):
                 try:
                     seq = fu_extract(d, spec, x)
-                except Exception as exc:
+                except WedgeTreeError as exc:
                     raise UndecidableTailPattern(
                         "cannot certify closedness of %s at %r" % (name, x)) from exc
                 raise NotClosed(
@@ -280,7 +273,7 @@ def _accumulating_split_points(d, spec):
     cones = []
     for part in spec_parts(spec):
         if isinstance(part, Branch):
-            top = resolve(d, part.top) if not isinstance(part.top, Node) else part.top
+            top = as_node(d, part.top)
             for site_ht in _unc_heights_upto(d, top.ht):
                 t = ancestor_at(d, top, site_ht)
                 out[t.parts] = t

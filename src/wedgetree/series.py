@@ -27,13 +27,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import UndecidableTailPattern
+from .errors import UndecidableTailPattern, WedgeTreeError
 from .ordinals import (
     OMEGA, ONE, ZERO, Ordinal, add, cmp, left_sub, limit_of_affine, nat,
     times_nat,
 )
 from .trees import (
-    Below, Child, Copy, Node, Up, Word, leq_parts, meet_parts, node_at,
+    Below, Child, Copy, Up, Word, as_node, leq_parts, meet_parts, node_at,
     resolve,
 )
 
@@ -103,11 +103,11 @@ def _fit_affine(values, ordinal_params):
             base = split
             try:
                 rest = left_sub(base, v1)
-            except Exception:
+            except WedgeTreeError:
                 continue
             try:
                 tail = left_sub(p1 if isinstance(p1, Ordinal) else nat(p1), rest)
-            except Exception:
+            except WedgeTreeError:
                 continue
             candidates.append((base, ONE, tail))
     else:
@@ -203,7 +203,7 @@ class _Slot:
                 return ZERO
             try:
                 lo = left_sub(self.base, c)
-            except Exception:
+            except WedgeTreeError:
                 return ZERO
             for cand in (lo, add(lo, ONE)):
                 if bound is not None and cmp(cand, bound) >= 0:
@@ -228,7 +228,7 @@ class _Slot:
         if self.ordinal:
             try:
                 rho = left_sub(self.base, c)
-            except Exception:
+            except WedgeTreeError:
                 return []
             sols = []
             for a in _left_splits(rho) + [rho]:
@@ -406,7 +406,7 @@ class SymbolicSeries:
         for top in tops:
             try:
                 out.append(node_at(self.d, head + (top,)))
-            except Exception:
+            except WedgeTreeError:
                 pass
         return out
 
@@ -414,7 +414,7 @@ class SymbolicSeries:
 
     def le_profile(self, u):
         """Profile of {p : u <= s_p} over the parameter range."""
-        u = u if isinstance(u, Node) else resolve(self.d, u)
+        u = as_node(self.d, u)
         ucore = u.parts
         while ucore and ucore[-1][0] == "below":
             ucore = ucore[:-1]
@@ -424,7 +424,7 @@ class SymbolicSeries:
                                  ucore, equality=False)
 
     def eq_profile(self, u):
-        u = u if isinstance(u, Node) else resolve(self.d, u)
+        u = as_node(self.d, u)
         if u.parts and u.parts[-1][0] == "below":
             return Profile.never()
         if self.constant:
@@ -535,7 +535,7 @@ class SymbolicSeries:
     def meet_profile_with(self, t):
         """("const", height) or ("increasing", sup of heights) for
         ht(meet(s_p, t)) over the parameter range, small parameters included."""
-        t = t if isinstance(t, Node) else resolve(self.d, t)
+        t = as_node(self.d, t)
         probes = _NAT_PROBES if not self.ordinal else (nat(2), nat(3), nat(5), OMEGA)
         hs = []
         for p in probes:

@@ -32,7 +32,7 @@ from .series import (
     SymbolicSeries, fit_stable_template, fit_template, instantiate, next_param,
 )
 from .trees import (
-    Node, ancestor_at, child_toward, children, cofinal_I_nodes, leq,
+    Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
     leq_parts, meet, meet_parts, node_at, resolve,
 )
 
@@ -46,10 +46,6 @@ class Verdict(enum.Enum):
     CONVERGES = "converges"
     CLUSTERS_ONLY = "clusters-only"
     NEITHER = "neither"
-
-
-def _as_node(d, x):
-    return x if isinstance(x, Node) else resolve(d, x)
 
 
 # -- basic opens ---------------------------------------------------------------
@@ -81,7 +77,7 @@ def _check_wedge_legal(d, base, excluded):
     """Exclusions must be immediate successors of a single node >= base."""
     if not excluded:
         return
-    nodes = [_as_node(d, f) for f in excluded]
+    nodes = [as_node(d, f) for f in excluded]
     h = nodes[0].ht
     if any(cmp(n.ht, h) != 0 for n in nodes):
         raise IllegalWedge("exclusions sit at different levels")
@@ -93,34 +89,34 @@ def _check_wedge_legal(d, base, excluded):
     for n in nodes[1:]:
         if ancestor_at(d, n, pred(h)).parts != parent.parts:
             raise IllegalWedge("exclusions have different parents")
-    if not leq_parts(_as_node(d, base).parts, parent.parts):
+    if not leq_parts(as_node(d, base).parts, parent.parts):
         raise IllegalWedge("exclusions do not sit above the wedge base")
 
 
 def member(d, x, U):
     """Is x in the basic open U?"""
-    x = _as_node(d, x)
+    x = as_node(d, x)
     if isinstance(U, Cone):
-        return leq(d, _as_node(d, U.t), x)
+        return leq(d, as_node(d, U.t), x)
     if isinstance(U, ConeComplement):
-        return not leq(d, _as_node(d, U.t), x)
+        return not leq(d, as_node(d, U.t), x)
     if isinstance(U, Wedge):
-        base = _as_node(d, U.t)
+        base = as_node(d, U.t)
         _check_wedge_legal(d, base, U.excluded)
         if not leq(d, base, x):
             return False
-        return all(not leq(d, _as_node(d, f), x) for f in U.excluded)
+        return all(not leq(d, as_node(d, f), x) for f in U.excluded)
     if isinstance(U, CDiff):
-        base = _as_node(d, U.t)
+        base = as_node(d, U.t)
         if not leq(d, base, x):
             return False
-        return all(not leq(d, _as_node(d, f), x) for f in U.excluded)
+        return all(not leq(d, as_node(d, f), x) for f in U.excluded)
     raise TypeError("not a basic open: %r" % (U,))
 
 
 def is_subbasic(d, t, topology):
     """May V_t (and its complement) be taken as subbasic in this topology?"""
-    t = _as_node(d, t)
+    t = as_node(d, t)
     if topology is Topology.CW:
         return t.cof is Cofinality.ZERO
     return t.cof is not Cofinality.OMEGA
@@ -214,16 +210,16 @@ def spec_parts(spec):
 
 def contains(d, spec, x):
     """Decidable membership of a resolved node in a set spec."""
-    x = _as_node(d, x)
+    x = as_node(d, x)
     for part in spec_parts(spec):
         if isinstance(part, Explicit):
             if any(resolve(d, p).parts == x.parts for p in part.points):
                 return True
         elif isinstance(part, Branch):
-            if leq(d, x, _as_node(d, part.top)):
+            if leq(d, x, as_node(d, part.top)):
                 return True
         elif isinstance(part, ConeSet):
-            if leq(d, _as_node(d, part.t), x):
+            if leq(d, as_node(d, part.t), x):
                 return True
         elif isinstance(part, (OmegaFamily, ClubFamily)):
             if series_of(d, part).eq_profile(x).ever:
@@ -239,8 +235,8 @@ def is_countable_spec(d, spec):
             if resolve(d, part.anchor).ht.cof() is Cofinality.OMEGA1:
                 return False
         elif isinstance(part, Branch):
-            if _as_node(d, part.top).ht.cof() is Cofinality.OMEGA1 or \
-                    not _as_node(d, part.top).ht.is_countable:
+            if as_node(d, part.top).ht.cof() is Cofinality.OMEGA1 or \
+                    not as_node(d, part.top).ht.is_countable:
                 return False
         elif isinstance(part, ConeSet):
             return False  # cones are not presented as countable lists
@@ -257,7 +253,7 @@ def sample_members(d, spec, k=6):
             for p in series.params_upto(k):
                 out.append(series.at(p))
         elif isinstance(part, Branch):
-            top = _as_node(d, part.top)
+            top = as_node(d, part.top)
             out.append(top)
             hts = [ZERO, ONE]
             if cmp(OMEGA, top.ht) < 0:
@@ -266,7 +262,7 @@ def sample_members(d, spec, k=6):
                 if cmp(h, top.ht) <= 0:
                     out.append(ancestor_at(d, top, h))
         elif isinstance(part, ConeSet):
-            base = _as_node(d, part.t)
+            base = as_node(d, part.t)
             out.append(base)
             out.extend(children(d, base, 2))
     return out
@@ -286,7 +282,7 @@ def cluster_or_limit(d, seq, x, topology):
     Decided against the local base at x: wedges based at x itself where the
     topology allows, wedges based at I(T)-points below x otherwise.
     """
-    x = _as_node(d, x)
+    x = as_node(d, x)
     if isinstance(seq.tail, EventuallyConstant):
         c = resolve(d, seq.tail.point)
         return Verdict.CONVERGES if c.parts == x.parts else Verdict.NEITHER
@@ -359,7 +355,7 @@ class CountablyClosedWitness:
 def countably_closed_witness(d, t, S):
     """A point p in I(T) with p <= t and V_p disjoint from the countable set S,
     certifying that the closure of S misses V_t."""
-    t = _as_node(d, t)
+    t = as_node(d, t)
     if t.cof is not Cofinality.OMEGA1:
         raise PreconditionFailed("witness requires cf(t) uncountable, got %s" % t.cof)
     if not is_countable_spec(d, S):
@@ -382,7 +378,7 @@ def countably_closed_witness(d, t, S):
             if cmp(s, sup) > 0:
                 sup = s
         elif isinstance(part, Branch):
-            top = _as_node(d, part.top)
+            top = as_node(d, part.top)
             if leq_parts(t.parts, top.parts):
                 raise PreconditionFailed("an element of S lies in the cone of t")
             h = node_at(d, meet_parts(top.parts, t.parts)).ht
@@ -406,7 +402,7 @@ def _verify_cone_avoids(d, p, S):
             if series_of(d, part).le_profile(p).ever:
                 return False
         elif isinstance(part, Branch):
-            if leq(d, p, _as_node(d, part.top)):
+            if leq(d, p, as_node(d, part.top)):
                 return False
     return True
 
@@ -459,7 +455,7 @@ def _least_member_above(d, S, lower, avoid_cone):
                 p = next_param(p)
                 tries += 1
         elif isinstance(part, Branch):
-            top = _as_node(d, part.top)
+            top = as_node(d, part.top)
             if leq(d, lower, top) and not leq(d, avoid_cone, top):
                 if best is None:
                     best = top
@@ -470,7 +466,7 @@ def club_accumulation(d, t, S, steps=8):
     """The closed-unbounded accumulation construction below an
     uncountable-cofinality point t: alternately pick s_j in S above r_j + 1
     and set r_{j+1} to the meet of s_j with t; r is the supremum."""
-    t = _as_node(d, t)
+    t = as_node(d, t)
     if t.cof is not Cofinality.OMEGA1:
         raise PreconditionFailed("club accumulation requires cf(t) uncountable")
     r = resolve(d, ())  # r_0 = root
@@ -520,7 +516,7 @@ def fu_extract(d, A, t):
     """A sequence from A converging to t in the countably coarse wedge
     topology, built by the three-case analysis on cf(t) and on how many
     immediate-successor cones of t meet A."""
-    t = _as_node(d, t)
+    t = as_node(d, t)
     if contains(d, A, t):
         raise PreconditionFailed("t itself belongs to A")
 
@@ -601,12 +597,12 @@ def _meeting_children(d, A, t):
                 infinite = True
             meeting.update(fs)
         elif isinstance(part, Branch):
-            top = _as_node(d, part.top)
+            top = as_node(d, part.top)
             if leq_parts(t.parts, top.parts) and top.parts != t.parts:
                 f = child_toward(d, t, top)
                 meeting[f.parts] = f
         elif isinstance(part, ConeSet):
-            base = _as_node(d, part.t)
+            base = as_node(d, part.t)
             if leq_parts(t.parts, base.parts) and base.parts != t.parts:
                 # the cone hangs above one child of t
                 f = child_toward(d, t, base)
@@ -679,9 +675,9 @@ def maximality_witness(d, opens):
     bases = []
     for U in opens:
         if isinstance(U, (Cone, Wedge, CDiff)):
-            bases.append(_as_node(d, U.t))
+            bases.append(as_node(d, U.t))
         elif isinstance(U, ConeComplement):
-            if not _as_node(d, U.t).is_root:  # the complement of the root cone is empty
+            if not as_node(d, U.t).is_root:  # the complement of the root cone is empty
                 bases.append(resolve(d, ()))
         else:
             raise TypeError(U)

@@ -19,7 +19,9 @@ Individual nodes at uncountable limit levels are functions on w1 and cannot
 all be named; addresses cover the finitely-presentable fragment (finite lists
 of letter runs with ordinal repeat counts), which is dense and contains every
 node the witness constructions need.  Node equality is canonical-address
-equality.
+equality.  Each such level is summarised by its sites, one representative
+Node per structural region and level (``unc_sites``).  Functions that take a
+node also take its address; ``as_node`` resolves either to a Node.
 """
 
 from __future__ import annotations
@@ -423,16 +425,12 @@ class _SegView(_View):
         return self._node(self.eta)
 
     def unc_sites(self):
-        return [self._site(Ordinal(j, ())) for j in range(1, self.eta.omega1 + 1)]
+        return [self._node(Ordinal(j, ())) for j in range(1, self.eta.omega1 + 1)]
 
     def sites_at_height(self, h):
         if cmp(h, self.eta) <= 0:
-            return [self._site(h)]
+            return [self._node(h)]
         return []
-
-    def _site(self, h):
-        n = self._node(h)
-        return Site(n.parts, h, n.ims, n.maximal)
 
 
 class _FullView(_View):
@@ -541,18 +539,14 @@ class _FullView(_View):
         return self._node([(0, self.top)])
 
     def unc_sites(self):
-        return [self._site(Ordinal(j, ()))
+        return [self._node([(0, Ordinal(j, ()))])
                 for j in range(1, self.top.omega1 + 1)
                 if cmp(Ordinal(j, ()), self.top) <= 0]
 
     def sites_at_height(self, h):
         if cmp(h, self.top) <= 0:
-            return [self._site(h)]
+            return [self._node([(0, h)] if not h.is_zero else [])]
         return []
-
-    def _site(self, h):
-        n = self._node([(0, h)] if not h.is_zero else [])
-        return Site(n.parts, h, n.ims, n.maximal)
 
 
 class _GraftView(_View):
@@ -700,33 +694,21 @@ class _GraftView(_View):
         return any(child.bounded_supless() for child, _ in self.slots)
 
     def unc_sites(self):
-        out = []
-        for site in self.base.unc_sites():
-            out.append(self._fixup_base_site(site))
+        out = [self._wrap_base(s) for s in self.base.unc_sites()]
         bnode = self.base.leftmost_top()
         for slot, (child, _) in enumerate(self.slots):
-            for site in child.unc_sites():
-                out.append(self._lift_child_site(bnode, slot, site))
+            out.extend(self._wrap_child(bnode, slot, 0, s) for s in child.unc_sites())
         return out
 
     def sites_at_height(self, h):
-        out = [self._fixup_base_site(s) for s in self.base.sites_at_height(h)]
+        out = [self._wrap_base(s) for s in self.base.sites_at_height(h)]
         if self.slots and cmp(h, self.offset) >= 0:
             rel = left_sub(self.offset, h)
             bnode = self.base.leftmost_top()
             for slot, (child, _) in enumerate(self.slots):
-                for site in child.sites_at_height(rel):
-                    out.append(self._lift_child_site(bnode, slot, site))
+                out.extend(self._wrap_child(bnode, slot, 0, s)
+                           for s in child.sites_at_height(rel))
         return out
-
-    def _fixup_base_site(self, site):
-        if site.maximal and self.slots:
-            return Site(site.parts, site.ht, self._sum_mult(), False)
-        return site
-
-    def _lift_child_site(self, bnode, slot, site):
-        parts = bnode.parts + (("copy", slot, 0),) + site.parts
-        return Site(parts, add(self.offset, site.ht), site.ims, site.maximal)
 
 
 class _HatView(_View):
@@ -817,23 +799,23 @@ class _HatView(_View):
     def leftmost_top(self):
         return self._image(self.inner.leftmost_top())
 
+    def _completion(self, g):
+        return self.walk(parts_to_steps(g.parts), 0)[0]  # the captop filling g
+
     def unc_sites(self):
-        out = [Site(s.parts + (("below",),), s.ht, Card.fin(1), False)
-               for s in self.inner.unc_sites()]
-        out.extend(Site(g.parts, g.ht, Card.fin(0), True) for g in self.inner.gaps())
+        out = [self._spoint(s) for s in self.inner.unc_sites()]
+        out.extend(self._completion(g) for g in self.inner.gaps())
         return out
 
     def sites_at_height(self, h):
         kind, hi = hat_unshift(h)
         if kind == "spoint":
-            out = [Site(s.parts + (("below",),), h, Card.fin(1), False)
-                   for s in self.inner.sites_at_height(h)
+            out = [self._spoint(s) for s in self.inner.sites_at_height(h)
                    if s.ht.cof() is Cofinality.OMEGA1]
-            out.extend(Site(g.parts, g.ht, Card.fin(0), True)
+            out.extend(self._completion(g)
                        for g in self.inner.gaps() if cmp(g.ht, h) == 0)
             return out
-        return [Site(s.parts, h, s.ims, s.maximal)
-                for s in self.inner.sites_at_height(hi)]
+        return [self._image(s) for s in self.inner.sites_at_height(hi)]
 
 
 class _TildeView(_View):
@@ -914,22 +896,11 @@ class _TildeView(_View):
         m = self.inner.height().omega1
         for j in range(1, m + 1):
             h = Ordinal(j, ONE.terms)  # w1*j + 1: these drop onto the removed level
-            for s in self.inner.sites_at_height(h):
-                out.append(Site(s.parts, Ordinal(j, ()), s.ims, s.maximal))
+            out.extend(self._remap(s) for s in self.inner.sites_at_height(h))
         return out
 
     def sites_at_height(self, h):
-        return [Site(s.parts, h, s.ims, s.maximal)
-                for s in self.inner.sites_at_height(tilde_unshift(h))]
-
-
-@dataclass(frozen=True)
-class Site:
-    """A structural class of same-shaped nodes (one region, one level)."""
-    parts: tuple
-    ht: Ordinal
-    ims: Card
-    maximal: bool
+        return [self._remap(s) for s in self.inner.sites_at_height(tilde_unshift(h))]
 
 
 @dataclass(frozen=True)
@@ -1022,21 +993,21 @@ def node_at(desc, parts):
     return resolve(desc, parts_to_steps(parts))
 
 
+def as_node(desc, x):
+    """``x`` itself when it is a Node, otherwise the node at address ``x``."""
+    return x if isinstance(x, Node) else resolve(desc, x)
+
+
 def leq(desc, a, b):
-    na = a if isinstance(a, Node) else resolve(desc, a)
-    nb = b if isinstance(b, Node) else resolve(desc, b)
-    return leq_parts(na.parts, nb.parts)
+    return leq_parts(as_node(desc, a).parts, as_node(desc, b).parts)
 
 
 def meet(desc, a, b):
-    na = a if isinstance(a, Node) else resolve(desc, a)
-    nb = b if isinstance(b, Node) else resolve(desc, b)
-    return node_at(desc, meet_parts(na.parts, nb.parts))
+    return node_at(desc, meet_parts(as_node(desc, a).parts, as_node(desc, b).parts))
 
 
 def ancestor_at(desc, node, h):
-    if not isinstance(node, Node):
-        node = resolve(desc, node)
+    node = as_node(desc, node)
     if cmp(h, node.ht) > 0:
         raise InvalidAddress("ancestor height above the node")
     if cmp(h, node.ht) == 0:
@@ -1045,9 +1016,7 @@ def ancestor_at(desc, node, h):
 
 
 def children(desc, node, count=8):
-    if not isinstance(node, Node):
-        node = resolve(desc, node)
-    return view(desc).children(node, count)
+    return view(desc).children(as_node(desc, node), count)
 
 
 def child_toward(desc, lower, upper):
@@ -1070,8 +1039,5 @@ def cofinal_I_nodes(desc, node, count):
 
 
 def unc_sites(desc):
+    """Uncountable-cofinality sites: one representative node per region and level."""
     return view(desc).unc_sites()
-
-
-def sites_at_height(desc, h):
-    return view(desc).sites_at_height(h)

@@ -6,7 +6,7 @@ from wedgetree.errors import HeightTooLarge
 from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, add, cmp, nat, times_nat
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
-    Word, ancestor_at, children, resolve, validate,
+    TildeOf, Word, ancestor_at, children, resolve, validate,
 )
 from wedgetree.topology import Branch, ConeSet, Explicit, OmegaFamily, Param, UnionSpec
 from wedgetree.classify import (
@@ -16,6 +16,7 @@ from wedgetree.classify import (
 )
 from wedgetree.constructions import hat
 from wedgetree.corpus import random_description
+from wedgetree.dsl import parse_address, read_sexpr
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, W2, full, graft, o,
@@ -55,6 +56,17 @@ def test_binary_obstruction_through_hat():
     d, _ = hat(BINARY_W1)
     emb = binary_obstruction(d)
     assert emb is not None
+    assert binary_obstruction(TildeOf(d)) == binary_obstruction(BINARY_W1)
+
+
+def test_report_on_graft_over_hat_base():
+    # the embedding is searched for in d itself, so its root resolves in d
+    d = graft(HatOf(seg(W1)), (full("w", o(times_nat(W1, 2), 1)), CARD_OMEGA1))
+    validate(d)
+    wc = classify_report(d).to_json()["WeaklyCorson"]
+    assert wc["verdict"] == "no" and wc["witness"]["kind"] == "binary-embedding"
+    root = resolve(d, parse_address(read_sexpr(wc["witness"]["root"])))
+    assert root.ht == o(W1, 2)
 
 
 # -- G-delta ------------------------------------------------------------------------

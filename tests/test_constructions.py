@@ -108,6 +108,21 @@ def test_roundtrip_chain_with_successor_after_limit():
     assert rt.tilde_hat_ok and rt.hat_tilde_ok and rt.is_r1
 
 
+def test_roundtrip_check_propagates_programming_errors(monkeypatch):
+    # only library errors count as a failed spot check; a bug must surface
+    import wedgetree.constructions as constructions
+    real_resolve = constructions.resolve
+
+    def broken(desc, steps):
+        if isinstance(desc, (HatOf, TildeOf)):
+            raise TypeError("simulated bug")
+        return real_resolve(desc, steps)
+
+    monkeypatch.setattr(constructions, "resolve", broken)
+    with pytest.raises(TypeError):
+        roundtrip_check(full(2, o(W1, 1)))
+
+
 def test_hat_output_is_always_r1():
     rng = random.Random(23)
     seen = 0

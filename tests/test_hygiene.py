@@ -2,7 +2,8 @@
 
 Every name a module imports is used in it, unless the import is an explicit
 re-export (``import X as X``), and no module imports an underscore-prefixed
-name from another wedgetree module.  ``__init__.py`` only re-exports, so it is
+name from another wedgetree module or reads an underscore-prefixed attribute
+that it does not define itself.  ``__init__.py`` only re-exports, so it is
 not checked.
 """
 
@@ -55,3 +56,32 @@ def test_no_private_cross_module_imports():
             if _is_wedgetree(module, level) and name.startswith("_"):
                 private.append("%s: %s" % (path.name, name))
     assert not private, private
+
+
+def _defined_names(tree):
+    """Names a module defines: functions, classes, assigned names and attributes."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            out.add(n.attr)
+    return out
+
+
+def test_no_foreign_private_attribute_reads():
+    foreign = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = _defined_names(tree)
+        for n in ast.walk(tree):
+            if not (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)):
+                continue
+            if not n.attr.startswith("_") or n.attr.startswith("__") or n.attr in own:
+                continue
+            if isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"):
+                continue
+            foreign.append("%s:%d: %s" % (path.name, n.lineno, n.attr))
+    assert not foreign, foreign

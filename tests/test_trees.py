@@ -6,9 +6,9 @@ from wedgetree.errors import BadGraftBase, InvalidAddress, NotChainComplete, Uns
 from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, add, cmp, nat, times_nat
 from wedgetree.trees import (
     Below, CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf,
-    Seg, TildeOf, Up, Word, ancestor_at, child_toward, children,
-    cofinal_I_nodes, height, is_chain_complete, leq, meet, resolve, unc_sites,
-    validate,
+    Node, Seg, TildeOf, Up, Word, ancestor_at, child_toward, children,
+    cofinal_I_nodes, height, is_chain_complete, leq, meet, node_at, resolve,
+    unc_sites, validate,
 )
 from wedgetree.corpus import random_description, sample_nodes
 
@@ -285,6 +285,28 @@ def test_unc_sites_long_chain():
     sites = unc_sites(seg(o(times_nat(W1, 2), 3)))
     assert sorted(str(s.ht) for s in sites) == ["w1", "w1*2"]
     assert all(s.ims == Card.fin(1) for s in sites)
+
+
+def test_sites_are_the_nodes_at_their_parts():
+    captop_tree = HatOf(TildeOf(BINARY_W1))  # its gap's completion is a site
+    hat_child = graft(seg(W1), (HatOf(BINARY_W1), 2))
+    trees = [captop_tree, hat_child]
+    rng = random.Random(8)
+    while len(trees) < 80:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except Exception:
+            continue
+        trees.append(d)
+    for d in trees:
+        for s in unc_sites(d):
+            assert isinstance(s, Node), d
+            n = node_at(d, s.parts)
+            assert (s.parts, s.ht, s.cof, s.ims, s.maximal, s.tag) == \
+                (n.parts, n.ht, n.cof, n.ims, n.maximal, n.tag), d
+    assert [s.tag for s in unc_sites(captop_tree)] == ["captop"]
+    assert unc_sites(hat_child)[-1].parts[-1] == ("below",)  # the child's split point
 
 
 # -- hat / tilde views -------------------------------------------------------------
