@@ -171,19 +171,25 @@ def iso_check(d1, d2, translate=None):
     if cmp(height(d1), height(d2)) != 0:
         return False
     if translate is not None:
-        for addr in _spot_addresses(d1):
-            try:
-                a = resolve(d1, addr)
-            except WedgeTreeError:
-                continue
-            try:
-                b = resolve(d2, translate(addr))
-            except WedgeTreeError:
-                return False
-            if not _node_data_match(a, b):
-                return False
-        return True
+        return _spot_iso(d1, d2, _spot_addresses(d1), translate)
     return normalize(d1) == normalize(d2) and _site_summary(d1) == _site_summary(d2)
+
+
+def _spot_iso(d1, d2, addrs, translate):
+    """Node data of d1 at ``addrs`` against d2 at the translated addresses;
+    the caller has checked that the heights agree."""
+    for addr in addrs:
+        try:
+            a = resolve(d1, addr)
+        except WedgeTreeError:
+            continue
+        try:
+            b = resolve(d2, translate(addr))
+        except WedgeTreeError:
+            return False
+        if not _node_data_match(a, b):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -199,10 +205,11 @@ def roundtrip_check(d):
     structure_ok(d)
     th = TildeOf(HatOf(d))
     ident = lambda a: a  # removing the split points restores original addresses
-    tilde_hat_ok = iso_check(th, d) and \
-        iso_check(th, d, translate=ident) and iso_check(d, th, translate=ident)
     _, r1 = r_flags(d)
-    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)))
+    addrs = _spot_addresses(d)  # shared by both spot checks from d
+    tilde_hat_ok = iso_check(th, d) and \
+        iso_check(th, d, translate=ident) and _spot_iso(d, th, addrs, ident)
+    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), addrs)
     return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
 
 
@@ -221,10 +228,10 @@ def _hat_tilde_translate(d):
     return translate
 
 
-def _hat_tilde_spot_iso(d, ht_):
+def _hat_tilde_spot_iso(d, ht_, addrs):
     try:
-        translate = _hat_tilde_translate(d)
-        return iso_check(d, ht_, translate=translate)
+        return cmp(height(d), height(ht_)) == 0 and \
+            _spot_iso(d, ht_, addrs, _hat_tilde_translate(d))
     except WedgeTreeError:
         return False
 

@@ -221,13 +221,20 @@ def fin_mul(n, a):
 
 
 def times_nat(a, n):
-    """Product a * n (a copies summed n times)."""
+    """Product a * n (a copies summed n times), in closed form.
+
+    In each sum a + a the tail of the left copy is absorbed by the leading
+    term of the right one: w1*m + gamma repeated n times is w1*(m*n) + gamma,
+    and a countable w^e*c + r repeated n times is w^e*(c*n) + r.
+    """
     if n < 0:
         raise ValueError("negative repeat")
-    out = ZERO
-    for _ in range(n):
-        out = add(out, a)
-    return out
+    if n == 0 or a.is_zero:
+        return ZERO
+    if a.omega1:
+        return Ordinal(a.omega1 * n, a.terms)
+    (lead, coeff), rest = a.terms[0], a.terms[1:]
+    return Ordinal(0, ((lead, coeff * n),) + rest)
 
 
 def left_sub(a, b):

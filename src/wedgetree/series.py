@@ -9,6 +9,12 @@ questions for every parameter at once, as ``Profile`` sets of parameters.
 ``fit_template`` runs the same unifier on concrete nodes to recover a
 template from them.
 
+A series depends only on its arguments, so the library builds them through
+``cached_series(d, template, ordinal, bound)``, a memo that keeps the
+``trees.CACHE_SIZE`` most recently used series and returns the same object
+for equal arguments.  A fit that raises ``UndecidableTailPattern`` is not
+kept and raises again on every call.
+
 The slot is still found from samples, not read off the template.  Probe
 fitting is used here:
 
@@ -33,8 +39,8 @@ from .ordinals import (
     times_nat,
 )
 from .trees import (
-    Below, Child, Copy, Up, Word, as_node, leq_parts, meet_parts, node_at,
-    resolve,
+    CACHE_SIZE, Below, Child, Copy, Up, Word, as_node, leq_parts, meet_parts,
+    node_at, resolve,
 )
 
 
@@ -563,6 +569,13 @@ class SymbolicSeries:
         if cmp(sup, t.ht) > 0:
             sup = t.ht
         return ("increasing", sup)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def cached_series(d, template, ordinal=False, bound=None):
+    """The SymbolicSeries of template over d, built once per distinct
+    arguments; equal arguments give the same object."""
+    return SymbolicSeries(d, template, ordinal, bound)
 
 
 class Profile:

@@ -28,8 +28,9 @@ from .ordinals import (
     limit_of_affine, pred,
 )
 from .series import Param as Param
+from .series import SymbolicSeries as SymbolicSeries
 from .series import (
-    SymbolicSeries, fit_stable_template, fit_template, instantiate, next_param,
+    cached_series, fit_stable_template, fit_template, instantiate, next_param,
 )
 from .trees import (
     Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
@@ -192,10 +193,9 @@ class SeqSpec:
 def series_of(d, spec):
     """The SymbolicSeries of an omega- or club-indexed family spec."""
     if isinstance(spec, OmegaFamily):
-        return SymbolicSeries(d, spec.template, ordinal=False)
+        return cached_series(d, spec.template)
     if isinstance(spec, ClubFamily):
-        bound = resolve(d, spec.anchor).ht
-        return SymbolicSeries(d, spec.template, ordinal=True, bound=bound)
+        return cached_series(d, spec.template, True, resolve(d, spec.anchor).ht)
     raise TypeError(spec)
 
 
@@ -288,7 +288,7 @@ def cluster_or_limit(d, seq, x, topology):
         return Verdict.CONVERGES if c.parts == x.parts else Verdict.NEITHER
     if not isinstance(seq.tail, Indexed):
         raise TypeError("sequence needs a tail")
-    series = SymbolicSeries(d, seq.tail.template, ordinal=False)
+    series = cached_series(d, seq.tail.template)
     if series.constant:
         c = series.at(0)
         return Verdict.CONVERGES if c.parts == x.parts else Verdict.NEITHER

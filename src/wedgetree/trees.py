@@ -40,6 +40,10 @@ from .ordinals import (
 
 _EXPAND_CAP = 10000
 
+# Entries kept by each memo of built objects (the ``view`` cache here and the
+# ``cached_series`` memo in ``wedgetree.series``); least recently used go first.
+CACHE_SIZE = 1024
+
 OMEGA_BRANCH = "w"
 
 
@@ -909,7 +913,7 @@ class GapSite:
     ht: Ordinal
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def view(desc):
     if isinstance(desc, Seg):
         return _SegView(desc)

@@ -95,7 +95,7 @@ def test_roundtrip_binary():
 
 def test_roundtrip_remark_tree():
     rt = roundtrip_check(REMARK_TREE)
-    assert rt.tilde_hat_ok and not rt.hat_tilde_ok and not rt.is_r1
+    assert rt.tilde_hat_ok and rt.hat_tilde_ok == rt.is_r1 and not rt.is_r1
 
 
 def test_roundtrip_countable():
@@ -121,6 +121,21 @@ def test_roundtrip_check_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(constructions, "resolve", broken)
     with pytest.raises(TypeError):
         roundtrip_check(full(2, o(W1, 1)))
+
+
+def test_roundtrip_check_builds_each_spot_panel_once(monkeypatch):
+    import wedgetree.constructions as constructions
+    real = constructions._spot_addresses
+    seen = []
+
+    def counted(d):
+        seen.append(d)
+        return real(d)
+
+    monkeypatch.setattr(constructions, "_spot_addresses", counted)
+    rt = roundtrip_check(BINARY_W1)
+    assert rt.tilde_hat_ok and rt.hat_tilde_ok == rt.is_r1
+    assert len(seen) == 2 and set(seen) == {BINARY_W1, TildeOf(HatOf(BINARY_W1))}
 
 
 def test_hat_output_is_always_r1():

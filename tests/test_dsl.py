@@ -3,7 +3,9 @@ import random
 import pytest
 
 from wedgetree.errors import ParseError
-from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, add, nat, omega_power, times_nat
+from wedgetree.ordinals import (
+    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat,
+)
 from wedgetree.trees import Below, Card, Child, Copy, Full, Seg, Up, Word, resolve
 from wedgetree.topology import Branch, ClubFamily, Explicit, OmegaFamily, Param, UnionSpec
 from wedgetree import dsl
@@ -25,6 +27,11 @@ def test_parse_ordinals():
     assert rt_ordinal("(^ w 2)") == omega_power(nat(2))
     assert rt_ordinal("(+ (* 2 w1) (* 3 (^ w 2)) 5)") == \
         add(add(times_nat(OMEGA1, 2), omega_power(nat(2), 3)), nat(5))
+
+
+def test_parse_ordinal_large_products():
+    assert rt_ordinal("(* 1000000000 w1)") == Ordinal(10**9, ())
+    assert rt_ordinal("(* 1000000000 (+ w 1))") == add(omega_power(ONE, 10**9), ONE)
 
 
 def test_parse_ordinal_errors():

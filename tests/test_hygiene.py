@@ -3,8 +3,8 @@
 Every name a module imports is used in it, unless the import is an explicit
 re-export (``import X as X``), and no module imports an underscore-prefixed
 name from another wedgetree module or reads an underscore-prefixed attribute
-that it does not define itself.  ``__init__.py`` only re-exports, so it is
-not checked.
+that it does not define itself.  Every ``lru_cache``/``cache`` memo is bounded
+by a named size.  ``__init__.py`` only re-exports, so it is not checked.
 """
 
 import ast
@@ -85,3 +85,35 @@ def test_no_foreign_private_attribute_reads():
                 continue
             foreign.append("%s:%d: %s" % (path.name, n.lineno, n.attr))
     assert not foreign, foreign
+
+
+def _cache_decorators(tree):
+    """(decorated definition, decorator) for every lru_cache/cache decorator."""
+    for n in ast.walk(tree):
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for dec in n.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else \
+                getattr(target, "id", None)
+            if name in ("lru_cache", "cache"):
+                yield n, dec
+
+
+def _maxsize(dec):
+    if not isinstance(dec, ast.Call):
+        return None
+    for k in dec.keywords:
+        if k.arg == "maxsize":
+            return k.value
+    return dec.args[0] if dec.args else None
+
+
+def test_caches_are_bounded_by_a_named_size():
+    unbounded = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, dec in _cache_decorators(tree):
+            if not isinstance(_maxsize(dec), (ast.Name, ast.Attribute)):
+                unbounded.append("%s:%d: %s" % (path.name, dec.lineno, fn.name))
+    assert not unbounded, unbounded

@@ -207,6 +207,28 @@ def test_fundamental_sequences_increase_below_limit(a, j):
     assert cmp(f2, lam) < 0
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_ordinals(), st.integers(0, 30))
+def test_times_nat_is_repeated_addition(a, n):
+    want = ZERO
+    for _ in range(n):
+        want = add(want, a)
+    assert times_nat(a, n) == want
+
+
+def test_times_nat_small_factors_and_absorption():
+    w1_mixed = Ordinal(2, add(w2(3), add(OMEGA, nat(4))).terms)
+    for a in [ZERO, ONE, OMEGA, OMEGA1, w1_mixed, add(w2(2), nat(5))]:
+        assert times_nat(a, 0) == ZERO
+        assert times_nat(a, 1) == a
+    assert times_nat(ZERO, 7) == ZERO
+    assert times_nat(w1_mixed, 3) == Ordinal(6, w1_mixed.terms)
+    assert times_nat(add(w2(2), nat(5)), 3) == add(w2(6), nat(5))
+    assert times_nat(nat(4), 3) == nat(12)
+    with pytest.raises(ValueError):
+        times_nat(ONE, -1)
+
+
 def test_limit_of_affine():
     assert limit_of_affine(ZERO, ONE) == OMEGA
     assert limit_of_affine(nat(4), nat(3)) == OMEGA

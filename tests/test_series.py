@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from wedgetree.ordinals import OMEGA1, times_nat
+from wedgetree.corpus import sample_nodes
+from wedgetree.errors import UndecidableTailPattern
+from wedgetree.ordinals import OMEGA1, ONE, ZERO, times_nat
 from wedgetree.trees import OMEGA_BRANCH, Child, Copy, Full, Up, Word, resolve
 from wedgetree.topology import ClubFamily, OmegaFamily, series_of
-from wedgetree.series import Param, fit_template, instantiate
+from wedgetree.series import Param, SymbolicSeries, fit_template, instantiate
 
-from helpers import BINARY_W1, FAN_OMEGA, W, o, seg, word
+from helpers import BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, o, seg, up, word
 
 FULL_W = Full(OMEGA_BRANCH, o(W, 1))     # omega-branching tree of height w+1
 
@@ -54,3 +58,58 @@ def test_limit_nodes_of_index_slot_families():
     assert _limits(FAN_OMEGA, OmegaFamily((Copy(0, Param()),))) == [_at(FAN_OMEGA)]
     spec = OmegaFamily((Child(0), Child(Param())))
     assert _limits(FULL_W, spec) == [_at(FULL_W, Child(0))]
+
+
+# -- the series memo -----------------------------------------------------------------
+
+def _count_run(base=ZERO, scale=ONE):
+    return Word((0,), Param(base, scale))
+
+
+# the families of tests/test_topology.py
+TOPOLOGY_FAMILIES = [
+    (BINARY_W1, OmegaFamily((_count_run(), Child(1)))),
+    (BINARY_W1, OmegaFamily((_count_run(ZERO, W), Child(1)))),
+    (BINARY_W1, ClubFamily((word("0", OMEGA1),), (_count_run(), Child(1)))),
+    (BINARY_W, OmegaFamily((_count_run(),))),
+    (BINARY_W, OmegaFamily((Child(0), Word((1,), Param())))),
+    (FAN_OMEGA, OmegaFamily((Copy(0, Param()),))),
+    (seg(OMEGA1), OmegaFamily((Up(Param(ONE, ONE)),))),
+    (REMARK_TREE, OmegaFamily((up(OMEGA1), Copy(0, Param())))),
+]
+
+
+def test_series_of_returns_one_series_for_equal_specs():
+    spec = OmegaFamily((_count_run(), Child(1)))
+    twin = OmegaFamily((_count_run(), Child(1)))
+    assert spec == twin and spec is not twin
+    assert series_of(BINARY_W1, spec) is series_of(BINARY_W1, twin)
+
+
+def test_unfittable_series_raises_on_every_call():
+    spec = OmegaFamily((_count_run(), Word((1,), Param())))   # 0^n 1^n: two slots
+    for _ in range(2):
+        with pytest.raises(UndecidableTailPattern):
+            series_of(BINARY_W1, spec)
+
+
+def _fresh(d, spec):
+    if isinstance(spec, ClubFamily):
+        return SymbolicSeries(d, spec.template, True, resolve(d, spec.anchor).ht)
+    return SymbolicSeries(d, spec.template)
+
+
+def _answers(series, probes):
+    return (series.parts,
+            [n.parts for n in series.limit_nodes()],
+            [(repr(series.le_profile(u)), repr(series.eq_profile(u))) for u in probes])
+
+
+@pytest.mark.parametrize("d, spec", TOPOLOGY_FAMILIES)
+def test_memoized_series_agrees_with_a_fresh_one(d, spec):
+    memo = series_of(d, spec)
+    probes = sample_nodes(d, random.Random(0), 8) + memo.limit_nodes() + \
+        [memo.at(p) for p in memo.params_upto(6)]
+    first = _answers(memo, probes)
+    assert series_of(d, spec) is memo
+    assert _answers(series_of(d, spec), probes) == first == _answers(_fresh(d, spec), probes)
