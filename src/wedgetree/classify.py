@@ -292,7 +292,7 @@ def _dense_gdelta(d):
     hunt for a successor-height, countably-branching point above each
     problematic site."""
     wits = []
-    for node in unc_sites(d) + [resolve(d, a) for a in _fat_addresses(d)]:
+    for node in unc_sites(d) + tuple(resolve(d, a) for a in _fat_addresses(d)):
         found = _gdelta_above(d, node)
         if found is None:
             return False, ()

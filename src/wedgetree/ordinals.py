@@ -126,9 +126,6 @@ class Ordinal:
             other = nat(other)
         return add(self, other)
 
-    def succ(self):
-        return add(self, ONE)
-
     def __str__(self):
         if self.is_zero:
             return "0"

@@ -23,9 +23,7 @@ fitting is used here:
 - ``_ord_probes``: an ordinal-indexed series is fitted at 2, 3, 5, 9, omega
   and omega*2, without verification probes;
 - ``meet_profile_with``: the meet heights with a fixed node are fitted at
-  four probes;
-- ``_SOLVE_CAP``: threshold and equality searches over a natural-number
-  slot give up after this many parameters.
+  four probes.
 """
 
 from __future__ import annotations
@@ -91,7 +89,6 @@ def has_param(template):
 
 _NAT_PROBES = (2, 3, 5, 9)
 _NAT_VERIFY = (12, 20)
-_SOLVE_CAP = 4096
 
 
 def _ord_probes():
@@ -222,12 +219,20 @@ class _Slot:
             return 0 if cmp(self.value(0), c) >= 0 else None
         if cmp(c, limit_of_affine(self.base, self.scale)) >= 0:
             return None
-        p = 0
-        while p <= _SOLVE_CAP:
-            if cmp(self.value(p), c) >= 0:
-                return p
-            p += 1
-        raise UndecidableTailPattern("threshold search exceeded the cap")
+        # value(p) = (base + scale*p) + tail never decreases in p, and some p
+        # reaches c below the supremum: gallop to it, then bisect
+        if cmp(self.value(0), c) >= 0:
+            return 0
+        lo, hi = 0, 1  # value(lo) < c
+        while cmp(self.value(hi), c) < 0:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if cmp(self.value(mid), c) >= 0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def solve_eq(self, c, bound=None):
         """All parameters with value(p) == c (finitely many for moving slots)."""
@@ -248,17 +253,11 @@ class _Slot:
             return []
         if cmp(c, limit_of_affine(self.base, self.scale)) >= 0:
             return []  # values stay strictly below their supremum
-        sols, p = [], 0
-        while p <= _SOLVE_CAP:
-            v = self.value(p)
-            if v == c:
-                sols.append(p)
-            if cmp(v, c) > 0:
-                break
-            p += 1
-        else:
-            raise UndecidableTailPattern("equality search exceeded the cap")
-        return sols
+        # below the supremum the values strictly increase: value(p) ==
+        # value(p + 1) would need scale + tail == tail, so tail would absorb
+        # every scale*p and value(p) = base + tail >= the supremum
+        p = self.solve_ge(c)
+        return [p] if self.value(p) == c else []
 
 
 def _unify(params, shapes, ordinal):

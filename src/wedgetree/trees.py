@@ -22,12 +22,19 @@ node the witness constructions need.  Node equality is canonical-address
 equality.  Each such level is summarised by its sites, one representative
 Node per structural region and level (``unc_sites``).  Functions that take a
 node also take its address; ``as_node`` resolves either to a Node.
+
+Descriptions and address steps are frozen, slotted dataclasses that compute
+their hash on first use and keep it.  ``view(desc)`` caches the view of the
+``CACHE_SIZE`` most recently used descriptions, and each view computes its
+nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``) once:
+later calls return the same ordinal, tuple or frozenset, which no caller can
+change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 
 from .errors import (
     BadGraftBase, GapAddress, InvalidAddress, NotChainComplete,
@@ -42,7 +49,11 @@ _EXPAND_CAP = 10000
 
 # Entries kept by each memo of built objects (the ``view`` cache here and the
 # ``cached_series`` memo in ``wedgetree.series``); least recently used go first.
-CACHE_SIZE = 1024
+# Each cached view also keeps its memoized facts, which makes entries heavier:
+# on the benchmark's corpus workload the peak RSS rose by about 1.5 MB at 1024
+# entries and 0.2 MB at 256, and held level at 128.  The witness path (25
+# views, 76 series) still fits.
+CACHE_SIZE = 128
 
 OMEGA_BRANCH = "w"
 
@@ -105,58 +116,82 @@ def card_of_branching(k):
 
 # -- descriptions -------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _hash_once(cls):
+    """Make ``cls`` a frozen, slotted dataclass that hashes itself once.
+
+    Views and memos look descriptions up over and over, and the generated
+    dataclass hash walks the whole nested value on every lookup.  Here that
+    generated hash runs on the first ``__hash__`` only; its value is kept in
+    the extra ``_h`` field, which takes no part in ``__init__``, equality or
+    ``repr``."""
+    cls.__annotations__["_h"] = "int"
+    cls._h = field(default=None, init=False, compare=False, repr=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_h", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 class Seg:
     eta: Ordinal
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Full:
     k: object  # positive int or OMEGA_BRANCH
     h: Ordinal
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Graft:
     base: object
     children: tuple  # of (desc, Card) pairs
 
 
-@dataclass(frozen=True)
+@_hash_once
 class HatOf:
     inner: object
 
 
-@dataclass(frozen=True)
+@_hash_once
 class TildeOf:
     inner: object
 
 
 # -- address steps ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_hash_once
 class Up:
     delta: Ordinal
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Child:
     i: int
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Word:
     letters: tuple  # of ints
     count: Ordinal
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Copy:
     slot: int
     idx: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Below:
     pass
 
@@ -361,13 +396,34 @@ def meet_parts(a, b):
 
 # -- views ---------------------------------------------------------------------
 
+def _fact(method):
+    """Memoize a nullary view method on its view.
+
+    A view belongs to one immutable description, so each such fact (height,
+    sites, maximal heights, gaps) is computed once per view and the same
+    immutable tuple, frozenset or ordinal is returned on every later call.
+    Methods that return a constant or a stored field need no memo."""
+    name = method.__name__
+
+    @wraps(method)
+    def once(self):
+        try:
+            return self.facts[name]
+        except KeyError:
+            out = self.facts[name] = method(self)
+            return out
+
+    return once
+
+
 class _View:
     def __init__(self, desc):
         self.desc = desc
+        self.facts = {}  # method name -> result, filled by ``_fact``
 
     # gap/completeness defaults for the core region views
     def gaps(self):
-        return []
+        return ()
 
     def bounded_supless(self):
         return False
@@ -388,11 +444,13 @@ class _SegView(_View):
         super().__init__(desc)
         self.eta = desc.eta
 
+    @_fact
     def height(self):
         return add(self.eta, ONE)
 
+    @_fact
     def maximal_heights(self):
-        return {self.eta}
+        return frozenset((self.eta,))
 
     def _node(self, pos):
         maximal = pos == self.eta
@@ -428,8 +486,9 @@ class _SegView(_View):
     def leftmost_top(self):
         return self._node(self.eta)
 
+    @_fact
     def unc_sites(self):
-        return [self._node(Ordinal(j, ())) for j in range(1, self.eta.omega1 + 1)]
+        return tuple(self._node(Ordinal(j, ())) for j in range(1, self.eta.omega1 + 1))
 
     def sites_at_height(self, h):
         if cmp(h, self.eta) <= 0:
@@ -446,8 +505,9 @@ class _FullView(_View):
     def height(self):
         return self.desc.h
 
+    @_fact
     def maximal_heights(self):
-        return {self.top}
+        return frozenset((self.top,))
 
     def _branching(self):
         return card_of_branching(self.k)
@@ -542,10 +602,11 @@ class _FullView(_View):
             return self._node(())
         return self._node([(0, self.top)])
 
+    @_fact
     def unc_sites(self):
-        return [self._node([(0, Ordinal(j, ()))])
-                for j in range(1, self.top.omega1 + 1)
-                if cmp(Ordinal(j, ()), self.top) <= 0]
+        return tuple(self._node([(0, Ordinal(j, ()))])
+                     for j in range(1, self.top.omega1 + 1)
+                     if cmp(Ordinal(j, ()), self.top) <= 0)
 
     def sites_at_height(self, h):
         if cmp(h, self.top) <= 0:
@@ -560,6 +621,7 @@ class _GraftView(_View):
         self.slots = [(view(d), mult) for d, mult in desc.children]
         self.offset = self.base.height()  # children roots live at this level
 
+    @_fact
     def height(self):
         if not self.slots:
             return self.base.height()
@@ -570,14 +632,12 @@ class _GraftView(_View):
                 best = h
         return add(self.base.height(), best)
 
+    @_fact
     def maximal_heights(self):
         if not self.slots:
             return self.base.maximal_heights()
-        out = set()
-        for child, _ in self.slots:
-            for mh in child.maximal_heights():
-                out.add(add(self.offset, mh))
-        return out
+        return frozenset(add(self.offset, mh)
+                         for child, _ in self.slots for mh in child.maximal_heights())
 
     def _sum_mult(self):
         total = Card.fin(0)
@@ -682,6 +742,7 @@ class _GraftView(_View):
         child, _ = self.slots[0]
         return self._wrap_child(bnode, 0, 0, child.leftmost_top())
 
+    @_fact
     def gaps(self):
         out = list(self.base.gaps())
         if self.slots:
@@ -690,19 +751,20 @@ class _GraftView(_View):
                 for g in child.gaps():
                     parts = bparts + (("copy", slot, 0),) + g.parts
                     out.append(GapSite(parts, add(self.offset, g.ht)))
-        return out
+        return tuple(out)
 
     def bounded_supless(self):
         if self.base.bounded_supless():
             return True
         return any(child.bounded_supless() for child, _ in self.slots)
 
+    @_fact
     def unc_sites(self):
         out = [self._wrap_base(s) for s in self.base.unc_sites()]
         bnode = self.base.leftmost_top()
         for slot, (child, _) in enumerate(self.slots):
             out.extend(self._wrap_child(bnode, slot, 0, s) for s in child.unc_sites())
-        return out
+        return tuple(out)
 
     def sites_at_height(self, h):
         out = [self._wrap_base(s) for s in self.base.sites_at_height(h)]
@@ -720,6 +782,7 @@ class _HatView(_View):
         super().__init__(desc)
         self.inner = view(desc.inner)
 
+    @_fact
     def height(self):
         best = ONE  # at least the root level exists
         for mh in self.inner.maximal_heights():
@@ -732,13 +795,10 @@ class _HatView(_View):
                 best = cand
         return best
 
+    @_fact
     def maximal_heights(self):
-        out = {hat_shift(mh) for mh in self.inner.maximal_heights()}
-        out.update(g.ht for g in self.inner.gaps())
-        return out
-
-    def gaps(self):
-        return []
+        return frozenset([hat_shift(mh) for mh in self.inner.maximal_heights()]
+                         + [g.ht for g in self.inner.gaps()])
 
     def bounded_supless(self):
         return self.inner.bounded_supless()
@@ -806,10 +866,10 @@ class _HatView(_View):
     def _completion(self, g):
         return self.walk(parts_to_steps(g.parts), 0)[0]  # the captop filling g
 
+    @_fact
     def unc_sites(self):
-        out = [self._spoint(s) for s in self.inner.unc_sites()]
-        out.extend(self._completion(g) for g in self.inner.gaps())
-        return out
+        return tuple([self._spoint(s) for s in self.inner.unc_sites()]
+                     + [self._completion(g) for g in self.inner.gaps()])
 
     def sites_at_height(self, h):
         kind, hi = hat_unshift(h)
@@ -848,6 +908,7 @@ class _TildeView(_View):
             raise InvalidAddress("node at a removed level")
         return self._remap(n), i
 
+    @_fact
     def height(self):
         best = ONE
         for mh in self.inner.maximal_heights():
@@ -863,14 +924,15 @@ class _TildeView(_View):
                 best = g.ht
         return best
 
+    @_fact
     def maximal_heights(self):
-        return {tilde_shift(mh) for mh in self.inner.maximal_heights()
-                if mh.cof() is not Cofinality.OMEGA1}
+        return frozenset(tilde_shift(mh) for mh in self.inner.maximal_heights()
+                         if mh.cof() is not Cofinality.OMEGA1)
 
+    @_fact
     def gaps(self):
-        out = [GapSite(s.parts, s.ht) for s in self.inner.unc_sites() if s.ims.is_zero]
-        out.extend(self.inner.gaps())
-        return out
+        return tuple(GapSite(s.parts, s.ht) for s in self.inner.unc_sites()
+                     if s.ims.is_zero) + self.inner.gaps()
 
     def bounded_supless(self):
         if self.inner.bounded_supless():
@@ -895,13 +957,14 @@ class _TildeView(_View):
             return self._remap(n)
         raise InvalidAddress("leftmost branch has no surviving top")
 
+    @_fact
     def unc_sites(self):
         out = []
         m = self.inner.height().omega1
         for j in range(1, m + 1):
             h = Ordinal(j, ONE.terms)  # w1*j + 1: these drop onto the removed level
             out.extend(self._remap(s) for s in self.inner.sites_at_height(h))
-        return out
+        return tuple(out)
 
     def sites_at_height(self, h):
         return [self._remap(s) for s in self.inner.sites_at_height(tilde_unshift(h))]

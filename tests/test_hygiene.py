@@ -5,10 +5,21 @@ re-export (``import X as X``), and no module imports an underscore-prefixed
 name from another wedgetree module or reads an underscore-prefixed attribute
 that it does not define itself.  Every ``lru_cache``/``cache`` memo is bounded
 by a named size.  ``__init__.py`` only re-exports, so it is not checked.
+The description and address-step classes of ``trees`` are frozen, slotted
+values whose stored hash never shows.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
+
+from wedgetree.ordinals import OMEGA1, ONE, add, nat
+from wedgetree.trees import (
+    CARD_OMEGA, Below, Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf, Up,
+    Word,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wedgetree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -117,3 +128,43 @@ def test_caches_are_bounded_by_a_named_size():
             if not isinstance(_maxsize(dec), (ast.Name, ast.Attribute)):
                 unbounded.append("%s:%d: %s" % (path.name, dec.lineno, fn.name))
     assert not unbounded, unbounded
+
+
+def _values():
+    """One value of each description and address-step class, built afresh,
+    with the ``repr`` it must keep."""
+    top = add(OMEGA1, ONE)
+    base = HatOf(Seg(OMEGA1))
+    kids = ((TildeOf(Full(2, top)), Card.fin(2)), (Seg(nat(3)), CARD_OMEGA))
+    return [
+        (Seg(top), "Seg(eta=Ordinal(w1+1))"),
+        (Full("w", top), "Full(k='w', h=Ordinal(w1+1))"),
+        (Graft(base, kids),
+         "Graft(base=HatOf(inner=Seg(eta=Ordinal(w1))), children=("
+         "(TildeOf(inner=Full(k=2, h=Ordinal(w1+1))), 2), (Seg(eta=Ordinal(3)), w)))"),
+        (HatOf(Graft(base, kids[:1])),
+         "HatOf(inner=Graft(base=HatOf(inner=Seg(eta=Ordinal(w1))), children=("
+         "(TildeOf(inner=Full(k=2, h=Ordinal(w1+1))), 2),)))"),
+        (TildeOf(base), "TildeOf(inner=HatOf(inner=Seg(eta=Ordinal(w1))))"),
+        (Up(top), "Up(delta=Ordinal(w1+1))"),
+        (Child(1), "Child(i=1)"),
+        (Word((0, 1), nat(2)), "Word(letters=(0, 1), count=Ordinal(2))"),
+        (Copy(0, 3), "Copy(slot=0, idx=3)"),
+        (Below(), "Below()"),
+    ]
+
+
+def test_descriptions_are_frozen_slotted_values():
+    values, twins = _values(), _values()
+    assert {type(x) for x, _ in values} == {
+        Seg, Full, Graft, HatOf, TildeOf, Up, Child, Word, Copy, Below}
+    for (x, text), (twin, _) in zip(values, twins):
+        assert not hasattr(x, "__dict__"), type(x)
+        for f in dataclasses.fields(x):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, f.name, None)
+        assert repr(x) == text
+        assert x is not twin and x == twin and hash(x) == hash(twin)
+        copy = dataclasses.replace(twin)
+        assert copy is not twin and copy == x and hash(copy) == hash(x)
+        assert repr(x) == repr(copy) == text  # a stored hash never shows

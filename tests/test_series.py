@@ -4,10 +4,14 @@ import pytest
 
 from wedgetree.corpus import sample_nodes
 from wedgetree.errors import UndecidableTailPattern
-from wedgetree.ordinals import OMEGA1, ONE, ZERO, times_nat
+from hypothesis import assume, given, settings, strategies as st
+
+from wedgetree.ordinals import (
+    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, cmp, limit_of_affine, nat, times_nat,
+)
 from wedgetree.trees import OMEGA_BRANCH, Child, Copy, Full, Up, Word, resolve
 from wedgetree.topology import ClubFamily, OmegaFamily, series_of
-from wedgetree.series import Param, SymbolicSeries, fit_template, instantiate
+from wedgetree.series import Param, SymbolicSeries, _Slot, fit_template, instantiate
 
 from helpers import BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, o, seg, up, word
 
@@ -113,3 +117,65 @@ def test_memoized_series_agrees_with_a_fresh_one(d, spec):
     first = _answers(memo, probes)
     assert series_of(d, spec) is memo
     assert _answers(series_of(d, spec), probes) == first == _answers(_fresh(d, spec), probes)
+
+
+# -- solving a natural-number slot ---------------------------------------------------
+
+def test_threshold_profiles_far_past_small_parameters():
+    series = SymbolicSeries(seg(OMEGA1), (Up(Param()),))
+    for h in (4000, 5000, 10 ** 9):
+        u = resolve(seg(OMEGA1), (up(h),))
+        assert repr(series.le_profile(u)) == "Profile(from, %d, +(), -())" % h
+        assert repr(series.eq_profile(u)) == "Profile(only, (%d,), +(), -())" % h
+
+
+_LINEAR_CAP = 4096
+
+
+def _linear_solve_ge(slot, c):
+    """Reference for a moving slot: the parameter-by-parameter search."""
+    if cmp(c, limit_of_affine(slot.base, slot.scale)) >= 0:
+        return None
+    for p in range(_LINEAR_CAP + 1):
+        if cmp(slot.value(p), c) >= 0:
+            return p
+    raise UndecidableTailPattern("threshold search exceeded the cap")
+
+
+def _linear_solve_eq(slot, c):
+    if cmp(c, limit_of_affine(slot.base, slot.scale)) >= 0:
+        return []
+    sols = []
+    for p in range(_LINEAR_CAP + 1):
+        v = slot.value(p)
+        if v == c:
+            sols.append(p)
+        if cmp(v, c) > 0:
+            return sols
+    raise UndecidableTailPattern("equality search exceeded the cap")
+
+
+_EXPONENTS = [ZERO, ONE, nat(2), OMEGA]
+
+
+@st.composite
+def _ordinals(draw, omega1=True, min_terms=0):
+    exps = sorted(draw(st.sets(st.sampled_from(range(len(_EXPONENTS))),
+                               min_size=min_terms, max_size=3)), reverse=True)
+    terms = tuple((_EXPONENTS[e], draw(st.integers(1, 4))) for e in exps)
+    return Ordinal(draw(st.integers(0, 2)) if omega1 else 0, terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ordinals(), _ordinals(omega1=False, min_terms=1), _ordinals(),
+       st.integers(0, _LINEAR_CAP - 1), st.sampled_from(["at", "after", "free"]),
+       _ordinals())
+def test_slot_solutions_agree_with_the_linear_search(base, scale, tail, p, how, free):
+    slot = _Slot("up", 0, None, base, scale, tail, False)
+    c = {"at": slot.value(p), "after": add(slot.value(p), ONE), "free": free}[how]
+    try:
+        want_ge, want_eq = _linear_solve_ge(slot, c), _linear_solve_eq(slot, c)
+    except UndecidableTailPattern:
+        assume(False)  # threshold past the reference's reach
+    assert slot.solve_ge(c) == want_ge
+    assert slot.solve_eq(c) == want_eq

@@ -8,8 +8,10 @@ from wedgetree.trees import (
     Below, CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf,
     Node, Seg, TildeOf, Up, Word, ancestor_at, child_toward, children,
     cofinal_I_nodes, height, is_chain_complete, leq, meet, node_at, resolve,
-    unc_sites, validate,
+    unc_sites, validate, view,
 )
+from wedgetree.classify import classify_report
+from wedgetree.constructions import roundtrip_check
 from wedgetree.corpus import random_description, sample_nodes
 
 from helpers import (
@@ -307,6 +309,51 @@ def test_sites_are_the_nodes_at_their_parts():
                 (n.parts, n.ht, n.cof, n.ims, n.maximal, n.tag), d
     assert [s.tag for s in unc_sites(captop_tree)] == ["captop"]
     assert unc_sites(hat_child)[-1].parts[-1] == ("below",)  # the child's split point
+
+
+# -- memoized view facts ------------------------------------------------------------
+
+_FACTS = ("height", "unc_sites", "maximal_heights", "gaps")
+
+
+def _fact_trees():
+    trees = [
+        HatOf(TildeOf(BINARY_W1)),
+        TildeOf(HatOf(BINARY_W1)),
+        graft(HatOf(seg(W1)), (seg(2), 2)),               # grafts over hat bases
+        graft(HatOf(BINARY_W1), (seg(1), 2)),
+        graft(seg(W1), (HatOf(BINARY_W1), 2), (TildeOf(HatOf(seg(o(W1, 3)))), 1)),
+    ]
+    rng = random.Random(12)
+    while len(trees) < 60:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except Exception:
+            continue
+        trees.append(d)
+    return trees
+
+
+def test_view_facts_are_computed_once():
+    trees = _fact_trees()
+    view.cache_clear()
+    cold = {}
+    for d in trees:
+        v = view(d)
+        cold[d] = (v.height(), list(v.unc_sites()), set(v.maximal_heights()),
+                   list(v.gaps()))
+    for d in trees:
+        classify_report(d)
+        roundtrip_check(d)
+    for d in trees:
+        v = view(d)
+        h, sites, tops, gaps = (getattr(v, f)() for f in _FACTS)
+        assert (h, list(sites), set(tops), list(gaps)) == cold[d], d
+        assert isinstance(sites, tuple) and isinstance(gaps, tuple), d
+        assert isinstance(tops, frozenset), d
+        for f in _FACTS:
+            assert getattr(v, f)() is getattr(v, f)(), (f, d)
 
 
 # -- hat / tilde views -------------------------------------------------------------
