@@ -15,7 +15,10 @@ Sequences:     SEQ  := (seq (head ADDR ...) (tail ADDR)) | (seq (head ...) (cons
 Basic opens:   OPEN := (cone ADDR) | (wedge ADDR (ADDR ...)) | (cocone ADDR)
                      | (cdiff ADDR (ADDR ...))
 
-Printing returns canonical forms that re-parse to equal values.
+Printing returns canonical forms that re-parse to equal values.  The set,
+sequence and open specs are classes of ``topology``, which each function that
+builds or reads them imports when called, so parsing a description or an
+address never loads ``topology``.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ from .trees import (
     OMEGA_BRANCH, Seg, TildeOf, Up, Word,
 )
 from .series import Param, has_param
-from .topology import (
-    Branch, CDiff, ClubFamily, Cone, ConeComplement, ConeSet, EventuallyConstant,
-    Explicit, Indexed, OmegaFamily, SeqSpec, UnionSpec, Wedge,
-)
 
 
 # -- tokenizer / reader --------------------------------------------------------
@@ -317,6 +316,7 @@ def print_address(steps):
 # -- sets and sequences ------------------------------------------------------------------
 
 def parse_set(x):
+    from .topology import Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, UnionSpec
     if not isinstance(x, list) or not x:
         raise ParseError("not a set spec: %r" % (x,))
     head = x[0]
@@ -346,6 +346,7 @@ def parse_set(x):
 
 
 def print_set(s):
+    from .topology import Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, UnionSpec
     if isinstance(s, Explicit):
         return "(explicit%s)" % "".join(" " + print_address(p) for p in s.points)
     if isinstance(s, OmegaFamily):
@@ -362,6 +363,7 @@ def print_set(s):
 
 
 def parse_seq(x):
+    from .topology import EventuallyConstant, Indexed, SeqSpec
     if not isinstance(x, list) or not x or x[0] != "seq":
         raise ParseError("not a sequence spec: %r" % (x,))
     head, tail = (), None
@@ -380,6 +382,7 @@ def parse_seq(x):
 
 
 def print_seq(s):
+    from .topology import EventuallyConstant, Indexed
     parts = []
     if s.head:
         parts.append("(head%s)" % "".join(" " + print_address(a) for a in s.head))
@@ -391,6 +394,7 @@ def print_seq(s):
 
 
 def parse_open(x):
+    from .topology import CDiff, Cone, ConeComplement, Wedge
     if not isinstance(x, list) or not x:
         raise ParseError("not a basic open: %r" % (x,))
     head = x[0]

@@ -55,6 +55,11 @@ class Ordinal:
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the default restore of
+        # the slots would go through the raising __setattr__
+        return (Ordinal, (self.omega1, self.terms))
+
     # -- structure ----------------------------------------------------------
 
     @property

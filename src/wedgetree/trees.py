@@ -33,7 +33,7 @@ change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, wraps
 
 from .errors import (
@@ -123,11 +123,14 @@ def _hash_once(cls):
     dataclass hash walks the whole nested value on every lookup.  Here that
     generated hash runs on the first ``__hash__`` only; its value is kept in
     the extra ``_h`` field, which takes no part in ``__init__``, equality or
-    ``repr``."""
+    ``repr``.  Copies and pickles are rebuilt from the init fields alone, so
+    ``_h`` starts empty again: a hash is only valid in the process (and under
+    the hash seed) that computed it."""
     cls.__annotations__["_h"] = "int"
     cls._h = field(default=None, init=False, compare=False, repr=False)
     cls = dataclass(frozen=True, slots=True)(cls)
     field_hash = cls.__hash__
+    init_fields = tuple(f.name for f in fields(cls) if f.init)
 
     def __hash__(self):
         h = self._h
@@ -136,7 +139,11 @@ def _hash_once(cls):
             object.__setattr__(self, "_h", h)
         return h
 
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, n) for n in init_fields))
+
     cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
     return cls
 
 

@@ -91,3 +91,19 @@ def test_selftest_with_corpus_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["total"] == 3 and payload[0]["ok"]
+
+
+def test_witness_roundtrip_verified_follows_the_round_trip_law(capsys, monkeypatch):
+    import wedgetree.constructions as constructions
+
+    code, out = run(capsys, "witness", "roundtrip",
+                    "(graft (seg w1) (((seg 0) w)))", "--json")
+    assert code == 0 and json.loads(out)["verified"] is True
+    # inconsistent results: hat(tilde(d)) recovers a non-R1 tree, or
+    # tilde(hat(d)) fails
+    for rt in (constructions.RoundTrip(True, True, False),
+               constructions.RoundTrip(False, False, False)):
+        monkeypatch.setattr(constructions, "roundtrip_check", lambda d, rt=rt: rt)
+        code, out = run(capsys, "witness", "roundtrip", "(seg w1)", "--json")
+        assert code == 0
+        assert json.loads(out)["verified"] is False

@@ -4,13 +4,24 @@ Every name a module imports is used in it, unless the import is an explicit
 re-export (``import X as X``), and no module imports an underscore-prefixed
 name from another wedgetree module or reads an underscore-prefixed attribute
 that it does not define itself.  Every ``lru_cache``/``cache`` memo is bounded
-by a named size.  ``__init__.py`` only re-exports, so it is not checked.
-The description and address-step classes of ``trees`` are frozen, slotted
-values whose stored hash never shows.
+by a named size.  ``__init__.py`` imports no library module (it maps each
+public name to its home module and loads that module on first use), so it
+is not checked here; instead the package surface is checked, and fresh
+interpreters check that the CLI and its light commands leave the heavy
+modules unloaded.  The description and address-step classes of ``trees`` are
+frozen, slotted values whose stored hash never shows, not even in a copy or
+a pickle.
 """
 
 import ast
+import copy
 import dataclasses
+import json
+import os
+import pickle
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -21,7 +32,8 @@ from wedgetree.trees import (
     Word,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wedgetree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wedgetree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -168,3 +180,111 @@ def test_descriptions_are_frozen_slotted_values():
         copy = dataclasses.replace(twin)
         assert copy is not twin and copy == x and hash(copy) == hash(x)
         assert repr(x) == repr(copy) == text  # a stored hash never shows
+
+
+def test_descriptions_copy_and_pickle():
+    for x, text in _values():
+        hash(x)  # stores the hash that a copy must not carry
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x) and repr(y) == text
+            assert y in {x: 1}
+
+
+def _python(code, hash_seed="0"):
+    """Standard output of ``code`` run by a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_PICKLED_TREE = "(graft (hat (seg w1)) (((tilde (full 2 (+ w1 1))) 2) ((seg 3) w)))"
+_PICKLED_ADDRESS = '(addr (up (+ w1 1)) (child 1) (word "01" 2) (copy 0 3) (below))'
+_PARSE = ("from wedgetree.dsl import parse_address, parse_desc, read_sexpr\n"
+          "values = (parse_desc(read_sexpr(%r)),) + parse_address(read_sexpr(%r))\n"
+          % (_PICKLED_TREE, _PICKLED_ADDRESS))
+
+
+def test_pickled_descriptions_are_found_under_another_hash_seed():
+    dumped = _python(_PARSE + "import pickle\n"
+                     "hash(values)\n"
+                     "print(pickle.dumps(values).hex())\n", hash_seed="1")
+    found = _python(_PARSE + "import json, pickle\n"
+                    "loaded = pickle.loads(bytes.fromhex(%r))\n"
+                    "table = {v: 1 for v in values}\n"
+                    "print(json.dumps([v in table for v in loaded]))\n"
+                    % dumped.strip(), hash_seed="2")
+    assert json.loads(found) == [True] * 6
+
+
+# the names ``from wedgetree import *`` gives: the re-exported API and the
+# submodules it comes from
+PUBLIC = sorted("""
+    Below Branch CARD_OMEGA CARD_OMEGA1 CDiff Card Child ClubFamily Cofinality
+    Cone ConeComplement ConeSet Copy EventuallyConstant Explicit Full Graft
+    HatOf Indexed Node OMEGA OMEGA1 ONE OmegaFamily Ordinal Param Seg SeqSpec
+    TildeOf Topology UnionSpec Up V3 Verdict Wedge Word ZERO add ancestor_at
+    binary_obstruction build_separating_family check_point_countable check_t0
+    children classify_ordinal classify_report club_accumulation
+    cluster_or_limit cmp contains countably_closed_witness disjoint_closures
+    fin_mul fu_extract gdelta_analysis has_omega1_chain hat height is_r1_tree
+    is_chain_complete is_subbasic iso_check left_sub leq maximality_witness
+    meet member nat normalize omega_power oracle_encode r_flags resolve
+    roundtrip_check tilde unc_sites validate
+    classify constructions errors ordinals series topology trees
+""".split())
+
+
+def test_package_surface():
+    import wedgetree
+
+    ns = {}
+    exec("from wedgetree import *", ns)
+    del ns["__builtins__"]
+    assert len(PUBLIC) == 84 and sorted(ns) == PUBLIC
+    # with every home module loaded the lookup hook is gone, so attribute
+    # reads on the package take the interpreter's specialized path
+    assert "__getattr__" not in vars(wedgetree)
+    for name, value in ns.items():
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules["wedgetree." + name]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert getattr(wedgetree, name) is value
+    assert set(PUBLIC) <= set(dir(wedgetree))
+    with pytest.raises(AttributeError):
+        wedgetree.no_such_name
+
+
+def _loaded(code):
+    return json.loads(_python(
+        code + "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('wedgetree'))))"))
+
+
+def test_imports_are_lazy():
+    assert _loaded("import wedgetree") == ["wedgetree"]
+    assert _loaded("import wedgetree; wedgetree.nat") == [
+        "wedgetree", "wedgetree.errors", "wedgetree.ordinals"]
+    heavy = {"wedgetree." + m for m in
+             ("classify", "constructions", "topology", "selftest", "corpus")}
+    loaded = _loaded("import wedgetree.cli")
+    assert "wedgetree.cli" in loaded and not heavy & set(loaded), loaded
+
+
+def test_light_cli_commands_never_load_topology():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from cliload import COMMANDS\n"
+        "from wedgetree.cli import main\n"
+        "out = {}\n"
+        "for name, argv, want in COMMANDS:\n"
+        "    if name in ('resolve', 'parse-error', 'domain-error'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            code = main(argv)\n"
+        "        out[name] = [code == want, 'wedgetree.topology' in sys.modules]\n"
+        "print(json.dumps(out))\n" % str(ROOT / "perfbench"))
+    assert json.loads(_python(code)) == {
+        name: [True, False] for name in ("resolve", "parse-error", "domain-error")}

@@ -5,7 +5,9 @@ words (initial segments of the lex order on triples) and their types are
 measured by the absorption scan.  cmp/add/fin_mul must agree with it.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,3 +254,12 @@ def test_str_roundtrippable_forms():
     assert str(ZERO) == "0"
     assert str(add(OMEGA1, add(w2(3), nat(5)))) == "w1+w^2*3+5"
     assert str(times_nat(OMEGA, 2)) == "w*2"
+
+
+def test_ordinals_copy_and_pickle():
+    values = [ZERO, nat(3), OMEGA, OMEGA1, add(OMEGA1, add(w2(3), nat(4))),
+              omega_power(OMEGA, 2)]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x) and cmp(y, x) == 0
+            assert str(y) == str(x) and add(y, ONE) == add(x, ONE)
