@@ -262,6 +262,27 @@ def left_sub(a, b):
     return Ordinal(0, ((eb, cb - ca),) + t[i + 1:])
 
 
+def right_sub(a, b):
+    """The least x with x + b == a, or None when there is none."""
+    if b.omega1:
+        # x + b = w1*(x.omega1 + b.omega1) + b's countable part
+        if a.terms != b.terms or a.omega1 < b.omega1:
+            return None
+        return Ordinal(a.omega1 - b.omega1)
+    if b.is_zero:
+        return a
+    # x + b keeps x's terms above b's leading exponent e, adds x's
+    # coefficient at e to b's and absorbs x's terms below e
+    (e, c), t = b.terms[0], a.terms
+    i = 0
+    while i < len(t) and cmp(t[i][0], e) > 0:
+        i += 1
+    if i == len(t) or t[i][0] != e or t[i][1] < c or t[i + 1:] != b.terms[1:]:
+        return None
+    lowered = ((e, t[i][1] - c),) if t[i][1] > c else ()
+    return Ordinal(a.omega1, t[:i] + lowered)
+
+
 def classify_ordinal(a):
     """(kind, cofinality class) with the convention cf = 0 at zero/successor."""
     return a.kind(), a.cof()

@@ -24,6 +24,11 @@ fitting is used here:
   and omega*2, without verification probes;
 - ``meet_profile_with``: the meet heights with a fixed node are fitted at
   four probes.
+
+A fit reads the scale and the tail off the sampled values and derives the
+base by right cancellation (``ordinals.right_sub``): no coefficient is
+searched for, so the size of a coefficient never decides a fit.  An ordinal
+slot's equation ``value(a) == c`` is solved the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from .errors import UndecidableTailPattern, WedgeTreeError
 from .ordinals import (
     OMEGA, ONE, ZERO, Ordinal, add, cmp, left_sub, limit_of_affine, nat,
-    times_nat,
+    omega_power, right_sub, times_nat,
 )
 from .trees import (
     CACHE_SIZE, Below, Child, Copy, Up, Word, as_node, leq_parts, meet_parts,
@@ -96,79 +101,49 @@ def _ord_probes():
 
 
 def _fit_affine(values, ordinal_params):
-    """Fit value(p) = base + scale*p + tail against sampled (param, value)."""
+    """Fit value(p) = base + scale*p + tail against sampled (param, value).
+
+    scale and tail are read off the values, then base is the least ordinal
+    with base + scale*p1 + tail == v1 (``right_sub``); the fit is checked
+    against every sample."""
     (p1, v1), (p2, v2) = values[0], values[1]
-    gap = p2 - p1 if not ordinal_params else None
-    candidates = []
     if ordinal_params:
-        # unit scale: value(a) = base + a + tail
-        for split in _left_splits(v1):
-            base = split
-            try:
-                rest = left_sub(base, v1)
-            except WedgeTreeError:
-                continue
-            try:
-                tail = left_sub(p1 if isinstance(p1, Ordinal) else nat(p1), rest)
-            except WedgeTreeError:
-                continue
-            candidates.append((base, ONE, tail))
+        # unit scale, and tail = w*k + n: a tail of w^2 or more would absorb
+        # every probe.  At a = w the value ends in w*(b + 1 + k) + n, b being
+        # base's w coefficient.  The finite probes give one value exactly when
+        # k > 0, and then the least base has b = 0.
+        at_omega = dict(next(v for p, v in values if not p.is_finite).terms)
+        m, n = at_omega.get(ONE, 0), at_omega.get(ZERO, 0)
+        scale, tail = ONE, nat(n)
+        if len({v for p, v in values if p.is_finite}) == 1:
+            if m <= 1:
+                return None
+            tail = add(omega_power(ONE, m - 1), tail)
+        base = right_sub(v1, add(p1, tail))
     else:
-        delta = left_sub(v1, v2) if cmp(v1, v2) <= 0 else None
-        if delta is None:
+        if cmp(v1, v2) > 0:
             return None
-        scale_opts = []
+        delta, gap = left_sub(v1, v2), p2 - p1
         if delta.is_finite:
-            if delta.to_int() % gap == 0:
-                scale_opts.append((nat(delta.to_int() // gap), ZERO))
+            if delta.to_int() % gap:
+                return None
+            scale, tail = nat(delta.to_int() // gap), ZERO
         else:
+            # scale_total = scale * gap: recover scale by dividing the
+            # trailing coefficient when possible
             k = delta.finite_tail
-            stripped = Ordinal(delta.omega1, delta.terms[:-1]) if k else delta
-            for scale_total, tail in ((stripped, nat(k)),):
-                # scale_total = scale * gap: recover scale by dividing the
-                # trailing coefficient when possible
-                if not scale_total.terms:
-                    continue
-                e, c = scale_total.terms[-1]
-                if c % gap == 0:
-                    scale = Ordinal(0, scale_total.terms[:-1] + ((e, c // gap),))
-                    scale_opts.append((scale, tail))
-        for scale, tail in scale_opts:
-            probe_contrib = add(times_nat(scale, p1), tail)
-            for split in _left_splits(v1):
-                if add(split, probe_contrib) == v1:
-                    candidates.append((split, scale, tail))
-                    break
-    for base, scale, tail in candidates:
-        ok = True
-        for p, v in values:
-            contrib = p if isinstance(p, Ordinal) else times_nat(scale, p)
-            if isinstance(p, Ordinal) and scale != ONE:
-                ok = False
-                break
-            if add(add(base, contrib), tail) != v:
-                ok = False
-                break
-        if ok:
-            return (base, scale, tail)
-    return None
-
-
-def _left_splits(c):
-    """Candidate left summands of c (prefixes with coefficient splits)."""
-    out = [Ordinal(c.omega1, ())]
-    for i in range(len(c.terms) + 1):
-        out.append(Ordinal(c.omega1, c.terms[:i]))
-        if i < len(c.terms):
-            e, coeff = c.terms[i]
-            for x in range(1, min(coeff, 50)):
-                out.append(Ordinal(c.omega1, c.terms[:i] + ((e, x),)))
-    seen, uniq = set(), []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            uniq.append(s)
-    return uniq
+            scale_total = Ordinal(delta.omega1, delta.terms[:-1]) if k else delta
+            if not scale_total.terms or scale_total.terms[-1][1] % gap:
+                return None
+            e, c = scale_total.terms[-1]
+            scale, tail = Ordinal(0, scale_total.terms[:-1] + ((e, c // gap),)), nat(k)
+        base = right_sub(v1, add(times_nat(scale, p1), tail))
+    if base is None:
+        return None
+    for p, v in values:
+        if add(add(base, p if ordinal_params else times_nat(scale, p)), tail) != v:
+            return None
+    return (base, scale, tail)
 
 
 class _Slot:
@@ -237,18 +212,16 @@ class _Slot:
     def solve_eq(self, c, bound=None):
         """All parameters with value(p) == c (finitely many for moving slots)."""
         if self.ordinal:
+            # base + a + tail == c: left cancel base, then right cancel the
+            # tail, which SymbolicSeries keeps finite, so a is unique
             try:
                 rho = left_sub(self.base, c)
             except WedgeTreeError:
                 return []
-            sols = []
-            for a in _left_splits(rho) + [rho]:
-                if bound is not None and cmp(a, bound) >= 0:
-                    continue
-                if self.value(a) == c and a not in sols:
-                    sols.append(a)
-            sols.sort(key=functools.cmp_to_key(cmp))
-            return sols
+            a = right_sub(rho, self.tail)
+            if a is None or (bound is not None and cmp(a, bound) >= 0):
+                return []
+            return [a]
         if self.scale.is_zero:
             return []
         if cmp(c, limit_of_affine(self.base, self.scale)) >= 0:
@@ -317,9 +290,6 @@ def _unify(params, shapes, ordinal):
         fit = _fit_affine([(p, r[j][1]) for p, r in zip(params, runs)], ordinal)
         if fit is None:
             raise UndecidableTailPattern("non-affine count slot")
-        if ordinal and not fit[2].is_finite:
-            raise UndecidableTailPattern(
-                "ordinal parameter followed by an infinite same-letter tail")
         return first, _Slot("count", ci, j, *fit, ordinal)
     raise UndecidableTailPattern("varying component of kind %s" % kind)
 
@@ -336,6 +306,12 @@ class SymbolicSeries:
         probes = _ord_probes() if ordinal else _NAT_PROBES
         nodes = [resolve(d, instantiate(template, p)) for p in probes]
         self.parts, self.slot = _unify(probes, [n.parts for n in nodes], ordinal)
+        if ordinal and self.slot is not None and not self.slot.tail.is_finite:
+            # a + tail == tail for every finite a: the members at finite
+            # parameters coincide, which neither the profiles nor the one
+            # solution of _Slot.solve_eq allow for
+            raise UndecidableTailPattern(
+                "ordinal parameter followed by an infinite tail")
         if not ordinal:
             for p in _NAT_VERIFY:
                 if self.at(p).parts != self._predict(p):

@@ -17,7 +17,7 @@ from wedgetree import ordinals as o
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, classify_ordinal, cmp,
     fin_mul, fundamental, left_sub, limit_of_affine, measure_blocks, nat,
-    omega_power, oracle_encode, times_nat,
+    omega_power, oracle_encode, right_sub, times_nat,
 )
 
 
@@ -216,6 +216,28 @@ def test_times_nat_is_repeated_addition(a, n):
     for _ in range(n):
         want = add(want, a)
     assert times_nat(a, n) == want
+
+
+def _left_summand_candidates(a):
+    """The candidates of the old coefficient search for a base, in
+    increasing order and without its cap of 50: w1*j for j <= a.omega1, then
+    each CNF prefix of a with its last coefficient lowered or kept.  The w1
+    coefficient is split too, which a right cancellation by an w1-sized
+    summand needs."""
+    out = [Ordinal(j) for j in range(a.omega1 + 1)]
+    for i, (e, c) in enumerate(a.terms):
+        out += [Ordinal(a.omega1, a.terms[:i] + ((e, x),)) for x in range(1, c + 1)]
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_ordinals(), any_ordinals(), st.booleans())
+def test_right_sub_is_the_least_right_cancellation(x, b, free):
+    a = x if free else add(x, b)
+    want = next((y for y in _left_summand_candidates(a) if add(y, b) == a), None)
+    assert right_sub(a, b) == want
+    if not free:
+        assert want is not None and cmp(want, x) <= 0
 
 
 def test_times_nat_small_factors_and_absorption():

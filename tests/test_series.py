@@ -10,8 +10,11 @@ from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, cmp, limit_of_affine, nat, times_nat,
 )
 from wedgetree.trees import OMEGA_BRANCH, Child, Copy, Full, Up, Word, resolve
-from wedgetree.topology import ClubFamily, OmegaFamily, series_of
-from wedgetree.series import Param, SymbolicSeries, _Slot, fit_template, instantiate
+from wedgetree.topology import ClubFamily, OmegaFamily, contains, series_of
+from wedgetree.series import (
+    _NAT_PROBES, Param, SymbolicSeries, _Slot, _fit_affine, _ord_probes,
+    fit_template, instantiate,
+)
 
 from helpers import BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, o, seg, up, word
 
@@ -82,6 +85,13 @@ TOPOLOGY_FAMILIES = [
     (REMARK_TREE, OmegaFamily((up(OMEGA1), Copy(0, Param())))),
 ]
 
+# slots whose base has a coefficient of 50 or more: (tree, family, base)
+FAR_BASES = [
+    (seg(OMEGA1), OmegaFamily((Up(Param(nat(60), ONE)),)), nat(60)),
+    (seg(OMEGA1), OmegaFamily((Up(Param(nat(100), ONE)),)), nat(100)),
+    (BINARY_W1, ClubFamily((word("0", OMEGA1),), (_count_run(nat(60)), Child(1))), nat(60)),
+]
+
 
 def test_series_of_returns_one_series_for_equal_specs():
     spec = OmegaFamily((_count_run(), Child(1)))
@@ -109,7 +119,7 @@ def _answers(series, probes):
             [(repr(series.le_profile(u)), repr(series.eq_profile(u))) for u in probes])
 
 
-@pytest.mark.parametrize("d, spec", TOPOLOGY_FAMILIES)
+@pytest.mark.parametrize("d, spec", TOPOLOGY_FAMILIES + [(d, s) for d, s, _ in FAR_BASES])
 def test_memoized_series_agrees_with_a_fresh_one(d, spec):
     memo = series_of(d, spec)
     probes = sample_nodes(d, random.Random(0), 8) + memo.limit_nodes() + \
@@ -117,6 +127,32 @@ def test_memoized_series_agrees_with_a_fresh_one(d, spec):
     first = _answers(memo, probes)
     assert series_of(d, spec) is memo
     assert _answers(series_of(d, spec), probes) == first == _answers(_fresh(d, spec), probes)
+
+
+@pytest.mark.parametrize("d, spec, base", FAR_BASES)
+def test_far_bases_are_fitted(d, spec, base):
+    assert series_of(d, spec).slot.base == base
+
+
+# members of 0^a 0^2 1 over the club of 0^(w1): a + 2 must be cancelled on
+# the right to find a
+CLUB_00 = ClubFamily((word("0", OMEGA1),), (_count_run(), word("0", 2), Child(1)))
+
+
+@pytest.mark.parametrize("p", [nat(0), nat(12), add(OMEGA, ONE), add(OMEGA, nat(40)),
+                               add(OMEGA, nat(70)), add(times_nat(OMEGA, 2), nat(7))])
+def test_club_family_contains_its_own_members(p):
+    member = resolve(BINARY_W1, instantiate(CLUB_00.template, p))
+    assert contains(BINARY_W1, CLUB_00, member)
+
+
+@pytest.mark.parametrize("d, template", [
+    (seg(OMEGA1), (Up(Param()), up(OMEGA))),                     # position slot
+    (BINARY_W1, (_count_run(), word("0", OMEGA), Child(1))),     # count slot
+])
+def test_ordinal_slot_with_an_infinite_tail_is_undecidable(d, template):
+    with pytest.raises(UndecidableTailPattern):
+        SymbolicSeries(d, template, True, OMEGA1)
 
 
 # -- solving a natural-number slot ---------------------------------------------------
@@ -159,10 +195,10 @@ _EXPONENTS = [ZERO, ONE, nat(2), OMEGA]
 
 
 @st.composite
-def _ordinals(draw, omega1=True, min_terms=0):
+def _ordinals(draw, omega1=True, min_terms=0, coeffs=st.integers(1, 4)):
     exps = sorted(draw(st.sets(st.sampled_from(range(len(_EXPONENTS))),
                                min_size=min_terms, max_size=3)), reverse=True)
-    terms = tuple((_EXPONENTS[e], draw(st.integers(1, 4))) for e in exps)
+    terms = tuple((_EXPONENTS[e], draw(coeffs)) for e in exps)
     return Ordinal(draw(st.integers(0, 2)) if omega1 else 0, terms)
 
 
@@ -179,3 +215,28 @@ def test_slot_solutions_agree_with_the_linear_search(base, scale, tail, p, how, 
         assume(False)  # threshold past the reference's reach
     assert slot.solve_ge(c) == want_ge
     assert slot.solve_eq(c) == want_eq
+
+
+# -- fitting affine families exactly ---------------------------------------------------
+
+_BIG = st.integers(51, 500)
+_ORD_CHECKS = (ZERO, ONE, nat(12), add(OMEGA, ONE), times_nat(OMEGA, 3),
+               add(times_nat(OMEGA, 2), nat(7)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ordinals(coeffs=_BIG), _ordinals(omega1=False, min_terms=1, coeffs=_BIG),
+       _ordinals(omega1=False, coeffs=_BIG), st.booleans())
+def test_fit_reproduces_affine_families_with_large_coefficients(base, scale, tail, ordinal):
+    if ordinal:
+        scale, probes, checks = ONE, _ord_probes(), _ORD_CHECKS
+    else:
+        probes, checks = _NAT_PROBES, (1, 12, 20, 1000)
+    true = _Slot("up", 0, None, base, scale, tail, ordinal)
+    values = [(p, true.value(p)) for p in probes]
+    assume(len({v for _, v in values}) > 1)
+    fit = _fit_affine(values, ordinal)
+    assert fit is not None
+    fitted = _Slot("up", 0, None, *fit, ordinal)
+    for p in tuple(probes) + checks:
+        assert fitted.value(p) == true.value(p)
