@@ -11,7 +11,7 @@ template from them.
 
 A series depends only on its arguments, so the library builds them through
 ``cached_series(d, template, ordinal, bound)``, a memo that keeps the
-``trees.CACHE_SIZE`` most recently used series and returns the same object
+``SERIES_CACHE_SIZE`` most recently used series and returns the same object
 for equal arguments.  A fit that raises ``UndecidableTailPattern`` is not
 kept and raises again on every call.
 
@@ -42,7 +42,7 @@ from .ordinals import (
     omega_power, right_sub, times_nat,
 )
 from .trees import (
-    CACHE_SIZE, Below, Child, Copy, Up, Word, as_node, leq_parts, meet_parts,
+    Below, Child, Copy, Up, Word, as_node, leq_parts, meet_parts,
     node_at, resolve,
 )
 
@@ -64,6 +64,16 @@ class Param:
         return add(self.base, times_nat(self.scale, p))
 
 
+def _index_at(param, p):
+    """A copy index or child letter at p, which must be a natural number: an
+    ordinal-indexed family reaches omega there, and nothing addresses it."""
+    value = param.at(p)
+    if not value.is_finite:
+        raise UndecidableTailPattern(
+            "ordinal parameter in a copy index or child letter")
+    return value.to_int()
+
+
 def instantiate(template, p):
     steps = []
     for s in template:
@@ -72,9 +82,9 @@ def instantiate(template, p):
         elif isinstance(s, Up) and isinstance(s.delta, Param):
             steps.append(Up(s.delta.at(p)))
         elif isinstance(s, Copy) and isinstance(s.idx, Param):
-            steps.append(Copy(s.slot, s.idx.at(p).to_int()))
+            steps.append(Copy(s.slot, _index_at(s.idx, p)))
         elif isinstance(s, Child) and isinstance(s.i, Param):
-            steps.append(Child(s.i.at(p).to_int()))
+            steps.append(Child(_index_at(s.i, p)))
         else:
             steps.append(s)
     return tuple(steps)
@@ -546,7 +556,14 @@ class SymbolicSeries:
         return ("increasing", sup)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+# Series kept by ``cached_series``; least recently used go first.  One round
+# of the witness cases reuses 83 distinct series, which the view cache's
+# bound of 32 would evict and rebuild; a series holds a few nodes and no
+# view, so 128 of them stay light.
+SERIES_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=SERIES_CACHE_SIZE)
 def cached_series(d, template, ordinal=False, bound=None):
     """The SymbolicSeries of template over d, built once per distinct
     arguments; equal arguments give the same object."""

@@ -25,10 +25,15 @@ node also take its address; ``as_node`` resolves either to a Node.
 
 Descriptions and address steps are frozen, slotted dataclasses that compute
 their hash on first use and keep it.  ``view(desc)`` caches the view of the
-``CACHE_SIZE`` most recently used descriptions, and each view computes its
-nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``) once:
-later calls return the same ordinal, tuple or frozenset, which no caller can
-change.
+``VIEW_CACHE_SIZE`` most recently used descriptions, and each view computes
+its nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``,
+``leftmost_top``) once: later calls return the same ordinal, node, tuple or
+frozenset, which no caller can change.  A view also walks each
+``(steps, i)`` once and lists the children of each ``(parts, count)`` once,
+so ``resolve`` on a hat or tilde view walks its inner views at an address
+only the first time.  Walks that raise are not kept.  Resolved nodes are
+shared between callers, so no code outside ``Node.__init__`` sets a node's
+attributes; ``children`` returns a new list on every call.
 """
 
 from __future__ import annotations
@@ -47,13 +52,15 @@ from .ordinals import (
 
 _EXPAND_CAP = 10000
 
-# Entries kept by each memo of built objects (the ``view`` cache here and the
-# ``cached_series`` memo in ``wedgetree.series``); least recently used go first.
-# Each cached view also keeps its memoized facts, which makes entries heavier:
-# on the benchmark's corpus workload the peak RSS rose by about 1.5 MB at 1024
-# entries and 0.2 MB at 256, and held level at 128.  The witness path (25
-# views, 76 series) still fits.
-CACHE_SIZE = 128
+# Views kept by the ``view`` cache; least recently used go first.  Each cached
+# view keeps its memoized facts, walks and children, so an entry holds many
+# nodes.  At 128 entries the benchmark's corpus workload kept them long enough
+# to push them into the older GC generations: against this bound its peak RSS
+# rose by 0.7-1.0 MB and its p99 latency from 5.4 to 7.2-7.7 ms.  One corpus
+# request touches at most 27 views (p99 23, over 2,000 trees) and one round
+# of the witness cases 25, so 32 holds a request's views.  The series memo
+# has its own bound, ``series.SERIES_CACHE_SIZE``.
+VIEW_CACHE_SIZE = 32
 
 OMEGA_BRANCH = "w"
 
@@ -407,8 +414,9 @@ def _fact(method):
     """Memoize a nullary view method on its view.
 
     A view belongs to one immutable description, so each such fact (height,
-    sites, maximal heights, gaps) is computed once per view and the same
-    immutable tuple, frozenset or ordinal is returned on every later call.
+    sites, maximal heights, gaps, leftmost top) is computed once per view and
+    the same immutable tuple, frozenset, node or ordinal is returned on every
+    later call; a method that raises is called again next time.
     Methods that return a constant or a stored field need no memo."""
     name = method.__name__
 
@@ -427,6 +435,30 @@ class _View:
     def __init__(self, desc):
         self.desc = desc
         self.facts = {}  # method name -> result, filled by ``_fact``
+        self.walks = {}  # (steps, i) -> (node, consumed), filled by ``walk``
+        self.kids = {}   # (parts, count) -> tuple of children, by ``children``
+
+    def walk(self, steps, i):
+        """The node that ``steps[i:]`` leads to, and the index of the first
+        step it could not take, from ``_walk`` once per view and key.
+
+        A walk that raises is not kept (the graft, hat and tilde walks catch
+        ``GapAddress`` and ``InvalidAddress`` from their inner views), so it
+        raises again on every call.  Callers share the returned ``Node``."""
+        key = (steps, i)
+        out = self.walks.get(key)
+        if out is None:
+            out = self.walks[key] = self._walk(steps, i)
+        return out
+
+    def children(self, node, count):
+        """Up to ``count`` immediate successors of ``node``, from
+        ``_children`` once per view, parts and count, as a new list."""
+        key = (node.parts, count)
+        kids = self.kids.get(key)
+        if kids is None:
+            kids = self.kids[key] = tuple(self._children(node, count))
+        return list(kids)
 
     # gap/completeness defaults for the core region views
     def gaps(self):
@@ -464,7 +496,7 @@ class _SegView(_View):
         return Node(self.desc, (("up", pos),) if not pos.is_zero else (),
                     pos, pos.cof(), Card.fin(0 if maximal else 1), maximal)
 
-    def walk(self, steps, i):
+    def _walk(self, steps, i):
         pos = ZERO
         while i < len(steps):
             s = steps[i]
@@ -485,11 +517,12 @@ class _SegView(_View):
     def ancestor_at(self, node, h):
         return self._node(h)
 
-    def children(self, node, count):
+    def _children(self, node, count):
         if node.maximal:
             return []
         return [self._node(add(node.ht, ONE))][:count]
 
+    @_fact
     def leftmost_top(self):
         return self._node(self.eta)
 
@@ -546,7 +579,7 @@ class _FullView(_View):
             runs.append((letter, count))
         return nxt
 
-    def walk(self, steps, i):
+    def _walk(self, steps, i):
         runs, ht = [], ZERO
         while i < len(steps):
             s = steps[i]
@@ -589,7 +622,7 @@ class _FullView(_View):
                 break
         return self._node(out)
 
-    def children(self, node, count):
+    def _children(self, node, count):
         if node.maximal:
             return []
         runs = list(node.parts[0][1]) if node.parts else []
@@ -604,6 +637,7 @@ class _FullView(_View):
             out.append(self._node(ext))
         return out
 
+    @_fact
     def leftmost_top(self):
         if self.top.is_zero:
             return self._node(())
@@ -666,7 +700,7 @@ class _GraftView(_View):
         return Node(self.desc, parts, ht, ht.cof(), cnode.ims, cnode.maximal,
                     "plain", ("child", bnode, slot, idx, cnode))
 
-    def walk(self, steps, i):
+    def _walk(self, steps, i):
         try:
             bnode, i = self.base.walk(steps, i)
         except GapAddress as g:
@@ -722,7 +756,7 @@ class _GraftView(_View):
             return self._wrap_base(self.base.branch_node(payload[1], h))
         raise InvalidAddress("unknown branch payload")
 
-    def children(self, node, count):
+    def _children(self, node, count):
         kind = node.inner[0]
         if kind == "child":
             _, bnode, slot, idx, cnode = node.inner
@@ -742,6 +776,7 @@ class _GraftView(_View):
             return out
         return [self._wrap_base(c) for c in self.base.children(bnode, count)]
 
+    @_fact
     def leftmost_top(self):
         bnode = self.base.leftmost_top()
         if not self.slots:
@@ -822,7 +857,7 @@ class _HatView(_View):
         return Node(self.desc, node.parts, node.ht, Cofinality.OMEGA1,
                     Card.fin(0), True, "captop", (node, payload))
 
-    def walk(self, steps, i):
+    def _walk(self, steps, i):
         try:
             n, i = self.inner.walk(steps, i)
         except GapAddress as g:
@@ -860,13 +895,14 @@ class _HatView(_View):
         anc = self.inner.ancestor_at(node.inner, hi if kind == "image" else h)
         return self._spoint(anc) if kind == "spoint" else self._image(anc)
 
-    def children(self, node, count):
+    def _children(self, node, count):
         if node.tag == "spoint":
             return [self._image(node.inner)]
         if node.tag == "captop":
             return []
         return [self._image(c) for c in self.inner.children(node.inner, count)]
 
+    @_fact
     def leftmost_top(self):
         return self._image(self.inner.leftmost_top())
 
@@ -901,7 +937,7 @@ class _TildeView(_View):
         ht = tilde_shift(n.ht)
         return Node(self.desc, n.parts, ht, ht.cof(), n.ims, n.maximal, "plain", n)
 
-    def walk(self, steps, i):
+    def _walk(self, steps, i):
         try:
             n, i = self.inner.walk(steps, i)
         except GapAddress as g:
@@ -955,9 +991,10 @@ class _TildeView(_View):
             return self._remap(self.inner.ancestor_at(payload[1], tilde_unshift(h)))
         return self._remap(self.inner.branch_node(payload[1], tilde_unshift(h)))
 
-    def children(self, node, count):
+    def _children(self, node, count):
         return [self._remap(c) for c in self.inner.children(node.inner, count)]
 
+    @_fact
     def leftmost_top(self):
         n = self.inner.leftmost_top()
         if self._survives(n):
@@ -983,7 +1020,7 @@ class GapSite:
     ht: Ordinal
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=VIEW_CACHE_SIZE)
 def view(desc):
     if isinstance(desc, Seg):
         return _SegView(desc)

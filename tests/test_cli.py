@@ -77,6 +77,14 @@ def test_witness_roundtrip(capsys):
     assert payload["hat_tilde_ok"] is False
 
 
+def test_witness_club_over_a_copy_index_is_undecidable(capsys):
+    code, out = run(capsys, "witness", "club", "(graft (seg w1) (((seg 0) w)))",
+                    "(addr (up w1))",
+                    "(club (addr (up w1)) (addr (up w1) (copy 0 n)))", "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "undecidable-tail"
+
+
 def test_selftest_quick(capsys):
     code, out = run(capsys, "selftest", "trees", "--seed", "3", "--json")
     assert code == 0

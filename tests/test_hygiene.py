@@ -4,7 +4,8 @@ Every name a module imports is used in it, unless the import is an explicit
 re-export (``import X as X``), and no module imports an underscore-prefixed
 name from another wedgetree module or reads an underscore-prefixed attribute
 that it does not define itself.  Every ``lru_cache``/``cache`` memo is bounded
-by a named size.  ``__init__.py`` imports no library module (it maps each
+by a named size, and no code sets an attribute of the shared ``Node``s that
+the views memoize.  ``__init__.py`` imports no library module (it maps each
 public name to its home module and loads that module on first use), so it
 is not checked here; instead the package surface is checked, and fresh
 interpreters check that the CLI and its light commands leave the heavy
@@ -28,8 +29,8 @@ import pytest
 
 from wedgetree.ordinals import OMEGA1, ONE, add, nat
 from wedgetree.trees import (
-    CARD_OMEGA, Below, Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf, Up,
-    Word,
+    CARD_OMEGA, Below, Card, Child, Copy, Full, Graft, HatOf, Node, Seg,
+    TildeOf, Up, Word,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -140,6 +141,56 @@ def test_caches_are_bounded_by_a_named_size():
             if not isinstance(_maxsize(dec), (ast.Name, ast.Attribute)):
                 unbounded.append("%s:%d: %s" % (path.name, dec.lineno, fn.name))
     assert not unbounded, unbounded
+
+
+_SETTERS = ("setattr", "delattr", "__setattr__", "__delattr__")
+
+
+def _attribute_writes(tree, names):
+    """Lines that set or delete an attribute in ``names``, directly or through
+    ``setattr``/``delattr``, except on ``self`` inside a class's ``__init__``."""
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    allowed.update(id(n) for n in ast.walk(fn))
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, (ast.Store, ast.Del)):
+            target, name = n.value, n.attr
+        elif isinstance(n, ast.Call) and len(n.args) >= 2 and \
+                isinstance(n.args[1], ast.Constant) and \
+                getattr(n.func, "attr", getattr(n.func, "id", None)) in _SETTERS:
+            target, name = n.args[0], n.args[1].value
+        else:
+            continue
+        is_self = isinstance(target, ast.Name) and target.id == "self"
+        if name in names and not (is_self and id(n) in allowed):
+            out.append(n.lineno)
+    return sorted(out)
+
+
+def test_shared_nodes_are_never_assigned():
+    """``view`` memoizes walks, so one ``Node`` reaches many callers: only its
+    own constructor (or another class's, on ``self``) sets such names."""
+    names = set(Node.__slots__)
+    writes = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writes += ["%s:%d" % (path.name, line) for line in _attribute_writes(tree, names)]
+    assert not writes, writes
+    flagged = ast.parse(
+        "def f(n):\n    n.inner = 1\n    setattr(n, 'tag', 2)\n    del n.ht\n"
+        "class A:\n    def __init__(self, n):\n        n.parts = ()\n"
+        "    def later(self):\n        self.maximal = True\n"
+        "        object.__setattr__(self, 'cof', 0)\n")
+    assert _attribute_writes(flagged, names) == [2, 3, 4, 7, 9, 10]
+    kept = ast.parse(
+        "class A:\n    def __init__(self):\n        self.inner = 1\n"
+        "        object.__setattr__(self, 'tag', 2)\n        self.other = 3\n"
+        "def g(n):\n    n.other = 1\n")
+    assert _attribute_writes(kept, names) == []
 
 
 def _values():

@@ -155,6 +155,18 @@ def test_ordinal_slot_with_an_infinite_tail_is_undecidable(d, template):
         SymbolicSeries(d, template, True, OMEGA1)
 
 
+@pytest.mark.parametrize("d, template", [
+    (REMARK_TREE, (up(OMEGA1), Copy(0, Param()))),     # copy index slot
+    (FULL_W, (Child(Param()),)),                       # child letter slot
+])
+def test_ordinal_parameter_in_an_index_slot_is_undecidable(d, template):
+    assert resolve(d, instantiate(template, nat(3))) == resolve(d, instantiate(template, 3))
+    with pytest.raises(UndecidableTailPattern):
+        instantiate(template, OMEGA)
+    with pytest.raises(UndecidableTailPattern):
+        SymbolicSeries(d, template, True, OMEGA1)
+
+
 # -- solving a natural-number slot ---------------------------------------------------
 
 def test_threshold_profiles_far_past_small_parameters():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from wedgetree.errors import BadGraftBase, InvalidAddress, NotChainComplete, UnsupportedAddress
+from wedgetree.errors import (
+    BadGraftBase, GapAddress, InvalidAddress, NotChainComplete, UnsupportedAddress,
+)
 from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, add, cmp, nat, times_nat
 from wedgetree.trees import (
     Below, CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf,
@@ -11,7 +13,7 @@ from wedgetree.trees import (
     unc_sites, validate, view,
 )
 from wedgetree.classify import classify_report
-from wedgetree.constructions import roundtrip_check
+from wedgetree.constructions import _spot_addresses, roundtrip_check
 from wedgetree.corpus import random_description, sample_nodes
 
 from helpers import (
@@ -354,6 +356,113 @@ def test_view_facts_are_computed_once():
         assert isinstance(tops, frozenset), d
         for f in _FACTS:
             assert getattr(v, f)() is getattr(v, f)(), (f, d)
+
+
+def test_leftmost_top_is_computed_once():
+    trees = _fact_trees()
+    view.cache_clear()
+    cold = {}
+    for d in trees:
+        try:
+            cold[d] = _shape(view(d).leftmost_top())
+        except InvalidAddress:
+            continue
+    assert len(cold) > len(trees) // 2
+    for d in trees:
+        classify_report(d)
+        roundtrip_check(d)
+    for d, shape in cold.items():
+        v = view(d)
+        assert _shape(v.leftmost_top()) == shape, d
+        assert v.leftmost_top() is v.leftmost_top(), d
+
+
+# -- memoized walks and children ---------------------------------------------------
+
+def _shape(x):
+    """Everything a node records, down its whole ``inner`` chain."""
+    if isinstance(x, Node):
+        return (x.parts, x.ht, x.cof, x.ims, x.maximal, x.tag, _shape(x.inner))
+    if isinstance(x, tuple):
+        return tuple(_shape(y) for y in x)
+    return x
+
+
+def _walk_trees():
+    captop = HatOf(TildeOf(BINARY_W1))
+    nested = [
+        graft(seg(W1), (captop, 2), (TildeOf(HatOf(BINARY_W1)), CARD_OMEGA)),
+        graft(HatOf(TildeOf(seg(o(W1, 2)))), (TildeOf(HatOf(seg(o(W1, 1)))), 2)),
+        TildeOf(HatOf(graft(seg(W1), (TildeOf(HatOf(BINARY_W1)), 1)))),
+        HatOf(HatOf(TildeOf(graft(seg(W1), (captop, 1))))),
+        TildeOf(HatOf(graft(HatOf(seg(W1)), (captop, 2)))),
+        graft(TildeOf(HatOf(seg(o(W1, 1)))),
+              (HatOf(TildeOf(graft(seg(W1), (BINARY_W1, 1)))), 1)),
+    ]
+    for d in nested:
+        validate(d)
+    return _fact_trees() + nested
+
+
+def test_memoized_walks_and_children_agree_with_cold_ones():
+    for d in _walk_trees():
+        addrs = _spot_addresses(d)
+        view.cache_clear()
+        cold = []
+        for a in addrs:
+            n = resolve(d, a)
+            kids = [_shape(c) for c in children(d, n, 2)]
+            assert [_shape(c) for c in children(d, n, 1)] == kids[:1], (d, a)
+            cold.append((_shape(n), kids))
+        classify_report(d)
+        roundtrip_check(d)
+        for a, (node, kids) in zip(addrs, cold):
+            n = resolve(d, a)
+            assert _shape(n) == node, (d, a)
+            assert [_shape(c) for c in children(d, n, 2)] == kids, (d, a)
+            assert [_shape(c) for c in children(d, n, 1)] == kids[:1], (d, a)
+
+
+def test_a_resolved_node_is_shared():
+    for d in _walk_trees():
+        for a in _spot_addresses(d):
+            assert resolve(d, a) is resolve(d, a), (d, a)
+
+
+def test_children_returns_a_new_list():
+    for d in _walk_trees():
+        root = resolve(d, ())
+        kids = children(d, root, 2)
+        again = [_shape(c) for c in kids]
+        kids.append(root)
+        kids[0] = root
+        assert [_shape(c) for c in children(d, root, 2)] == again, d
+        assert children(d, root, 2) is not children(d, root, 2)
+
+
+def test_an_invalid_address_raises_on_every_call():
+    captop_tree = HatOf(TildeOf(BINARY_W1))
+    cases = [
+        (TildeOf(BINARY_W1), [word("0", W1)]),         # gap: a removed branch top
+        (TildeOf(BINARY_W1), [word("0", W1), Child(0)]),
+        (HatOf(BINARY_W), [word("0", W), Below()]),    # no split point below
+        (seg(W1), [up(o(W1, 1))]),                     # past the top
+        (graft(seg(W1), (captop_tree, 2)), [up(W1), Copy(0, 2)]),
+        (captop_tree, [word("0", W1), Child(0)]),      # above a completion point
+    ]
+    first = None
+    for _ in range(3):
+        for d, a in cases:
+            with pytest.raises(InvalidAddress):
+                resolve(d, a)
+        # the hat over the tilde catches the tilde's gap and fills it, on
+        # every call, while the tilde itself keeps raising
+        cap = resolve(captop_tree, [word("0", W1)])
+        assert cap.tag == "captop"
+        first = first or _shape(cap)
+        assert _shape(cap) == first
+        with pytest.raises(GapAddress):
+            resolve(TildeOf(BINARY_W1), [word("0", W1)])
 
 
 # -- hat / tilde views -------------------------------------------------------------
