@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import HeightTooLarge, PreconditionFailed
 from .ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat
@@ -20,7 +21,8 @@ from .trees import (
     meet_parts, node_at, resolve, unc_sites, validate, view,
 )
 from .topology import (
-    Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, series_of, spec_parts,
+    Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, sample_members,
+    series_of, spec_parts,
 )
 from .constructions import normalize, r_flags
 
@@ -424,6 +426,17 @@ class FamilyU:
                     out.append(("cone", r))
         return out
 
+    def verify(self):
+        """Re-check the family on its own deterministic sample of S: every
+        pair of sampled points is split (``check_t0``), and every sampled
+        point of countable height and every singleton lies in countably many
+        members (``check_point_countable``)."""
+        d = self.d
+        pts = list({x.parts: x for x in sample_members(d, self.S, 8)}.values())
+        points = [x for x in pts if x.ht.is_countable] + list(self.singletons)
+        return (check_t0(d, self.S, self, combinations(pts, 2))
+                and check_point_countable(d, self, points))
+
     def to_json(self):
         from .dsl import print_address
         return {
@@ -431,7 +444,7 @@ class FamilyU:
             "singletons": [print_address(s.address()) for s in self.singletons],
             "markers": [[print_address(s.address()), print_address(t.address())]
                         for s, t in self.markers.values()],
-            "verified": True,
+            "verified": self.verify(),
         }
 
 

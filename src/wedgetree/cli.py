@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import ParseError, WedgeTreeError
+from .errors import NotClosed, ParseError, WedgeTreeError
 from . import dsl
 from .trees import resolve, validate
 
@@ -93,12 +93,19 @@ def cmd_witness(args):
         S = dsl.parse_set(dsl.read_sexpr(args.args[1]))
         payload = club_accumulation(d, t, S).to_json()
     elif kind == "fu-extract":
-        from .topology import fu_extract
+        from .topology import (
+            SeqSpec, Topology, Verdict, cluster_or_limit, contains, fu_extract,
+        )
         A = dsl.parse_set(dsl.read_sexpr(args.args[0]))
-        t = dsl.parse_address(dsl.read_sexpr(args.args[1]))
+        t = resolve(d, dsl.parse_address(dsl.read_sexpr(args.args[1])))
         seq = fu_extract(d, A, t)
+        # the tail converges to t, and the head starts inside A
+        verified = cluster_or_limit(d, SeqSpec(tail=seq.tail), t,
+                                    Topology.SIGMA_CW) is Verdict.CONVERGES
+        if seq.head:
+            verified = verified and contains(d, A, seq.head[0])
         payload = {"kind": "fu-extract", "sequence": dsl.print_seq(seq),
-                   "verified": True}
+                   "verified": verified}
     elif kind == "maximality":
         from .topology import ALREADY_SIGMA_OPEN, maximality_witness
         opens = [dsl.parse_open(dsl.read_sexpr(a)) for a in args.args]
@@ -200,16 +207,27 @@ def main(argv=None):
     as_json = getattr(args, "json", False)
     try:
         return args.func(args)
-    except ParseError as e:
-        _emit({"error": e.code, "message": str(e)}, as_json)
-        return 2
     except WedgeTreeError as e:
-        payload = {"error": e.code, "message": str(e)}
-        citation = _ERROR_CITATIONS.get(e.code)
-        if citation:
-            payload["citation"] = citation
-        _emit(payload, as_json)
-        return 1
+        _emit(_error_payload(e), as_json)
+        return 2 if isinstance(e, ParseError) else 1
+
+
+def _error_payload(e):
+    """The error's code, message and details, with its citation, if any.
+
+    A ``NotClosed`` error adds its escaping sequence and that sequence's
+    limit in the description language; any other detail that is not a JSON
+    scalar is printed with ``str``."""
+    payload = e.to_json()
+    if isinstance(e, NotClosed) and e.witness is not None:
+        seq, limit = e.witness
+        payload["sequence"] = dsl.print_seq(seq)
+        payload["limit"] = dsl.print_address(limit)
+    citation = _ERROR_CITATIONS.get(e.code)
+    if citation:
+        payload["citation"] = citation
+    return {k: v if v is None or isinstance(v, (str, int, float, bool)) else str(v)
+            for k, v in payload.items()}
 
 
 if __name__ == "__main__":

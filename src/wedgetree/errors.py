@@ -100,6 +100,9 @@ class NotClosed(WedgeTreeError):
         self.which = which
         self.witness = witness
 
+    def to_json(self):
+        return {**super().to_json(), "which": self.which}
+
 
 class HeightTooLarge(WedgeTreeError):
     code = "height-too-large"
@@ -111,3 +114,6 @@ class ParseError(WedgeTreeError):
     def __init__(self, message, position=None, **details):
         super().__init__(message, **details)
         self.position = position
+
+    def to_json(self):
+        return {**super().to_json(), "position": self.position}

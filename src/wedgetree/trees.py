@@ -29,11 +29,13 @@ their hash on first use and keep it.  ``view(desc)`` caches the view of the
 its nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``,
 ``leftmost_top``) once: later calls return the same ordinal, node, tuple or
 frozenset, which no caller can change.  A view also walks each
-``(steps, i)`` once and lists the children of each ``(parts, count)`` once,
-so ``resolve`` on a hat or tilde view walks its inner views at an address
-only the first time.  Walks that raise are not kept.  Resolved nodes are
-shared between callers, so no code outside ``Node.__init__`` sets a node's
-attributes; ``children`` returns a new list on every call.
+``(steps, i)`` once, lists the children of each ``(parts, count)`` once and
+finds the ancestor of each ``(parts, h)`` once, so ``resolve`` and
+``ancestor_at`` on a graft, hat or tilde view reach into its inner views at
+an address only the first time.  Calls that raise are not kept.  Resolved
+nodes and ancestors are shared between callers, so no code outside
+``Node.__init__`` sets a node's attributes; ``children`` returns a new list
+on every call.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ from .ordinals import (
 _EXPAND_CAP = 10000
 
 # Views kept by the ``view`` cache; least recently used go first.  Each cached
-# view keeps its memoized facts, walks and children, so an entry holds many
-# nodes.  At 128 entries the benchmark's corpus workload kept them long enough
-# to push them into the older GC generations: against this bound its peak RSS
-# rose by 0.7-1.0 MB and its p99 latency from 5.4 to 7.2-7.7 ms.  One corpus
-# request touches at most 27 views (p99 23, over 2,000 trees) and one round
-# of the witness cases 25, so 32 holds a request's views.  The series memo
-# has its own bound, ``series.SERIES_CACHE_SIZE``.
+# view keeps its memoized facts, walks, children and ancestors, so an entry
+# holds many nodes.  At 128 entries the benchmark's corpus workload kept them
+# long enough to push them into the older GC generations: against this bound
+# its peak RSS rose by 0.7-1.0 MB and its p99 latency from 5.4 to 7.2-7.7 ms.
+# One corpus request touches at most 27 views (p99 23, over 2,000 trees) and
+# one round of the witness cases 25, so 32 holds a request's views.  The
+# series memo has its own bound, ``series.SERIES_CACHE_SIZE``.
 VIEW_CACHE_SIZE = 32
 
 OMEGA_BRANCH = "w"
@@ -437,6 +439,7 @@ class _View:
         self.facts = {}  # method name -> result, filled by ``_fact``
         self.walks = {}  # (steps, i) -> (node, consumed), filled by ``walk``
         self.kids = {}   # (parts, count) -> tuple of children, by ``children``
+        self.ancestors = {}  # (parts, h) -> node, filled by ``ancestor_at``
 
     def walk(self, steps, i):
         """The node that ``steps[i:]`` leads to, and the index of the first
@@ -459,6 +462,16 @@ class _View:
         if kids is None:
             kids = self.kids[key] = tuple(self._children(node, count))
         return list(kids)
+
+    def ancestor_at(self, node, h):
+        """The ancestor of ``node`` at height ``h`` (at most ``node.ht``),
+        from ``_ancestor_at`` once per view, parts and height.  A call that
+        raises is not kept.  Callers share the returned ``Node``."""
+        key = (node.parts, h)
+        out = self.ancestors.get(key)
+        if out is None:
+            out = self.ancestors[key] = self._ancestor_at(node, h)
+        return out
 
     # gap/completeness defaults for the core region views
     def gaps(self):
@@ -514,7 +527,7 @@ class _SegView(_View):
             i += 1
         return self._node(pos), i
 
-    def ancestor_at(self, node, h):
+    def _ancestor_at(self, node, h):
         return self._node(h)
 
     def _children(self, node, count):
@@ -605,7 +618,7 @@ class _FullView(_View):
             i += 1
         return self._node(runs), i
 
-    def ancestor_at(self, node, h):
+    def _ancestor_at(self, node, h):
         runs = node.parts[0][1] if node.parts else ()
         out, acc = [], ZERO
         for letter, count in runs:
@@ -730,7 +743,7 @@ class _GraftView(_View):
             return self._wrap_child(bnode, s.slot, s.idx, cnode), j
         return self._wrap_base(bnode), i
 
-    def ancestor_at(self, node, h):
+    def _ancestor_at(self, node, h):
         kind = node.inner[0]
         if kind == "child":
             _, bnode, slot, idx, cnode = node.inner
@@ -881,7 +894,7 @@ class _HatView(_View):
             return self._spoint(n), i + 1
         return self._image(n), i
 
-    def ancestor_at(self, node, h):
+    def _ancestor_at(self, node, h):
         if cmp(h, node.ht) == 0:
             return node
         if node.tag == "spoint":
@@ -983,7 +996,7 @@ class _TildeView(_View):
         return any(not s.ims.is_zero and not s.ims == Card.fin(1)
                    for s in self.inner.unc_sites())
 
-    def ancestor_at(self, node, h):
+    def _ancestor_at(self, node, h):
         return self._remap(self.inner.ancestor_at(node.inner, tilde_unshift(h)))
 
     def branch_node(self, payload, h):
@@ -1119,9 +1132,10 @@ def meet(desc, a, b):
 
 def ancestor_at(desc, node, h):
     node = as_node(desc, node)
-    if cmp(h, node.ht) > 0:
+    c = cmp(h, node.ht)
+    if c > 0:
         raise InvalidAddress("ancestor height above the node")
-    if cmp(h, node.ht) == 0:
+    if c == 0:
         return node
     return view(desc).ancestor_at(node, h)
 

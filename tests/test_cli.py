@@ -115,3 +115,86 @@ def test_witness_roundtrip_verified_follows_the_round_trip_law(capsys, monkeypat
         code, out = run(capsys, "witness", "roundtrip", "(seg w1)", "--json")
         assert code == 0
         assert json.loads(out)["verified"] is False
+
+
+def test_parse_error_reports_its_position(capsys):
+    code, out = run(capsys, "classify", "(full 2", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "parse-error"
+    assert payload["message"] == "missing )"
+    assert payload["position"] == 0
+
+
+def test_not_closed_error_carries_its_escaping_sequence(capsys):
+    code, out = run(capsys, "witness", "disjoint-closures", "(full 2 (+ w1 1))",
+                    '(omega-family (addr (word "0" n) (child 1)))',
+                    "(explicit (addr (child 1)))", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "not-closed"
+    assert payload["which"] == "A"
+    assert payload["limit"] == '(addr (word "0" w))'
+    assert payload["sequence"].startswith("(seq (head (addr (child 0) (child 1))")
+    assert payload["sequence"].endswith('(tail (addr (word "0" (lin 1 1)) (word "1" 1))))')
+
+
+def test_error_details_outside_json_are_printed_as_text(capsys, monkeypatch):
+    import wedgetree.cli as cli
+    from wedgetree.errors import GapAddress
+    from wedgetree.trees import Seg, resolve
+
+    from helpers import W1, up
+
+    node = resolve(Seg(W1), (up(W1),))
+
+    def gap(desc, steps):
+        raise GapAddress("a gap", node=node, consumed=1, payload=("here", node))
+
+    monkeypatch.setattr(cli, "resolve", gap)
+    for flags in (("--json",), ()):
+        code, out = run(capsys, "resolve", "(seg w1)", "(addr (up w1))", *flags)
+        assert code == 1
+    code, out = run(capsys, "resolve", "(seg w1)", "(addr (up w1))", "--json")
+    payload = json.loads(out)
+    assert payload["error"] == "gap-address"
+    assert payload["consumed"] == 1
+    assert payload["payload"] == str(("here", node))
+
+
+def test_witness_separating_family_verified_follows_its_checks(capsys, monkeypatch):
+    import wedgetree.classify as classify
+
+    argv = ("witness", "separating-family", "(full 2 (+ w1 1))",
+            '(explicit (addr (word "0" w1)) (addr (child 1)))', "--json")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["singletons"] == ['(addr (word "0" w1))']
+    assert payload["verified"] is True
+    for check in ("check_t0", "check_point_countable"):
+        with monkeypatch.context() as m:
+            m.setattr(classify, check, lambda *args: False)
+            code, out = run(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["verified"] is False
+
+
+def test_witness_fu_extract_verified_follows_its_recheck(capsys, monkeypatch):
+    import dataclasses
+
+    import wedgetree.topology as topology
+
+    argv = ("witness", "fu-extract", "(full 2 (+ w1 1))",
+            '(omega-family (addr (word "0" n) (child 1)))', '(addr (word "0" w))',
+            "--json")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verified"] is True
+    real = topology.fu_extract
+    # a tail that stays at the root, and a head that starts outside A
+    for change in ({"tail": topology.EventuallyConstant(())}, {"head": ((),)}):
+        monkeypatch.setattr(topology, "fu_extract", lambda d, A, t, change=change:
+                            dataclasses.replace(real(d, A, t), **change))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["verified"] is False

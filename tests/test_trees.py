@@ -12,9 +12,11 @@ from wedgetree.trees import (
     cofinal_I_nodes, height, is_chain_complete, leq, meet, node_at, resolve,
     unc_sites, validate, view,
 )
-from wedgetree.classify import classify_report
+from wedgetree import trees
+from wedgetree.classify import build_separating_family, classify_report
 from wedgetree.constructions import _spot_addresses, roundtrip_check
 from wedgetree.corpus import random_description, sample_nodes
+from wedgetree.topology import ConeSet
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o,
@@ -463,6 +465,83 @@ def test_an_invalid_address_raises_on_every_call():
         assert _shape(cap) == first
         with pytest.raises(GapAddress):
             resolve(TildeOf(BINARY_W1), [word("0", W1)])
+
+
+# -- memoized ancestors ------------------------------------------------------------
+
+_ANCESTOR_HEIGHTS = (ZERO, ONE, nat(2), W, o(W, 1), W1, o(W1, 1))
+
+
+def _ancestor_cases(d):
+    """(address, height) for every spot address and every height of
+    ``_ANCESTOR_HEIGHTS`` at most the node's height."""
+    return [(a, h) for a in _spot_addresses(d)
+            for h in _ANCESTOR_HEIGHTS if cmp(h, resolve(d, a).ht) <= 0]
+
+
+def test_memoized_ancestors_agree_with_cold_ones():
+    families = 0
+    for d in _walk_trees():
+        cases = _ancestor_cases(d)
+        view.cache_clear()
+        cold = []
+        for a, h in cases:
+            n = resolve(d, a)
+            anc = ancestor_at(d, n, h)
+            assert anc.ht == h and leq(d, anc, n), (d, a, h)
+            cold.append(_shape(anc))
+        classify_report(d)
+        roundtrip_check(d)
+        if cmp(height(d), o(W1, 1)) <= 0:
+            # its checks find cone bases as ancestors at fixed heights
+            fam = build_separating_family(d, ConeSet(()))
+            assert fam.verify(), d
+            families += 1
+        for (a, h), anc in zip(cases, cold):
+            n = resolve(d, a)
+            assert _shape(ancestor_at(d, n, h)) == anc, (d, a, h)
+            assert _shape(ancestor_at(d, a, h)) == anc, (d, a, h)
+    assert families > 10
+
+
+def test_an_ancestor_above_the_node_raises_on_every_call():
+    cases = [
+        (seg(W1), [up(W)], o(W, 1)),
+        (BINARY_W1, [word("0", W)], W1),
+        (BINARY_W1, [Child(1)], nat(2)),
+        (graft(seg(W1), (HatOf(BINARY_W1), 2)), [up(W1), Copy(0, 1)], o(W1, 2)),
+        (HatOf(TildeOf(BINARY_W1)), [word("0", W1)], o(W1, 1)),
+    ]
+    for d, a, h in cases:
+        n = resolve(d, a)
+        # a view answers any height it is asked for; only ``ancestor_at``
+        # knows that this one lies above the node, memo entry or not
+        if isinstance(d, (Seg, Full)):
+            view(d).ancestor_at(n, h)
+        for _ in range(2):
+            with pytest.raises(InvalidAddress):
+                ancestor_at(d, n, h)
+        assert ancestor_at(d, n, n.ht) is n
+
+
+def test_each_ancestor_is_found_once_per_view(monkeypatch):
+    found = {}
+    for cls in trees._View.__subclasses__():
+        def counted(self, node, h, _inner=cls._ancestor_at):
+            out = _inner(self, node, h)
+            key = (self, node.parts, h)
+            found[key] = found.get(key, 0) + 1
+            return out
+        monkeypatch.setattr(cls, "_ancestor_at", counted)
+    for d in _walk_trees():
+        cases = _ancestor_cases(d)
+        view.cache_clear()
+        for _ in range(2):
+            for a, h in cases:
+                ancestor_at(d, a, h)
+            classify_report(d)
+    assert found and set(found.values()) == {1}, \
+        [k for k, c in found.items() if c > 1][:3]
 
 
 # -- hat / tilde views -------------------------------------------------------------
