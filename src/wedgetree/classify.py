@@ -10,7 +10,7 @@ fired rule.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import HeightTooLarge, PreconditionFailed
@@ -39,8 +39,8 @@ PROPERTIES = (
 )
 
 # positive class inclusions: left Yes forces right Yes (and right No forces
-# left No)
-_IMPLICATIONS = (
+# left No); the closure pass applies them and ``selftest`` re-checks them
+IMPLICATIONS = (
     ("Corson", "Valdivia", "LC1", "class inclusion (§1)"),
     ("Corson", "HereditarilyValdivia", "LC2", "Corson is hereditary (§1)"),
     ("Corson", "WeaklyCorson", "LC3", "identity image (§1)"),
@@ -113,7 +113,7 @@ class _Engine:
         changed = True
         while changed:
             changed = False
-            for a, b, rule, cite in _IMPLICATIONS:
+            for a, b, rule, cite in IMPLICATIONS:
                 if self.props[a].verdict is V3.YES and \
                         self.props[b].verdict is V3.UNKNOWN:
                     self.props[b] = PropVerdict(V3.YES, rule, cite)
@@ -320,6 +320,10 @@ def _fat_addresses(d):
     return out
 
 
+# successor heights probed below a limit point for a G-delta representative
+_LIMIT_PROBE_HEIGHTS = (ONE, nat(2), add(OMEGA, ONE))
+
+
 def _gdelta_above(d, node, depth=4):
     if gdelta_class(node) != "not-gdelta":
         return node
@@ -337,7 +341,7 @@ def _gdelta_above(d, node, depth=4):
     if node.cof is not Cofinality.ZERO:
         # every wedge below a limit point contains cofinally many
         # successor-height points; one representative certifies the region
-        for h in (ONE, nat(2), add(OMEGA, ONE)):
+        for h in _LIMIT_PROBE_HEIGHTS:
             if cmp(h, node.ht) <= 0:
                 cand = ancestor_at(d, node, h)
                 if gdelta_class(cand) != "not-gdelta":
@@ -373,6 +377,10 @@ def gdelta_intersection_oracle(d, x, sample_bases):
 
 # -- separating family (heights up to w1+1) -------------------------------------------
 
+# the heights at which members_containing samples the cones above a point
+_MEMBER_HEIGHTS = (ZERO, ONE, nat(2), OMEGA)
+
+
 @dataclass
 class FamilyU:
     """The cone family with singleton patches witnessing Valdivia-ness of a
@@ -382,6 +390,9 @@ class FamilyU:
     S: object
     markers: dict          # s.parts -> (s, t(s))
     singletons: tuple      # the S1 points
+    # x.parts -> the members containing x, filled by members_containing
+    _members: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def cone_allowed(self, r):
         if r.cof is not Cofinality.ZERO:
@@ -412,19 +423,22 @@ class FamilyU:
         return ("cone", r)
 
     def members_containing(self, x):
-        """Sampled family members containing x, as ("cone", r) descriptors."""
-        out = []
-        if any(s.parts == x.parts for s, _ in self.markers.values()):
-            out.append(("singleton", x))
-        hts = [ZERO, ONE, nat(2)]
-        if cmp(OMEGA, x.ht) <= 0:
-            hts.append(OMEGA)
-        for h in hts:
-            if cmp(h, x.ht) <= 0:
-                r = ancestor_at(self.d, x, h)
-                if self.cone_allowed(r):
-                    out.append(("cone", r))
-        return out
+        """Sampled family members containing x, as ("cone", r) descriptors.
+
+        Kept per point for the life of the family; each call returns a new
+        list."""
+        members = self._members.get(x.parts)
+        if members is None:
+            out = []
+            if x.parts in self.markers:
+                out.append(("singleton", x))
+            for h in _MEMBER_HEIGHTS:
+                if cmp(h, x.ht) <= 0:
+                    r = ancestor_at(self.d, x, h)
+                    if self.cone_allowed(r):
+                        out.append(("cone", r))
+            members = self._members[x.parts] = tuple(out)
+        return list(members)
 
     def verify(self):
         """Re-check the family on its own deterministic sample of S: every

@@ -190,9 +190,9 @@ def parse_desc(x):
         if len(x) != 3:
             raise ParseError("(full K ORD) expected")
         k = OMEGA_BRANCH if x[1] == "w" else (
-            int(x[1]) if isinstance(x[1], str) and x[1].isdigit() else None)
-        if k is None:
-            raise ParseError("branching must be NAT or w")
+            int(x[1]) if isinstance(x[1], str) and x[1].isdigit() else 0)
+        if not k:
+            raise ParseError("branching must be a positive NAT or w")
         return Full(k, parse_ordinal(x[2]))
     if head == "graft":
         if len(x) != 3 or not isinstance(x[2], list):

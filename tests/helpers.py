@@ -1,7 +1,10 @@
 """Shared shorthand for the test suite."""
 
 from wedgetree.ordinals import OMEGA, OMEGA1, ZERO, Ordinal, add, nat, omega_power
-from wedgetree.trees import CARD_OMEGA, CARD_OMEGA1, Card, Full, Graft, Seg, Up, Word
+from wedgetree.topology import Branch, ConeSet, Explicit, UnionSpec
+from wedgetree.trees import (
+    CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, Seg, Up, Word,
+)
 
 W = OMEGA
 W1 = OMEGA1
@@ -48,3 +51,35 @@ REMARK_TREE = graft(seg(W1), (seg(0), CARD_OMEGA))  # w1-chain with omega points
 BINARY_W = full(2, o(W, 1))
 FAN_OMEGA = graft(seg(0), (seg(0), CARD_OMEGA))
 FAN_OMEGA1 = graft(seg(0), (seg(0), CARD_OMEGA1))
+
+
+def separating_family_cases():
+    """(tree, S) for the separating-family suite of acceptance criterion 8."""
+    tall = graft(seg(4), (full(2, o(W1, 1)), 2))
+    return [
+        (BINARY_W1, Branch((word("0", W1),))),                        # S1 empty
+        (BINARY_W1, Explicit(((word("0", W1),), (Child(1),)))),       # S1 = {top}
+        (BINARY_W1, UnionSpec((Branch((word("0", W1),)),
+                               Explicit(((Child(1),),))))),
+        (BINARY_W1, Explicit(((word("0", W1),), (word("1", W1),)))),  # two tops
+        (BINARY_W1, ConeSet((word("0", W1),))),                       # singleton cone
+        (BINARY_W1, ConeSet((word("0", 2),))),
+        (BINARY_W1, UnionSpec((Branch((word("0", W1),)),
+                               Branch((word("1", W1),))))),
+        (seg(W1), Branch((up(W1),))),
+        (seg(W1), Explicit(((up(W1),), (up(3),)))),
+        (seg(W1), ConeSet((up(W),))),
+        (full(3, o(W1, 1)), Explicit(((word("0", W1),), (word("2", W1),)))),
+        (full(3, o(W1, 1)), Branch((word("2", W1),))),
+        (full("w", o(W1, 1)), Explicit(((word("3", W1),), (Child(1),)))),
+        (tall, Branch((up(4), Copy(0, 0), word("0", W1)))),
+        (tall, Explicit(((up(4), Copy(0, 0), word("0", W1)),
+                         (up(4), Copy(0, 1), word("1", 2))))),
+        (BINARY_W1, UnionSpec((ConeSet((word("0", W1),)),
+                               Explicit(((word("0", 3), Child(1)),))))),
+        (BINARY_W1, Explicit(((word("0", W1),),))),
+        (seg(W1), UnionSpec((Branch((up(W),)), Explicit(((up(W1),),))))),
+        (BINARY_W1, UnionSpec((Branch((word("0", W1),)),
+                               ConeSet((Child(1), Child(1)))))),
+        (full(2, o(W1, 1)), Explicit(((Child(1), word("0", W1)),))),
+    ]

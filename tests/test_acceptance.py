@@ -21,7 +21,7 @@ from wedgetree.trees import (
 )
 from wedgetree.topology import (
     ALREADY_SIGMA_OPEN, Branch, CDiff, ClubFamily, Cone, ConeComplement,
-    ConeSet, Explicit, Indexed, MaximalityWitness, OmegaFamily, Param,
+    Explicit, Indexed, MaximalityWitness, OmegaFamily, Param,
     SeqSpec, Topology, UnionSpec, Verdict, Wedge, club_accumulation,
     cluster_or_limit, contains, countably_closed_witness, fu_extract,
     maximality_witness, member, sample_members,
@@ -37,7 +37,7 @@ from wedgetree.corpus import random_description
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o as osum,
-    seg, up, word,
+    separating_family_cases, seg, up, word,
 )
 
 
@@ -364,37 +364,6 @@ def test_criterion_7_maximality():
 
 # -- criterion 8: separating-family suite ---------------------------------------------------
 
-def _family_instances():
-    tall = graft(seg(4), (full(2, osum(W1, 1)), 2))
-    return [
-        (BINARY_W1, Branch((word("0", W1),))),                        # S1 empty
-        (BINARY_W1, Explicit(((word("0", W1),), (Child(1),)))),       # S1 = {top}
-        (BINARY_W1, UnionSpec((Branch((word("0", W1),)),
-                               Explicit(((Child(1),),))))),
-        (BINARY_W1, Explicit(((word("0", W1),), (word("1", W1),)))),  # two tops
-        (BINARY_W1, ConeSet((word("0", W1),))),                       # singleton cone
-        (BINARY_W1, ConeSet((word("0", 2),))),
-        (BINARY_W1, UnionSpec((Branch((word("0", W1),)),
-                               Branch((word("1", W1),))))),
-        (seg(W1), Branch((up(W1),))),
-        (seg(W1), Explicit(((up(W1),), (up(3),)))),
-        (seg(W1), ConeSet((up(W),))),
-        (full(3, osum(W1, 1)), Explicit(((word("0", W1),), (word("2", W1),)))),
-        (full(3, osum(W1, 1)), Branch((word("2", W1),))),
-        (full("w", osum(W1, 1)), Explicit(((word("3", W1),), (Child(1),)))),
-        (tall, Branch((up(4), Copy(0, 0), word("0", W1)))),
-        (tall, Explicit(((up(4), Copy(0, 0), word("0", W1)),
-                         (up(4), Copy(0, 1), word("1", 2))))),
-        (BINARY_W1, UnionSpec((ConeSet((word("0", W1),)),
-                               Explicit(((word("0", 3), Child(1)),))))),
-        (BINARY_W1, Explicit(((word("0", W1),),))),
-        (seg(W1), UnionSpec((Branch((up(W),)), Explicit(((up(W1),),))))),
-        (BINARY_W1, UnionSpec((Branch((word("0", W1),)),
-                               ConeSet((Child(1), Child(1)))))),
-        (full(2, osum(W1, 1)), Explicit(((Child(1), word("0", W1)),))),
-    ]
-
-
 def _sample_S_points(d, S, rng, count):
     pts = []
     for x in sample_members(d, S, 8):
@@ -412,7 +381,7 @@ def test_criterion_8_separating_families():
     rng = random.Random(81)
     total = good = 0
     saw_empty = saw_nonempty = False
-    for d, S in _family_instances():
+    for d, S in separating_family_cases():
         fam = build_separating_family(d, S)
         saw_empty = saw_empty or not fam.singletons
         saw_nonempty = saw_nonempty or bool(fam.singletons)

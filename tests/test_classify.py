@@ -8,7 +8,9 @@ from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
     TildeOf, Word, ancestor_at, children, resolve, validate,
 )
-from wedgetree.topology import Branch, ConeSet, Explicit, OmegaFamily, Param, UnionSpec
+from wedgetree.topology import (
+    Branch, ConeSet, Explicit, OmegaFamily, Param, UnionSpec, sample_members,
+)
 from wedgetree.classify import (
     V3, BinaryEmbedding, build_separating_family, binary_obstruction,
     check_point_countable, check_t0, classify_report, gdelta_analysis,
@@ -20,7 +22,7 @@ from wedgetree.dsl import parse_address, read_sexpr
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, W2, full, graft, o,
-    seg, up, word,
+    separating_family_cases, seg, up, word,
 )
 
 
@@ -138,6 +140,22 @@ def test_family_point_countable():
     fam = build_separating_family(BINARY_W1, Branch((word("0", W1),)))
     pts = [(word("0", W),), (word("0", 4),), ()]
     assert check_point_countable(BINARY_W1, fam, pts)
+
+
+def test_family_members_are_kept_per_point():
+    for d, S in separating_family_cases():
+        fam = build_separating_family(d, S)
+        pts = {x.parts: x for x in sample_members(d, S, 8)}
+        pts.update((s.parts, s) for s in fam.singletons)
+        for x in pts.values():
+            first = fam.members_containing(x)
+            want = list(first)
+            assert want, (d, x.parts)  # the cone at the root holds every point
+            first.append(("singleton", x))
+            again = fam.members_containing(x)
+            assert again == want, (d, x.parts)
+            again.clear()
+            assert fam.members_containing(x) == want, (d, x.parts)
 
 
 def test_family_checks_on_random_pairs():

@@ -101,6 +101,15 @@ def test_selftest_with_corpus_file(tmp_path, capsys):
     assert payload[0]["total"] == 3 and payload[0]["ok"]
 
 
+def test_selftest_counts_a_tree_it_cannot_classify_as_a_failure(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("(seg w1)\n(full 2 w)\n")  # the second is not chain complete
+    code, out = run(capsys, "selftest", "classify", "--corpus", str(corpus), "--json")
+    assert code == 1
+    assert json.loads(out) == [{"suite": "report-consistency", "passed": 1,
+                                "total": 2, "ok": False}]
+
+
 def test_witness_roundtrip_verified_follows_the_round_trip_law(capsys, monkeypatch):
     import wedgetree.constructions as constructions
 

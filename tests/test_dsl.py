@@ -50,6 +50,12 @@ def test_parse_descriptions():
     assert dsl.parse_desc(dsl.read_sexpr("(full w (+ w 1))")) == full("w", o(W, 1))
 
 
+def test_full_branching_must_be_positive():
+    for text in ("(full 0 3)", "(full 00 (+ w1 1))", "(full x 3)"):
+        with pytest.raises(ParseError):
+            dsl.parse_desc(dsl.read_sexpr(text))
+
+
 def test_parse_addresses():
     addr = dsl.parse_address(dsl.read_sexpr('(addr (up w) (copy 0 3) (word "01" 2) (below))'))
     assert addr == (Up(OMEGA), Copy(0, 3), Word((0, 1), nat(2)), Below())

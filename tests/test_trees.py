@@ -544,6 +544,47 @@ def test_each_ancestor_is_found_once_per_view(monkeypatch):
         [k for k, c in found.items() if c > 1][:3]
 
 
+# -- memoized tree order -------------------------------------------------------------
+
+def _order_pools():
+    """(tree, parts) for corpus trees and the nested hat/tilde trees: the
+    parts of sampled nodes and of the sites, which carry below-markers."""
+    rng = random.Random(17)
+    descs = []
+    while len(descs) < 20:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except (BadGraftBase, NotChainComplete):
+            continue
+        descs.append(d)
+    pools = []
+    for d in descs + _walk_trees():
+        nodes = sample_nodes(d, random.Random(len(pools)), 8) + list(unc_sites(d))
+        pools.append((d, sorted({n.parts for n in nodes}, key=repr)))
+    return pools
+
+
+def test_memoized_order_agrees_with_the_plain_one():
+    from hypothesis import given, settings, strategies as st
+
+    pools = _order_pools()
+    assert any(p and p[-1][0] == "below" for _, parts in pools for p in parts)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(pools), st.data())
+    def run(pool, data):
+        d, parts = pool
+        a = data.draw(st.sampled_from(parts))
+        b = data.draw(st.sampled_from(parts))
+        for x, y in ((a, b), (b, a), (a, a)):
+            want = trees.leq_parts.__wrapped__(x, y)
+            assert trees.leq_parts(x, y) is want, (d, x, y)
+            assert trees.leq_parts(x, y) is want, (d, x, y)
+
+    run()
+
+
 # -- hat / tilde views -------------------------------------------------------------
 
 def test_hat_inserts_point_below_uncountable_node():
