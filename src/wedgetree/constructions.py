@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    NotClosed, PreconditionFailed, UndecidableTailPattern, WedgeTreeError,
+    InvalidAddress, NotClosed, PreconditionFailed, UndecidableTailPattern,
+    WedgeTreeError,
 )
 from .ordinals import ONE, Cofinality, add, cmp, pred
 from .trees import (
-    Below, Card, Full, Graft, HatOf, Seg, TildeOf, ancestor_at, as_node,
+    Below, Card, Full, Graft, HatOf, Node, Seg, TildeOf, ancestor_at, as_node,
     children, hat_shift, height, leq_parts, resolve, structure_ok,
     tilde_shift, unc_sites, validate, view,
 )
@@ -120,36 +121,54 @@ def r_flags(d):
 
 # -- structural isomorphism (normal forms plus node-level spot checks) -------------
 
-def _spot_addresses(d):
-    """A panel of resolvable addresses of d covering the structural regions,
-    every uncountable-cofinality site included."""
-    out = [()]
+# the spot panel's breadth-first walk from the root: a few nodes past the
+# root and the leftmost top, enough to meet a branching and a limit level
+_WALK_NODES = 6   # walk nodes the panel keeps, so a check stays a handful
+_WALK_KIDS = 2    # children asked of each node: two show a branching
+_WALK_WIDTH = 3   # nodes kept per level, so a wide tree is walked deeper
+_WALK_DEPTH = 6   # levels walked; each adds a node, so _WALK_NODES binds first
+
+
+def _walk_nodes(d, root):
+    """The first ``_WALK_NODES`` nodes of a breadth-first walk from root."""
+    out = []
+    frontier = [root]
+    for _ in range(_WALK_DEPTH):
+        nxt = []
+        for n in frontier:
+            for c in children(d, n, _WALK_KIDS):
+                out.append(c)
+                if len(out) == _WALK_NODES:
+                    return out
+                nxt.append(c)
+        frontier = nxt[:_WALK_WIDTH]
+    return out
+
+
+def _spot_nodes(d):
+    """A panel of nodes of d covering the structural regions, every
+    uncountable-cofinality site included: the root, the leftmost top, the
+    sites and the walk's nodes, the first node at each address kept.  A spot
+    check's ``translate`` maps each panel node to an address of the other
+    tree, so the panel is never resolved on d itself."""
     v = view(d)
+    root = v.root()
+    out = [root]
     try:
-        out.append(v.leftmost_top().address())
+        out.append(v.leftmost_top())
     except WedgeTreeError:
         pass
-    for s in unc_sites(d):
-        out.append(s.address())
-    rng_nodes = []
+    out.extend(unc_sites(d))
     try:
-        root = resolve(d, ())
-        frontier = [root]
-        for _ in range(6):
-            nxt = []
-            for n in frontier:
-                for c in children(d, n, 2):
-                    rng_nodes.append(c)
-                    nxt.append(c)
-            frontier = nxt[:3]
-        out.extend(n.address() for n in rng_nodes[:6])
+        out.extend(_walk_nodes(d, root))
     except WedgeTreeError:
         pass
     seen, uniq = set(), []
-    for a in out:
+    for n in out:
+        a = n.address()
         if a not in seen:
             seen.add(a)
-            uniq.append(a)
+            uniq.append(n)
     return uniq
 
 
@@ -165,27 +184,26 @@ def _site_summary(d):
 def iso_check(d1, d2, translate=None):
     """Structural equality of normal forms plus spot agreement of node data.
 
-    With ``translate`` the check runs through the given address map instead.
+    With ``translate``, a map from a node of d1 to an address of d2, the
+    check compares d1's spot panel with d2 at the mapped addresses instead.
     This is a sound isomorphism check for the round-trip shapes it is used
     on, not a general tree-isomorphism decision."""
     if cmp(height(d1), height(d2)) != 0:
         return False
     if translate is not None:
-        return _spot_iso(d1, d2, _spot_addresses(d1), translate)
+        return _spot_iso(d1, d2, _spot_nodes(d1), translate)
     return normalize(d1) == normalize(d2) and _site_summary(d1) == _site_summary(d2)
 
 
-def _spot_iso(d1, d2, addrs, translate):
-    """Node data of d1 at ``addrs`` against d2 at the translated addresses;
-    the caller has checked that the heights agree."""
-    for addr in addrs:
+def _spot_iso(d1, d2, nodes, translate):
+    """Node data of the panel ``nodes`` of d1 against d2 at the addresses
+    ``translate`` maps them to; the caller has checked that the heights
+    agree."""
+    for a in nodes:
+        addr = translate(a)
         try:
-            a = resolve(d1, addr)
-        except WedgeTreeError:
-            continue
-        try:
-            b = resolve(d2, translate(addr))
-        except WedgeTreeError:
+            b = resolve(d2, addr)
+        except InvalidAddress:
             return False
         if not _node_data_match(a, b):
             return False
@@ -204,23 +222,23 @@ def roundtrip_check(d):
     trees whose uncountable-cofinality nodes have at most one successor."""
     structure_ok(d)
     th = TildeOf(HatOf(d))
-    ident = lambda a: a  # removing the split points restores original addresses
+    ident = Node.address  # removing the split points restores the addresses
     _, r1 = r_flags(d)
-    addrs = _spot_addresses(d)  # shared by both spot checks from d
+    nodes = _spot_nodes(d)  # shared by both spot checks from d
     tilde_hat_ok = iso_check(th, d) and \
-        iso_check(th, d, translate=ident) and _spot_iso(d, th, addrs, ident)
-    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), addrs)
+        iso_check(th, d, translate=ident) and _spot_iso(d, th, nodes, ident)
+    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), nodes)
     return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
 
 
 def _hat_tilde_translate(d):
-    """Candidate address translation d -> hat(tilde(d)) for r1 trees."""
-    def translate(addr):
-        node = resolve(d, addr)
+    """Candidate translation from a node of d to an address of hat(tilde(d))
+    for r1 trees."""
+    def translate(node):
         if node.cof is not Cofinality.OMEGA1:
-            return addr
+            return node.address()
         if node.maximal:
-            return addr  # the completion point carries the same address
+            return node.address()  # the completion point has the same address
         kid = children(d, node, 2)
         if len(kid) != 1:
             raise UndecidableTailPattern("not an r1 position")
@@ -228,12 +246,12 @@ def _hat_tilde_translate(d):
     return translate
 
 
-def _hat_tilde_spot_iso(d, ht_, addrs):
+def _hat_tilde_spot_iso(d, ht_, nodes):
     try:
         return cmp(height(d), height(ht_)) == 0 and \
-            _spot_iso(d, ht_, addrs, _hat_tilde_translate(d))
-    except WedgeTreeError:
-        return False
+            _spot_iso(d, ht_, nodes, _hat_tilde_translate(d))
+    except (InvalidAddress, UndecidableTailPattern):
+        return False  # children the walk rejects, or a site not in r1 position
 
 
 # -- disjoint closures in the hat compactification -----------------------------------

@@ -37,6 +37,12 @@ class NotChainComplete(WedgeTreeError):
     code = "not-chain-complete"
 
 
+class BadBranching(WedgeTreeError, ValueError):
+    """A full tree's branching is neither a positive integer nor w (a
+    ValueError too, as it was before it had a code)."""
+    code = "bad-branching"
+
+
 class BadGraftBase(WedgeTreeError):
     """Graft base has no maximal nodes at its top level (height not a
     successor)."""

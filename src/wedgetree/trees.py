@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, wraps
 
 from .errors import (
-    BadGraftBase, GapAddress, InvalidAddress, NotChainComplete,
+    BadBranching, BadGraftBase, GapAddress, InvalidAddress, NotChainComplete,
     UnsupportedAddress,
 )
 from .ordinals import (
@@ -1065,7 +1065,7 @@ def structure_ok(desc):
         return
     if isinstance(desc, Full):
         if desc.k != OMEGA_BRANCH and (not isinstance(desc.k, int) or desc.k < 1):
-            raise ValueError("branching must be a positive integer or w")
+            raise BadBranching("branching must be a positive integer or w")
         if desc.h.is_zero or desc.h.kind() != "successor":
             raise NotChainComplete(
                 "a full tree of limit height has cofinal branches without suprema")

@@ -7,27 +7,24 @@ material is symbolic, so there is nothing to approximate.
 import itertools
 import random
 
-import pytest
-
 from wedgetree import ordinals as o
 from wedgetree.errors import NotClosed
 from wedgetree.ordinals import (
-    OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, times_nat,
+    OMEGA, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, times_nat,
 )
 from wedgetree.trees import (
-    Below, CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf,
-    Seg, TildeOf, Up, Word, ancestor_at, children, height, leq, resolve,
-    unc_sites, validate,
+    Below, CARD_OMEGA, CARD_OMEGA1, Child, Copy, HatOf, Seg, TildeOf, Up, Word,
+    leq, resolve, unc_sites, validate,
 )
 from wedgetree.topology import (
     ALREADY_SIGMA_OPEN, Branch, CDiff, ClubFamily, Cone, ConeComplement,
-    Explicit, Indexed, MaximalityWitness, OmegaFamily, Param,
-    SeqSpec, Topology, UnionSpec, Verdict, Wedge, club_accumulation,
-    cluster_or_limit, contains, countably_closed_witness, fu_extract,
-    maximality_witness, member, sample_members,
+    Explicit, MaximalityWitness, OmegaFamily, Param, SeqSpec, Topology,
+    UnionSpec, Verdict, Wedge, club_accumulation, cluster_or_limit, contains,
+    countably_closed_witness, fu_extract, maximality_witness, member,
+    sample_members,
 )
 from wedgetree.constructions import (
-    disjoint_closures, hat, is_r1_tree, roundtrip_check, tilde,
+    disjoint_closures, hat, is_r1_tree, roundtrip_check,
 )
 from wedgetree.classify import (
     V3, build_separating_family, check_point_countable, check_t0,

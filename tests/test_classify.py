@@ -3,25 +3,25 @@ import random
 import pytest
 
 from wedgetree.errors import HeightTooLarge
-from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, add, cmp, nat, times_nat
+from wedgetree.ordinals import ONE, add, nat, times_nat
 from wedgetree.trees import (
-    CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
-    TildeOf, Word, ancestor_at, children, resolve, validate,
+    CARD_OMEGA, CARD_OMEGA1, Child, HatOf, TildeOf, ancestor_at, children,
+    resolve, validate,
 )
 from wedgetree.topology import (
-    Branch, ConeSet, Explicit, OmegaFamily, Param, UnionSpec, sample_members,
+    Branch, Explicit, UnionSpec, sample_members,
 )
 from wedgetree.classify import (
-    V3, BinaryEmbedding, build_separating_family, binary_obstruction,
-    check_point_countable, check_t0, classify_report, gdelta_analysis,
-    gdelta_class, gdelta_intersection_oracle, has_omega1_chain, r_flags,
+    V3, build_separating_family, binary_obstruction, check_point_countable,
+    check_t0, classify_report, gdelta_analysis, gdelta_class,
+    gdelta_intersection_oracle, has_omega1_chain, r_flags,
 )
 from wedgetree.constructions import hat
 from wedgetree.corpus import random_description
 from wedgetree.dsl import parse_address, read_sexpr
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, W2, full, graft, o,
+    BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
     separating_family_cases, seg, up, word,
 )
 

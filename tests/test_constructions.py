@@ -1,25 +1,25 @@
 import random
+from collections import Counter
 
 import pytest
 
 from wedgetree.errors import NotClosed, PreconditionFailed
-from wedgetree.ordinals import OMEGA, ONE, ZERO, Cofinality, add, cmp, nat, times_nat
+from wedgetree.ordinals import ONE, add, cmp, times_nat
 from wedgetree.trees import (
-    Below, CARD_OMEGA, Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf,
-    Word, children, height, resolve, unc_sites, validate,
+    CARD_OMEGA, Card, Child, Copy, Full, Graft, HatOf, TildeOf, Word, height,
+    resolve, validate,
 )
 from wedgetree.topology import (
     Branch, ClubFamily, Explicit, OmegaFamily, Param, UnionSpec,
 )
 from wedgetree.constructions import (
-    DisjointVerdict, disjoint_closures, hat, is_r1_tree, iso_check, normalize,
-    roundtrip_check, tilde,
+    disjoint_closures, hat, is_r1_tree, iso_check, normalize, roundtrip_check,
+    tilde,
 )
 from wedgetree.corpus import random_description
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o,
-    seg, up, word,
+    BINARY_W, BINARY_W1, REMARK_TREE, W, W1, full, graft, o, seg, up, word,
 )
 
 
@@ -125,17 +125,38 @@ def test_roundtrip_check_propagates_programming_errors(monkeypatch):
 
 def test_roundtrip_check_builds_each_spot_panel_once(monkeypatch):
     import wedgetree.constructions as constructions
-    real = constructions._spot_addresses
+    real = constructions._spot_nodes
     seen = []
 
     def counted(d):
         seen.append(d)
         return real(d)
 
-    monkeypatch.setattr(constructions, "_spot_addresses", counted)
+    monkeypatch.setattr(constructions, "_spot_nodes", counted)
     rt = roundtrip_check(BINARY_W1)
     assert rt.tilde_hat_ok and rt.hat_tilde_ok == rt.is_r1
     assert len(seen) == 2 and set(seen) == {BINARY_W1, TildeOf(HatOf(BINARY_W1))}
+
+
+def test_roundtrip_check_resolves_each_panel_on_the_other_tree(monkeypatch):
+    # a panel carries its nodes, so its addresses are resolved only on the
+    # tree it is compared with, once each, and never on its own tree
+    import wedgetree.constructions as constructions
+    th = TildeOf(HatOf(BINARY_W1))
+    panel = {t: Counter(n.address() for n in constructions._spot_nodes(t))
+             for t in (BINARY_W1, th)}
+    real = constructions.resolve
+    calls = []
+
+    def counted(desc, steps):
+        calls.append((desc, tuple(steps)))
+        return real(desc, steps)
+
+    monkeypatch.setattr(constructions, "resolve", counted)
+    rt = roundtrip_check(BINARY_W1)
+    assert rt.tilde_hat_ok and rt.hat_tilde_ok == rt.is_r1
+    assert Counter(a for t, a in calls if t == BINARY_W1) == panel[th]
+    assert Counter(a for t, a in calls if t == th) == panel[BINARY_W1]
 
 
 def test_hat_output_is_always_r1():

@@ -6,12 +6,12 @@ from wedgetree.errors import ParseError
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat,
 )
-from wedgetree.trees import Below, Card, Child, Copy, Full, Seg, Up, Word, resolve
-from wedgetree.topology import Branch, ClubFamily, Explicit, OmegaFamily, Param, UnionSpec
+from wedgetree.trees import Below, Child, Copy, Up, Word, resolve
+from wedgetree.topology import Param, UnionSpec
 from wedgetree import dsl
 from wedgetree.corpus import random_description
 
-from helpers import BINARY_W1, REMARK_TREE, W, W1, full, graft, o, seg, up, word
+from helpers import BINARY_W1, REMARK_TREE, W, W1, full, o, seg
 
 
 def rt_ordinal(text):

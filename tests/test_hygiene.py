@@ -1,17 +1,17 @@
-"""Import hygiene of the library modules, checked with the stdlib ast module.
+"""Import hygiene of the library and test modules, checked with stdlib ast.
 
-Every name a module imports is used in it, unless the import is an explicit
-re-export (``import X as X``), and no module imports an underscore-prefixed
-name from another wedgetree module or reads an underscore-prefixed attribute
-that it does not define itself.  Every ``lru_cache``/``cache`` memo is bounded
-by a named size, and no code sets an attribute of the shared ``Node``s that
-the views memoize.  ``__init__.py`` imports no library module (it maps each
-public name to its home module and loads that module on first use), so it
-is not checked here; instead the package surface is checked, and fresh
-interpreters check that the CLI and its light commands leave the heavy
-modules unloaded.  The description and address-step classes of ``trees`` are
-frozen, slotted values whose stored hash never shows, not even in a copy or
-a pickle.
+Every name a library or test module imports is used in it, unless the import
+is an explicit re-export (``import X as X``), and no library module imports an
+underscore-prefixed name from another wedgetree module or reads an
+underscore-prefixed attribute that it does not define itself.  Every
+``lru_cache``/``cache`` memo is bounded by a named size, and no code sets an
+attribute of the shared ``Node``s that the views memoize.  ``__init__.py``
+imports no library module (it maps each public name to its home module and
+loads that module on first use), so it is not checked here; instead the
+package surface is checked, and fresh interpreters check that the CLI and its
+light commands leave the heavy modules unloaded.  The description and
+address-step classes of ``trees`` are frozen, slotted values whose stored hash
+never shows, not even in a copy or a pickle.
 """
 
 import ast
@@ -36,6 +36,7 @@ from wedgetree.trees import (
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wedgetree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imports(tree):
@@ -59,11 +60,12 @@ def _is_wedgetree(module, level):
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"series.py", "topology.py", "trees.py"}
+    assert {p.name for p in TESTS} >= {"helpers.py", "test_hygiene.py"}
 
 
 def test_no_unused_imports():
     unused = []
-    for path in MODULES:
+    for path in MODULES + TESTS:
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
         for bound, _, _, _, reexport in _imports(tree):

@@ -5,20 +5,22 @@ import pytest
 from wedgetree.errors import (
     IllegalWedge, NotAccumulating, NotInClosure, PreconditionFailed,
 )
-from wedgetree.ordinals import OMEGA, ONE, ZERO, Cofinality, add, cmp, nat, times_nat
+from wedgetree.ordinals import ONE, ZERO, cmp, nat
 from wedgetree.trees import (
-    Below, CARD_OMEGA, Card, Child, Copy, Up, Word, children, leq, meet,
-    resolve, validate,
+    Child, Copy, Up, Word, leq, resolve, validate,
 )
 from wedgetree.topology import (
-    ALREADY_SIGMA_OPEN, Branch, CDiff, ClubFamily, Cone, ConeComplement,
+    ALREADY_SIGMA_OPEN, CDiff, ClubFamily, Cone, ConeComplement,
     EventuallyConstant, Explicit, Indexed, MaximalityWitness, OmegaFamily,
     Param, SeqSpec, Topology, UnionSpec, Verdict, Wedge, club_accumulation,
     cluster_or_limit, contains, countably_closed_witness, fu_extract,
-    instantiate, is_subbasic, maximality_witness, member,
+    is_subbasic, maximality_witness, member,
 )
 
-from helpers import BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o, seg, up, word
+from helpers import (
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, o, seg, up,
+    word,
+)
 
 
 ZERO_ONE_BRANCH = [word("0", W1)]          # 0^(w1) in the binary tree

@@ -3,18 +3,19 @@ import random
 import pytest
 
 from wedgetree.errors import (
-    BadGraftBase, GapAddress, InvalidAddress, NotChainComplete, UnsupportedAddress,
+    BadBranching, BadGraftBase, GapAddress, InvalidAddress, NotChainComplete,
+    UnsupportedAddress, WedgeTreeError,
 )
-from wedgetree.ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, add, cmp, nat, times_nat
+from wedgetree.ordinals import ONE, ZERO, Cofinality, add, cmp, nat, times_nat
 from wedgetree.trees import (
     Below, CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf,
-    Node, Seg, TildeOf, Up, Word, ancestor_at, child_toward, children,
+    Node, Seg, TildeOf, ancestor_at, child_toward, children,
     cofinal_I_nodes, height, is_chain_complete, leq, meet, node_at, resolve,
     unc_sites, validate, view,
 )
 from wedgetree import trees
 from wedgetree.classify import build_separating_family, classify_report
-from wedgetree.constructions import _spot_addresses, roundtrip_check
+from wedgetree.constructions import _spot_nodes, roundtrip_check
 from wedgetree.corpus import random_description, sample_nodes
 from wedgetree.topology import ConeSet
 
@@ -37,6 +38,16 @@ def test_validate_graft_base_must_be_topped():
     with pytest.raises(BadGraftBase):
         # base of limit height has no top level to graft onto
         validate(Graft(TildeOf(BINARY_W1), ((seg(0), Card.fin(1)),)))
+
+
+def test_bad_branching_is_a_library_error():
+    # the parser rejects (full 0 3); a description built in code reaches
+    # structure_ok, which answers with a coded library error
+    d = Full(0, nat(3))
+    for check in (validate, classify_report, roundtrip_check):
+        with pytest.raises(BadBranching) as err:
+            check(d)
+        assert err.value.code == "bad-branching"
 
 
 def test_tilde_of_binary_tree_is_not_chain_complete():
@@ -406,9 +417,58 @@ def _walk_trees():
     return _fact_trees() + nested
 
 
+def _panel(d):
+    """The addresses of the round trip's spot panel of d."""
+    return [n.address() for n in _spot_nodes(d)]
+
+
+def _depth_six_panel(d):
+    """The spot panel's addresses as the panel once built them: a walk to
+    depth 6 whose first six nodes were kept."""
+    out = [()]
+    try:
+        out.append(view(d).leftmost_top().address())
+    except WedgeTreeError:
+        pass
+    out.extend(s.address() for s in unc_sites(d))
+    try:
+        walked, frontier = [], [resolve(d, ())]
+        for _ in range(6):
+            nxt = []
+            for n in frontier:
+                for c in children(d, n, 2):
+                    walked.append(c)
+                    nxt.append(c)
+            frontier = nxt[:3]
+        out.extend(n.address() for n in walked[:6])
+    except WedgeTreeError:
+        pass
+    return list(dict.fromkeys(out))
+
+
+def test_spot_panel_agrees_with_the_depth_six_walk():
+    rng = random.Random(31)
+    trees_ = _walk_trees()
+    drawn = 0
+    while drawn < 300:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except (BadGraftBase, NotChainComplete):
+            continue
+        trees_.append(d)
+        drawn += 1
+    for d in trees_:
+        nodes = _spot_nodes(d)
+        assert [n.address() for n in nodes] == _depth_six_panel(d), d
+        for n in nodes:
+            # each panel node is the node its own address resolves to
+            assert _shape(resolve(d, n.address())) == _shape(n), (d, n)
+
+
 def test_memoized_walks_and_children_agree_with_cold_ones():
     for d in _walk_trees():
-        addrs = _spot_addresses(d)
+        addrs = _panel(d)
         view.cache_clear()
         cold = []
         for a in addrs:
@@ -427,7 +487,7 @@ def test_memoized_walks_and_children_agree_with_cold_ones():
 
 def test_a_resolved_node_is_shared():
     for d in _walk_trees():
-        for a in _spot_addresses(d):
+        for a in _panel(d):
             assert resolve(d, a) is resolve(d, a), (d, a)
 
 
@@ -475,7 +535,7 @@ _ANCESTOR_HEIGHTS = (ZERO, ONE, nat(2), W, o(W, 1), W1, o(W1, 1))
 def _ancestor_cases(d):
     """(address, height) for every spot address and every height of
     ``_ANCESTOR_HEIGHTS`` at most the node's height."""
-    return [(a, h) for a in _spot_addresses(d)
+    return [(a, h) for a in _panel(d)
             for h in _ANCESTOR_HEIGHTS if cmp(h, resolve(d, a).ht) <= 0]
 
 
