@@ -18,7 +18,7 @@ from .ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, n
 from .trees import (
     Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
     ancestor_at, as_node, child_toward, children, height, leq, leq_parts,
-    meet_parts, node_at, resolve, unc_sites, validate, view,
+    meet_parts, node_at, resolve, validate, view,
 )
 from .topology import (
     Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, sample_members,
@@ -278,75 +278,28 @@ def gdelta_class(node):
 class GdeltaReport:
     point: object          # class of the queried point, when one was given
     dense: bool
-    witnesses: tuple = ()  # sample G-delta points, one per structural region
 
 
 def gdelta_analysis(d, x=None):
+    """The G-delta class of ``x`` (when given), and density of the G-delta
+    points, which holds on every valid described tree (rule R8):
+
+    *  Every nonempty open set of the coarse wedge topology contains a point
+       u of cofinality 0: the top of the set's cone part, or else the root.
+    *  If u has countably many immediate successors, u is G-delta.
+    *  Otherwise all but finitely many child cones of u lie inside the open
+       set; children sit at successor heights, so they have cofinality 0 too.
+    *  Only one kind of node has w1 immediate successors: a maximal node of a
+       graft base with a multiplicity-w1 slot.  Seg and Full give at most w,
+       hat and tilde keep ``ims``, and split points have 1.
+    *  A chain crosses the top level of each ``Graft`` subterm at most once,
+       so climbing first children reaches a G-delta point in at most as many
+       steps as ``d`` has ``Graft`` subterms.
+    """
     point = None
     if x is not None:
         point = gdelta_class(as_node(d, x))
-    dense, wits = _dense_gdelta(d)
-    return GdeltaReport(point, dense, wits)
-
-
-def _dense_gdelta(d):
-    """Every basic wedge of every structural region contains a G-delta point:
-    hunt for a successor-height, countably-branching point above each
-    problematic site."""
-    wits = []
-    for node in unc_sites(d) + tuple(resolve(d, a) for a in _fat_addresses(d)):
-        found = _gdelta_above(d, node)
-        if found is None:
-            return False, ()
-        wits.append(found.address())
-    return True, tuple(wits)
-
-
-def _fat_addresses(d):
-    """Addresses of the positions with uncountably many immediate successors."""
-    out = []
-    if isinstance(d, Graft):
-        btop = view(d.base).leftmost_top().address()
-        total = Card.fin(0)
-        for _, m in d.children:
-            total = total.plus(m)
-        if not total.le_omega:
-            out.append(btop)
-        for slot, (child, _) in enumerate(d.children):
-            out.extend(btop + (Copy(slot, 0),) + a for a in _fat_addresses(child))
-        out.extend(_fat_addresses(d.base))
-    elif isinstance(d, (HatOf, TildeOf)):
-        out.extend(_fat_addresses(d.inner))
-    return out
-
-
-# successor heights probed below a limit point for a G-delta representative
-_LIMIT_PROBE_HEIGHTS = (ONE, nat(2), add(OMEGA, ONE))
-
-
-def _gdelta_above(d, node, depth=4):
-    if gdelta_class(node) != "not-gdelta":
-        return node
-    frontier = [node]
-    for _ in range(depth):
-        nxt = []
-        for n in frontier:
-            for c in children(d, n, 2):
-                if gdelta_class(c) != "not-gdelta":
-                    return c
-                nxt.append(c)
-        frontier = nxt
-        if not frontier:
-            break
-    if node.cof is not Cofinality.ZERO:
-        # every wedge below a limit point contains cofinally many
-        # successor-height points; one representative certifies the region
-        for h in _LIMIT_PROBE_HEIGHTS:
-            if cmp(h, node.ht) <= 0:
-                cand = ancestor_at(d, node, h)
-                if gdelta_class(cand) != "not-gdelta":
-                    return cand
-    return None
+    return GdeltaReport(point, dense=True)
 
 
 def gdelta_intersection_oracle(d, x, sample_bases):
@@ -690,12 +643,9 @@ def classify_report(d):
         eng.fire("WeaklyCorson", V3.YES, "R7", "Remark after Thm 4.2")
 
     eng.tried.append("R8")
-    gdelta = gdelta_analysis(d)
-    if gdelta.dense:
-        eng.fire("DenseGdelta", V3.YES, "R8",
-                 "§5 (successor-height points are isolated) / Prop 5.2")
-    else:
-        eng.fire("DenseGdelta", V3.NO, "R8", "§5")
+    # derived for every valid description (see ``gdelta_analysis``)
+    eng.fire("DenseGdelta", V3.YES, "R8",
+             "§5 (successor-height points are isolated) / Prop 5.2")
 
     eng.close()
 

@@ -148,7 +148,7 @@ def _walk_nodes(d, root):
 def _spot_nodes(d):
     """A panel of nodes of d covering the structural regions, every
     uncountable-cofinality site included: the root, the leftmost top, the
-    sites and the walk's nodes, the first node at each address kept.  A spot
+    sites and the walk's nodes, the first node with each parts kept.  A spot
     check's ``translate`` maps each panel node to an address of the other
     tree, so the panel is never resolved on d itself."""
     v = view(d)
@@ -163,13 +163,10 @@ def _spot_nodes(d):
         out.extend(_walk_nodes(d, root))
     except WedgeTreeError:
         pass
-    seen, uniq = set(), []
+    uniq = {}
     for n in out:
-        a = n.address()
-        if a not in seen:
-            seen.add(a)
-            uniq.append(n)
-    return uniq
+        uniq.setdefault(n.parts, n)
+    return list(uniq.values())
 
 
 def _node_data_match(a, b):

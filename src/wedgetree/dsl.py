@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .ordinals import (
-    OMEGA, OMEGA1, ONE, ZERO, add, nat, omega_power, times_nat,
+    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat,
 )
 from .trees import (
     Below, Card, CARD_OMEGA, CARD_OMEGA1, Child, Copy, Full, Graft, HatOf,
@@ -89,25 +89,45 @@ def read_sexpr(text):
     return expr
 
 
+# -- form helpers ----------------------------------------------------------------
+
+def _args(x, form, least, most=None):
+    """The arguments of the list form ``x``: exactly ``least`` of them, or
+    from ``least`` to ``most``; otherwise a ParseError quoting ``form``."""
+    if not least <= len(x) - 1 <= (least if most is None else most):
+        raise ParseError("%s expected" % form)
+    return x[1:]
+
+
+def _nat(x, form):
+    """The NAT that the atom or finite ordinal ``x`` stands for; otherwise a
+    ParseError quoting ``form``."""
+    if isinstance(x, Ordinal):
+        if x.is_finite:
+            return x.to_int()
+    elif isinstance(x, str) and x.isascii() and x.isdigit():
+        return int(x)
+    raise ParseError("%s expected, got %s" % (form, x))
+
+
 # -- ordinals -------------------------------------------------------------------
 
 def parse_ordinal(x, allow_param=False):
     if isinstance(x, str):
-        if x.isdigit():
-            return nat(int(x))
         if x == "w":
             return OMEGA
         if x == "w1":
             return OMEGA1
         if allow_param and x == "n":
             return Param(ZERO, ONE)
-        raise ParseError("not an ordinal atom: %s" % x)
+        return nat(_nat(x, "ordinal atom NAT, w or w1"))
     if not x:
         raise ParseError("empty ordinal form")
     head = x[0]
     if head == "+":
-        out = parse_ordinal(x[1], allow_param)
-        for arg in x[2:]:
+        first, *rest = _args(x, "(+ ORD ...)", 1, len(x))
+        out = parse_ordinal(first, allow_param)
+        for arg in rest:
             nxt = parse_ordinal(arg, allow_param)
             if isinstance(nxt, Param):
                 if isinstance(out, Param):
@@ -121,17 +141,16 @@ def parse_ordinal(x, allow_param=False):
     if head == "*":
         # (* k ORD) is the k-fold sum ORD + ... + ORD, matching the canonical
         # sum-of-terms printing (the left product k*ORD would collapse terms)
-        if len(x) != 3 or not isinstance(x[1], str) or not x[1].isdigit():
-            raise ParseError("(* NAT ORD) expected")
-        return times_nat(parse_ordinal(x[2]), int(x[1]))
+        k, a = _args(x, "(* NAT ORD)", 2)
+        return times_nat(parse_ordinal(a), _nat(k, "(* NAT ORD)"))
     if head == "^":
-        if len(x) != 3 or x[1] != "w":
+        base, e = _args(x, "(^ w ORD)", 2)
+        if base != "w":
             raise ParseError("(^ w ORD) expected")
-        return omega_power(parse_ordinal(x[2]))
+        return omega_power(parse_ordinal(e))
     if head == "lin" and allow_param:
-        if len(x) != 3:
-            raise ParseError("(lin BASE SCALE) expected")
-        return Param(parse_ordinal(x[1]), parse_ordinal(x[2]))
+        base, scale = _args(x, "(lin BASE SCALE)", 2)
+        return Param(parse_ordinal(base), parse_ordinal(scale))
     raise ParseError("not an ordinal form: %r" % (x,))
 
 
@@ -162,14 +181,11 @@ def print_ordinal(o):
 # -- cards ------------------------------------------------------------------------
 
 def parse_card(x):
-    if isinstance(x, str):
-        if x.isdigit():
-            return Card.fin(int(x))
-        if x == "w":
-            return CARD_OMEGA
-        if x == "w1":
-            return CARD_OMEGA1
-    raise ParseError("not a cardinal class: %r" % (x,))
+    if x == "w":
+        return CARD_OMEGA
+    if x == "w1":
+        return CARD_OMEGA1
+    return Card.fin(_nat(x, "cardinal class NAT, w or w1"))
 
 
 def print_card(c):
@@ -183,34 +199,27 @@ def parse_desc(x):
         raise ParseError("not a description: %r" % (x,))
     head = x[0]
     if head == "seg":
-        if len(x) != 2:
-            raise ParseError("(seg ORD) expected")
-        return Seg(parse_ordinal(x[1]))
+        eta, = _args(x, "(seg ORD)", 1)
+        return Seg(parse_ordinal(eta))
     if head == "full":
-        if len(x) != 3:
-            raise ParseError("(full K ORD) expected")
-        k = OMEGA_BRANCH if x[1] == "w" else (
-            int(x[1]) if isinstance(x[1], str) and x[1].isdigit() else 0)
+        k, h = _args(x, "(full K ORD)", 2)
+        k = OMEGA_BRANCH if k == "w" else _nat(k, "branching NAT or w")
         if not k:
             raise ParseError("branching must be a positive NAT or w")
-        return Full(k, parse_ordinal(x[2]))
+        return Full(k, parse_ordinal(h))
     if head == "graft":
-        if len(x) != 3 or not isinstance(x[2], list):
+        base, kids = _args(x, "(graft DESC ((DESC CARD) ...))", 2)
+        if not isinstance(kids, list):
             raise ParseError("(graft DESC ((DESC CARD) ...)) expected")
         children = []
-        for item in x[2]:
+        for item in kids:
             if not isinstance(item, list) or len(item) != 2:
                 raise ParseError("graft child must be (DESC CARD)")
             children.append((parse_desc(item[0]), parse_card(item[1])))
-        return Graft(parse_desc(x[1]), tuple(children))
-    if head == "hat":
-        if len(x) != 2:
-            raise ParseError("(hat DESC) expected")
-        return HatOf(parse_desc(x[1]))
-    if head == "tilde":
-        if len(x) != 2:
-            raise ParseError("(tilde DESC) expected")
-        return TildeOf(parse_desc(x[1]))
+        return Graft(parse_desc(base), tuple(children))
+    if head in ("hat", "tilde"):
+        inner, = _args(x, "(%s DESC)" % head, 1)
+        return (HatOf if head == "hat" else TildeOf)(parse_desc(inner))
     raise ParseError("unknown description form: %r" % (head,))
 
 
@@ -234,12 +243,11 @@ def print_desc(d):
 # -- addresses ------------------------------------------------------------------------
 
 def _parse_letters(s):
-    if not (s.startswith('"') and s.endswith('"')):
+    if not (isinstance(s, str) and s.startswith('"') and s.endswith('"')):
         raise ParseError("word letters must be a quoted string")
     body = s[1:-1]
-    if "," in body:
-        return tuple(int(p) for p in body.split(","))
-    return tuple(int(ch) for ch in body)
+    return tuple(_nat(p, "word letter NAT")
+                 for p in (body.split(",") if "," in body else body))
 
 
 def _print_letters(letters):
@@ -257,31 +265,27 @@ def parse_address(x, allow_param=False):
             raise ParseError("bad step: %r" % (item,))
         head = item[0]
         if head == "up":
-            steps.append(Up(parse_ordinal(item[1], allow_param)))
+            delta, = _args(item, "(up ORD)", 1)
+            steps.append(Up(parse_ordinal(delta, allow_param)))
         elif head == "child":
-            arg = item[1]
-            if allow_param and arg == "n":
-                steps.append(Child(Param(ZERO, ONE)))
-            elif isinstance(arg, list):
-                parsed = parse_ordinal(arg, allow_param)
-                steps.append(Child(parsed if isinstance(parsed, Param)
-                                   else parsed.to_int()))
-            else:
-                steps.append(Child(int(arg)))
+            arg, = _args(item, "(child NAT)", 1)
+            if isinstance(arg, list) or (allow_param and arg == "n"):
+                arg = parse_ordinal(arg, allow_param)
+            steps.append(Child(arg if isinstance(arg, Param)
+                               else _nat(arg, "(child NAT)")))
         elif head == "word":
-            if len(item) != 3:
-                raise ParseError('(word "LETTERS" ORD) expected')
-            steps.append(Word(_parse_letters(item[1]),
-                              parse_ordinal(item[2], allow_param)))
+            letters, count = _args(item, '(word "LETTERS" ORD)', 2)
+            steps.append(Word(_parse_letters(letters),
+                              parse_ordinal(count, allow_param)))
         elif head == "copy":
-            if len(item) != 3:
-                raise ParseError("(copy SLOT IDX) expected")
-            idx = item[2]
+            slot, idx = _args(item, "(copy SLOT IDX)", 2)
             if allow_param and (idx == "n" or isinstance(idx, list)):
-                steps.append(Copy(int(item[1]), parse_ordinal(idx, allow_param)))
+                idx = parse_ordinal(idx, allow_param)
             else:
-                steps.append(Copy(int(item[1]), int(idx)))
+                idx = _nat(idx, "(copy SLOT IDX)")
+            steps.append(Copy(_nat(slot, "(copy SLOT IDX)"), idx))
         elif head == "below":
+            _args(item, "(below)", 0)
             steps.append(Below())
         else:
             raise ParseError("unknown step: %r" % (head,))
@@ -323,23 +327,20 @@ def parse_set(x):
     if head == "explicit":
         return Explicit(tuple(parse_address(a) for a in x[1:]))
     if head == "omega-family":
-        if len(x) != 2:
-            raise ParseError("(omega-family ADDR) expected")
-        tpl = parse_address(x[1], allow_param=True)
+        tpl, = _args(x, "(omega-family ADDR)", 1)
+        tpl = parse_address(tpl, allow_param=True)
         if not has_param(tpl):
             raise ParseError("family template needs the parameter n")
         return OmegaFamily(tpl)
     if head == "club":
-        if len(x) != 3:
-            raise ParseError("(club ANCHOR ADDR) expected")
-        tpl = parse_address(x[2], allow_param=True)
+        anchor, tpl = _args(x, "(club ANCHOR ADDR)", 2)
+        tpl = parse_address(tpl, allow_param=True)
         if not has_param(tpl):
             raise ParseError("family template needs the parameter n")
-        return ClubFamily(parse_address(x[1]), tpl)
-    if head == "branch":
-        return Branch(parse_address(x[1]))
-    if head == "cone-set":
-        return ConeSet(parse_address(x[1]))
+        return ClubFamily(parse_address(anchor), tpl)
+    if head in ("branch", "cone-set"):
+        t, = _args(x, "(%s ADDR)" % head, 1)
+        return (Branch if head == "branch" else ConeSet)(parse_address(t))
     if head == "union":
         return UnionSpec(tuple(parse_set(p) for p in x[1:]))
     raise ParseError("unknown set form: %r" % (head,))
@@ -373,9 +374,11 @@ def parse_seq(x):
         if item[0] == "head":
             head = tuple(parse_address(a) for a in item[1:])
         elif item[0] == "tail":
-            tail = Indexed(parse_address(item[1], allow_param=True))
+            tpl, = _args(item, "(tail ADDR)", 1)
+            tail = Indexed(parse_address(tpl, allow_param=True))
         elif item[0] == "const":
-            tail = EventuallyConstant(parse_address(item[1]))
+            point, = _args(item, "(const ADDR)", 1)
+            tail = EventuallyConstant(parse_address(point))
         else:
             raise ParseError("unknown sequence clause: %r" % (item[0],))
     return SeqSpec(head=head, tail=tail)
@@ -398,14 +401,11 @@ def parse_open(x):
     if not isinstance(x, list) or not x:
         raise ParseError("not a basic open: %r" % (x,))
     head = x[0]
-    if head == "cone":
-        return Cone(parse_address(x[1]))
-    if head == "cocone":
-        return ConeComplement(parse_address(x[1]))
-    if head == "wedge":
-        excluded = tuple(parse_address(a) for a in x[2]) if len(x) > 2 else ()
-        return Wedge(parse_address(x[1]), excluded)
-    if head == "cdiff":
-        excluded = tuple(parse_address(a) for a in x[2]) if len(x) > 2 else ()
-        return CDiff(parse_address(x[1]), excluded)
+    if head in ("cone", "cocone"):
+        t, = _args(x, "(%s ADDR)" % head, 1)
+        return (Cone if head == "cone" else ConeComplement)(parse_address(t))
+    if head in ("wedge", "cdiff"):
+        t, *rest = _args(x, "(%s ADDR (ADDR ...))" % head, 1, 2)
+        excluded = tuple(parse_address(a) for a in rest[0]) if rest else ()
+        return (Wedge if head == "wedge" else CDiff)(parse_address(t), excluded)
     raise ParseError("unknown open form: %r" % (head,))

@@ -25,18 +25,18 @@ node also take its address; ``as_node`` resolves either to a Node.
 
 Descriptions and address steps are frozen, slotted dataclasses that compute
 their hash on first use and keep it.  ``view(desc)`` caches the view of the
-``VIEW_CACHE_SIZE`` most recently used descriptions, and each view computes
-its nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``,
-``leftmost_top``) once: later calls return the same ordinal, node, tuple or
-frozenset, which no caller can change.  A view also walks each
-``(steps, i)`` once, lists the children of each ``(parts, count)`` once and
-finds the ancestor of each ``(parts, h)`` once, so ``resolve`` and
-``ancestor_at`` on a graft, hat or tilde view reach into its inner views at
-an address only the first time.  Calls that raise are not kept.  Resolved
-nodes and ancestors are shared between callers, so no code outside
-``Node.__init__`` sets a node's attributes; ``children`` returns a new list
-on every call.  The tree order on parts, ``leq_parts``, keeps its answer for
-the ``ORDER_CACHE_SIZE`` most recently asked pairs.
+``VIEW_CACHE_SIZE`` most recently used descriptions, and each view keeps one
+``memo`` dict of its answers.  It computes its nullary facts (``height``,
+``unc_sites``, ``maximal_heights``, ``gaps``, ``leftmost_top``) once: later
+calls return the same ordinal, node, tuple or frozenset, which no caller can
+change.  It also walks each ``(steps, i)`` once, lists the children of each
+``(parts, count)`` once and finds the ancestor of each ``(parts, h)`` once, so
+``resolve`` and ``ancestor_at`` on a graft, hat or tilde view reach into its
+inner views at an address only the first time.  Calls that raise are not
+kept.  Resolved nodes and ancestors are shared between callers, so no code
+outside ``Node.__init__`` sets a node's attributes; ``children`` returns a
+new list on every call.  The tree order on parts, ``leq_parts``, keeps its
+answer for the ``ORDER_CACHE_SIZE`` most recently asked pairs.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .ordinals import (
 _EXPAND_CAP = 10000
 
 # Views kept by the ``view`` cache; least recently used go first.  Each cached
-# view keeps its memoized facts, walks, children and ancestors, so an entry
+# view keeps its memo of facts, walks, children and ancestors, so an entry
 # holds many nodes.  At 128 entries the benchmark's corpus workload kept them
 # long enough to push them into the older GC generations: against this bound
 # its peak RSS rose by 0.7-1.0 MB and its p99 latency from 5.4 to 7.2-7.7 ms.
@@ -421,66 +421,62 @@ def meet_parts(a, b):
 
 # -- views ---------------------------------------------------------------------
 
-def _fact(method):
-    """Memoize a nullary view method on its view.
+def _memo(key=None):
+    """Keep a view method's answers in its view's one ``memo`` dict.
 
-    A view belongs to one immutable description, so each such fact (height,
-    sites, maximal heights, gaps, leftmost top) is computed once per view and
-    the same immutable tuple, frozenset, node or ordinal is returned on every
-    later call; a method that raises is called again next time.
-    Methods that return a constant or a stored field need no memo."""
-    name = method.__name__
+    An answer is filed under the method name and ``key(*args)``, or the
+    arguments themselves when ``key`` is None.  A view belongs to one
+    immutable description, so each answer is computed once per view and the
+    same ordinal, node, tuple or frozenset is returned on every later call; a
+    call that raises is not kept and raises again next time."""
+    def memoize(method):
+        name = method.__name__
 
-    @wraps(method)
-    def once(self):
-        try:
-            return self.facts[name]
-        except KeyError:
-            out = self.facts[name] = method(self)
-            return out
+        @wraps(method)
+        def once(self, *args):
+            k = (name, *(args if key is None else key(*args)))
+            try:
+                return self.memo[k]
+            except KeyError:
+                out = self.memo[k] = method(self, *args)
+                return out
 
-    return once
+        return once
+
+    return memoize
+
+
+def _on_parts(node, x):
+    return node.parts, x
 
 
 class _View:
     def __init__(self, desc):
         self.desc = desc
-        self.facts = {}  # method name -> result, filled by ``_fact``
-        self.walks = {}  # (steps, i) -> (node, consumed), filled by ``walk``
-        self.kids = {}   # (parts, count) -> tuple of children, by ``children``
-        self.ancestors = {}  # (parts, h) -> node, filled by ``ancestor_at``
+        self.memo = {}  # (method name, *key) -> answer, filled by ``_memo``
 
+    @_memo()
     def walk(self, steps, i):
         """The node that ``steps[i:]`` leads to, and the index of the first
-        step it could not take, from ``_walk`` once per view and key.
+        step it could not take, from ``_walk``.  The graft, hat and tilde
+        walks catch ``GapAddress`` and ``InvalidAddress`` from their inner
+        views, which raise again on every call.  Callers share the ``Node``."""
+        return self._walk(steps, i)
 
-        A walk that raises is not kept (the graft, hat and tilde walks catch
-        ``GapAddress`` and ``InvalidAddress`` from their inner views), so it
-        raises again on every call.  Callers share the returned ``Node``."""
-        key = (steps, i)
-        out = self.walks.get(key)
-        if out is None:
-            out = self.walks[key] = self._walk(steps, i)
-        return out
+    @_memo(_on_parts)
+    def _kids(self, node, count):
+        return tuple(self._children(node, count))
 
     def children(self, node, count):
         """Up to ``count`` immediate successors of ``node``, from
         ``_children`` once per view, parts and count, as a new list."""
-        key = (node.parts, count)
-        kids = self.kids.get(key)
-        if kids is None:
-            kids = self.kids[key] = tuple(self._children(node, count))
-        return list(kids)
+        return list(self._kids(node, count))
 
+    @_memo(_on_parts)
     def ancestor_at(self, node, h):
         """The ancestor of ``node`` at height ``h`` (at most ``node.ht``),
-        from ``_ancestor_at`` once per view, parts and height.  A call that
-        raises is not kept.  Callers share the returned ``Node``."""
-        key = (node.parts, h)
-        out = self.ancestors.get(key)
-        if out is None:
-            out = self.ancestors[key] = self._ancestor_at(node, h)
-        return out
+        from ``_ancestor_at``.  Callers share the returned ``Node``."""
+        return self._ancestor_at(node, h)
 
     # gap/completeness defaults for the core region views
     def gaps(self):
@@ -505,11 +501,11 @@ class _SegView(_View):
         super().__init__(desc)
         self.eta = desc.eta
 
-    @_fact
+    @_memo()
     def height(self):
         return add(self.eta, ONE)
 
-    @_fact
+    @_memo()
     def maximal_heights(self):
         return frozenset((self.eta,))
 
@@ -544,11 +540,11 @@ class _SegView(_View):
             return []
         return [self._node(add(node.ht, ONE))][:count]
 
-    @_fact
+    @_memo()
     def leftmost_top(self):
         return self._node(self.eta)
 
-    @_fact
+    @_memo()
     def unc_sites(self):
         return tuple(self._node(Ordinal(j, ())) for j in range(1, self.eta.omega1 + 1))
 
@@ -567,7 +563,7 @@ class _FullView(_View):
     def height(self):
         return self.desc.h
 
-    @_fact
+    @_memo()
     def maximal_heights(self):
         return frozenset((self.top,))
 
@@ -659,13 +655,13 @@ class _FullView(_View):
             out.append(self._node(ext))
         return out
 
-    @_fact
+    @_memo()
     def leftmost_top(self):
         if self.top.is_zero:
             return self._node(())
         return self._node([(0, self.top)])
 
-    @_fact
+    @_memo()
     def unc_sites(self):
         return tuple(self._node([(0, Ordinal(j, ()))])
                      for j in range(1, self.top.omega1 + 1)
@@ -684,7 +680,7 @@ class _GraftView(_View):
         self.slots = [(view(d), mult) for d, mult in desc.children]
         self.offset = self.base.height()  # children roots live at this level
 
-    @_fact
+    @_memo()
     def height(self):
         if not self.slots:
             return self.base.height()
@@ -695,7 +691,7 @@ class _GraftView(_View):
                 best = h
         return add(self.base.height(), best)
 
-    @_fact
+    @_memo()
     def maximal_heights(self):
         if not self.slots:
             return self.base.maximal_heights()
@@ -798,7 +794,7 @@ class _GraftView(_View):
             return out
         return [self._wrap_base(c) for c in self.base.children(bnode, count)]
 
-    @_fact
+    @_memo()
     def leftmost_top(self):
         bnode = self.base.leftmost_top()
         if not self.slots:
@@ -806,7 +802,7 @@ class _GraftView(_View):
         child, _ = self.slots[0]
         return self._wrap_child(bnode, 0, 0, child.leftmost_top())
 
-    @_fact
+    @_memo()
     def gaps(self):
         out = list(self.base.gaps())
         if self.slots:
@@ -822,7 +818,7 @@ class _GraftView(_View):
             return True
         return any(child.bounded_supless() for child, _ in self.slots)
 
-    @_fact
+    @_memo()
     def unc_sites(self):
         out = [self._wrap_base(s) for s in self.base.unc_sites()]
         bnode = self.base.leftmost_top()
@@ -846,7 +842,7 @@ class _HatView(_View):
         super().__init__(desc)
         self.inner = view(desc.inner)
 
-    @_fact
+    @_memo()
     def height(self):
         best = ONE  # at least the root level exists
         for mh in self.inner.maximal_heights():
@@ -859,7 +855,7 @@ class _HatView(_View):
                 best = cand
         return best
 
-    @_fact
+    @_memo()
     def maximal_heights(self):
         return frozenset([hat_shift(mh) for mh in self.inner.maximal_heights()]
                          + [g.ht for g in self.inner.gaps()])
@@ -924,14 +920,14 @@ class _HatView(_View):
             return []
         return [self._image(c) for c in self.inner.children(node.inner, count)]
 
-    @_fact
+    @_memo()
     def leftmost_top(self):
         return self._image(self.inner.leftmost_top())
 
     def _completion(self, g):
         return self.walk(parts_to_steps(g.parts), 0)[0]  # the captop filling g
 
-    @_fact
+    @_memo()
     def unc_sites(self):
         return tuple([self._spoint(s) for s in self.inner.unc_sites()]
                      + [self._completion(g) for g in self.inner.gaps()])
@@ -973,7 +969,7 @@ class _TildeView(_View):
             raise InvalidAddress("node at a removed level")
         return self._remap(n), i
 
-    @_fact
+    @_memo()
     def height(self):
         best = ONE
         for mh in self.inner.maximal_heights():
@@ -989,12 +985,12 @@ class _TildeView(_View):
                 best = g.ht
         return best
 
-    @_fact
+    @_memo()
     def maximal_heights(self):
         return frozenset(tilde_shift(mh) for mh in self.inner.maximal_heights()
                          if mh.cof() is not Cofinality.OMEGA1)
 
-    @_fact
+    @_memo()
     def gaps(self):
         return tuple(GapSite(s.parts, s.ht) for s in self.inner.unc_sites()
                      if s.ims.is_zero) + self.inner.gaps()
@@ -1016,14 +1012,14 @@ class _TildeView(_View):
     def _children(self, node, count):
         return [self._remap(c) for c in self.inner.children(node.inner, count)]
 
-    @_fact
+    @_memo()
     def leftmost_top(self):
         n = self.inner.leftmost_top()
         if self._survives(n):
             return self._remap(n)
         raise InvalidAddress("leftmost branch has no surviving top")
 
-    @_fact
+    @_memo()
     def unc_sites(self):
         out = []
         m = self.inner.height().omega1

@@ -1,9 +1,13 @@
 """Shared shorthand for the test suite."""
 
+import random
+
+from wedgetree.corpus import random_description
 from wedgetree.ordinals import OMEGA, OMEGA1, ZERO, Ordinal, add, nat, omega_power
 from wedgetree.topology import Branch, ConeSet, Explicit, UnionSpec
 from wedgetree.trees import (
-    CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, Seg, Up, Word,
+    CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
+    TildeOf, Up, Word, validate,
 )
 
 W = OMEGA
@@ -83,3 +87,40 @@ def separating_family_cases():
                                ConeSet((Child(1), Child(1)))))),
         (full(2, o(W1, 1)), Explicit(((Child(1), word("0", W1)),))),
     ]
+
+
+def fact_trees():
+    """Nested hat/tilde trees and valid random descriptions (seed 12)."""
+    trees = [
+        HatOf(TildeOf(BINARY_W1)),
+        TildeOf(HatOf(BINARY_W1)),
+        graft(HatOf(seg(W1)), (seg(2), 2)),               # grafts over hat bases
+        graft(HatOf(BINARY_W1), (seg(1), 2)),
+        graft(seg(W1), (HatOf(BINARY_W1), 2), (TildeOf(HatOf(seg(o(W1, 3)))), 1)),
+    ]
+    rng = random.Random(12)
+    while len(trees) < 60:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except Exception:
+            continue
+        trees.append(d)
+    return trees
+
+
+def walk_trees():
+    """``fact_trees`` plus trees that nest hat and tilde under graft."""
+    captop = HatOf(TildeOf(BINARY_W1))
+    nested = [
+        graft(seg(W1), (captop, 2), (TildeOf(HatOf(BINARY_W1)), CARD_OMEGA)),
+        graft(HatOf(TildeOf(seg(o(W1, 2)))), (TildeOf(HatOf(seg(o(W1, 1)))), 2)),
+        TildeOf(HatOf(graft(seg(W1), (TildeOf(HatOf(BINARY_W1)), 1)))),
+        HatOf(HatOf(TildeOf(graft(seg(W1), (captop, 1))))),
+        TildeOf(HatOf(graft(HatOf(seg(W1)), (captop, 2)))),
+        graft(TildeOf(HatOf(seg(o(W1, 1)))),
+              (HatOf(TildeOf(graft(seg(W1), (BINARY_W1, 1)))), 1)),
+    ]
+    for d in nested:
+        validate(d)
+    return fact_trees() + nested

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from wedgetree.errors import HeightTooLarge
-from wedgetree.ordinals import ONE, add, nat, times_nat
+from wedgetree.errors import HeightTooLarge, WedgeTreeError
+from wedgetree.ordinals import ONE, Cofinality, add, nat, times_nat
 from wedgetree.trees import (
-    CARD_OMEGA, CARD_OMEGA1, Child, HatOf, TildeOf, ancestor_at, children,
-    resolve, validate,
+    CARD_OMEGA, CARD_OMEGA1, Child, Graft, HatOf, TildeOf, ancestor_at,
+    children, resolve, validate,
 )
 from wedgetree.topology import (
     Branch, Explicit, UnionSpec, sample_members,
@@ -17,12 +17,12 @@ from wedgetree.classify import (
     gdelta_intersection_oracle, has_omega1_chain, r_flags,
 )
 from wedgetree.constructions import hat
-from wedgetree.corpus import random_description
+from wedgetree.corpus import random_description, sample_nodes
 from wedgetree.dsl import parse_address, read_sexpr
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
-    separating_family_cases, seg, up, word,
+    separating_family_cases, seg, up, walk_trees, word,
 )
 
 
@@ -106,6 +106,76 @@ def test_gdelta_oracle_wide_root():
     kids = children(d, root, 3)
     y = gdelta_intersection_oracle(d, root, [(root, [kids[0]]), (root, [kids[1]])])
     assert y.parts not in {k.parts for k in kids[:2]}
+
+
+def _fan(n):
+    """F0 = (seg 0), F(n+1) = (graft (seg 0) ((Fn w1))): n nested w1-fans."""
+    d = seg(0)
+    for _ in range(n):
+        d = graft(seg(0), (d, CARD_OMEGA1))
+    return d
+
+
+def _fan_trees():
+    out = []
+    for n in range(1, 9):
+        f = _fan(n)
+        out += [f, HatOf(f), TildeOf(HatOf(f)), graft(seg(W1), (f, 1))]
+    return out
+
+
+def test_nested_uncountable_fans_have_dense_gdelta_points():
+    for d in _fan_trees():
+        rep = classify_report(d)  # no RuleConflict
+        assert rep.verdict("DenseGdelta") is V3.YES, d
+        assert rep.props["DenseGdelta"].rule == "R8", d
+    rep = classify_report(graft(seg(times_nat(W1, 2)), (_fan(5), 1)))
+    assert rep.verdict("DenseGdelta") is V3.YES
+    assert rep.verdict("WeaklyCorson") is not V3.NO
+
+
+def _grafts(d):
+    """The number of ``Graft`` subterms of d."""
+    if isinstance(d, Graft):
+        return 1 + _grafts(d.base) + sum(_grafts(c) for c, _ in d.children)
+    if isinstance(d, (HatOf, TildeOf)):
+        return _grafts(d.inner)
+    return 0
+
+
+def _climb(d, node):
+    """Steps from a cofinality-0 node up first children, while the node has
+    w1 immediate successors, to a G-delta point; None past the bound."""
+    for steps in range(_grafts(d) + 1):
+        if gdelta_class(node) != "not-gdelta":
+            return steps
+        assert node.ims == CARD_OMEGA1, (d, node.address())
+        node = children(d, node, 1)[0]
+    return None
+
+
+def test_a_gdelta_point_lies_within_the_graft_count_above_every_successor_point():
+    # the lemma behind R8 (see ``gdelta_analysis``), checked by the climb
+    rng = random.Random(13)
+    trees = walk_trees() + _fan_trees()
+    while len(trees) < 400:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except WedgeTreeError:
+            continue
+        trees.append(d)
+    climbs = worst = 0
+    for d in trees:
+        for node in sample_nodes(d, rng, 12):
+            if node.cof is not Cofinality.ZERO:
+                continue
+            steps = _climb(d, node)
+            assert steps is not None, (d, node.address())
+            climbs += 1
+            worst = max(worst, steps)
+    assert climbs > 1000
+    assert worst == 8  # the root of F8
 
 
 # -- separating families -----------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wedgetree.cli import main
 
 
@@ -133,6 +135,24 @@ def test_parse_error_reports_its_position(capsys):
     assert payload["error"] == "parse-error"
     assert payload["message"] == "missing )"
     assert payload["position"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("resolve", "(seg w1)", text) for text in (
+        "(addr (child x))", "(addr (up))", "(addr (child))",
+        "(addr (copy 0 x))", "(addr (copy x 0))", '(addr (word "0a" 3))',
+        "(addr (child (+ w 1)))", "(addr (up (+)))")
+] + [
+    ("classify", "(seg (+))"),
+    ("witness", "separating-family", "(seg w1)", "(branch)"),
+    ("witness", "separating-family", "(seg w1)", "(cone-set)"),
+    ("witness", "maximality", "(seg w1)", "(cone)"),
+    ("witness", "maximality", "(seg w1)", "(wedge)"),
+], ids=lambda argv: argv[-1])
+def test_malformed_forms_are_parse_errors(capsys, argv):
+    code, out = run(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "parse-error"
 
 
 def test_not_closed_error_carries_its_escaping_sequence(capsys):

@@ -76,6 +76,14 @@ def test_parse_sets_and_seqs():
     assert q.head and q.tail
 
 
+def test_sequence_clauses_need_their_address():
+    # no command reads a sequence, so the CLI test of malformed forms cannot
+    # reach these
+    for text in ("(seq (tail))", "(seq (const))"):
+        with pytest.raises(ParseError):
+            dsl.parse_seq(dsl.read_sexpr(text))
+
+
 def test_print_parse_roundtrip_corpus():
     rng = random.Random(99)
     count = 0

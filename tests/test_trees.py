@@ -20,8 +20,8 @@ from wedgetree.corpus import random_description, sample_nodes
 from wedgetree.topology import ConeSet
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o,
-    seg, up, word,
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, fact_trees, full,
+    graft, o, seg, up, walk_trees, word,
 )
 
 
@@ -331,27 +331,8 @@ def test_sites_are_the_nodes_at_their_parts():
 _FACTS = ("height", "unc_sites", "maximal_heights", "gaps")
 
 
-def _fact_trees():
-    trees = [
-        HatOf(TildeOf(BINARY_W1)),
-        TildeOf(HatOf(BINARY_W1)),
-        graft(HatOf(seg(W1)), (seg(2), 2)),               # grafts over hat bases
-        graft(HatOf(BINARY_W1), (seg(1), 2)),
-        graft(seg(W1), (HatOf(BINARY_W1), 2), (TildeOf(HatOf(seg(o(W1, 3)))), 1)),
-    ]
-    rng = random.Random(12)
-    while len(trees) < 60:
-        d = random_description(rng)
-        try:
-            validate(d)
-        except Exception:
-            continue
-        trees.append(d)
-    return trees
-
-
 def test_view_facts_are_computed_once():
-    trees = _fact_trees()
+    trees = fact_trees()
     view.cache_clear()
     cold = {}
     for d in trees:
@@ -372,7 +353,7 @@ def test_view_facts_are_computed_once():
 
 
 def test_leftmost_top_is_computed_once():
-    trees = _fact_trees()
+    trees = fact_trees()
     view.cache_clear()
     cold = {}
     for d in trees:
@@ -399,22 +380,6 @@ def _shape(x):
     if isinstance(x, tuple):
         return tuple(_shape(y) for y in x)
     return x
-
-
-def _walk_trees():
-    captop = HatOf(TildeOf(BINARY_W1))
-    nested = [
-        graft(seg(W1), (captop, 2), (TildeOf(HatOf(BINARY_W1)), CARD_OMEGA)),
-        graft(HatOf(TildeOf(seg(o(W1, 2)))), (TildeOf(HatOf(seg(o(W1, 1)))), 2)),
-        TildeOf(HatOf(graft(seg(W1), (TildeOf(HatOf(BINARY_W1)), 1)))),
-        HatOf(HatOf(TildeOf(graft(seg(W1), (captop, 1))))),
-        TildeOf(HatOf(graft(HatOf(seg(W1)), (captop, 2)))),
-        graft(TildeOf(HatOf(seg(o(W1, 1)))),
-              (HatOf(TildeOf(graft(seg(W1), (BINARY_W1, 1)))), 1)),
-    ]
-    for d in nested:
-        validate(d)
-    return _fact_trees() + nested
 
 
 def _panel(d):
@@ -448,7 +413,7 @@ def _depth_six_panel(d):
 
 def test_spot_panel_agrees_with_the_depth_six_walk():
     rng = random.Random(31)
-    trees_ = _walk_trees()
+    trees_ = walk_trees()
     drawn = 0
     while drawn < 300:
         d = random_description(rng)
@@ -467,7 +432,7 @@ def test_spot_panel_agrees_with_the_depth_six_walk():
 
 
 def test_memoized_walks_and_children_agree_with_cold_ones():
-    for d in _walk_trees():
+    for d in walk_trees():
         addrs = _panel(d)
         view.cache_clear()
         cold = []
@@ -486,13 +451,13 @@ def test_memoized_walks_and_children_agree_with_cold_ones():
 
 
 def test_a_resolved_node_is_shared():
-    for d in _walk_trees():
+    for d in walk_trees():
         for a in _panel(d):
             assert resolve(d, a) is resolve(d, a), (d, a)
 
 
 def test_children_returns_a_new_list():
-    for d in _walk_trees():
+    for d in walk_trees():
         root = resolve(d, ())
         kids = children(d, root, 2)
         again = [_shape(c) for c in kids]
@@ -541,7 +506,7 @@ def _ancestor_cases(d):
 
 def test_memoized_ancestors_agree_with_cold_ones():
     families = 0
-    for d in _walk_trees():
+    for d in walk_trees():
         cases = _ancestor_cases(d)
         view.cache_clear()
         cold = []
@@ -593,7 +558,7 @@ def test_each_ancestor_is_found_once_per_view(monkeypatch):
             found[key] = found.get(key, 0) + 1
             return out
         monkeypatch.setattr(cls, "_ancestor_at", counted)
-    for d in _walk_trees():
+    for d in walk_trees():
         cases = _ancestor_cases(d)
         view.cache_clear()
         for _ in range(2):
@@ -619,7 +584,7 @@ def _order_pools():
             continue
         descs.append(d)
     pools = []
-    for d in descs + _walk_trees():
+    for d in descs + walk_trees():
         nodes = sample_nodes(d, random.Random(len(pools)), 8) + list(unc_sites(d))
         pools.append((d, sorted({n.parts for n in nodes}, key=repr)))
     return pools
