@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    InvalidAddress, NotClosed, PreconditionFailed, UndecidableTailPattern,
-    WedgeTreeError,
+    ChoiceUnavailable, InvalidAddress, NotClosed, NotInClosure,
+    PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
 )
 from .ordinals import ONE, Cofinality, add, cmp, pred
 from .trees import (
-    Below, Card, Full, Graft, HatOf, Node, Seg, TildeOf, ancestor_at, as_node,
+    Below, Card, Full, Graft, HatOf, Seg, TildeOf, ancestor_at, as_node,
     children, hat_shift, height, leq_parts, resolve, structure_ok,
     tilde_shift, unc_sites, validate, view,
 )
@@ -130,7 +130,9 @@ _WALK_DEPTH = 6   # levels walked; each adds a node, so _WALK_NODES binds first
 
 
 def _walk_nodes(d, root):
-    """The first ``_WALK_NODES`` nodes of a breadth-first walk from root."""
+    """The first ``_WALK_NODES`` nodes of a breadth-first walk from root.
+    It only takes immediate successors, which every view lists without
+    raising."""
     out = []
     frontier = [root]
     for _ in range(_WALK_DEPTH):
@@ -149,20 +151,17 @@ def _spot_nodes(d):
     """A panel of nodes of d covering the structural regions, every
     uncountable-cofinality site included: the root, the leftmost top, the
     sites and the walk's nodes, the first node with each parts kept.  A spot
-    check's ``translate`` maps each panel node to an address of the other
-    tree, so the panel is never resolved on d itself."""
+    check resolves each panel node's address, or a translation of it, on the
+    other tree, so the panel is never resolved on d itself."""
     v = view(d)
     root = v.root()
     out = [root]
     try:
         out.append(v.leftmost_top())
-    except WedgeTreeError:
-        pass
+    except InvalidAddress:
+        pass  # a tilde removed the top of the leftmost branch
     out.extend(unc_sites(d))
-    try:
-        out.extend(_walk_nodes(d, root))
-    except WedgeTreeError:
-        pass
+    out.extend(_walk_nodes(d, root))
     uniq = {}
     for n in out:
         uniq.setdefault(n.parts, n)
@@ -178,33 +177,31 @@ def _site_summary(d):
     return sorted((str(s.ht), str(s.ims), s.maximal) for s in unc_sites(d))
 
 
-def iso_check(d1, d2, translate=None):
-    """Structural equality of normal forms plus spot agreement of node data.
-
-    With ``translate``, a map from a node of d1 to an address of d2, the
-    check compares d1's spot panel with d2 at the mapped addresses instead.
-    This is a sound isomorphism check for the round-trip shapes it is used
-    on, not a general tree-isomorphism decision."""
+def iso_check(d1, d2):
+    """Equal heights, equal normal forms and equal site summaries.  This is
+    a sound isomorphism check for the round-trip shapes it is used on, not a
+    general tree-isomorphism decision."""
     if cmp(height(d1), height(d2)) != 0:
         return False
-    if translate is not None:
-        return _spot_iso(d1, d2, _spot_nodes(d1), translate)
     return normalize(d1) == normalize(d2) and _site_summary(d1) == _site_summary(d2)
 
 
-def _spot_iso(d1, d2, nodes, translate):
-    """Node data of the panel ``nodes`` of d1 against d2 at the addresses
-    ``translate`` maps them to; the caller has checked that the heights
-    agree."""
-    for a in nodes:
-        addr = translate(a)
+def _spot_iso(d, pairs):
+    """Node data of each ``(node, address)`` pair against the node of d at
+    that address; the caller has checked that the heights agree."""
+    for a, addr in pairs:
         try:
-            b = resolve(d2, addr)
+            b = resolve(d, addr)
         except InvalidAddress:
             return False
         if not _node_data_match(a, b):
             return False
     return True
+
+
+def _panel(d):
+    """The spot panel of d, each node with its address."""
+    return {n.parts: (n, n.address()) for n in _spot_nodes(d)}
 
 
 @dataclass(frozen=True)
@@ -219,34 +216,32 @@ def roundtrip_check(d):
     trees whose uncountable-cofinality nodes have at most one successor."""
     structure_ok(d)
     th = TildeOf(HatOf(d))
-    ident = Node.address  # removing the split points restores the addresses
     _, r1 = r_flags(d)
-    nodes = _spot_nodes(d)  # shared by both spot checks from d
+    panel = _panel(d)  # each address built once, shared by both spot checks
+    # removing the split points restores the addresses, so each panel is
+    # resolved on the other tree at its own addresses
     tilde_hat_ok = iso_check(th, d) and \
-        iso_check(th, d, translate=ident) and _spot_iso(d, th, nodes, ident)
-    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), nodes)
+        _spot_iso(d, _panel(th).values()) and _spot_iso(th, panel.values())
+    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), panel)
     return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
 
 
-def _hat_tilde_translate(d):
-    """Candidate translation from a node of d to an address of hat(tilde(d))
-    for r1 trees."""
-    def translate(node):
-        if node.cof is not Cofinality.OMEGA1:
-            return node.address()
-        if node.maximal:
-            return node.address()  # the completion point has the same address
-        kid = children(d, node, 2)
-        if len(kid) != 1:
-            raise UndecidableTailPattern("not an r1 position")
-        return kid[0].address() + (Below(),)
-    return translate
+def _hat_tilde_address(d, node, addr, panel):
+    """Candidate translation of ``node`` of d, at address ``addr``, to an
+    address of hat(tilde(d)) for r1 trees."""
+    if node.cof is not Cofinality.OMEGA1 or node.maximal:
+        return addr  # a maximal one's completion point has its address too
+    kid = children(d, node, 2)
+    if len(kid) != 1:
+        raise UndecidableTailPattern("not an r1 position")
+    k = kid[0]
+    return (panel[k.parts][1] if k.parts in panel else k.address()) + (Below(),)
 
 
-def _hat_tilde_spot_iso(d, ht_, nodes):
+def _hat_tilde_spot_iso(d, ht_, panel):
     try:
-        return cmp(height(d), height(ht_)) == 0 and \
-            _spot_iso(d, ht_, nodes, _hat_tilde_translate(d))
+        return cmp(height(d), height(ht_)) == 0 and _spot_iso(
+            ht_, ((n, _hat_tilde_address(d, n, a, panel)) for n, a in panel.values()))
     except (InvalidAddress, UndecidableTailPattern):
         return False  # children the walk rejects, or a site not in r1 position
 
@@ -279,7 +274,8 @@ def _sigma_closed_check(d, spec, name):
             if not contains(d, spec, x):
                 try:
                     seq = fu_extract(d, spec, x)
-                except WedgeTreeError as exc:
+                except (ChoiceUnavailable, InvalidAddress, NotInClosure,
+                        SupNotRepresentable, UndecidableTailPattern) as exc:
                     raise UndecidableTailPattern(
                         "cannot certify closedness of %s at %r" % (name, x)) from exc
                 raise NotClosed(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import UndecidableTailPattern, WedgeTreeError
+from .errors import InvalidAddress, OrdinalUnderflowError, UndecidableTailPattern
 from .ordinals import (
     OMEGA, ONE, ZERO, Ordinal, add, cmp, left_sub, limit_of_affine, nat,
     omega_power, right_sub, times_nat,
@@ -191,7 +191,7 @@ class _Slot:
                 return ZERO
             try:
                 lo = left_sub(self.base, c)
-            except WedgeTreeError:
+            except OrdinalUnderflowError:  # c lies below the base
                 return ZERO
             for cand in (lo, add(lo, ONE)):
                 if bound is not None and cmp(cand, bound) >= 0:
@@ -226,7 +226,7 @@ class _Slot:
             # tail, which SymbolicSeries keeps finite, so a is unique
             try:
                 rho = left_sub(self.base, c)
-            except WedgeTreeError:
+            except OrdinalUnderflowError:  # c lies below the base
                 return []
             a = right_sub(rho, self.tail)
             if a is None or (bound is not None and cmp(a, bound) >= 0):
@@ -397,7 +397,7 @@ class SymbolicSeries:
         for top in tops:
             try:
                 out.append(node_at(self.d, head + (top,)))
-            except WedgeTreeError:
+            except InvalidAddress:  # the supremum is not a node of the tree
                 pass
         return out
 

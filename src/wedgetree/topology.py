@@ -38,6 +38,25 @@ from .trees import (
 )
 
 
+# -- probe budgets -------------------------------------------------------------
+# Every bounded search of this module, in one place, with what it bounds.
+_PROBE_SMALL = 10       # cluster_or_limit: first parameters probed for entered children of x
+_PROBE_CLIMB = 10       # and parameters from the first climb above x, so late entries show
+_MEETING_KIDS = 12      # _meeting_children: children of t listed when V_t lies in a cone of A
+_MEETING_PARAMS = 10    # and members of each family probed for the cones of t they enter;
+_MEETING_INFINITE = 6   # that many distinct cones is read as infinitely many, a sampled answer
+_PICK_PARAMS = 40       # _pick_in_child_cones: members searched for distinct child cones,
+_PICK_KEEP = 12         # picks kept, so a few leading members of another shape can be skipped,
+_PICK_FIT = 8           # and the run of picks a stable template is fitted to
+_FU_BASES = 24          # fu_extract: cofinal I-points listed below t; it reads the first
+_FU_PICKS = 8           # _FU_PICKS, picks a member above each and fits a template to them,
+_FU_TRIES = 300         # trying this many parameters above each point
+_LEAST_TRIES = 200      # _least_member_above: parameters tried; none found reads as no member
+_SAMPLE_K = 6           # sample_members: members per family when the caller names no count
+_CLUB_STEPS = 8         # club_accumulation: steps, enough to see an affine pattern of meets
+_MAXIMALITY_HEAD = 8    # maximality_witness: cofinal I-points in the head a template fits
+
+
 class Topology(enum.Enum):
     CW = "cw"
     SIGMA_CW = "sigma-cw"
@@ -243,7 +262,7 @@ def is_countable_spec(d, spec):
     return True
 
 
-def sample_members(d, spec, k=6):
+def sample_members(d, spec, k=_SAMPLE_K):
     out = []
     for part in spec_parts(spec):
         if isinstance(part, Explicit):
@@ -299,11 +318,11 @@ def cluster_or_limit(d, seq, x, topology):
     # children of x entered by the sequence (candidates for wedge
     # exclusions): probe small parameters and, crucially, the range where
     # the sequence first climbs above x
-    probe_ps = list(series.params_upto(10))
+    probe_ps = list(series.params_upto(_PROBE_SMALL))
     start = lex.first()
     if start is not None:
         p = start
-        for _ in range(10):
+        for _ in range(_PROBE_CLIMB):
             probe_ps.append(p)
             p = next_param(p)
     cands = {}
@@ -446,7 +465,7 @@ def _least_member_above(d, S, lower, avoid_cone):
             if p is None:
                 continue
             tries = 0
-            while p is not None and tries < 200:
+            while p is not None and tries < _LEAST_TRIES:
                 if prof.holds_at(p) and not bad.holds_at(p):
                     cand = series.at(p)
                     if best is None:
@@ -462,7 +481,7 @@ def _least_member_above(d, S, lower, avoid_cone):
     return best
 
 
-def club_accumulation(d, t, S, steps=8):
+def club_accumulation(d, t, S, steps=_CLUB_STEPS):
     """The closed-unbounded accumulation construction below an
     uncountable-cofinality point t: alternately pick s_j in S above r_j + 1
     and set r_{j+1} to the meet of s_j with t; r is the supremum."""
@@ -533,7 +552,7 @@ def fu_extract(d, A, t):
     if meeting_infinite:
         return _pick_in_child_cones(d, A, t)
     F = meeting
-    base_nodes = cofinal_I_nodes(d, t, 24)
+    base_nodes = cofinal_I_nodes(d, t, _FU_BASES)
     head = []
     tpl = None
     for part in spec_parts(A):
@@ -541,11 +560,11 @@ def fu_extract(d, A, t):
             series = series_of(d, part)
             ok = True
             sel = []
-            for u in base_nodes[:8]:
+            for u in base_nodes[:_FU_PICKS]:
                 prof = series.le_profile(u)
                 p = prof.first()
                 tries = 0
-                while p is not None and tries < 300:
+                while p is not None and tries < _FU_TRIES:
                     if prof.holds_at(p) and not any(
                             series.le_profile(f).holds_at(p) for f in F) \
                             and series.at(p).parts != t.parts:
@@ -557,7 +576,7 @@ def fu_extract(d, A, t):
                     ok = False
                 if not ok:
                     break
-            if ok and len(sel) == 8:
+            if ok and len(sel) == _FU_PICKS:
                 nodes = [series.at(p) for _, p in sel]
                 tpl = fit_template(nodes)
                 head = [n.address() for n in nodes]
@@ -577,7 +596,7 @@ def _meeting_children(d, A, t):
     """(finite list of meeting children, True-if-infinitely-many)."""
     meeting = {}
     infinite = False
-    kids = children(d, t, 12)
+    kids = children(d, t, _MEETING_KIDS)
     for part in spec_parts(A):
         if isinstance(part, Explicit):
             for pt in part.points:
@@ -588,12 +607,12 @@ def _meeting_children(d, A, t):
         elif isinstance(part, (OmegaFamily, ClubFamily)):
             series = series_of(d, part)
             fs = {}
-            for p in series.params_upto(10):
+            for p in series.params_upto(_MEETING_PARAMS):
                 sp = series.at(p)
                 if leq_parts(t.parts, sp.parts) and sp.parts != t.parts:
                     f = child_toward(d, t, sp)
                     fs[f.parts] = f
-            if len(fs) >= 6:
+            if len(fs) >= _MEETING_INFINITE:
                 infinite = True
             meeting.update(fs)
         elif isinstance(part, Branch):
@@ -623,19 +642,19 @@ def _pick_in_child_cones(d, A, t):
         if isinstance(part, (OmegaFamily, ClubFamily)):
             series = series_of(d, part)
             seen = set()
-            for p in series.params_upto(40):
+            for p in series.params_upto(_PICK_PARAMS):
                 sp = series.at(p)
                 if leq_parts(t.parts, sp.parts) and sp.parts != t.parts:
                     f = child_toward(d, t, sp)
                     if f.parts not in seen:
                         seen.add(f.parts)
                         picked.append(sp)
-                if len(picked) >= 12:
+                if len(picked) >= _PICK_KEEP:
                     break
-            if len(picked) >= 8:
-                tpl = fit_stable_template(picked)
+            if len(picked) >= _PICK_FIT:
+                tpl = fit_stable_template(picked, _PICK_FIT)
                 if tpl is not None:
-                    seq = SeqSpec(head=tuple(n.address() for n in picked[:8]),
+                    seq = SeqSpec(head=tuple(n.address() for n in picked[:_PICK_FIT]),
                                   tail=Indexed(tpl))
                     if cluster_or_limit(d, SeqSpec(tail=Indexed(tpl)), t,
                                         Topology.SIGMA_CW) is Verdict.CONVERGES:
@@ -687,7 +706,7 @@ def maximality_witness(d, opens):
             minimal.append(b)
     for t in minimal:
         if t.cof is Cofinality.OMEGA:
-            seq_nodes = cofinal_I_nodes(d, t, 8)
+            seq_nodes = cofinal_I_nodes(d, t, _MAXIMALITY_HEAD)
             outside = all(
                 not any(member(d, n, U) for U in opens) for n in seq_nodes)
             tpl = fit_template(seq_nodes)

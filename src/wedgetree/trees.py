@@ -19,24 +19,29 @@ Individual nodes at uncountable limit levels are functions on w1 and cannot
 all be named; addresses cover the finitely-presentable fragment (finite lists
 of letter runs with ordinal repeat counts), which is dense and contains every
 node the witness constructions need.  Node equality is canonical-address
-equality.  Each such level is summarised by its sites, one representative
-Node per structural region and level (``unc_sites``).  Functions that take a
-node also take its address; ``as_node`` resolves either to a Node.
+equality.  Each level w1*j is summarised by its sites, one representative Node
+per structural region.  A view states its sites once, per level
+(``sites_at_height``); ``unc_sites``, the sites of every level lowest first,
+is derived from them on the base view class.  So is the height of a hat or
+tilde view: one past its highest maximal height, or its highest gap.
+Functions that take a node also take its address; ``as_node`` resolves either
+to a Node.
 
 Descriptions and address steps are frozen, slotted dataclasses that compute
 their hash on first use and keep it.  ``view(desc)`` caches the view of the
 ``VIEW_CACHE_SIZE`` most recently used descriptions, and each view keeps one
 ``memo`` dict of its answers.  It computes its nullary facts (``height``,
-``unc_sites``, ``maximal_heights``, ``gaps``, ``leftmost_top``) once: later
-calls return the same ordinal, node, tuple or frozenset, which no caller can
-change.  It also walks each ``(steps, i)`` once, lists the children of each
-``(parts, count)`` once and finds the ancestor of each ``(parts, h)`` once, so
-``resolve`` and ``ancestor_at`` on a graft, hat or tilde view reach into its
-inner views at an address only the first time.  Calls that raise are not
-kept.  Resolved nodes and ancestors are shared between callers, so no code
-outside ``Node.__init__`` sets a node's attributes; ``children`` returns a
-new list on every call.  The tree order on parts, ``leq_parts``, keeps its
-answer for the ``ORDER_CACHE_SIZE`` most recently asked pairs.
+``unc_sites``, ``maximal_heights``, ``gaps``, ``leftmost_top``) and its sites
+at each height once: later calls return the same ordinal, node, tuple or
+frozenset, which no caller can change.  It also walks each ``(steps, i)``
+once, lists the children of each ``(parts, count)`` once and finds the
+ancestor of each ``(parts, h)`` once, so ``resolve`` and ``ancestor_at`` on a
+graft, hat or tilde view reach into its inner views at an address only the
+first time.  Calls that raise are not kept.  Resolved nodes and ancestors
+are shared between callers, so no code outside ``Node.__init__`` sets a
+node's attributes; ``children`` returns a new list on every call.  The tree
+order on parts, ``leq_parts``, keeps its answer for the ``ORDER_CACHE_SIZE``
+most recently asked pairs.
 """
 
 from __future__ import annotations
@@ -478,6 +483,23 @@ class _View:
         from ``_ancestor_at``.  Callers share the returned ``Node``."""
         return self._ancestor_at(node, h)
 
+    @_memo()
+    def height(self):
+        """The least height above every node: one past each maximal height,
+        and a gap's own height, where a branch with no supremum ends."""
+        best = ONE  # at least the root level exists
+        for h in [add(mh, ONE) for mh in self.maximal_heights()] + \
+                [g.ht for g in self.gaps()]:
+            if cmp(h, best) > 0:
+                best = h
+        return best
+
+    @_memo()
+    def unc_sites(self):
+        """The sites of every level w1*j, lowest level first."""
+        return tuple(s for j in range(1, self.height().omega1 + 1)
+                     for s in self.sites_at_height(Ordinal(j, ())))
+
     # gap/completeness defaults for the core region views
     def gaps(self):
         return ()
@@ -545,13 +567,10 @@ class _SegView(_View):
         return self._node(self.eta)
 
     @_memo()
-    def unc_sites(self):
-        return tuple(self._node(Ordinal(j, ())) for j in range(1, self.eta.omega1 + 1))
-
     def sites_at_height(self, h):
         if cmp(h, self.eta) <= 0:
-            return [self._node(h)]
-        return []
+            return (self._node(h),)
+        return ()
 
 
 class _FullView(_View):
@@ -662,15 +681,10 @@ class _FullView(_View):
         return self._node([(0, self.top)])
 
     @_memo()
-    def unc_sites(self):
-        return tuple(self._node([(0, Ordinal(j, ()))])
-                     for j in range(1, self.top.omega1 + 1)
-                     if cmp(Ordinal(j, ()), self.top) <= 0)
-
     def sites_at_height(self, h):
         if cmp(h, self.top) <= 0:
-            return [self._node([(0, h)] if not h.is_zero else [])]
-        return []
+            return (self._node([(0, h)] if not h.is_zero else []),)
+        return ()
 
 
 class _GraftView(_View):
@@ -819,13 +833,6 @@ class _GraftView(_View):
         return any(child.bounded_supless() for child, _ in self.slots)
 
     @_memo()
-    def unc_sites(self):
-        out = [self._wrap_base(s) for s in self.base.unc_sites()]
-        bnode = self.base.leftmost_top()
-        for slot, (child, _) in enumerate(self.slots):
-            out.extend(self._wrap_child(bnode, slot, 0, s) for s in child.unc_sites())
-        return tuple(out)
-
     def sites_at_height(self, h):
         out = [self._wrap_base(s) for s in self.base.sites_at_height(h)]
         if self.slots and cmp(h, self.offset) >= 0:
@@ -834,26 +841,13 @@ class _GraftView(_View):
             for slot, (child, _) in enumerate(self.slots):
                 out.extend(self._wrap_child(bnode, slot, 0, s)
                            for s in child.sites_at_height(rel))
-        return out
+        return tuple(out)
 
 
 class _HatView(_View):
     def __init__(self, desc):
         super().__init__(desc)
         self.inner = view(desc.inner)
-
-    @_memo()
-    def height(self):
-        best = ONE  # at least the root level exists
-        for mh in self.inner.maximal_heights():
-            cand = add(hat_shift(mh), ONE)
-            if cmp(cand, best) > 0:
-                best = cand
-        for g in self.inner.gaps():
-            cand = add(g.ht, ONE)  # the completion point is a real node
-            if cmp(cand, best) > 0:
-                best = cand
-        return best
 
     @_memo()
     def maximal_heights(self):
@@ -924,23 +918,16 @@ class _HatView(_View):
     def leftmost_top(self):
         return self._image(self.inner.leftmost_top())
 
-    def _completion(self, g):
-        return self.walk(parts_to_steps(g.parts), 0)[0]  # the captop filling g
-
     @_memo()
-    def unc_sites(self):
-        return tuple([self._spoint(s) for s in self.inner.unc_sites()]
-                     + [self._completion(g) for g in self.inner.gaps()])
-
     def sites_at_height(self, h):
         kind, hi = hat_unshift(h)
         if kind == "spoint":
             out = [self._spoint(s) for s in self.inner.sites_at_height(h)
                    if s.ht.cof() is Cofinality.OMEGA1]
-            out.extend(self._completion(g)
+            out.extend(self.walk(parts_to_steps(g.parts), 0)[0]  # the captop filling g
                        for g in self.inner.gaps() if cmp(g.ht, h) == 0)
-            return out
-        return [self._image(s) for s in self.inner.sites_at_height(hi)]
+            return tuple(out)
+        return tuple(self._image(s) for s in self.inner.sites_at_height(hi))
 
 
 class _TildeView(_View):
@@ -968,22 +955,6 @@ class _TildeView(_View):
                                  node=n, consumed=i, payload=("here", n))
             raise InvalidAddress("node at a removed level")
         return self._remap(n), i
-
-    @_memo()
-    def height(self):
-        best = ONE
-        for mh in self.inner.maximal_heights():
-            if mh.cof() is Cofinality.OMEGA1:
-                if cmp(mh, best) > 0:
-                    best = mh  # the branch survives cofinally, its sup does not
-            else:
-                cand = add(tilde_shift(mh), ONE)
-                if cmp(cand, best) > 0:
-                    best = cand
-        for g in self.inner.gaps():
-            if cmp(g.ht, best) > 0:
-                best = g.ht
-        return best
 
     @_memo()
     def maximal_heights(self):
@@ -1020,16 +991,10 @@ class _TildeView(_View):
         raise InvalidAddress("leftmost branch has no surviving top")
 
     @_memo()
-    def unc_sites(self):
-        out = []
-        m = self.inner.height().omega1
-        for j in range(1, m + 1):
-            h = Ordinal(j, ONE.terms)  # w1*j + 1: these drop onto the removed level
-            out.extend(self._remap(s) for s in self.inner.sites_at_height(h))
-        return tuple(out)
-
     def sites_at_height(self, h):
-        return [self._remap(s) for s in self.inner.sites_at_height(tilde_unshift(h))]
+        # at w1*j this asks for w1*j + 1, the level that drops onto the removed one
+        return tuple(self._remap(s)
+                     for s in self.inner.sites_at_height(tilde_unshift(h)))
 
 
 @dataclass(frozen=True)
@@ -1169,5 +1134,6 @@ def cofinal_I_nodes(desc, node, count):
 
 
 def unc_sites(desc):
-    """Uncountable-cofinality sites: one representative node per region and level."""
+    """Uncountable-cofinality sites: one representative node per region and
+    level, lowest level first."""
     return view(desc).unc_sites()

@@ -3,11 +3,14 @@ from collections import Counter
 
 import pytest
 
-from wedgetree.errors import NotClosed, PreconditionFailed
+from wedgetree.errors import (
+    ChoiceUnavailable, InvalidAddress, NotClosed, NotInClosure,
+    PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
+)
 from wedgetree.ordinals import ONE, add, cmp, times_nat
 from wedgetree.trees import (
-    CARD_OMEGA, Card, Child, Copy, Full, Graft, HatOf, TildeOf, Word, height,
-    resolve, validate,
+    CARD_OMEGA, Card, Child, Copy, Full, Graft, HatOf, Node, TildeOf, Word,
+    height, resolve, validate,
 )
 from wedgetree.topology import (
     Branch, ClubFamily, Explicit, OmegaFamily, Param, UnionSpec,
@@ -159,6 +162,36 @@ def test_roundtrip_check_resolves_each_panel_on_the_other_tree(monkeypatch):
     assert Counter(a for t, a in calls if t == th) == panel[BINARY_W1]
 
 
+def test_roundtrip_check_builds_each_panel_address_once(monkeypatch):
+    # the panel of d carries its addresses to the spot check on tilde(hat(d))
+    # and to the translation onto hat(tilde(d)), so no panel node of d has
+    # its address built twice, not even as the one child of a site
+    import wedgetree.constructions as constructions
+    real = Node.address
+    built = Counter()
+
+    def counted(node):
+        built[node.desc, node.parts] += 1
+        return real(node)
+
+    rng = random.Random(41)
+    trees = [BINARY_W1, seg(o(W1, 1)), REMARK_TREE, graft(seg(W1), (HatOf(BINARY_W1), 2))]
+    while len(trees) < 30:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except Exception:
+            continue
+        trees.append(d)
+    for d in trees:
+        panel = constructions._spot_nodes(d)
+        built.clear()
+        monkeypatch.setattr(Node, "address", counted)
+        roundtrip_check(d)
+        monkeypatch.undo()
+        assert [built[d, n.parts] for n in panel] == [1] * len(panel), d
+
+
 def test_hat_output_is_always_r1():
     rng = random.Random(23)
     seen = 0
@@ -224,6 +257,30 @@ def test_branches_accumulate_at_split_points_but_stay_disjoint():
     v = disjoint_closures(BINARY_W1, A, B)
     assert v.kind == "disjoint"
     assert v.accumulation_a  # the branch reaches the split point below its top
+
+
+def test_closedness_is_undecidable_only_when_extraction_fails(monkeypatch):
+    # an escaping sequence that cannot be built leaves closedness undecided;
+    # any other error, a library one included, is a bug and surfaces
+    import wedgetree.constructions as constructions
+    A = OmegaFamily(tpl_0n1())
+    B = Explicit(((Child(1),),))
+
+    def patch(exc):
+        def failing(d, spec, x):
+            raise exc("simulated")
+        monkeypatch.setattr(constructions, "fu_extract", failing)
+
+    for exc in (ChoiceUnavailable, InvalidAddress, NotInClosure,
+                SupNotRepresentable, UndecidableTailPattern):
+        patch(exc)
+        with pytest.raises(UndecidableTailPattern, match="cannot certify") as ei:
+            disjoint_closures(BINARY_W1, A, B)
+        assert isinstance(ei.value.__cause__, exc)
+    for exc in (PreconditionFailed, TypeError):
+        patch(exc)
+        with pytest.raises(exc, match="simulated"):
+            disjoint_closures(BINARY_W1, A, B)
 
 
 def test_club_without_top_is_closed_and_disjoint_from_top():

@@ -5,13 +5,14 @@ is an explicit re-export (``import X as X``), and no library module imports an
 underscore-prefixed name from another wedgetree module or reads an
 underscore-prefixed attribute that it does not define itself.  Every
 ``lru_cache``/``cache`` memo is bounded by a named size, and no code sets an
-attribute of the shared ``Node``s that the views memoize.  ``__init__.py``
-imports no library module (it maps each public name to its home module and
-loads that module on first use), so it is not checked here; instead the
-package surface is checked, and fresh interpreters check that the CLI and its
-light commands leave the heavy modules unloaded.  The description and
-address-step classes of ``trees`` are frozen, slotted values whose stored hash
-never shows, not even in a copy or a pickle.
+attribute of the shared ``Node``s that the views memoize.  Each view states
+its sites per level only, and the list of all sites is derived once, on
+``_View``.  ``__init__.py`` imports no library module (it maps each public
+name to its home module and loads that module on first use), so it is not
+checked here; instead the package surface is checked, and fresh interpreters
+check that the CLI and its light commands leave the heavy modules unloaded.
+The description and address-step classes of ``trees`` are frozen, slotted
+values whose stored hash never shows, not even in a copy or a pickle.
 """
 
 import ast
@@ -193,6 +194,29 @@ def test_shared_nodes_are_never_assigned():
         "        object.__setattr__(self, 'tag', 2)\n        self.other = 3\n"
         "def g(n):\n    n.other = 1\n")
     assert _attribute_writes(kept, names) == []
+
+
+def _view_methods():
+    """View class name -> names of the methods it defines in ``trees``."""
+    tree = ast.parse((SRC / "trees.py").read_text())
+    return {c.name: {f.name for f in c.body if isinstance(f, ast.FunctionDef)}
+            for c in tree.body
+            if isinstance(c, ast.ClassDef) and c.name.endswith("View")}
+
+
+def test_sites_and_heights_are_stated_once():
+    """Each view states its sites per level (``sites_at_height``); the list of
+    all sites is derived once, on ``_View``, and so is the height of a view
+    that has no closed form for it."""
+    methods = _view_methods()
+    assert set(methods) == {"_View", "_SegView", "_FullView", "_GraftView",
+                            "_HatView", "_TildeView"}
+    assert [c for c, m in methods.items() if "unc_sites" in m] == ["_View"]
+    assert {c for c, m in methods.items() if "height" in m} == {
+        "_View", "_SegView", "_FullView", "_GraftView"}
+    assert {c for c, m in methods.items() if "sites_at_height" in m} == \
+        set(methods) - {"_View"}
+    assert not any("_completion" in m for m in methods.values())
 
 
 def _values():

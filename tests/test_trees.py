@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -6,12 +7,14 @@ from wedgetree.errors import (
     BadBranching, BadGraftBase, GapAddress, InvalidAddress, NotChainComplete,
     UnsupportedAddress, WedgeTreeError,
 )
-from wedgetree.ordinals import ONE, ZERO, Cofinality, add, cmp, nat, times_nat
+from wedgetree.ordinals import (
+    ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, times_nat,
+)
 from wedgetree.trees import (
     Below, CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf,
     Node, Seg, TildeOf, ancestor_at, child_toward, children,
-    cofinal_I_nodes, height, is_chain_complete, leq, meet, node_at, resolve,
-    unc_sites, validate, view,
+    cofinal_I_nodes, hat_shift, height, is_chain_complete, leq, meet,
+    node_at, parts_to_steps, resolve, tilde_shift, unc_sites, validate, view,
 )
 from wedgetree import trees
 from wedgetree.classify import build_separating_family, classify_report
@@ -331,6 +334,11 @@ def test_sites_are_the_nodes_at_their_parts():
 _FACTS = ("height", "unc_sites", "maximal_heights", "gaps")
 
 
+def _levels(v):
+    """The heights w1*j at which a view states its sites."""
+    return [Ordinal(j, ()) for j in range(1, v.height().omega1 + 1)]
+
+
 def test_view_facts_are_computed_once():
     trees = fact_trees()
     view.cache_clear()
@@ -338,18 +346,23 @@ def test_view_facts_are_computed_once():
     for d in trees:
         v = view(d)
         cold[d] = (v.height(), list(v.unc_sites()), set(v.maximal_heights()),
-                   list(v.gaps()))
+                   list(v.gaps()), [list(v.sites_at_height(h)) for h in _levels(v)])
     for d in trees:
         classify_report(d)
         roundtrip_check(d)
     for d in trees:
         v = view(d)
         h, sites, tops, gaps = (getattr(v, f)() for f in _FACTS)
-        assert (h, list(sites), set(tops), list(gaps)) == cold[d], d
+        per_level = [v.sites_at_height(lv) for lv in _levels(v)]
+        assert (h, list(sites), set(tops), list(gaps),
+                [list(p) for p in per_level]) == cold[d], d
         assert isinstance(sites, tuple) and isinstance(gaps, tuple), d
         assert isinstance(tops, frozenset), d
+        assert all(isinstance(p, tuple) for p in per_level), d
         for f in _FACTS:
             assert getattr(v, f)() is getattr(v, f)(), (f, d)
+        for lv, p in zip(_levels(v), per_level):
+            assert v.sites_at_height(lv) is p, (lv, d)
 
 
 def test_leftmost_top_is_computed_once():
@@ -369,6 +382,99 @@ def test_leftmost_top_is_computed_once():
         v = view(d)
         assert _shape(v.leftmost_top()) == shape, d
         assert v.leftmost_top() is v.leftmost_top(), d
+
+
+# -- sites and heights derived per level ---------------------------------------------
+# Reference copies of the per-class rules that ``_View.unc_sites`` and
+# ``_View.height`` replaced: each view listed its own sites, and the hat and
+# tilde views restated their heights.
+
+def _ref_unc_sites(v):
+    if isinstance(v, trees._SegView):
+        return [v._node(Ordinal(j, ())) for j in range(1, v.eta.omega1 + 1)]
+    if isinstance(v, trees._FullView):
+        return [v._node([(0, Ordinal(j, ()))]) for j in range(1, v.top.omega1 + 1)
+                if cmp(Ordinal(j, ()), v.top) <= 0]
+    if isinstance(v, trees._GraftView):
+        out = [v._wrap_base(s) for s in _ref_unc_sites(v.base)]
+        bnode = v.base.leftmost_top()
+        for slot, (child, _) in enumerate(v.slots):
+            out.extend(v._wrap_child(bnode, slot, 0, s) for s in _ref_unc_sites(child))
+        return out
+    if isinstance(v, trees._HatView):
+        return [v._spoint(s) for s in _ref_unc_sites(v.inner)] + \
+            [v.walk(parts_to_steps(g.parts), 0)[0] for g in v.inner.gaps()]
+    out = []
+    for j in range(1, v.inner.height().omega1 + 1):
+        h = Ordinal(j, ONE.terms)  # w1*j + 1: these drop onto the removed level
+        out.extend(v._remap(s) for s in v.inner.sites_at_height(h))
+    return out
+
+
+def _ref_height(v):
+    best = ONE
+    if isinstance(v, trees._HatView):
+        for mh in v.inner.maximal_heights():
+            cand = add(hat_shift(mh), ONE)
+            if cmp(cand, best) > 0:
+                best = cand
+        for g in v.inner.gaps():
+            cand = add(g.ht, ONE)  # the completion point is a real node
+            if cmp(cand, best) > 0:
+                best = cand
+        return best
+    for mh in v.inner.maximal_heights():
+        if mh.cof() is Cofinality.OMEGA1:
+            if cmp(mh, best) > 0:
+                best = mh  # the branch survives cofinally, its sup does not
+        else:
+            cand = add(tilde_shift(mh), ONE)
+            if cmp(cand, best) > 0:
+                best = cand
+    for g in v.inner.gaps():
+        if cmp(g.ht, best) > 0:
+            best = g.ht
+    return best
+
+
+def _subviews(v):
+    yield v
+    if isinstance(v, trees._GraftView):
+        for w in [v.base] + [child for child, _ in v.slots]:
+            yield from _subviews(w)
+    elif isinstance(v, (trees._HatView, trees._TildeView)):
+        yield from _subviews(v.inner)
+
+
+_BY_LEVEL = functools.cmp_to_key(lambda a, b: cmp(a.ht, b.ht))
+
+
+def test_sites_and_heights_are_derived_per_level():
+    rng = random.Random(53)
+    trees_ = walk_trees()
+    drawn = 0
+    while drawn < 300:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except (BadGraftBase, NotChainComplete):
+            continue
+        trees_.append(d)
+        drawn += 1
+    derived = trees._View.height.__wrapped__  # the general rule, unmemoized
+    seen = 0
+    for d in trees_:
+        for v in _subviews(view(d)):
+            h = v.height()
+            assert cmp(derived(v), h) == 0, (v.desc, d)
+            if isinstance(v, (trees._HatView, trees._TildeView)):
+                assert cmp(_ref_height(v), h) == 0, (v.desc, d)
+            sites = list(v.unc_sites())
+            assert _shape(tuple(sites)) == _shape(tuple(sorted(sites, key=_BY_LEVEL))), v.desc
+            ref = sorted(_ref_unc_sites(v), key=_BY_LEVEL)
+            assert _shape(tuple(sites)) == _shape(tuple(ref)), (v.desc, d)
+            seen += 1
+    assert seen > 1000
 
 
 # -- memoized walks and children ---------------------------------------------------
