@@ -519,7 +519,7 @@ class SymbolicSeries:
         if not isinstance(p0, Ordinal):
             if not self._concrete_holds(u, max(p0, 0), False):
                 raise UndecidableTailPattern("threshold verification failed")
-        return Profile.from_(p0, self.bound)
+        return Profile.from_(p0)
 
     # meets ----------------------------------------------------------------------
 
@@ -574,12 +574,11 @@ class Profile:
     """The set {p : property(s_p)}: a tail, or a finite set, plus a finite
     patch of small parameters whose canonical shapes differ from the tail."""
 
-    __slots__ = ("kind", "data", "bound", "extras", "holes")
+    __slots__ = ("kind", "data", "extras", "holes")
 
-    def __init__(self, kind, data=None, bound=None, extras=(), holes=()):
+    def __init__(self, kind, data=None, extras=(), holes=()):
         self.kind = kind
         self.data = data
-        self.bound = bound
         self.extras = tuple(extras)
         self.holes = tuple(holes)
 
@@ -592,8 +591,8 @@ class Profile:
         return cls("from", 0)
 
     @classmethod
-    def from_(cls, p0, bound=None):
-        return cls("from", p0, bound)
+    def from_(cls, p0):
+        return cls("from", p0)
 
     @classmethod
     def only(cls, ps):
@@ -604,8 +603,7 @@ class Profile:
         return cls.always() if b else cls.never()
 
     def patched(self, extras, holes):
-        return Profile(self.kind, self.data, self.bound,
-                       tuple(extras), tuple(holes))
+        return Profile(self.kind, self.data, tuple(extras), tuple(holes))
 
     @property
     def eventually(self):
@@ -632,21 +630,34 @@ class Profile:
             return False
         return self._base_holds(p)
 
-    def first(self):
-        candidates = [p for p in self.extras]
-        if self.kind == "from":
-            base = self.data
-            while base in self.holes:
-                base = next_param(base)
-            candidates.append(base)
-        else:
-            candidates.extend(p for p in self.data if p not in self.holes)
-        if not candidates:
-            return None
-        if any(isinstance(c, Ordinal) for c in candidates):
-            candidates = [c if isinstance(c, Ordinal) else nat(c) for c in candidates]
-            return sorted(candidates, key=functools.cmp_to_key(cmp))[0]
-        return min(candidates)
+    def first(self, *others):
+        """The least parameter at which this profile holds and none of
+        ``others`` does, or None.
+
+        The answer p* is one of a few candidates: this profile's extras, its
+        ``from`` point or ``only`` points, the successor of every finite
+        point (extra, hole, ``only`` point) of every profile, and every hole
+        of every profile.  Say p* is none of this profile's own points; then
+        this profile is a tail from some p0 < p*, and every point of
+        [p0, p*) is a hole here or lies in some other profile Bi.  If p* is a
+        successor, p* - 1 is a hole here, or a point of some Bi.  So p* is
+        the successor of a finite point of this profile or of Bi, or Bi is
+        a tail that holds at p* - 1 and not at p*, so p* is a hole of Bi.
+        If p* is a limit, infinitely many points below it are excluded,
+        which only a tail Bi can do, and p* is again a hole of that Bi."""
+        profiles = (self,) + others
+        cands = list(self.extras)
+        cands += [self.data] if self.kind == "from" else list(self.data)
+        for b in profiles:
+            finite = b.extras + b.holes + (b.data if b.kind == "only" else ())
+            cands += [next_param(p) for p in finite] + list(b.holes)
+        if any(isinstance(c, Ordinal) for c in cands):
+            # an ordinal series' ``always()`` tail starts at the int 0, which
+            # its ordinal patch points would not match
+            cands = [c if isinstance(c, Ordinal) else nat(c) for c in cands]
+        good = [c for c in cands
+                if self.holds_at(c) and not any(b.holds_at(c) for b in others)]
+        return min(good) if good else None
 
     def __repr__(self):
         return "Profile(%s, %r, +%r, -%r)" % (self.kind, self.data,

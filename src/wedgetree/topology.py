@@ -11,7 +11,9 @@ series fitted from them live in ``wedgetree.series``.
 Deciders are sound and conservative: they raise UndecidableTailPattern when a
 tail falls outside the decidable fragment, and never return a wrong verdict.
 Choice functions pick least indices and least parameters so witnesses are
-reproducible.
+reproducible.  A least parameter is read off the family's profiles
+(``series.Profile.first``), not searched for, so no budget decides that a
+family has no member in a cone.
 """
 
 from __future__ import annotations
@@ -48,10 +50,7 @@ _MEETING_INFINITE = 6   # that many distinct cones is read as infinitely many, a
 _PICK_PARAMS = 40       # _pick_in_child_cones: members searched for distinct child cones,
 _PICK_KEEP = 12         # picks kept, so a few leading members of another shape can be skipped,
 _PICK_FIT = 8           # and the run of picks a stable template is fitted to
-_FU_BASES = 24          # fu_extract: cofinal I-points listed below t; it reads the first
-_FU_PICKS = 8           # _FU_PICKS, picks a member above each and fits a template to them,
-_FU_TRIES = 300         # trying this many parameters above each point
-_LEAST_TRIES = 200      # _least_member_above: parameters tried; none found reads as no member
+_FU_PICKS = 8           # fu_extract: cofinal I-points below t, one least member above each
 _SAMPLE_K = 6           # sample_members: members per family when the caller names no count
 _CLUB_STEPS = 8         # club_accumulation: steps, enough to see an affine pattern of meets
 _MAXIMALITY_HEAD = 8    # maximality_witness: cofinal I-points in the head a template fits
@@ -448,31 +447,22 @@ class ClubWitness:
 
 
 def _least_member_above(d, S, lower, avoid_cone):
-    """Least-parameter member of S in V_lower avoiding V_avoid_cone."""
+    """Least-parameter member of S in V_lower avoiding V_avoid_cone, or None.
+    A family's least parameter is read off its profiles: the least p with
+    lower <= s_p and not avoid_cone <= s_p."""
     best = None
     for part in spec_parts(S):
         if isinstance(part, Explicit):
-            for k, pt in enumerate(part.points):
+            for pt in part.points:
                 n = resolve(d, pt)
                 if leq(d, lower, n) and not leq(d, avoid_cone, n):
                     if best is None:
                         best = n
         elif isinstance(part, (OmegaFamily, ClubFamily)):
             series = series_of(d, part)
-            prof = series.le_profile(lower)
-            bad = series.le_profile(avoid_cone)
-            p = prof.first()
-            if p is None:
-                continue
-            tries = 0
-            while p is not None and tries < _LEAST_TRIES:
-                if prof.holds_at(p) and not bad.holds_at(p):
-                    cand = series.at(p)
-                    if best is None:
-                        best = cand
-                    break
-                p = next_param(p)
-                tries += 1
+            p = series.le_profile(lower).first(series.le_profile(avoid_cone))
+            if p is not None and best is None:
+                best = series.at(p)
         elif isinstance(part, Branch):
             top = as_node(d, part.top)
             if leq(d, lower, top) and not leq(d, avoid_cone, top):
@@ -534,7 +524,10 @@ def _cluster_of_concrete_tail(d, nodes, x):
 def fu_extract(d, A, t):
     """A sequence from A converging to t in the countably coarse wedge
     topology, built by the three-case analysis on cf(t) and on how many
-    immediate-successor cones of t meet A."""
+    immediate-successor cones of t meet A.  When cf(t) = omega and finitely
+    many cones meet A, the sequence takes, above each of _FU_PICKS cofinal
+    I-points below t, the family's least member outside the meeting cones and
+    other than t, read off the profiles."""
     t = as_node(d, t)
     if contains(d, A, t):
         raise PreconditionFailed("t itself belongs to A")
@@ -551,33 +544,16 @@ def fu_extract(d, A, t):
             "only finitely many cones below t's wedge meet A; t is not in the closure")
     if meeting_infinite:
         return _pick_in_child_cones(d, A, t)
-    F = meeting
-    base_nodes = cofinal_I_nodes(d, t, _FU_BASES)
+    base_nodes = cofinal_I_nodes(d, t, _FU_PICKS)
     head = []
     tpl = None
     for part in spec_parts(A):
         if isinstance(part, (OmegaFamily, ClubFamily)):
             series = series_of(d, part)
-            ok = True
-            sel = []
-            for u in base_nodes[:_FU_PICKS]:
-                prof = series.le_profile(u)
-                p = prof.first()
-                tries = 0
-                while p is not None and tries < _FU_TRIES:
-                    if prof.holds_at(p) and not any(
-                            series.le_profile(f).holds_at(p) for f in F) \
-                            and series.at(p).parts != t.parts:
-                        sel.append((u, p))
-                        break
-                    p = next_param(p)
-                    tries += 1
-                else:
-                    ok = False
-                if not ok:
-                    break
-            if ok and len(sel) == _FU_PICKS:
-                nodes = [series.at(p) for _, p in sel]
+            avoid = [series.le_profile(f) for f in meeting] + [series.eq_profile(t)]
+            ps = [series.le_profile(u).first(*avoid) for u in base_nodes]
+            if all(p is not None for p in ps):
+                nodes = [series.at(p) for p in ps]
                 tpl = fit_template(nodes)
                 head = [n.address() for n in nodes]
                 break

@@ -225,9 +225,6 @@ class Below:
     pass
 
 
-ROOT = ()
-
-
 # -- height transforms --------------------------------------------------------
 
 def hat_shift(h):

@@ -13,12 +13,12 @@ from wedgetree.ordinals import (
     OMEGA, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, times_nat,
 )
 from wedgetree.trees import (
-    Below, CARD_OMEGA, CARD_OMEGA1, Child, Copy, HatOf, Seg, TildeOf, Up, Word,
-    leq, resolve, unc_sites, validate,
+    Below, CARD_OMEGA1, Child, HatOf, Seg, TildeOf, Up, leq, resolve,
+    unc_sites, validate,
 )
 from wedgetree.topology import (
-    ALREADY_SIGMA_OPEN, Branch, CDiff, ClubFamily, Cone, ConeComplement,
-    Explicit, MaximalityWitness, OmegaFamily, Param, SeqSpec, Topology,
+    ALREADY_SIGMA_OPEN, CDiff, Cone, ConeComplement, Explicit,
+    MaximalityWitness, OmegaFamily, Param, SeqSpec, Topology,
     UnionSpec, Verdict, Wedge, club_accumulation, cluster_or_limit, contains,
     countably_closed_witness, fu_extract, maximality_witness, member,
     sample_members,
@@ -33,7 +33,8 @@ from wedgetree.classify import (
 from wedgetree.corpus import random_description
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, graft, o as osum,
+    BINARY_W, BINARY_W1, REMARK_TREE, W, W0n, W1, W2, club_cases,
+    disjoint_closure_cases, full, fu_cases, graft, o as osum,
     separating_family_cases, seg, up, word,
 )
 
@@ -42,10 +43,6 @@ def _report(criterion, ok, detail=""):
     print("%s criterion %s%s" % ("PASS" if ok else "FAIL", criterion,
                                  " (%s)" % detail if detail else ""))
     assert ok, "criterion %s failed: %s" % (criterion, detail)
-
-
-def W0n(base=ZERO, scale=ONE):
-    return Word((0,), Param(base, scale))
 
 
 # -- criterion 1: paper-example classification exactness ---------------------------
@@ -224,20 +221,7 @@ def test_criterion_4_countably_closed_witnesses():
 def test_criterion_5_club_accumulation():
     rng = random.Random(51)
     total = good = 0
-    cases = []
-    for base in [ZERO, nat(2), OMEGA]:
-        cases.append((BINARY_W1, (word("0", W1),),
-                      ClubFamily((word("0", W1),), (W0n(base), Child(1)))))
-        cases.append((full(3, osum(W1, 1)), (word("0", W1),),
-                      ClubFamily((word("0", W1),), (W0n(base), Child(2)))))
-    cases.append((BINARY_W1, (word("0", W1),),
-                  OmegaFamily((W0n(ZERO, W), Child(1)))))
-    cases.append((BINARY_W1, (word("0", W1),),
-                  OmegaFamily((W0n(ZERO, W2), Child(1)))))
-    cases.append((seg(W1), (up(W1),),
-                  ClubFamily((up(W1),), (Up(Param(ZERO, ONE)),))))
-    cases.append((seg(osum(W1, W)), (up(W1),),
-                  ClubFamily((up(W1),), (Up(Param(ZERO, ONE)),))))
+    cases = club_cases()
     while total < 50:
         d, taddr, S = cases[rng.randrange(len(cases))]
         t = resolve(d, taddr)
@@ -260,35 +244,9 @@ def test_criterion_5_club_accumulation():
 SEQ_CORPUS = []
 
 
-def _fu_cases():
-    cases = []
-    # case: cf(t) != omega with countably many meeting child cones
-    cases.append(("cf!=w", FAN_OMEGA, (), OmegaFamily((Copy(0, Param()),))))
-    cases.append(("cf!=w", graft(seg(3), (seg(2), CARD_OMEGA)), (up(3),),
-                  OmegaFamily((Up(nat(3)), Copy(0, Param())))))
-    cases.append(("cf!=w", REMARK_TREE, (up(W1),),
-                  OmegaFamily((up(W1), Copy(0, Param())))))
-    cases.append(("cf!=w", graft(seg(0), (seg(0), CARD_OMEGA1)), (),
-                  OmegaFamily((Copy(0, Param()),))))
-    # case: cf(t) = omega, infinitely many meeting child cones
-    cases.append(("cf=w-inf", full("w", osum(W, 2)), (word("0", W),),
-                  OmegaFamily((Word((0,), OMEGA), Child(Param(ZERO, ONE))))))
-    cases.append(("cf=w-inf", full("w", osum(W, 2)), (word("1", W),),
-                  OmegaFamily((Word((1,), OMEGA), Child(Param(nat(2), ONE))))))
-    # case: cf(t) = omega, finitely many meeting cones (F nonempty and empty)
-    cases.append(("cf=w-fin", BINARY_W1, (word("0", W),),
-                  OmegaFamily((W0n(), Child(1)))))
-    cases.append(("cf=w-fin", full(2, osum(W, 2)), (word("0", W),),
-                  UnionSpec((OmegaFamily((W0n(), Child(1))),
-                             Explicit(((word("0", W), Child(0)),))))))
-    cases.append(("cf=w-fin", full(3, osum(W, 1)), (word("2", W),),
-                  OmegaFamily((Word((2,), Param()), Child(0)))))
-    return cases
-
-
 def test_criterion_6_fu_extraction():
     rng = random.Random(61)
-    cases = _fu_cases()
+    cases = fu_cases()
     seen_kinds = set()
     total = good = 0
     while total < 100:
@@ -398,74 +356,12 @@ def test_criterion_8_separating_families():
 # -- criterion 9: disjoint closures suite ------------------------------------------------------
 
 def test_criterion_9_disjoint_closures():
-    d = BINARY_W1
-    tpl01 = (W0n(), Child(1))
-    disjoint_pairs = [
-        (Explicit(((Child(0), Child(1)),)), Explicit(((Child(1), Child(0)),))),
-        (Explicit(((word("0", 3),), (word("0", 5),))),
-         Explicit(((Child(1),), (Child(1), Child(0))))),
-        (UnionSpec((OmegaFamily(tpl01), Explicit(((word("0", W),),)))),
-         Explicit(((Child(1), Child(0)),))),
-        (UnionSpec((OmegaFamily(tpl01), Explicit(((word("0", W),),)))),
-         UnionSpec((OmegaFamily((W0n(add(W, ONE)), Child(1))),
-                    Explicit(((word("0", times_nat(W, 2)),),))))),
-        (Branch((word("0", W1),)), Explicit(((Child(1),), (Child(1), Child(1))))),
-        (ClubFamily((word("0", W1),), (W0n(),)), Explicit(((word("0", W1),),))),
-        (ClubFamily((word("0", W1),), (W0n(),)),
-         Explicit(((Child(1), word("0", W)),))),
-        (Explicit(((word("0", W1),),)), Explicit(((word("1", W1),),))),
-        (UnionSpec((OmegaFamily((Child(1), W0n())), Explicit(((Child(1), word("0", W)),)))),
-         Explicit(((Child(0),),))),
-        (UnionSpec((OmegaFamily((W0n(ONE, nat(2)), Child(1))),
-                    Explicit(((word("0", W),),)))),
-         Explicit(((Child(1),),))),
-    ]
-    # a second tree for variety
-    d2 = full(3, osum(W1, 1))
-    pairs2 = [
-        (Branch((word("0", W1),)), Explicit(((Child(2),), (Child(1),)))),
-        (Explicit(((word("2", W1),),)), Explicit(((word("1", W1),),))),
-        (UnionSpec((OmegaFamily((Word((1,), Param(ONE, ONE)), Child(0))),
-                    Explicit(((word("1", W),),)))),
-         Explicit(((Child(0),),))),
-        (ClubFamily((word("1", W1),), (Word((1,), Param()),)),
-         Explicit(((word("1", W1),),))),
-        (Explicit(((word("0", 4),),)), Branch((word("2", W1),))),
-        (UnionSpec((OmegaFamily((Word((2,), Param(ONE, ONE)), Child(1))),
-                    Explicit(((word("2", W),),)))),
-         UnionSpec((OmegaFamily((Word((0,), Param(ONE, ONE)), Child(1))),
-                    Explicit(((word("0", W),),))))),
-        (Branch((word("1", W1),)), Explicit(((Child(0), Child(2)),))),
-        (Explicit(((Child(0),), (Child(1),))), Explicit(((Child(2),),))),
-        (UnionSpec((OmegaFamily((Word((0,), Param(OMEGA, ONE)), Child(2))),
-                    Explicit(((word("0", times_nat(W, 2)),),)))),
-         Explicit(((word("0", W),),))),
-        (ClubFamily((word("0", W1),), (W0n(ONE),)),
-         ClubFamily((word("1", W1),), (Word((1,), Param(ONE, ONE)),))),
-    ]
-    not_closed = [
-        (d, OmegaFamily(tpl01), Explicit(((Child(1),),))),
-        (d, OmegaFamily((W0n(add(W, ONE)), Child(1))), Explicit(((Child(1),),))),
-        (d, ClubFamily((word("0", W1),), tpl01), Explicit(((Child(1),),))),
-        (d, UnionSpec((OmegaFamily(tpl01),)), Explicit(((Child(1),),))),
-        (d, Explicit(((Child(1),),)), OmegaFamily(tpl01)),
-        (d2, OmegaFamily((Word((1,), Param()), Child(0))), Explicit(((Child(2),),))),
-        (d2, ClubFamily((word("2", W1),), (Word((2,), Param()), Child(1))),
-         Explicit(((Child(0),),))),
-        (d, OmegaFamily((W0n(ZERO, W), Child(1))), Explicit(((Child(1),),))),
-        (d2, Explicit(((Child(0),),)), OmegaFamily((Word((2,), Param()), Child(0)))),
-        (d, OmegaFamily((W0n(ZERO, W2), Child(1))), Explicit(((Child(1),),))),
-    ]
-    total = good = 0
-    for A, B in disjoint_pairs:
+    total = good = flagged = 0
+    for dd, A, B, expect_not_closed in disjoint_closure_cases():
         total += 1
-        good += disjoint_closures(d, A, B).kind == "disjoint"
-    for A, B in pairs2:
-        total += 1
-        good += disjoint_closures(d2, A, B).kind == "disjoint"
-    flagged = 0
-    for dd, A, B in not_closed:
-        total += 1
+        if not expect_not_closed:
+            good += disjoint_closures(dd, A, B).kind == "disjoint"
+            continue
         try:
             disjoint_closures(dd, A, B)
         except NotClosed as e:

@@ -3,7 +3,9 @@
 Every name a library or test module imports is used in it, unless the import
 is an explicit re-export (``import X as X``), and no library module imports an
 underscore-prefixed name from another wedgetree module or reads an
-underscore-prefixed attribute that it does not define itself.  Every
+underscore-prefixed attribute that it does not define itself.  Every name a
+library module assigns at its top level is read somewhere in the library, so a
+constant or budget that nothing reads any more does not linger.  Every
 ``lru_cache``/``cache`` memo is bounded by a named size, and no code sets an
 attribute of the shared ``Node``s that the views memoize.  Each view states
 its sites per level only, and the list of all sites is derived once, on
@@ -112,6 +114,41 @@ def test_no_foreign_private_attribute_reads():
                 continue
             foreign.append("%s:%d: %s" % (path.name, n.lineno, n.attr))
     assert not foreign, foreign
+
+
+def _module_level_names(tree):
+    """Names assigned by the top-level statements of a module."""
+    for st in tree.body:
+        if isinstance(st, ast.Assign):
+            targets = st.targets
+        elif isinstance(st, (ast.AnnAssign, ast.AugAssign)):
+            targets = [st.target]
+        else:
+            continue
+        for t in targets:
+            yield from (n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_module_constants_are_read():
+    """A top-level name is read by a name or an attribute somewhere in the
+    library, unless it is a dunder or part of the public surface."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    unread = ["%s: %s" % (name, target)
+              for name, tree in trees.items() for target in _module_level_names(tree)
+              if target not in read and target not in PUBLIC
+              and not (target.startswith("__") and target.endswith("__"))]
+    assert not unread, unread
+    flagged = ast.parse("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\nF += 1\n"
+                        "def f():\n    G = 6\n")
+    assert list(_module_level_names(flagged)) == ["A", "B", "C", "D", "E", "F"]
 
 
 def _cache_decorators(tree):

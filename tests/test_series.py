@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -12,8 +13,8 @@ from wedgetree.ordinals import (
 from wedgetree.trees import OMEGA_BRANCH, Child, Copy, Full, Up, Word, resolve
 from wedgetree.topology import ClubFamily, OmegaFamily, contains, series_of
 from wedgetree.series import (
-    _NAT_PROBES, Param, SymbolicSeries, _Slot, _fit_affine, _ord_probes,
-    fit_template, instantiate,
+    _NAT_PROBES, Param, Profile, SymbolicSeries, _Slot, _fit_affine, _ord_probes,
+    fit_template, instantiate, next_param,
 )
 
 from helpers import BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, o, seg, up, word
@@ -252,3 +253,84 @@ def test_fit_reproduces_affine_families_with_large_coefficients(base, scale, tai
     fitted = _Slot("up", 0, None, *fit, ordinal)
     for p in tuple(probes) + checks:
         assert fitted.value(p) == true.value(p)
+
+
+# -- least parameters read off profiles ------------------------------------------------
+
+_ORD_BASES = (ZERO, OMEGA, times_nat(OMEGA, 2), times_nat(OMEGA, 3))
+# drawn points stop ten short of the end of each block of the range (200, or
+# base + 40), and past a block's last drawn point every profile keeps its
+# answer, so the least answer, if there is one, lies in the range
+_NAT_RANGE = list(range(200))
+_ORD_RANGE = [add(b, nat(n)) for b in _ORD_BASES for n in range(40)]
+
+
+def _old_first(prof):
+    """Reference: the body of ``Profile.first`` before it took other profiles."""
+    candidates = [p for p in prof.extras]
+    if prof.kind == "from":
+        base = prof.data
+        while base in prof.holes:
+            base = next_param(base)
+        candidates.append(base)
+    else:
+        candidates.extend(p for p in prof.data if p not in prof.holes)
+    if not candidates:
+        return None
+    if any(isinstance(c, Ordinal) for c in candidates):
+        candidates = [c if isinstance(c, Ordinal) else nat(c) for c in candidates]
+        return sorted(candidates, key=functools.cmp_to_key(cmp))[0]
+    return min(candidates)
+
+
+@st.composite
+def _profile(draw, ordinal, int_zero_tail=False):
+    """A tail or a finite set, with finite extras and holes.  With
+    ``int_zero_tail`` an ordinal profile may be ``Profile.always()``, whose
+    tail starts at the int 0 while its patch points are ordinals."""
+    if ordinal:
+        point = st.builds(lambda b, n: add(b, nat(n)), st.sampled_from(_ORD_BASES),
+                          st.integers(0, 29))
+    else:
+        point = st.integers(0, 149)
+    points = st.lists(point, max_size=4, unique=True)
+    if draw(st.booleans()):
+        p0 = draw(point)
+        if ordinal and int_zero_tail and draw(st.integers(0, 3)) == 0:
+            p0 = 0
+        prof = Profile.from_(p0)
+    else:
+        prof = Profile.only(draw(points))
+    return prof.patched(draw(points), draw(points))
+
+
+@st.composite
+def _profile_sets(draw, int_zero_tail=False, max_others=3):
+    ordinal = draw(st.booleans())
+    prof = _profile(ordinal, int_zero_tail)
+    return ordinal, draw(prof), draw(st.lists(prof, max_size=max_others))
+
+
+def _as_param(p, ordinal):
+    return nat(p) if ordinal and isinstance(p, int) else p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_profile_sets(int_zero_tail=True), _profile_sets(max_others=0))
+def test_first_outside_other_profiles_is_the_least_search(drawn, typed):
+    ordinal, prof, others = drawn
+    want = next((p for p in (_ORD_RANGE if ordinal else _NAT_RANGE)
+                 if prof.holds_at(p) and not any(b.holds_at(p) for b in others)), None)
+    assert _as_param(prof.first(*others), ordinal) == want
+    # with no other profiles it is the old least point, on profiles whose
+    # points all have one type
+    ordinal, prof, _ = typed
+    assert _as_param(prof.first(), ordinal) == _as_param(_old_first(prof), ordinal)
+
+
+def test_first_skips_an_ordinal_hole_of_an_int_tail():
+    """``Profile.always()`` starts at the int 0; an ordinal series patches
+    it with ordinal holes, which the old body did not see."""
+    prof = Profile.always().patched((), (ZERO,))
+    assert prof.first() == nat(1)
+    assert _old_first(prof) == 0

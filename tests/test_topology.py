@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from wedgetree import topology
+from wedgetree.constructions import disjoint_closures
 from wedgetree.errors import (
     IllegalWedge, NotAccumulating, NotInClosure, PreconditionFailed,
+    WedgeTreeError,
 )
 from wedgetree.ordinals import ONE, ZERO, cmp, nat
 from wedgetree.trees import (
@@ -18,8 +21,8 @@ from wedgetree.topology import (
 )
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, full, o, seg, up,
-    word,
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, club_cases,
+    disjoint_closure_cases, fu_cases, full, o, seg, up, word,
 )
 
 
@@ -321,3 +324,51 @@ def test_cluster_decisions_match_direct_membership():
     wit = countably_closed_witness(d, top, OmegaFamily(tpl_0n1()))
     for n in range(30):
         assert not member(d, seq.term(d, n), Cone(wit.p.address()))
+
+
+# -- budgets decide nothing ------------------------------------------------------------------
+
+# the named search budgets of ``topology``.  _MEETING_INFINITE is left out: it
+# is the inference "that many cones are infinitely many", not a budget.
+# _SAMPLE_K is left out too: it is only the default count of sample_members,
+# and every library caller names its count.  _PICK_KEEP and _PICK_FIT are
+# coupled (the picks kept must hold a run of _PICK_FIT), so they are scaled
+# together.
+BUDGETS = ("_PROBE_SMALL", "_PROBE_CLIMB", "_MEETING_KIDS", "_MEETING_PARAMS",
+           "_PICK_PARAMS", "_PICK_KEEP", "_PICK_FIT", "_FU_PICKS", "_CLUB_STEPS",
+           "_MAXIMALITY_HEAD")
+
+
+def _outcomes():
+    """The outcome kind of every club, fu-extract and disjoint-closures case
+    of the acceptance suites: the result's type (with a disjoint verdict's
+    kind), or the class of the error it raised."""
+    runs = [lambda d=d, t=t, S=S: club_accumulation(
+                d, resolve(d, t), S, steps=topology._CLUB_STEPS)
+            for d, t, S in club_cases()]
+    runs += [lambda d=d, t=t, A=A: fu_extract(d, A, resolve(d, t))
+             for _, d, t, A in fu_cases()]
+    runs += [lambda d=d, A=A, B=B: disjoint_closures(d, A, B)
+             for d, A, B, _ in disjoint_closure_cases()]
+    out = []
+    for run in runs:
+        try:
+            result = run()
+        except WedgeTreeError as e:
+            out.append(type(e).__name__)
+        else:
+            out.append((type(result).__name__, getattr(result, "kind", None)))
+    return out
+
+
+@pytest.mark.parametrize("names", [("_FU_PICKS",), BUDGETS], ids=["fu-picks", "all"])
+def test_budgets_decide_nothing(monkeypatch, names):
+    """Raising search budgets fourfold changes no outcome."""
+    named = {n for n, v in vars(topology).items()
+             if n.startswith("_") and n.isupper() and type(v) is int}
+    assert named == set(BUDGETS) | {"_MEETING_INFINITE", "_SAMPLE_K"}
+    before = _outcomes()
+    assert len(before) == 10 + 9 + 30
+    for name in names:
+        monkeypatch.setattr(topology, name, 4 * getattr(topology, name))
+    assert _outcomes() == before
