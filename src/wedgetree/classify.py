@@ -332,6 +332,7 @@ def gdelta_intersection_oracle(d, x, sample_bases):
 
 # the heights at which members_containing samples the cones above a point
 _MEMBER_HEIGHTS = (ZERO, ONE, nat(2), OMEGA)
+_VERIFY_MEMBERS = 8  # members per family of S in verify, which splits every pair
 
 
 @dataclass
@@ -399,7 +400,8 @@ class FamilyU:
         point of countable height and every singleton lies in countably many
         members (``check_point_countable``)."""
         d = self.d
-        pts = list({x.parts: x for x in sample_members(d, self.S, 8)}.values())
+        sample = sample_members(d, self.S, _VERIFY_MEMBERS)
+        pts = list({x.parts: x for x in sample}.values())
         points = [x for x in pts if x.ht.is_countable] + list(self.singletons)
         return (check_t0(d, self.S, self, combinations(pts, 2))
                 and check_point_countable(d, self, points))

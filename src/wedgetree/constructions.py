@@ -316,6 +316,9 @@ def _unc_heights_upto(d, h):
             if cmp(Ordinal(j, ()), h) <= 0]
 
 
+_SHARED_MEMBERS = 5  # members per family of A and B looked up in the other set
+
+
 def disjoint_closures(d, A, B):
     """Decide whether two disjoint closed subsets of the countably coarse
     wedge space keep disjoint closures in the hat compactification.
@@ -326,10 +329,10 @@ def disjoint_closures(d, A, B):
     validate(d)
     _sigma_closed_check(d, A, "A")
     _sigma_closed_check(d, B, "B")
-    for x in sample_members(d, A, 5):
+    for x in sample_members(d, A, _SHARED_MEMBERS):
         if contains(d, B, x):
             raise PreconditionFailed("A and B share the point %r" % (x,))
-    for x in sample_members(d, B, 5):
+    for x in sample_members(d, B, _SHARED_MEMBERS):
         if contains(d, A, x):
             raise PreconditionFailed("A and B share the point %r" % (x,))
     acc_a, cones_a = _accumulating_split_points(d, A)

@@ -15,6 +15,16 @@ A series depends only on its arguments, so the library builds them through
 for equal arguments.  A fit that raises ``UndecidableTailPattern`` is not
 kept and raises again on every call.
 
+A series is immutable, so it answers each profile question once:
+``le_profile``, ``eq_profile`` and ``meet_profile_with`` resolve their
+argument to a node and look the answer up in a memo keyed on the series and
+that node (the node, not only its parts, since a meet profile reads its
+height).  Each of the three memos serves every series and keeps the
+``PROFILE_CACHE_SIZE`` most recently asked questions; every caller asking
+one gets the same ``Profile`` or tuple, which nobody assigns to.  A
+question that raises ``UndecidableTailPattern`` is not kept and raises again
+on every call.
+
 The slot is still found from samples, not read off the template.  Probe
 fitting is used here:
 
@@ -304,6 +314,21 @@ def _unify(params, shapes, ordinal):
     raise UndecidableTailPattern("varying component of kind %s" % kind)
 
 
+# Series kept by ``cached_series``; least recently used go first.  One round
+# of the witness cases reuses 83 distinct series, which the view cache's
+# bound of 32 would evict and rebuild; a series holds a few nodes and no
+# view, so 128 of them stay light.
+SERIES_CACHE_SIZE = 128
+
+# Answers kept by each profile memo of ``SymbolicSeries`` (``le_profile``,
+# ``eq_profile``, ``meet_profile_with``), keyed on the series and the node.
+# A key holds its series alive, and the value is a small ``Profile`` or
+# tuple.  The benchmark's witness workload (seed 901, its warm-up and 4,000
+# draws) asks 26,673 profile questions, 494 of them distinct, so this bound
+# holds them many times over.
+PROFILE_CACHE_SIZE = 4096
+
+
 class SymbolicSeries:
     """Members s_p of a parameterized family, fitted from probes."""
 
@@ -405,7 +430,10 @@ class SymbolicSeries:
 
     def le_profile(self, u):
         """Profile of {p : u <= s_p} over the parameter range."""
-        u = as_node(self.d, u)
+        return self._le_profile(as_node(self.d, u))
+
+    @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+    def _le_profile(self, u):
         ucore = u.parts
         while ucore and ucore[-1][0] == "below":
             ucore = ucore[:-1]
@@ -415,7 +443,11 @@ class SymbolicSeries:
                                  ucore, equality=False)
 
     def eq_profile(self, u):
-        u = as_node(self.d, u)
+        """Profile of {p : u == s_p} over the parameter range."""
+        return self._eq_profile(as_node(self.d, u))
+
+    @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+    def _eq_profile(self, u):
         if u.parts and u.parts[-1][0] == "below":
             return Profile.never()
         if self.constant:
@@ -526,7 +558,10 @@ class SymbolicSeries:
     def meet_profile_with(self, t):
         """("const", height) or ("increasing", sup of heights) for
         ht(meet(s_p, t)) over the parameter range, small parameters included."""
-        t = as_node(self.d, t)
+        return self._meet_profile_with(as_node(self.d, t))
+
+    @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+    def _meet_profile_with(self, t):
         probes = _NAT_PROBES if not self.ordinal else (nat(2), nat(3), nat(5), OMEGA)
         hs = []
         for p in probes:
@@ -554,13 +589,6 @@ class SymbolicSeries:
         if cmp(sup, t.ht) > 0:
             sup = t.ht
         return ("increasing", sup)
-
-
-# Series kept by ``cached_series``; least recently used go first.  One round
-# of the witness cases reuses 83 distinct series, which the view cache's
-# bound of 32 would evict and rebuild; a series holds a few nodes and no
-# view, so 128 of them stay light.
-SERIES_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=SERIES_CACHE_SIZE)

@@ -51,7 +51,6 @@ _PICK_PARAMS = 40       # _pick_in_child_cones: members searched for distinct ch
 _PICK_KEEP = 12         # picks kept, so a few leading members of another shape can be skipped,
 _PICK_FIT = 8           # and the run of picks a stable template is fitted to
 _FU_PICKS = 8           # fu_extract: cofinal I-points below t, one least member above each
-_SAMPLE_K = 6           # sample_members: members per family when the caller names no count
 _CLUB_STEPS = 8         # club_accumulation: steps, enough to see an affine pattern of meets
 _MAXIMALITY_HEAD = 8    # maximality_witness: cofinal I-points in the head a template fits
 
@@ -261,7 +260,7 @@ def is_countable_spec(d, spec):
     return True
 
 
-def sample_members(d, spec, k=_SAMPLE_K):
+def sample_members(d, spec, k):
     out = []
     for part in spec_parts(spec):
         if isinstance(part, Explicit):

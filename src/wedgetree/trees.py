@@ -423,6 +423,9 @@ def meet_parts(a, b):
 
 # -- views ---------------------------------------------------------------------
 
+_MISS = object()  # no answer filed yet: ``None`` and ``False`` are answers
+
+
 def _memo(key=None):
     """Keep a view method's answers in its view's one ``memo`` dict.
 
@@ -437,11 +440,10 @@ def _memo(key=None):
         @wraps(method)
         def once(self, *args):
             k = (name, *(args if key is None else key(*args)))
-            try:
-                return self.memo[k]
-            except KeyError:
+            out = self.memo.get(k, _MISS)
+            if out is _MISS:
                 out = self.memo[k] = method(self, *args)
-                return out
+            return out
 
         return once
 

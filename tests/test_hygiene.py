@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from wedgetree.ordinals import OMEGA1, ONE, add, nat
+from wedgetree.series import Profile
 from wedgetree.trees import (
     CARD_OMEGA, Below, Card, Child, Copy, Full, Graft, HatOf, Node, Seg,
     TildeOf, Up, Word,
@@ -211,14 +212,20 @@ def _attribute_writes(tree, names):
     return sorted(out)
 
 
-def test_shared_nodes_are_never_assigned():
-    """``view`` memoizes walks, so one ``Node`` reaches many callers: only its
-    own constructor (or another class's, on ``self``) sets such names."""
-    names = set(Node.__slots__)
+def _library_writes(names):
+    """``file:line`` of every library line that ``_attribute_writes`` flags."""
     writes = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         writes += ["%s:%d" % (path.name, line) for line in _attribute_writes(tree, names)]
+    return writes
+
+
+def test_shared_nodes_are_never_assigned():
+    """``view`` memoizes walks, so one ``Node`` reaches many callers: only its
+    own constructor (or another class's, on ``self``) sets such names."""
+    names = set(Node.__slots__)
+    writes = _library_writes(names)
     assert not writes, writes
     flagged = ast.parse(
         "def f(n):\n    n.inner = 1\n    setattr(n, 'tag', 2)\n    del n.ht\n"
@@ -231,6 +238,13 @@ def test_shared_nodes_are_never_assigned():
         "        object.__setattr__(self, 'tag', 2)\n        self.other = 3\n"
         "def g(n):\n    n.other = 1\n")
     assert _attribute_writes(kept, names) == []
+
+
+def test_shared_profiles_are_never_assigned():
+    """Each series memoizes its profiles, so one ``Profile`` reaches every
+    caller that asks the same question: only a constructor sets its names."""
+    writes = _library_writes(set(Profile.__slots__))
+    assert not writes, writes
 
 
 def _view_methods():

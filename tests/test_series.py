@@ -1,5 +1,6 @@
 import functools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +11,21 @@ from hypothesis import assume, given, settings, strategies as st
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, cmp, limit_of_affine, nat, times_nat,
 )
-from wedgetree.trees import OMEGA_BRANCH, Child, Copy, Full, Up, Word, resolve
+from wedgetree.trees import (
+    OMEGA_BRANCH, Child, Copy, Full, Up, Word, ancestor_at, children, resolve,
+)
 from wedgetree.topology import ClubFamily, OmegaFamily, contains, series_of
 from wedgetree.series import (
     _NAT_PROBES, Param, Profile, SymbolicSeries, _Slot, _fit_affine, _ord_probes,
     fit_template, instantiate, next_param,
 )
 
-from helpers import BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, o, seg, up, word
+from helpers import (
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, clear_series_caches, o, seg,
+    up, word,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FULL_W = Full(OMEGA_BRANCH, o(W, 1))     # omega-branching tree of height w+1
 
@@ -334,3 +342,79 @@ def test_first_skips_an_ordinal_hole_of_an_int_tail():
     prof = Profile.always().patched((), (ZERO,))
     assert prof.first() == nat(1)
     assert _old_first(prof) == 0
+
+
+# -- the profile memos ---------------------------------------------------------
+
+PROFILE_QUESTIONS = ("le_profile", "eq_profile", "meet_profile_with")
+
+
+def _witness_series(monkeypatch):
+    """Every series that one round of the benchmark's witness case tables
+    builds, with the memos cleared first, so each is built in the round."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+    import workloads
+    built = []
+    init = SymbolicSeries.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    clear_series_caches()
+    monkeypatch.setattr(SymbolicSeries, "__init__", record)
+    rng = random.Random(0)
+    for kind, cases in inputs.witness_cases().items():
+        for case in cases:
+            workloads.witness_request(kind, case, rng)
+    monkeypatch.setattr(SymbolicSeries, "__init__", init)
+    return built
+
+
+def _question_nodes(series):
+    """The series' sample members, their children, and their ancestors at
+    omega, omega*2 and omega1."""
+    d = series.d
+    members = [series.at(p) for p in series.params_upto(6)]
+    out = list(members)
+    for x in members:
+        out += children(d, x, 2)
+        out += [ancestor_at(d, x, h) for h in (OMEGA, times_nat(OMEGA, 2), OMEGA1)
+                if cmp(h, x.ht) <= 0]
+    return list({x.parts: x for x in out}.values())
+
+
+def _same_answer(a, b):
+    if isinstance(a, Profile):
+        return isinstance(b, Profile) and \
+            (a.kind, a.data, a.extras, a.holes) == (b.kind, b.data, b.extras, b.holes)
+    return a == b
+
+
+def test_profile_memos_agree_with_fresh_series(monkeypatch):
+    """Each witness series answers every profile question as an uncached
+    series with the same arguments does; a second call returns the same
+    object, and a question that raises raises again."""
+    built = _witness_series(monkeypatch)
+    assert len(built) > 50
+    asked = raised = 0
+    for series in built:
+        fresh = SymbolicSeries(series.d, series.template, series.ordinal, series.bound)
+        for u in _question_nodes(series):
+            for name in PROFILE_QUESTIONS:
+                uncached = getattr(SymbolicSeries, "_" + name).__wrapped__
+                asked += 1
+                try:
+                    want = uncached(fresh, u)
+                except UndecidableTailPattern:
+                    raised += 1
+                    for _ in range(2):
+                        with pytest.raises(UndecidableTailPattern):
+                            getattr(series, name)(u)
+                    continue
+                got = getattr(series, name)(u)
+                assert _same_answer(got, want), (series.template, u, name, got, want)
+                assert getattr(series, name)(u) is got
+                assert getattr(series, name)(u.address()) is got
+    assert asked > 1000 and raised < asked

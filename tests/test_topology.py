@@ -21,8 +21,8 @@ from wedgetree.topology import (
 )
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, club_cases,
-    disjoint_closure_cases, fu_cases, full, o, seg, up, word,
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, clear_series_caches,
+    club_cases, disjoint_closure_cases, fu_cases, full, o, seg, up, word,
 )
 
 
@@ -330,10 +330,8 @@ def test_cluster_decisions_match_direct_membership():
 
 # the named search budgets of ``topology``.  _MEETING_INFINITE is left out: it
 # is the inference "that many cones are infinitely many", not a budget.
-# _SAMPLE_K is left out too: it is only the default count of sample_members,
-# and every library caller names its count.  _PICK_KEEP and _PICK_FIT are
-# coupled (the picks kept must hold a run of _PICK_FIT), so they are scaled
-# together.
+# _PICK_KEEP and _PICK_FIT are coupled (the picks kept must hold a run of
+# _PICK_FIT), so they are scaled together.
 BUDGETS = ("_PROBE_SMALL", "_PROBE_CLIMB", "_MEETING_KIDS", "_MEETING_PARAMS",
            "_PICK_PARAMS", "_PICK_KEEP", "_PICK_FIT", "_FU_PICKS", "_CLUB_STEPS",
            "_MAXIMALITY_HEAD")
@@ -363,12 +361,15 @@ def _outcomes():
 
 @pytest.mark.parametrize("names", [("_FU_PICKS",), BUDGETS], ids=["fu-picks", "all"])
 def test_budgets_decide_nothing(monkeypatch, names):
-    """Raising search budgets fourfold changes no outcome."""
+    """Raising search budgets fourfold changes no outcome.  The series and
+    profile memos are cleared first, so the raised budgets meet answers
+    computed again, not the ones kept from the first run."""
     named = {n for n, v in vars(topology).items()
              if n.startswith("_") and n.isupper() and type(v) is int}
-    assert named == set(BUDGETS) | {"_MEETING_INFINITE", "_SAMPLE_K"}
+    assert named == set(BUDGETS) | {"_MEETING_INFINITE"}
     before = _outcomes()
     assert len(before) == 10 + 9 + 30
+    clear_series_caches()
     for name in names:
         monkeypatch.setattr(topology, name, 4 * getattr(topology, name))
     assert _outcomes() == before
