@@ -330,9 +330,9 @@ def gdelta_intersection_oracle(d, x, sample_bases):
 
 # -- separating family (heights up to w1+1) -------------------------------------------
 
-# the heights at which members_containing samples the cones above a point
-_MEMBER_HEIGHTS = (ZERO, ONE, nat(2), OMEGA)
-_VERIFY_MEMBERS = 8  # members per family of S in verify, which splits every pair
+# Every sample this module takes, in one place, with what it samples.
+_MEMBER_HEIGHTS = (ZERO, ONE, nat(2), OMEGA)  # members_containing: heights of cone bases below x
+_VERIFY_MEMBERS = 8  # verify: points of S sampled, every pair of which must be split
 
 
 @dataclass

@@ -107,12 +107,19 @@ def cmd_witness(args):
         payload = {"kind": "fu-extract", "sequence": dsl.print_seq(seq),
                    "verified": verified}
     elif kind == "maximality":
-        from .topology import ALREADY_SIGMA_OPEN, maximality_witness
+        from .topology import (
+            ALREADY_SIGMA_OPEN, Topology, is_subbasic, maximality_witness,
+            minimal_bases,
+        )
         opens = [dsl.parse_open(dsl.read_sexpr(a)) for a in args.args]
         wit = maximality_witness(d, opens)
         if wit is ALREADY_SIGMA_OPEN:
+            # the union is sigma-open when each of its minimal bases may be
+            # taken as subbasic there
+            verified = all(is_subbasic(d, b, Topology.SIGMA_CW)
+                           for b in minimal_bases(d, opens))
             payload = {"kind": "maximality", "verdict": "already-sigma-open",
-                       "verified": True}
+                       "verified": verified}
         else:
             payload = wit.to_json()
             payload["verdict"] = "separating-sequence"

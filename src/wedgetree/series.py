@@ -17,13 +17,13 @@ kept and raises again on every call.
 
 A series is immutable, so it answers each profile question once:
 ``le_profile``, ``eq_profile`` and ``meet_profile_with`` resolve their
-argument to a node and look the answer up in a memo keyed on the series and
-that node (the node, not only its parts, since a meet profile reads its
-height).  Each of the three memos serves every series and keeps the
-``PROFILE_CACHE_SIZE`` most recently asked questions; every caller asking
-one gets the same ``Profile`` or tuple, which nobody assigns to.  A
-question that raises ``UndecidableTailPattern`` is not kept and raises again
-on every call.
+argument to a node and look the answer up in the series' own ``answers``
+memo, keyed on the question and that node (the node, not only its parts,
+since a meet profile reads its height).  The memo belongs to the series and
+dies with it, and it keeps at most ``PROFILE_CACHE_SIZE`` answers, dropping
+the oldest first; every caller asking one question gets the same
+``Profile`` or tuple, which nobody assigns to.  A question that raises
+``UndecidableTailPattern`` is not kept and raises again on every call.
 
 The slot is still found from samples, not read off the template.  Probe
 fitting is used here:
@@ -33,7 +33,8 @@ fitting is used here:
 - ``_ord_probes``: an ordinal-indexed series is fitted at 2, 3, 5, 9, omega
   and omega*2, without verification probes;
 - ``meet_profile_with``: the meet heights with a fixed node are fitted at
-  four probes.
+  ``_NAT_PROBES``, or at the four ``_MEET_ORD_PROBES`` of an ordinal-indexed
+  series.
 
 A fit reads the scale and the tail off the sampled values and derives the
 base by right cancellation (``ordinals.right_sub``): no coefficient is
@@ -112,8 +113,10 @@ def has_param(template):
 
 # -- fitting a series from probes --------------------------------------------------
 
-_NAT_PROBES = (2, 3, 5, 9)
-_NAT_VERIFY = (12, 20)
+# Every parameter sample of this module, in one place, with what it samples.
+_NAT_PROBES = (2, 3, 5, 9)  # an omega-indexed series and its meet heights are fitted here,
+_NAT_VERIFY = (12, 20)      # and the series' fit is checked here
+_MEET_ORD_PROBES = (nat(2), nat(3), nat(5), OMEGA)  # an ordinal series' meet heights, to omega
 
 
 def _ord_probes():
@@ -320,13 +323,37 @@ def _unify(params, shapes, ordinal):
 # view, so 128 of them stay light.
 SERIES_CACHE_SIZE = 128
 
-# Answers kept by each profile memo of ``SymbolicSeries`` (``le_profile``,
-# ``eq_profile``, ``meet_profile_with``), keyed on the series and the node.
-# A key holds its series alive, and the value is a small ``Profile`` or
-# tuple.  The benchmark's witness workload (seed 901, its warm-up and 4,000
-# draws) asks 26,673 profile questions, 494 of them distinct, so this bound
-# holds them many times over.
-PROFILE_CACHE_SIZE = 4096
+# Answers kept by the profile memo of one ``SymbolicSeries`` (``le_profile``,
+# ``eq_profile``, ``meet_profile_with``), keyed on the question and the node.
+# The memo lives on the series, so it is freed with the series, and the value
+# is a small ``Profile`` or tuple.  The benchmark's witness workload (seed
+# 901, its warm-up and 4,000 draws) builds 83 series and asks them 26,673
+# profile questions, 494 of them distinct and at most 21 of one series, so
+# this bound holds a series' questions many times over, and the
+# ``SERIES_CACHE_SIZE`` series that ``cached_series`` keeps hold at most
+# 32,768 answers.
+PROFILE_CACHE_SIZE = 256
+
+
+def _per_series(method):
+    """Keep a profile method's answers (never None) in its series' ``answers``
+    memo, under the method name and the node.  At ``PROFILE_CACHE_SIZE``
+    answers the oldest is dropped; a call that raises is not kept."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def once(self, node):
+        memo = self.answers
+        key = (name, node)
+        out = memo.get(key)
+        if out is None:
+            out = method(self, node)
+            if len(memo) >= PROFILE_CACHE_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = out
+        return out
+
+    return once
 
 
 class SymbolicSeries:
@@ -338,6 +365,7 @@ class SymbolicSeries:
         self.ordinal = ordinal
         self.bound = bound
         self._small = {}
+        self.answers = {}  # (question, node) -> answer, filled by ``_per_series``
         probes = _ord_probes() if ordinal else _NAT_PROBES
         nodes = [resolve(d, instantiate(template, p)) for p in probes]
         self.parts, self.slot = _unify(probes, [n.parts for n in nodes], ordinal)
@@ -432,7 +460,7 @@ class SymbolicSeries:
         """Profile of {p : u <= s_p} over the parameter range."""
         return self._le_profile(as_node(self.d, u))
 
-    @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+    @_per_series
     def _le_profile(self, u):
         ucore = u.parts
         while ucore and ucore[-1][0] == "below":
@@ -446,7 +474,7 @@ class SymbolicSeries:
         """Profile of {p : u == s_p} over the parameter range."""
         return self._eq_profile(as_node(self.d, u))
 
-    @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+    @_per_series
     def _eq_profile(self, u):
         if u.parts and u.parts[-1][0] == "below":
             return Profile.never()
@@ -560,9 +588,9 @@ class SymbolicSeries:
         ht(meet(s_p, t)) over the parameter range, small parameters included."""
         return self._meet_profile_with(as_node(self.d, t))
 
-    @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+    @_per_series
     def _meet_profile_with(self, t):
-        probes = _NAT_PROBES if not self.ordinal else (nat(2), nat(3), nat(5), OMEGA)
+        probes = _NAT_PROBES if not self.ordinal else _MEET_ORD_PROBES
         hs = []
         for p in probes:
             m = meet_parts(self.at(p).parts, t.parts)

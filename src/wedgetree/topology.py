@@ -660,12 +660,10 @@ class MaximalityWitness:
                 "verified": self.verified}
 
 
-def maximality_witness(d, opens):
-    """For a finite union of cone-difference sets: either a minimal element of
-    countable cofinality together with an increasing I(T)-sequence outside the
-    union that converges to it (so the union cannot be open in any countably
-    compact refinement), or the verdict that the union is already open in the
-    countably coarse wedge topology."""
+def minimal_bases(d, opens):
+    """The minimal elements among the bases of a finite union of
+    cone-difference sets, in the order of ``opens``; a cone complement's
+    base is the root."""
     bases = []
     for U in opens:
         if isinstance(U, (Cone, Wedge, CDiff)):
@@ -675,11 +673,17 @@ def maximality_witness(d, opens):
                 bases.append(resolve(d, ()))
         else:
             raise TypeError(U)
-    minimal = []
-    for b in bases:
-        if not any(leq_parts(o.parts, b.parts) and o.parts != b.parts for o in bases):
-            minimal.append(b)
-    for t in minimal:
+    return [b for b in bases
+            if not any(leq_parts(o.parts, b.parts) and o.parts != b.parts for o in bases)]
+
+
+def maximality_witness(d, opens):
+    """For a finite union of cone-difference sets: either a minimal element of
+    countable cofinality together with an increasing I(T)-sequence outside the
+    union that converges to it (so the union cannot be open in any countably
+    compact refinement), or the verdict that the union is already open in the
+    countably coarse wedge topology."""
+    for t in minimal_bases(d, opens):
         if t.cof is Cofinality.OMEGA:
             seq_nodes = cofinal_I_nodes(d, t, _MAXIMALITY_HEAD)
             outside = all(

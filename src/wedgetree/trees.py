@@ -41,7 +41,11 @@ first time.  Calls that raise are not kept.  Resolved nodes and ancestors
 are shared between callers, so no code outside ``Node.__init__`` sets a
 node's attributes; ``children`` returns a new list on every call.  The tree
 order on parts, ``leq_parts``, keeps its answer for the ``ORDER_CACHE_SIZE``
-most recently asked pairs.
+most recently asked pairs.  The height maps of hat and tilde (``hat_shift``,
+``hat_unshift``, ``tilde_shift``, ``tilde_unshift``) are pure functions of
+one ordinal and keep their answers for the ``ordinals.ORDINAL_CACHE_SIZE``
+most recently used heights, as the ordinal arithmetic does; a height that
+raises is not kept.
 """
 
 from __future__ import annotations
@@ -54,11 +58,13 @@ from .errors import (
     UnsupportedAddress,
 )
 from .ordinals import (
-    ONE, ZERO, Cofinality, Ordinal, add, cmp, drop_leading_unit, fundamental,
-    left_sub, pred,
+    ONE, ORDINAL_CACHE_SIZE, ZERO, Cofinality, Ordinal, add, cmp,
+    drop_leading_unit, fundamental, left_sub, pred,
 )
 
-_EXPAND_CAP = 10000
+# -- budgets -------------------------------------------------------------------
+# Every bound on work in this module, in one place, with what it bounds.
+_EXPAND_CAP = 10000  # letters a finite multi-letter word spells out; longer is unsupported
 
 # Views kept by the ``view`` cache; least recently used go first.  Each cached
 # view keeps its memo of facts, walks, children and ancestors, so an entry
@@ -227,6 +233,7 @@ class Below:
 
 # -- height transforms --------------------------------------------------------
 
+@lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def hat_shift(h):
     """Height of the image of a height-h node after the insertions below it.
 
@@ -238,6 +245,7 @@ def hat_shift(h):
     return h
 
 
+@lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def hat_unshift(h):
     """Inverse of the hat height map; returns ("spoint"|"image", inner height)."""
     if h.cof() is Cofinality.OMEGA1:
@@ -248,6 +256,7 @@ def hat_unshift(h):
     return ("image", h)
 
 
+@lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def tilde_shift(h):
     """Height of a surviving node after the uncountable-cofinality levels
     below it are removed (one point per w1-block boundary)."""
@@ -259,6 +268,7 @@ def tilde_shift(h):
     return Ordinal(h.omega1, drop_leading_unit(gamma).terms)
 
 
+@lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def tilde_unshift(h):
     if h.omega1 == 0:
         return h

@@ -6,7 +6,6 @@ from wedgetree.corpus import random_description
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat,
 )
-from wedgetree.series import SymbolicSeries, cached_series
 from wedgetree.topology import (
     Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, Param, UnionSpec,
 )
@@ -18,15 +17,6 @@ from wedgetree.trees import (
 W = OMEGA
 W1 = OMEGA1
 W2 = omega_power(nat(2))
-
-
-def clear_series_caches():
-    """Forget every memoized series and profile answer, so the next calls
-    build and compute them again."""
-    cached_series.cache_clear()
-    for memo in (SymbolicSeries._le_profile, SymbolicSeries._eq_profile,
-                 SymbolicSeries._meet_profile_with):
-        memo.cache_clear()
 
 
 def o(*parts):

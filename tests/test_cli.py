@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from wedgetree import topology
 from wedgetree.cli import main
+from wedgetree.ordinals import nat
+from wedgetree.topology import Topology
 
 
 def run(capsys, *argv):
@@ -68,6 +71,28 @@ def test_witness_maximality(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "separating-sequence"
     assert payload["verified"] is True
+
+
+def test_witness_maximality_already_sigma_open(capsys, monkeypatch):
+    """The flag re-checks each minimal base of the union: the node at height
+    3 lies below the cone difference at w, and its cone is sigma-subbasic."""
+    argv = ("witness", "maximality", "(seg (+ w 1))", "(cone (addr (up 3)))",
+            "(cdiff (addr (up w)))", "--json")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "already-sigma-open"
+    assert payload["verified"] is True
+    checked = []
+
+    def refuse(d, t, top):
+        checked.append((t.ht, top))
+        return False
+
+    monkeypatch.setattr(topology, "is_subbasic", refuse)
+    code, out = run(capsys, *argv)
+    assert json.loads(out)["verified"] is False
+    assert checked == [(nat(3), Topology.SIGMA_CW)]
 
 
 def test_witness_roundtrip(capsys):

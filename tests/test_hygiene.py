@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from wedgetree.ordinals import OMEGA1, ONE, add, nat
+from wedgetree.ordinals import OMEGA1, ONE, Ordinal, add, nat
 from wedgetree.series import Profile
 from wedgetree.trees import (
     CARD_OMEGA, Below, Card, Child, Copy, Full, Graft, HatOf, Node, Seg,
@@ -244,6 +244,13 @@ def test_shared_profiles_are_never_assigned():
     """Each series memoizes its profiles, so one ``Profile`` reaches every
     caller that asks the same question: only a constructor sets its names."""
     writes = _library_writes(set(Profile.__slots__))
+    assert not writes, writes
+
+
+def test_ordinal_values_are_written_only_by_their_constructor():
+    """The value memos hand one ``Ordinal`` to many callers, and ``cof()``
+    reads what ``__init__`` stored: no other code sets its slots."""
+    writes = _library_writes(set(Ordinal.__slots__))
     assert not writes, writes
 
 

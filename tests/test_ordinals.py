@@ -12,8 +12,11 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wedgetree.errors import OracleRangeError, OrdinalUnderflowError, SupNotRepresentable
+from wedgetree.errors import (
+    OracleRangeError, OrdinalUnderflowError, SupNotRepresentable, WedgeTreeError,
+)
 from wedgetree import ordinals as o
+from wedgetree import trees
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, classify_ordinal, cmp,
     fin_mul, fundamental, left_sub, limit_of_affine, measure_blocks, nat,
@@ -284,4 +287,73 @@ def test_ordinals_copy_and_pickle():
     for x in values:
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert y == x and hash(y) == hash(x) and cmp(y, x) == 0
+            assert y.cof() is x.cof()
             assert str(y) == str(x) and add(y, ONE) == add(x, ONE)
+
+
+def test_ordinals_are_immutable():
+    x = add(OMEGA1, nat(2))
+    for name, value in (("omega1", 0), ("terms", ()), ("_hash", 0),
+                        ("_cof", Cofinality.OMEGA1), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    assert x == add(OMEGA1, nat(2)) and x.cof() is Cofinality.ZERO
+
+
+# -- value memos ---------------------------------------------------------------
+
+# (memoized function, arity): the pure operations kept by value, each bounded
+# by ordinals.ORDINAL_CACHE_SIZE
+MEMOIZED = [(o.add, 2), (o.left_sub, 2), (o.pred, 1), (trees.hat_shift, 1),
+            (trees.hat_unshift, 1), (trees.tilde_shift, 1), (trees.tilde_unshift, 1)]
+
+
+def _outcome(fn, args):
+    """(answer, None) or (None, type of the error raised)."""
+    try:
+        return fn(*args), None
+    except (ValueError, WedgeTreeError) as e:
+        return None, type(e)
+
+
+@pytest.mark.parametrize("fn, arity", MEMOIZED, ids=[fn.__name__ for fn, _ in MEMOIZED])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=any_ordinals(), b=any_ordinals())
+def test_memoized_operations_equal_their_uncached_functions(fn, arity, a, b):
+    """A memo hit is the uncached answer and the same object on every call;
+    a call that raises raises the uncached error and is not kept."""
+    assert fn.cache_info().maxsize == o.ORDINAL_CACHE_SIZE
+    args = (a, b)[:arity]
+    want, want_error = _outcome(fn.__wrapped__, args)
+    size = fn.cache_info().currsize
+    got, got_error = _outcome(fn, args)
+    assert got_error is want_error
+    if want_error is None:
+        assert got == want and fn(*args) is got
+        return
+    assert fn.cache_info().currsize == size
+    before = fn.cache_info()
+    assert _outcome(fn, args) == (None, want_error)
+    after = fn.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+
+
+def test_repeat_calls_share_one_value():
+    a, b = add(OMEGA1, nat(3)), add(w2(2), OMEGA)
+    assert add(a, b) is add(a, b)
+    assert add(Ordinal(1, ((ZERO, 3),)), b) is add(a, b)  # equal keys, one answer
+    assert o.left_sub(OMEGA, b) is o.left_sub(OMEGA, b)
+    assert o.pred(a) is o.pred(a) == add(OMEGA1, nat(2))
+    assert trees.hat_shift(a) is trees.hat_shift(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(any_ordinals())
+def test_stored_cof_is_derived_from_kind(a):
+    kind = a.kind()
+    if kind in ("zero", "successor"):
+        want = Cofinality.ZERO
+    else:
+        want = Cofinality.OMEGA if a.terms else Cofinality.OMEGA1
+    assert a.cof() is want
+    assert Ordinal(a.omega1, a.terms).cof() is want

@@ -1,5 +1,7 @@
 import functools
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,14 +17,14 @@ from wedgetree.trees import (
     OMEGA_BRANCH, Child, Copy, Full, Up, Word, ancestor_at, children, resolve,
 )
 from wedgetree.topology import ClubFamily, OmegaFamily, contains, series_of
+from wedgetree import series as series_module
 from wedgetree.series import (
     _NAT_PROBES, Param, Profile, SymbolicSeries, _Slot, _fit_affine, _ord_probes,
-    fit_template, instantiate, next_param,
+    cached_series, fit_template, instantiate, next_param,
 )
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, clear_series_caches, o, seg,
-    up, word,
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, o, seg, up, word,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -351,7 +353,8 @@ PROFILE_QUESTIONS = ("le_profile", "eq_profile", "meet_profile_with")
 
 def _witness_series(monkeypatch):
     """Every series that one round of the benchmark's witness case tables
-    builds, with the memos cleared first, so each is built in the round."""
+    builds, with the series memo cleared first, so each is built in the
+    round."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import inputs
     import workloads
@@ -362,7 +365,7 @@ def _witness_series(monkeypatch):
         init(self, *args)
         built.append(self)
 
-    clear_series_caches()
+    cached_series.cache_clear()
     monkeypatch.setattr(SymbolicSeries, "__init__", record)
     rng = random.Random(0)
     for kind, cases in inputs.witness_cases().items():
@@ -418,3 +421,32 @@ def test_profile_memos_agree_with_fresh_series(monkeypatch):
                 assert getattr(series, name)(u) is got
                 assert getattr(series, name)(u.address()) is got
     assert asked > 1000 and raised < asked
+
+
+def test_profile_answers_die_with_their_series():
+    """A series' profile answers live on the series, so once ``cached_series``
+    drops it nothing else keeps it alive."""
+    d = seg(OMEGA1)
+    cached_series.cache_clear()
+    first = cached_series(d, (Up(Param(ZERO, ONE)),))
+    for name in PROFILE_QUESTIONS:
+        getattr(first, name)((up(OMEGA1),))
+    assert len(first.answers) == len(PROFILE_QUESTIONS)
+    gone = weakref.ref(first)
+    del first
+    for i in range(1, 201):
+        cached_series(d, (Up(Param(nat(i), ONE)),)).le_profile((up(i + 3),))
+    gc.collect()
+    assert gone() is None
+
+
+def test_profile_memo_keeps_its_named_bound(monkeypatch):
+    """At ``PROFILE_CACHE_SIZE`` answers a series drops its oldest one, and
+    the answers it still holds are the ones asked last."""
+    monkeypatch.setattr(series_module, "PROFILE_CACHE_SIZE", 5)
+    s = SymbolicSeries(seg(OMEGA1), (Up(Param(ZERO, ONE)),))
+    asked = [resolve(s.d, (up(i),)) for i in range(12)]
+    answers = [s.le_profile(u) for u in asked]
+    assert len(s.answers) == 5
+    assert list(s.answers) == [("_le_profile", u) for u in asked[-5:]]
+    assert s.le_profile(asked[-1]) is answers[-1]

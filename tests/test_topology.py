@@ -9,6 +9,7 @@ from wedgetree.errors import (
     WedgeTreeError,
 )
 from wedgetree.ordinals import ONE, ZERO, cmp, nat
+from wedgetree.series import cached_series
 from wedgetree.trees import (
     Child, Copy, Up, Word, leq, resolve, validate,
 )
@@ -21,8 +22,8 @@ from wedgetree.topology import (
 )
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, clear_series_caches,
-    club_cases, disjoint_closure_cases, fu_cases, full, o, seg, up, word,
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, club_cases,
+    disjoint_closure_cases, fu_cases, full, o, seg, up, word,
 )
 
 
@@ -361,15 +362,16 @@ def _outcomes():
 
 @pytest.mark.parametrize("names", [("_FU_PICKS",), BUDGETS], ids=["fu-picks", "all"])
 def test_budgets_decide_nothing(monkeypatch, names):
-    """Raising search budgets fourfold changes no outcome.  The series and
-    profile memos are cleared first, so the raised budgets meet answers
-    computed again, not the ones kept from the first run."""
+    """Raising search budgets fourfold changes no outcome.  The series memo
+    is cleared first, so the raised budgets meet series built again, whose
+    profile answers are computed again, not the ones kept from the first
+    run."""
     named = {n for n, v in vars(topology).items()
              if n.startswith("_") and n.isupper() and type(v) is int}
     assert named == set(BUDGETS) | {"_MEETING_INFINITE"}
     before = _outcomes()
     assert len(before) == 10 + 9 + 30
-    clear_series_caches()
+    cached_series.cache_clear()
     for name in names:
         monkeypatch.setattr(topology, name, 4 * getattr(topology, name))
     assert _outcomes() == before
