@@ -13,7 +13,7 @@ node has at most one immediate successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ChoiceUnavailable, InvalidAddress, NotClosed, NotInClosure,
@@ -254,10 +254,26 @@ class DisjointVerdict:
     at: object = None         # split-point address when kind == "meet"
     accumulation_a: tuple = ()
     accumulation_b: tuple = ()
+    sets: tuple = field(default=(), repr=False, compare=False)  # (d, A, B), re-checked
+
+    @property
+    def verified(self):
+        """The verdict re-derived from its tree and sets: a meeting point is
+        the split point, in hat(d), of an uncountable-cofinality node where
+        both sets accumulate; disjoint closures share no such point."""
+        common = _shared_split_points(*self.sets)[0]
+        if self.kind == "disjoint":
+            return not common
+        try:
+            resolve(HatOf(self.sets[0]), self.at)
+        except InvalidAddress:
+            return False
+        t = resolve(self.sets[0], self.at[:-1])
+        return t.cof is Cofinality.OMEGA1 and t.parts in common
 
     def to_json(self):
         out = {"kind": "disjoint-closures", "verdict": self.kind,
-               "verified": True}
+               "verified": self.verified}
         if self.at is not None:
             from .dsl import print_address
             out["at"] = print_address(self.at)
@@ -335,6 +351,18 @@ def disjoint_closures(d, A, B):
     for x in sample_members(d, B, _SHARED_MEMBERS):
         if contains(d, A, x):
             raise PreconditionFailed("A and B share the point %r" % (x,))
+    common, acc_a, acc_b = _shared_split_points(d, A, B)
+    summary = dict(accumulation_a=tuple(sorted(map(str, acc_a))),
+                   accumulation_b=tuple(sorted(map(str, acc_b))), sets=(d, A, B))
+    if common:
+        t = common[min(common, key=str)]
+        return DisjointVerdict("meet", at=t.address() + (Below(),), **summary)
+    return DisjointVerdict("disjoint", **summary)
+
+
+def _shared_split_points(d, A, B):
+    """(the split points where both A and B accumulate, A's, B's), each as
+    {parts: node}."""
     acc_a, cones_a = _accumulating_split_points(d, A)
     acc_b, cones_b = _accumulating_split_points(d, B)
     common = set(acc_a) & set(acc_b)
@@ -352,11 +380,4 @@ def disjoint_closures(d, A, B):
             if leq_parts(ba.parts, bb.parts) or leq_parts(bb.parts, ba.parts):
                 raise UndecidableTailPattern(
                     "comparable cones share their whole upper accumulation")
-    if common:
-        t = acc_a[min(common, key=str)]
-        return DisjointVerdict("meet", at=t.address() + (Below(),),
-                               accumulation_a=tuple(sorted(map(str, acc_a))),
-                               accumulation_b=tuple(sorted(map(str, acc_b))))
-    return DisjointVerdict("disjoint",
-                           accumulation_a=tuple(sorted(map(str, acc_a))),
-                           accumulation_b=tuple(sorted(map(str, acc_b))))
+    return {u: acc_a[u] for u in common}, acc_a, acc_b

@@ -16,14 +16,17 @@ for equal arguments.  A fit that raises ``UndecidableTailPattern`` is not
 kept and raises again on every call.
 
 A series is immutable, so it answers each profile question once:
-``le_profile``, ``eq_profile`` and ``meet_profile_with`` resolve their
-argument to a node and look the answer up in the series' own ``answers``
-memo, keyed on the question and that node (the node, not only its parts,
-since a meet profile reads its height).  The memo belongs to the series and
-dies with it, and it keeps at most ``PROFILE_CACHE_SIZE`` answers, dropping
-the oldest first; every caller asking one question gets the same
-``Profile`` or tuple, which nobody assigns to.  A question that raises
-``UndecidableTailPattern`` is not kept and raises again on every call.
+``le_profile``, ``eq_profile``, ``meet_profile_with`` and
+``children_profile`` resolve their argument to a node and look the answer up
+in the series' own ``answers`` memo, keyed on the question and that node
+(the node, not only its parts, since a meet profile reads its height).  The
+memo belongs to the series and dies with it, and it keeps at most
+``PROFILE_CACHE_SIZE`` answers, dropping the oldest first; every caller
+asking one question gets the same ``Profile`` or tuple, which nobody assigns
+to.  A question that raises ``UndecidableTailPattern`` is not kept and
+raises again on every call.  ``children_profile`` reads the children of a
+node that the members enter off the slot, with no probe: finitely many, or
+one per member.
 
 The slot is still found from samples, not read off the template.  Probe
 fitting is used here:
@@ -32,9 +35,9 @@ fitting is used here:
   parameters 2, 3, 5, 9 and checked at 12 and 20;
 - ``_ord_probes``: an ordinal-indexed series is fitted at 2, 3, 5, 9, omega
   and omega*2, without verification probes;
-- ``meet_profile_with``: the meet heights with a fixed node are fitted at
-  ``_NAT_PROBES``, or at the four ``_MEET_ORD_PROBES`` of an ordinal-indexed
-  series.
+- ``meet_profile_with``: unless all but finitely many members lie above the
+  node, the meet heights with it are fitted at ``_NAT_PROBES``, or at the
+  four ``_MEET_ORD_PROBES`` of an ordinal-indexed series.
 
 A fit reads the scale and the tail off the sampled values and derives the
 base by right cancellation (``ordinals.right_sub``): no coefficient is
@@ -53,7 +56,7 @@ from .ordinals import (
     omega_power, right_sub, times_nat,
 )
 from .trees import (
-    Below, Child, Copy, Up, Word, as_node, leq_parts, meet_parts,
+    Below, Child, Copy, Up, Word, as_node, child_toward, leq_parts, meet_parts,
     node_at, resolve,
 )
 
@@ -324,13 +327,13 @@ def _unify(params, shapes, ordinal):
 SERIES_CACHE_SIZE = 128
 
 # Answers kept by the profile memo of one ``SymbolicSeries`` (``le_profile``,
-# ``eq_profile``, ``meet_profile_with``), keyed on the question and the node.
-# The memo lives on the series, so it is freed with the series, and the value
-# is a small ``Profile`` or tuple.  The benchmark's witness workload (seed
-# 901, its warm-up and 4,000 draws) builds 83 series and asks them 26,673
-# profile questions, 494 of them distinct and at most 21 of one series, so
-# this bound holds a series' questions many times over, and the
-# ``SERIES_CACHE_SIZE`` series that ``cached_series`` keeps hold at most
+# ``eq_profile``, ``meet_profile_with``, ``children_profile``), keyed on the
+# question and the node.  The memo lives on the series, so it is freed with
+# the series, and the value is a small ``Profile`` or tuple.  The benchmark's
+# witness workload (seed 901, its warm-up and 4,000 draws) builds 83 series
+# and asks them 23,900 profile questions, 484 of them distinct and at most 23
+# of one series, so this bound holds a series' questions many times over, and
+# the ``SERIES_CACHE_SIZE`` series that ``cached_series`` keeps hold at most
 # 32,768 answers.
 PROFILE_CACHE_SIZE = 256
 
@@ -581,6 +584,60 @@ class SymbolicSeries:
                 raise UndecidableTailPattern("threshold verification failed")
         return Profile.from_(p0)
 
+    # child cones ---------------------------------------------------------------
+
+    def children_profile(self, t):
+        """The children of t that the members strictly above t enter:
+        ``(kids, None)`` when they are finitely many, each listed with its
+        ``le_profile``; or ``(kids, p0)`` when every member lies above t in
+        a child no other member enters, and the members from p0 on have the
+        fitted parts, ``kids`` listing the children entered below p0.
+
+        From parameter 2 on the members have the fitted parts, which vary in
+        ``_unify``'s one affine slot alone.  If the slot is a copy index or a
+        child letter and t is the node right below it (``limit_nodes``),
+        member p enters the child its index or letter names (a merge of
+        equal letters keeps the first letter past t): affine values of
+        nonzero scale never repeat.  Otherwise, if t lies below the slot,
+        the members pass through one child of t; if t ends inside the slot's
+        run or position, at c, those with a value above c enter the child
+        inside the slot, and the one with value c (``solve_eq``) may leave
+        it; if t reaches past the slot, ``le_profile(t)`` is finite.  So when
+        ``le_profile(t)`` is a tail from p_s, the member q = max(p_s, 2) + 1
+        enters the common child C, and ``le_profile(C)`` is a tail from some
+        q0 <= q.  A member above t outside V_C is an extra of
+        ``le_profile(t)``, a hole of ``le_profile(C)`` or in [p_s, q0):
+        finitely many, which ``Profile.first`` finds, least first, each
+        adding its child.  A C whose profile is no tail is outside this
+        reading and raises ``UndecidableTailPattern``."""
+        return self._children_profile(as_node(self.d, t))
+
+    @_per_series
+    def _children_profile(self, t):
+        d = self.d
+        if not self.constant and self.slot.kind in ("copy", "letter") \
+                and t.parts == self.limit_nodes()[0].parts:  # an omega series
+            p0 = max((p + 1 for p in (0, 1) if self.at(p).parts != self._predict(p)),
+                     default=0)
+            kids = [child_toward(d, t, self.at(p)) for p in range(p0)]
+            return tuple((c, self.le_profile(c)) for c in kids), p0
+        le, eq = self.le_profile(t), self.eq_profile(t)
+        kids = {}
+        if le.eventually and not eq.eventually:
+            two = nat(2) if self.ordinal else 2  # an ordinal always() starts at the int 0
+            q = max(le.data, two) if isinstance(le.data, type(two)) else two
+            c = child_toward(d, t, self.at(next_param(q)))
+            if not self.le_profile(c).eventually:
+                raise UndecidableTailPattern(
+                    "the child cones of t that the members enter do not follow the slot")
+            kids[c.parts] = c
+        while True:
+            p = le.first(eq, *(self.le_profile(c) for c in kids.values()))
+            if p is None:
+                return tuple((c, self.le_profile(c)) for c in kids.values()), None
+            c = child_toward(d, t, self.at(p))
+            kids[c.parts] = c
+
     # meets ----------------------------------------------------------------------
 
     def meet_profile_with(self, t):
@@ -590,6 +647,10 @@ class SymbolicSeries:
 
     @_per_series
     def _meet_profile_with(self, t):
+        le = self.le_profile(t)
+        if le.eventually and (not isinstance(le.data, Ordinal) or le.data.is_finite):
+            # all but finitely many members lie in V_t, where the meet is t
+            return ("const", t.ht)
         probes = _NAT_PROBES if not self.ordinal else _MEET_ORD_PROBES
         hs = []
         for p in probes:
@@ -768,16 +829,3 @@ def _parts_component_steps(comp):
     if comp[0] == "copy":
         return [Copy(comp[1], comp[2])]
     return [Below()]
-
-
-def fit_stable_template(nodes, need=8):
-    """Fit a template from a run of the nodes, tolerating a few leading
-    members whose canonical shape differs (small-parameter merges)."""
-    for start in range(0, max(1, len(nodes) - need + 1)):
-        window = nodes[start:start + need]
-        if len(window) < need:
-            break
-        tpl = fit_template(window)
-        if tpl is not None:
-            return tpl
-    return None

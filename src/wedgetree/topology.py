@@ -11,9 +11,9 @@ series fitted from them live in ``wedgetree.series``.
 Deciders are sound and conservative: they raise UndecidableTailPattern when a
 tail falls outside the decidable fragment, and never return a wrong verdict.
 Choice functions pick least indices and least parameters so witnesses are
-reproducible.  A least parameter is read off the family's profiles
-(``series.Profile.first``), not searched for, so no budget decides that a
-family has no member in a cone.
+reproducible.  A least parameter (``series.Profile.first``) and the child
+cones of a point that a family enters (``SymbolicSeries.children_profile``)
+are read off the family's profiles and slot, so no budget decides a verdict.
 """
 
 from __future__ import annotations
@@ -31,26 +31,16 @@ from .ordinals import (
 )
 from .series import Param as Param
 from .series import SymbolicSeries as SymbolicSeries
-from .series import (
-    cached_series, fit_stable_template, fit_template, instantiate, next_param,
-)
+from .series import cached_series, fit_template, instantiate
 from .trees import (
     Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
     leq_parts, meet, meet_parts, node_at, resolve,
 )
 
 
-# -- probe budgets -------------------------------------------------------------
-# Every bounded search of this module, in one place, with what it bounds.
-_PROBE_SMALL = 10       # cluster_or_limit: first parameters probed for entered children of x
-_PROBE_CLIMB = 10       # and parameters from the first climb above x, so late entries show
-_MEETING_KIDS = 12      # _meeting_children: children of t listed when V_t lies in a cone of A
-_MEETING_PARAMS = 10    # and members of each family probed for the cones of t they enter;
-_MEETING_INFINITE = 6   # that many distinct cones is read as infinitely many, a sampled answer
-_PICK_PARAMS = 40       # _pick_in_child_cones: members searched for distinct child cones,
-_PICK_KEEP = 12         # picks kept, so a few leading members of another shape can be skipped,
-_PICK_FIT = 8           # and the run of picks a stable template is fitted to
-_FU_PICKS = 8           # fu_extract: cofinal I-points below t, one least member above each
+# -- head lengths ----------------------------------------------------------------
+# Every finite head a construction lists, in one place; none decides a verdict.
+_FU_PICKS = 8           # fu_extract: members in the head of the extracted sequence
 _CLUB_STEPS = 8         # club_accumulation: steps, enough to see an affine pattern of meets
 _MAXIMALITY_HEAD = 8    # maximality_witness: cofinal I-points in the head a template fits
 
@@ -306,34 +296,11 @@ def cluster_or_limit(d, seq, x, topology):
     if not isinstance(seq.tail, Indexed):
         raise TypeError("sequence needs a tail")
     series = cached_series(d, seq.tail.template)
-    if series.constant:
-        c = series.at(0)
-        return Verdict.CONVERGES if c.parts == x.parts else Verdict.NEITHER
-
     lex = series.le_profile(x)
     eqx = series.eq_profile(x)
-
-    # children of x entered by the sequence (candidates for wedge
-    # exclusions): probe small parameters and, crucially, the range where
-    # the sequence first climbs above x
-    probe_ps = list(series.params_upto(_PROBE_SMALL))
-    start = lex.first()
-    if start is not None:
-        p = start
-        for _ in range(_PROBE_CLIMB):
-            probe_ps.append(p)
-            p = next_param(p)
-    cands = {}
-    for p in probe_ps:
-        sp = series.at(p)
-        if leq_parts(x.parts, sp.parts) and sp.parts != x.parts:
-            f = child_toward(d, x, sp)
-            cands[f.parts] = f
-    excl_ok = True
-    for f in cands.values():
-        pf = series.le_profile(f)
-        if pf.kind == "from":
-            excl_ok = False
+    # a wedge at x may exclude the child cones the sequence enters unless it
+    # eventually stays in one of them
+    excl_ok = not any(prof.eventually for _, prof in series.children_profile(x)[0])
 
     own_cone = _local_base_uses_own_cone(x, topology)
     if own_cone:
@@ -523,26 +490,24 @@ def _cluster_of_concrete_tail(d, nodes, x):
 def fu_extract(d, A, t):
     """A sequence from A converging to t in the countably coarse wedge
     topology, built by the three-case analysis on cf(t) and on how many
-    immediate-successor cones of t meet A.  When cf(t) = omega and finitely
-    many cones meet A, the sequence takes, above each of _FU_PICKS cofinal
-    I-points below t, the family's least member outside the meeting cones and
-    other than t, read off the profiles."""
+    immediate-successor cones of t meet A, read off each family's slot
+    (``SymbolicSeries.children_profile``).  When cf(t) = omega and finitely
+    many do, the sequence takes, above each of _FU_PICKS cofinal I-points
+    below t, the family's least member outside them and other than t."""
     t = as_node(d, t)
     if contains(d, A, t):
         raise PreconditionFailed("t itself belongs to A")
 
-    meeting, meeting_infinite = _meeting_children(d, A, t)
+    meeting, distinct = _meeting_children(d, A, t)
+    if distinct:
+        return _pick_in_child_cones(d, distinct, t)
     if t.cof is not Cofinality.OMEGA:
-        if meeting_infinite:
-            return _pick_in_child_cones(d, A, t)
         if not meeting:
             raise NotInClosure("no immediate-successor cone of t meets A")
         # finitely many meeting cones and a strong local base at t: the wedge
         # excluding them misses A entirely
         raise NotInClosure(
             "only finitely many cones below t's wedge meet A; t is not in the closure")
-    if meeting_infinite:
-        return _pick_in_child_cones(d, A, t)
     base_nodes = cofinal_I_nodes(d, t, _FU_PICKS)
     head = []
     tpl = None
@@ -568,77 +533,41 @@ def fu_extract(d, A, t):
 
 
 def _meeting_children(d, A, t):
-    """(finite list of meeting children, True-if-infinitely-many)."""
+    """(the children of t whose cones meet A, (family, p0) for each family of
+    A entering one per member, read off its ``children_profile``)."""
     meeting = {}
-    infinite = False
-    kids = children(d, t, _MEETING_KIDS)
-    for part in spec_parts(A):
-        if isinstance(part, Explicit):
-            for pt in part.points:
-                n = resolve(d, pt)
-                if leq_parts(t.parts, n.parts) and n.parts != t.parts:
-                    f = child_toward(d, t, n)
-                    meeting[f.parts] = f
-        elif isinstance(part, (OmegaFamily, ClubFamily)):
-            series = series_of(d, part)
-            fs = {}
-            for p in series.params_upto(_MEETING_PARAMS):
-                sp = series.at(p)
-                if leq_parts(t.parts, sp.parts) and sp.parts != t.parts:
-                    f = child_toward(d, t, sp)
-                    fs[f.parts] = f
-            if len(fs) >= _MEETING_INFINITE:
-                infinite = True
-            meeting.update(fs)
-        elif isinstance(part, Branch):
-            top = as_node(d, part.top)
-            if leq_parts(t.parts, top.parts) and top.parts != t.parts:
-                f = child_toward(d, t, top)
-                meeting[f.parts] = f
-        elif isinstance(part, ConeSet):
-            base = as_node(d, part.t)
-            if leq_parts(t.parts, base.parts) and base.parts != t.parts:
-                # the cone hangs above one child of t
-                f = child_toward(d, t, base)
-                meeting[f.parts] = f
-            elif leq_parts(base.parts, t.parts):
-                # V_t is inside the cone: every child cone meets it
-                if not t.ims.is_finite:
-                    infinite = True
-                for k in kids:
-                    meeting[k.parts] = k
-    return list(meeting.values()), infinite
-
-
-def _pick_in_child_cones(d, A, t):
-    """Case: countably many immediate-successor cones of t meet A."""
-    picked = []
+    distinct = []
     for part in spec_parts(A):
         if isinstance(part, (OmegaFamily, ClubFamily)):
-            series = series_of(d, part)
-            seen = set()
-            for p in series.params_upto(_PICK_PARAMS):
-                sp = series.at(p)
-                if leq_parts(t.parts, sp.parts) and sp.parts != t.parts:
-                    f = child_toward(d, t, sp)
-                    if f.parts not in seen:
-                        seen.add(f.parts)
-                        picked.append(sp)
-                if len(picked) >= _PICK_KEEP:
-                    break
-            if len(picked) >= _PICK_FIT:
-                tpl = fit_stable_template(picked, _PICK_FIT)
-                if tpl is not None:
-                    seq = SeqSpec(head=tuple(n.address() for n in picked[:_PICK_FIT]),
-                                  tail=Indexed(tpl))
-                    if cluster_or_limit(d, SeqSpec(tail=Indexed(tpl)), t,
-                                        Topology.SIGMA_CW) is Verdict.CONVERGES:
-                        return seq
-        elif isinstance(part, Explicit):
-            for pt in part.points:
-                n = resolve(d, pt)
-                if leq_parts(t.parts, n.parts) and n.parts != t.parts:
-                    picked.append(n)
+            kids, p0 = series_of(d, part).children_profile(t)
+            meeting.update((f.parts, f) for f, _ in kids)
+            if p0 is not None:
+                distinct.append((part, p0))
+            continue
+        if isinstance(part, Explicit):
+            nodes = [resolve(d, pt) for pt in part.points]
+        elif isinstance(part, Branch):
+            nodes = [as_node(d, part.top)]
+        else:  # a cone set: V_t inside it would have put t in A
+            nodes = [as_node(d, part.t)]
+        for n in nodes:
+            if leq_parts(t.parts, n.parts) and n.parts != t.parts:
+                f = child_toward(d, t, n)
+                meeting[f.parts] = f
+    return list(meeting.values()), distinct
+
+
+def _pick_in_child_cones(d, distinct, t):
+    """Case: infinitely many immediate-successor cones of t meet A.  A family
+    whose members enter pairwise distinct cones gives the head, its first
+    _FU_PICKS members, and the tail, the template of as many from p0 on."""
+    for part, p0 in distinct:
+        series = series_of(d, part)
+        tpl = fit_template([series.at(p) for p in range(p0, p0 + _FU_PICKS)])
+        if tpl and cluster_or_limit(d, SeqSpec(tail=Indexed(tpl)), t,
+                                    Topology.SIGMA_CW) is Verdict.CONVERGES:
+            return SeqSpec(head=tuple(series.at(p).address() for p in range(_FU_PICKS)),
+                           tail=Indexed(tpl))
     raise ChoiceUnavailable("could not assemble a convergent selection from A")
 
 

@@ -2,16 +2,20 @@
 
 import random
 
+from wedgetree.constructions import _spot_nodes
 from wedgetree.corpus import random_description
+from wedgetree.errors import WedgeTreeError
 from wedgetree.ordinals import (
-    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat,
+    OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, omega_power,
+    times_nat,
 )
+from wedgetree.series import fit_template
 from wedgetree.topology import (
     Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, Param, UnionSpec,
 )
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
-    TildeOf, Up, Word, validate,
+    TildeOf, Up, Word, ancestor_at, children, cofinal_I_nodes, validate,
 )
 
 W = OMEGA
@@ -245,3 +249,37 @@ def walk_trees():
     for d in nested:
         validate(d)
     return fact_trees() + nested
+
+
+def fu_triples(seed=7, count=300):
+    """``count`` seeded (tree, A, address of t) triples for the
+    Frechet-Urysohn laws.
+    Each t is a spot-panel node of a valid random description or its
+    ancestor at omega, omega*2 or omega^2; A is the omega-family fitted to
+    eight cofinal I-points below t when cf(t) = omega, or to eight children
+    of t when t has infinitely many.  Points no template fits are skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except WedgeTreeError:
+            continue
+        points = {}
+        for x in _spot_nodes(d):
+            points[x.parts] = x
+            for h in (W, times_nat(W, 2), W2):
+                if cmp(h, x.ht) < 0:
+                    a = ancestor_at(d, x, h)
+                    points[a.parts] = a
+        for t in points.values():
+            if t.cof is Cofinality.OMEGA:
+                tpl = fit_template(cofinal_I_nodes(d, t, 8))
+            elif not t.ims.is_finite:
+                tpl = fit_template(children(d, t, 8))
+            else:
+                continue
+            if tpl is not None:
+                out.append((d, OmegaFamily(tpl), t.address()))
+    return out[:count]

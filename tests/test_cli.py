@@ -252,3 +252,34 @@ def test_witness_fu_extract_verified_follows_its_recheck(capsys, monkeypatch):
         code, out = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["verified"] is False
+
+
+def test_witness_disjoint_closures_verified_follows_its_recheck(capsys, monkeypatch):
+    import dataclasses
+
+    import wedgetree.constructions as constructions
+    from wedgetree.trees import Below
+
+    from helpers import W1, word
+
+    argv = ("witness", "disjoint-closures", "(full 2 (+ w1 1))",
+            '(branch (addr (word "0" w1)))',
+            "(explicit (addr (child 1)) (addr (child 1) (child 0)))", "--json")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "disjoint"
+    assert json.loads(out)["verified"] is True
+    real = constructions.disjoint_closures
+    # the branch accumulates at the split point below its top and the
+    # explicit points nowhere: no meet there, none at the root's split point
+    # (which hat(d) lacks), and the branch does meet itself
+    top_split = (word("0", W1), Below())
+    changes = [lambda v, d, A: dataclasses.replace(v, kind="meet", at=top_split),
+               lambda v, d, A: dataclasses.replace(v, kind="meet", at=(Below(),)),
+               lambda v, d, A: dataclasses.replace(v, sets=(d, A, A))]
+    for change in changes:
+        monkeypatch.setattr(constructions, "disjoint_closures",
+                            lambda d, A, B, change=change: change(real(d, A, B), d, A))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["verified"] is False

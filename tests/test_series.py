@@ -14,9 +14,12 @@ from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, cmp, limit_of_affine, nat, times_nat,
 )
 from wedgetree.trees import (
-    OMEGA_BRANCH, Child, Copy, Full, Up, Word, ancestor_at, children, resolve,
+    OMEGA_BRANCH, Child, Copy, Full, Up, Word, ancestor_at, child_toward,
+    children, leq_parts, resolve,
 )
-from wedgetree.topology import ClubFamily, OmegaFamily, contains, series_of
+from wedgetree.topology import (
+    ClubFamily, OmegaFamily, contains, series_of, spec_parts,
+)
 from wedgetree import series as series_module
 from wedgetree.series import (
     _NAT_PROBES, Param, Profile, SymbolicSeries, _Slot, _fit_affine, _ord_probes,
@@ -24,7 +27,8 @@ from wedgetree.series import (
 )
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, o, seg, up, word,
+    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, club_cases, fu_cases,
+    fu_triples, o, seg, up, word,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -450,3 +454,71 @@ def test_profile_memo_keeps_its_named_bound(monkeypatch):
     assert len(s.answers) == 5
     assert list(s.answers) == [("_le_profile", u) for u in asked[-5:]]
     assert s.le_profile(asked[-1]) is answers[-1]
+
+
+def test_meet_profile_of_a_family_that_stays_in_the_cone():
+    """All but finitely many members of ``(up n)`` lie above ``(up 3)``, so
+    their meets with it are ``(up 3)`` itself: a constant height, although
+    the probes 2, 3, 5, 9 meet it at 2, 3, 3, 3."""
+    s = SymbolicSeries(seg(OMEGA1), (Up(Param()),))
+    t = resolve(s.d, (up(3),))
+    assert s.le_profile(t).kind == "from" and s.le_profile(t).data == 3
+    assert s.meet_profile_with(t) == ("const", nat(3))
+
+
+# -- the child cones a family enters ------------------------------------------------
+
+def _child_families():
+    """Corpus-fitted families (with their limit point), the families of the
+    Frechet-Urysohn and club suites, the club (ordinal) families among them,
+    and a child-letter family whose member 1 merges with the run before it."""
+    out = [(cached_series(d, A.template), resolve(d, t))
+           for d, A, t in fu_triples(count=120)]
+    merged = cached_series(FULL_W, (Child(1), Child(Param())))
+    assert merged.at(1).parts != merged._predict(1)
+    out.append((merged, resolve(FULL_W, (Child(1),))))
+    for d, t, S in [(d, t, A) for _, d, t, A in fu_cases()] + club_cases():
+        for part in spec_parts(S):
+            if isinstance(part, (OmegaFamily, ClubFamily)):
+                out.append((series_of(d, part), resolve(d, t)))
+    return out
+
+
+def test_children_profile_matches_the_entered_children():
+    """The answer against ``child_toward(t, s_p)`` for the members p < 60
+    (and omega, omega+1, omega*2 in a club family) above t: a finite answer
+    lists the children they enter and no child no member enters, each with
+    its ``le_profile``; an injective one puts every member above t and each
+    member from p0 on in its own child, with the ones below p0 listed."""
+    families = _child_families()
+    assert any(s.ordinal for s, _ in families)
+    kinds = set()
+    for series, limit in families:
+        d = series.d
+        params = series.params_upto(60)
+        members = [series.at(p) for p in params]
+        for t in [limit] + _question_nodes(series) + series.limit_nodes():
+            entered = {p: child_toward(d, t, m).parts for p, m in zip(params, members)
+                       if leq_parts(t.parts, m.parts) and m.parts != t.parts}
+            kids, p0 = series.children_profile(t)
+            assert series.children_profile(t) is series.children_profile(t.address())
+            listed = {c.parts: prof for c, prof in kids}
+            case = (series.template, t)
+            if p0 is None:
+                kinds.add("finite")
+                in_range = {c for c, prof in listed.items()
+                            if any(prof.holds_at(p) for p in params)}
+                assert in_range == set(entered.values()), case
+                assert all(prof.ever for prof in listed.values()), case
+                for c, prof in listed.items():
+                    for p, m in zip(params, members):
+                        assert prof.holds_at(p) == leq_parts(c, m.parts), (case, c, p)
+            else:
+                kinds.add("injective")
+                assert list(entered) == params, case
+                late = [entered[p] for p in params if p >= p0]
+                assert len(set(late)) == len(late) and not set(late) & set(listed), case
+                assert set(listed) == {entered[p] for p in params if p < p0}, case
+                assert all(m.parts == series._predict(p)
+                           for p, m in zip(params, members) if p >= p0), case
+    assert kinds == {"finite", "injective"}

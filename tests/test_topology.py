@@ -6,7 +6,7 @@ from wedgetree import topology
 from wedgetree.constructions import disjoint_closures
 from wedgetree.errors import (
     IllegalWedge, NotAccumulating, NotInClosure, PreconditionFailed,
-    WedgeTreeError,
+    UndecidableTailPattern, WedgeTreeError,
 )
 from wedgetree.ordinals import ONE, ZERO, cmp, nat
 from wedgetree.series import cached_series
@@ -23,7 +23,7 @@ from wedgetree.topology import (
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, club_cases,
-    disjoint_closure_cases, fu_cases, full, o, seg, up, word,
+    disjoint_closure_cases, fu_cases, fu_triples, full, o, seg, up, word,
 )
 
 
@@ -329,19 +329,13 @@ def test_cluster_decisions_match_direct_membership():
 
 # -- budgets decide nothing ------------------------------------------------------------------
 
-# the named search budgets of ``topology``.  _MEETING_INFINITE is left out: it
-# is the inference "that many cones are infinitely many", not a budget.
-# _PICK_KEEP and _PICK_FIT are coupled (the picks kept must hold a run of
-# _PICK_FIT), so they are scaled together.
-BUDGETS = ("_PROBE_SMALL", "_PROBE_CLIMB", "_MEETING_KIDS", "_MEETING_PARAMS",
-           "_PICK_PARAMS", "_PICK_KEEP", "_PICK_FIT", "_FU_PICKS", "_CLUB_STEPS",
-           "_MAXIMALITY_HEAD")
+# the named search budgets of ``topology``
+BUDGETS = ("_FU_PICKS", "_CLUB_STEPS", "_MAXIMALITY_HEAD")
 
 
-def _outcomes():
-    """The outcome kind of every club, fu-extract and disjoint-closures case
-    of the acceptance suites: the result's type (with a disjoint verdict's
-    kind), or the class of the error it raised."""
+def _acceptance_runs():
+    """Every club, fu-extract and disjoint-closures case of the acceptance
+    suites."""
     runs = [lambda d=d, t=t, S=S: club_accumulation(
                 d, resolve(d, t), S, steps=topology._CLUB_STEPS)
             for d, t, S in club_cases()]
@@ -349,6 +343,18 @@ def _outcomes():
              for _, d, t, A in fu_cases()]
     runs += [lambda d=d, A=A, B=B: disjoint_closures(d, A, B)
              for d, A, B, _ in disjoint_closure_cases()]
+    return runs
+
+
+def _triple_runs():
+    """fu_extract on every generated triple."""
+    return [lambda d=d, t=t, A=A: fu_extract(d, A, resolve(d, t))
+            for d, A, t in fu_triples()]
+
+
+def _outcomes(runs):
+    """The outcome kind of every run: the result's type (with a disjoint
+    verdict's kind), or the class of the error it raised."""
     out = []
     for run in runs:
         try:
@@ -368,10 +374,45 @@ def test_budgets_decide_nothing(monkeypatch, names):
     run."""
     named = {n for n, v in vars(topology).items()
              if n.startswith("_") and n.isupper() and type(v) is int}
-    assert named == set(BUDGETS) | {"_MEETING_INFINITE"}
-    before = _outcomes()
+    assert named == set(BUDGETS)
+    before = _outcomes(_acceptance_runs())
     assert len(before) == 10 + 9 + 30
     cached_series.cache_clear()
     for name in names:
         monkeypatch.setattr(topology, name, 4 * getattr(topology, name))
-    assert _outcomes() == before
+    assert _outcomes(_acceptance_runs()) == before
+
+
+def test_budgets_decide_nothing_on_generated_triples(monkeypatch):
+    """The same law over the generated Frechet-Urysohn triples, every
+    budget raised fourfold at once."""
+    before = _outcomes(_triple_runs())
+    assert len(before) == 300
+    cached_series.cache_clear()
+    for name in BUDGETS:
+        monkeypatch.setattr(topology, name, 4 * getattr(topology, name))
+    assert _outcomes(_triple_runs()) == before
+
+
+def test_frechet_urysohn_law_on_generated_triples():
+    """Where a fitted family converges to t in the countably coarse wedge
+    topology, fu_extract gives a sequence that converges to t there, or
+    raises UndecidableTailPattern, never NotInClosure; and convergence there
+    implies convergence in the coarse wedge topology."""
+    converged = 0
+    for d, A, taddr in fu_triples():
+        t = resolve(d, taddr)
+        family = SeqSpec(tail=Indexed(A.template))
+        if cluster_or_limit(d, family, t, Topology.SIGMA_CW) is not Verdict.CONVERGES:
+            continue
+        assert cluster_or_limit(d, family, t, Topology.CW) is Verdict.CONVERGES
+        try:
+            seq = fu_extract(d, A, t)
+        except UndecidableTailPattern:
+            continue
+        tail = SeqSpec(tail=seq.tail)
+        for topo in (Topology.SIGMA_CW, Topology.CW):
+            assert cluster_or_limit(d, tail, t, topo) is Verdict.CONVERGES, (d, A, taddr)
+        assert contains(d, A, seq.head[0])
+        converged += 1
+    assert converged >= 250
