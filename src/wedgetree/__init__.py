@@ -23,11 +23,11 @@ _EXPORTS = {
     ),
     "trees": (
         "Below", "CARD_OMEGA", "CARD_OMEGA1", "Card", "Child", "Copy", "Full",
-        "Graft", "HatOf", "Node", "Seg", "TildeOf", "Up", "Word",
+        "Graft", "HatOf", "Node", "Param", "Seg", "TildeOf", "Up", "Word",
         "ancestor_at", "children", "height", "is_chain_complete", "leq",
         "meet", "resolve", "unc_sites", "validate",
     ),
-    "series": ("Param",),
+    "series": (),
     "topology": (
         "Branch", "CDiff", "ClubFamily", "Cone", "ConeComplement", "ConeSet",
         "Explicit", "EventuallyConstant", "Indexed", "OmegaFamily", "SeqSpec",

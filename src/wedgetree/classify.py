@@ -5,6 +5,11 @@ citation; Unknown lists the rules that were tried.  The properties are tied
 together by the class inclusions (Corson inside Valdivia inside weakly
 Valdivia, and so on), enforced by a closure pass that may never contradict a
 fired rule.
+
+The separating-family code reads the set specs and deciders of ``topology``
+off the package (``wedgetree.topology``) when it runs, so importing this
+module or running ``classify_report`` loads neither ``topology`` nor
+``series``.
 """
 
 from __future__ import annotations
@@ -13,16 +18,16 @@ import enum
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import wedgetree
+
 from .errors import HeightTooLarge, PreconditionFailed
-from .ordinals import OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat
+from .ordinals import (
+    OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, fin_mul, nat,
+)
 from .trees import (
-    Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
+    Below, Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
     ancestor_at, as_node, child_toward, children, height, leq, leq_parts,
     meet_parts, node_at, resolve, validate, view,
-)
-from .topology import (
-    Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, sample_members,
-    series_of, spec_parts,
 )
 from .constructions import normalize, r_flags
 
@@ -225,7 +230,6 @@ def _binary_region(d, prefix, offset):
 
 
 def _verify_binary_embedding(d, emb):
-    from .trees import Below
     probes = [(), (Child(0),), (Child(1),), (Child(1), Child(0)),
               (Word((0,), OMEGA), Child(1)), (Word((1,), nat(3)), Child(0)),
               (Word((0,), OMEGA1),)]
@@ -249,7 +253,6 @@ def _verify_binary_embedding(d, emb):
 
 
 def sum_steps_height(steps):
-    from .ordinals import fin_mul
     total = ZERO
     for s in steps:
         if isinstance(s, Child):
@@ -400,7 +403,7 @@ class FamilyU:
         point of countable height and every singleton lies in countably many
         members (``check_point_countable``)."""
         d = self.d
-        sample = sample_members(d, self.S, _VERIFY_MEMBERS)
+        sample = wedgetree.topology.sample_members(d, self.S, _VERIFY_MEMBERS)
         pts = list({x.parts: x for x in sample}.values())
         points = [x for x in pts if x.ht.is_countable] + list(self.singletons)
         return (check_t0(d, self.S, self, combinations(pts, 2))
@@ -427,19 +430,20 @@ def _descend_to_I(d, r, target):
 
 def _closure_of_D_part_contains(d, part, s):
     """Does s lie in the closure of {ht < w1} intersected with this part?"""
-    if isinstance(part, Branch):
+    topology = wedgetree.topology
+    if isinstance(part, topology.Branch):
         # every point of the branch is a limit of its countable predecessors
         return leq_parts(s.parts, resolve(d, part.top).parts)
-    if isinstance(part, ConeSet):
+    if isinstance(part, topology.ConeSet):
         t = resolve(d, part.t)
         if not t.ht.is_countable:
             return False  # V_t carries no points of D at all
         return leq_parts(t.parts, s.parts)
-    if isinstance(part, Explicit):
+    if isinstance(part, topology.Explicit):
         return any(resolve(d, p).parts == s.parts and s.ht.is_countable
                    for p in part.points)
-    if isinstance(part, (OmegaFamily, ClubFamily)):
-        series = series_of(d, part)
+    if isinstance(part, (topology.OmegaFamily, topology.ClubFamily)):
+        series = topology.series_of(d, part)
         if series.eq_profile(s).ever and s.ht.is_countable:
             return True
         kind, sup = series.meet_profile_with(s)
@@ -450,18 +454,19 @@ def _closure_of_D_part_contains(d, part, s):
 def _candidate_S1_points(d, S):
     """Points of S at uncountable-cofinality heights (finitely many in the
     closed-set description language)."""
+    topology = wedgetree.topology
     out = {}
-    for part in spec_parts(S):
-        if isinstance(part, Explicit):
+    for part in topology.spec_parts(S):
+        if isinstance(part, topology.Explicit):
             for p in part.points:
                 n = resolve(d, p)
                 if n.cof is Cofinality.OMEGA1:
                     out[n.parts] = n
-        elif isinstance(part, Branch):
+        elif isinstance(part, topology.Branch):
             top = resolve(d, part.top)
             if top.cof is Cofinality.OMEGA1:
                 out[top.parts] = top
-        elif isinstance(part, ConeSet):
+        elif isinstance(part, topology.ConeSet):
             t = resolve(d, part.t)
             if t.cof is Cofinality.OMEGA1:
                 out[t.parts] = t
@@ -474,7 +479,7 @@ def build_separating_family(d, S):
     validate(d)
     if cmp(height(d), add(OMEGA1, ONE)) > 0:
         raise HeightTooLarge("separating families need height at most w1+1")
-    parts = spec_parts(S)
+    parts = wedgetree.topology.spec_parts(S)
     candidates = _candidate_S1_points(d, S)
     s1 = []
     for s in candidates:
@@ -513,15 +518,16 @@ def build_separating_family(d, S):
 def _marker_bound(d, part, s):
     """Height below which this part's contribution to the closure of the
     countable-height slice stays away from s's chain."""
-    if isinstance(part, Branch):
+    topology = wedgetree.topology
+    if isinstance(part, topology.Branch):
         top = resolve(d, part.top)
         return node_at(d, meet_parts(s.parts, top.parts)).ht
-    if isinstance(part, ConeSet):
+    if isinstance(part, topology.ConeSet):
         t = resolve(d, part.t)
         if not t.ht.is_countable:
             return None  # the cone carries no countable-height points
         return node_at(d, meet_parts(s.parts, t.parts)).ht
-    if isinstance(part, Explicit):
+    if isinstance(part, topology.Explicit):
         best = None
         for p in part.points:
             n = resolve(d, p)
@@ -531,26 +537,27 @@ def _marker_bound(d, part, s):
             if best is None or cmp(h, best) > 0:
                 best = h
         return best
-    if isinstance(part, (OmegaFamily, ClubFamily)):
-        series = series_of(d, part)
+    if isinstance(part, (topology.OmegaFamily, topology.ClubFamily)):
+        series = topology.series_of(d, part)
         kind, sup = series.meet_profile_with(s)
         return sup
     raise TypeError(part)
 
 
 def _cone_meets_D_closure(d, part, ts):
-    if isinstance(part, Branch):
+    topology = wedgetree.topology
+    if isinstance(part, topology.Branch):
         return leq(d, ts, resolve(d, part.top))
-    if isinstance(part, ConeSet):
+    if isinstance(part, topology.ConeSet):
         t = resolve(d, part.t)
         if not t.ht.is_countable:
             return False
         return leq_parts(t.parts, ts.parts) or leq_parts(ts.parts, t.parts)
-    if isinstance(part, Explicit):
+    if isinstance(part, topology.Explicit):
         return any(leq(d, ts, resolve(d, p)) and resolve(d, p).ht.is_countable
                    for p in part.points)
-    if isinstance(part, (OmegaFamily, ClubFamily)):
-        return series_of(d, part).le_profile(ts).ever
+    if isinstance(part, (topology.OmegaFamily, topology.ClubFamily)):
+        return topology.series_of(d, part).le_profile(ts).ever
     raise TypeError(part)
 
 

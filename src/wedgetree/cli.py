@@ -2,8 +2,19 @@
 
 Exit codes: 0 on success, 1 on a domain error, 2 on a parse error.
 Witness outputs always carry a `verified` flag: the construction is re-checked
-by the matching decider before it is printed.  Each command imports the
-modules it runs inside its own branch, so a cold call loads only those.
+by the matching decider before it is printed.  A witness kind that gets too
+few or too many forms after the tree is a parse error.
+
+Each command imports the modules it runs inside its own branch, so a cold
+call loads only those.  Parsing and ``resolve`` need ``errors``,
+``ordinals``, ``trees`` and ``dsl``; ``classify`` adds ``classify`` and
+``constructions``, and ``witness roundtrip`` adds ``constructions``.  None of
+them loads ``topology`` or ``series``: the ``classify`` and ``constructions``
+modules read ``wedgetree.topology`` off the package only in their
+separating-family and disjoint-closures code, whose sets are topology specs
+that ``dsl`` loaded when it parsed them.  The other witness kinds load
+``topology`` and ``series``, and so does ``selftest`` when it runs its
+topology suite.
 """
 
 from __future__ import annotations
@@ -22,6 +33,18 @@ _ERROR_CITATIONS = {
         " elements (§2)",
     "height-too-large": "the separating-family construction covers heights"
                         " up to w1+1 (Prop 2.4)",
+}
+
+# the forms each witness kind reads after the tree, in order; "..." repeats
+# the form before it
+_WITNESS_ARGS = {
+    "countably-closed": ("ADDR", "SET"),
+    "club": ("ADDR", "SET"),
+    "fu-extract": ("SET", "ADDR"),
+    "maximality": ("OPEN", "..."),
+    "disjoint-closures": ("SET", "SET"),
+    "separating-family": ("SET",),
+    "roundtrip": (),
 }
 
 
@@ -79,9 +102,25 @@ def cmd_resolve(args):
     return 0
 
 
+def _check_witness_args(kind, args):
+    """Raise ParseError unless ``kind`` is a witness kind and ``args`` has as
+    many forms as it reads."""
+    want = _WITNESS_ARGS.get(kind)
+    if want is None:
+        raise ParseError("unknown witness kind: %s" % kind)
+    least = len(want) - want.count("...")
+    if len(args) < least or (len(args) > least and "..." not in want):
+        raise ParseError(
+            "witness %s takes %s after the tree, got %d argument%s"
+            % (kind, " ".join(want) or "nothing", len(args),
+               "" if len(args) == 1 else "s"),
+            expected=" ".join(want), got=len(args))
+
+
 def cmd_witness(args):
-    d = _parse_desc_arg(args.desc)
     kind = args.kind
+    _check_witness_args(kind, args.args)
+    d = _parse_desc_arg(args.desc)
     if kind == "countably-closed":
         from .topology import countably_closed_witness
         t = dsl.parse_address(dsl.read_sexpr(args.args[0]))
@@ -132,7 +171,7 @@ def cmd_witness(args):
         from .classify import build_separating_family
         S = dsl.parse_set(dsl.read_sexpr(args.args[0]))
         payload = build_separating_family(d, S).to_json()
-    elif kind == "roundtrip":
+    else:  # roundtrip
         from .constructions import roundtrip_check
         rt = roundtrip_check(d)
         # roundtrip_check's law: tilde(hat(d)) recovers d always, and
@@ -140,8 +179,6 @@ def cmd_witness(args):
         payload = {"kind": "roundtrip", "tilde_hat_ok": rt.tilde_hat_ok,
                    "hat_tilde_ok": rt.hat_tilde_ok, "is_r1": rt.is_r1,
                    "verified": rt.tilde_hat_ok and rt.hat_tilde_ok == rt.is_r1}
-    else:
-        raise ParseError("unknown witness kind: %s" % kind)
     _emit(payload, args.json)
     return 0
 
@@ -188,9 +225,7 @@ def build_parser():
 
     w = sub.add_parser("witness", parents=[common],
                        help="run a witness construction")
-    w.add_argument("kind", choices=[
-        "countably-closed", "club", "fu-extract", "maximality",
-        "disjoint-closures", "separating-family", "roundtrip"])
+    w.add_argument("kind", choices=list(_WITNESS_ARGS))
     w.add_argument("desc")
     w.add_argument("args", nargs="*")
     w.set_defaults(func=cmd_witness)

@@ -9,25 +9,28 @@ Stone-Cech compactification of the countably coarse wedge space.
 ``tilde`` deletes every level of uncountable cofinality.  tilde(hat(d)) always
 recovers d; hat(tilde(d)) recovers d exactly when every uncountable-cofinality
 node has at most one immediate successor.
+
+The disjoint-closures code reads the set specs and deciders of ``topology``
+off the package (``wedgetree.topology``) when it runs, so importing this
+module, ``normalize`` and the round trip load neither ``topology`` nor
+``series``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import wedgetree
+
 from .errors import (
     ChoiceUnavailable, InvalidAddress, NotClosed, NotInClosure,
     PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
 )
-from .ordinals import ONE, Cofinality, add, cmp, pred
+from .ordinals import ONE, Cofinality, Ordinal, add, cmp, pred
 from .trees import (
     Below, Card, Full, Graft, HatOf, Seg, TildeOf, ancestor_at, as_node,
     children, hat_shift, height, leq_parts, resolve, structure_ok,
     tilde_shift, unc_sites, validate, view,
-)
-from .topology import (
-    Branch, ClubFamily, ConeSet, Explicit, contains, fu_extract,
-    sample_members, series_of, spec_parts,
 )
 
 
@@ -283,13 +286,14 @@ class DisjointVerdict:
 def _sigma_closed_check(d, spec, name):
     """Raise NotClosed with an escaping convergent sequence when a template
     limit point is missing from the set."""
-    for part in spec_parts(spec):
-        if isinstance(part, (Explicit, Branch, ConeSet)):
+    topology = wedgetree.topology
+    for part in topology.spec_parts(spec):
+        if isinstance(part, (topology.Explicit, topology.Branch, topology.ConeSet)):
             continue  # closed as they stand (cones and branches are clopen-ish)
-        for x in series_of(d, part).limit_nodes():
-            if not contains(d, spec, x):
+        for x in topology.series_of(d, part).limit_nodes():
+            if not topology.contains(d, spec, x):
                 try:
-                    seq = fu_extract(d, spec, x)
+                    seq = topology.fu_extract(d, spec, x)
                 except (ChoiceUnavailable, InvalidAddress, NotInClosure,
                         SupNotRepresentable, UndecidableTailPattern) as exc:
                     raise UndecidableTailPattern(
@@ -303,23 +307,24 @@ def _accumulating_split_points(d, spec):
     """Split points s(t) where the set accumulates in hat(d): explicit
     uncountable-cofinality nodes with cofinal meets, plus whole cones (a cone
     accumulates at s(u) for every uncountable-cofinality u above its base)."""
+    topology = wedgetree.topology
     out = {}
     cones = []
-    for part in spec_parts(spec):
-        if isinstance(part, Branch):
+    for part in topology.spec_parts(spec):
+        if isinstance(part, topology.Branch):
             top = as_node(d, part.top)
             for site_ht in _unc_heights_upto(d, top.ht):
                 t = ancestor_at(d, top, site_ht)
                 out[t.parts] = t
-        elif isinstance(part, ClubFamily):
-            series = series_of(d, part)
+        elif isinstance(part, topology.ClubFamily):
+            series = topology.series_of(d, part)
             anchor = resolve(d, part.anchor)
             for site_ht in _unc_heights_upto(d, anchor.ht):
                 t = ancestor_at(d, anchor, site_ht)
                 kind, sup = series.meet_profile_with(t)
                 if kind == "increasing" and cmp(sup, t.ht) == 0:
                     out[t.parts] = t
-        elif isinstance(part, ConeSet):
+        elif isinstance(part, topology.ConeSet):
             cones.append(resolve(d, part.t))
         # omega families and explicit sets have countable meet suprema and
         # never reach an uncountable-cofinality point
@@ -327,7 +332,6 @@ def _accumulating_split_points(d, spec):
 
 
 def _unc_heights_upto(d, h):
-    from .ordinals import Ordinal
     return [Ordinal(j, ()) for j in range(1, h.omega1 + 1)
             if cmp(Ordinal(j, ()), h) <= 0]
 
@@ -342,14 +346,15 @@ def disjoint_closures(d, A, B):
     Closedness is checked by hunting for escaping convergent sequences; a
     meeting point, were it to exist, must be a split point s(t), detected via
     cofinal meets below t."""
+    topology = wedgetree.topology
     validate(d)
     _sigma_closed_check(d, A, "A")
     _sigma_closed_check(d, B, "B")
-    for x in sample_members(d, A, _SHARED_MEMBERS):
-        if contains(d, B, x):
+    for x in topology.sample_members(d, A, _SHARED_MEMBERS):
+        if topology.contains(d, B, x):
             raise PreconditionFailed("A and B share the point %r" % (x,))
-    for x in sample_members(d, B, _SHARED_MEMBERS):
-        if contains(d, A, x):
+    for x in topology.sample_members(d, B, _SHARED_MEMBERS):
+        if topology.contains(d, A, x):
             raise PreconditionFailed("A and B share the point %r" % (x,))
     common, acc_a, acc_b = _shared_split_points(d, A, B)
     summary = dict(accumulation_a=tuple(sorted(map(str, acc_a))),

@@ -18,7 +18,8 @@ Basic opens:   OPEN := (cone ADDR) | (wedge ADDR (ADDR ...)) | (cocone ADDR)
 Printing returns canonical forms that re-parse to equal values.  The set,
 sequence and open specs are classes of ``topology``, which each function that
 builds or reads them imports when called, so parsing a description or an
-address never loads ``topology``.
+address never loads ``topology``; the template slot ``Param`` is a class of
+``trees``, so it loads no ``series`` either.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .ordinals import (
 )
 from .trees import (
     Below, Card, CARD_OMEGA, CARD_OMEGA1, Child, Copy, Full, Graft, HatOf,
-    OMEGA_BRANCH, Seg, TildeOf, Up, Word,
+    OMEGA_BRANCH, Param, Seg, TildeOf, Up, Word, has_param,
 )
-from .series import Param, has_param
 
 
 # -- tokenizer / reader --------------------------------------------------------

@@ -1,6 +1,8 @@
 """Self-contained check suites behind the CLI selftest subcommand.
 
 Each suite returns (name, passed, total); nothing here depends on pytest.
+The topology suite imports ``topology`` when it runs, so the other suites
+(``selftest classify --corpus`` among them) load neither it nor ``series``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from . import ordinals as o
 from .errors import WedgeTreeError
 from .ordinals import ONE, ZERO, Ordinal, nat
 from .trees import leq, meet, validate
-from .topology import Topology, is_subbasic
 from .classify import IMPLICATIONS, V3, classify_report
 from .corpus import random_description, sample_nodes
 
@@ -95,6 +96,7 @@ def meet_glb_suite(seed=0, n=100):
 
 
 def refinement_suite(seed=0, n=200):
+    from .topology import Topology, is_subbasic
     rng = random.Random(seed)
     passed = total = 0
     for d in _valid_corpus(rng, n // 4 + 1):

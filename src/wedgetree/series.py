@@ -1,7 +1,9 @@
 """One-parameter families of nodes: templates, series fitting and profiles.
 
 A template is an address whose count or index slots may hold a linear
-``Param``.  Resolving it at several parameters and unifying the canonical
+``Param``, the template slot that ``wedgetree.trees`` defines next to the
+address steps (so parsing a template loads no series code); this module
+re-exports it and fills it in with ``instantiate``.  Resolving it at several parameters and unifying the canonical
 parts finds the one slot (a run count, a copy index, a child letter, an up
 position) that varies, affinely, while everything else stays fixed.
 ``SymbolicSeries`` reasons over that slot to answer order, equality and meet
@@ -48,7 +50,6 @@ slot's equation ``value(a) == c`` is solved the same way.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import InvalidAddress, OrdinalUnderflowError, UndecidableTailPattern
 from .ordinals import (
@@ -56,27 +57,12 @@ from .ordinals import (
     omega_power, right_sub, times_nat,
 )
 from .trees import (
-    Below, Child, Copy, Up, Word, as_node, child_toward, leq_parts, meet_parts,
-    node_at, resolve,
+    Below, Child, Copy, Param, Up, Word, as_node, child_toward, leq_parts,
+    meet_parts, node_at, resolve,
 )
 
 
 # -- parameterized templates -----------------------------------------------------
-
-@dataclass(frozen=True)
-class Param:
-    """Linear parameter slot: value(p) = base + scale*p (+ merged tails)."""
-    base: Ordinal = ZERO
-    scale: Ordinal = ONE
-
-    def at(self, p):
-        if isinstance(p, Ordinal):
-            if self.scale != ONE:
-                raise UndecidableTailPattern(
-                    "ordinal parameters support unit scale only")
-            return add(self.base, p)
-        return add(self.base, times_nat(self.scale, p))
-
 
 def _index_at(param, p):
     """A copy index or child letter at p, which must be a natural number: an
@@ -102,16 +88,6 @@ def instantiate(template, p):
         else:
             steps.append(s)
     return tuple(steps)
-
-
-def has_param(template):
-    for s in template:
-        if isinstance(s, (Word, Up, Copy, Child)):
-            slot = getattr(s, "count", None) or getattr(s, "delta", None) or \
-                getattr(s, "idx", None) or getattr(s, "i", None)
-            if isinstance(slot, Param):
-                return True
-    return False
 
 
 # -- fitting a series from probes --------------------------------------------------

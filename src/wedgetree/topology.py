@@ -5,8 +5,9 @@ topology takes it at finite-cofinality points, the countably coarse wedge
 topology at all points of cofinality != omega.  This module holds the basic
 opens, the set and sequence specs, the deciders (membership, convergence
 verdicts) and the four witness constructions.  They run symbolically over
-set/sequence templates with one linear parameter; the templates and the
-series fitted from them live in ``wedgetree.series``.
+set/sequence templates with one linear parameter: the template slot
+``Param`` lives in ``wedgetree.trees`` next to the address steps, and the
+series fitted from the templates in ``wedgetree.series``.
 
 Deciders are sound and conservative: they raise UndecidableTailPattern when a
 tail falls outside the decidable fragment, and never return a wrong verdict.
@@ -29,9 +30,9 @@ from .ordinals import (
     OMEGA, ONE, ZERO, Cofinality, Ordinal, add, cmp, left_sub,
     limit_of_affine, pred,
 )
-from .series import Param as Param
 from .series import SymbolicSeries as SymbolicSeries
 from .series import cached_series, fit_template, instantiate
+from .trees import Param as Param
 from .trees import (
     Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
     leq_parts, meet, meet_parts, node_at, resolve,

@@ -18,12 +18,14 @@ A description denotes a tree:
 Individual nodes at uncountable limit levels are functions on w1 and cannot
 all be named; addresses cover the finitely-presentable fragment (finite lists
 of letter runs with ordinal repeat counts), which is dense and contains every
-node the witness constructions need.  Node equality is canonical-address
-equality.  Each level w1*j is summarised by its sites, one representative Node
-per structural region.  A view states its sites once, per level
-(``sites_at_height``); ``unc_sites``, the sites of every level lowest first,
-is derived from them on the base view class.  So is the height of a hat or
-tilde view: one past its highest maximal height, or its highest gap.
+node the witness constructions need.  A template is an address whose count or
+index slot holds a ``Param``, a linear parameter slot (``has_param`` tells
+whether one does); ``series`` fills it in and fits families from it.  Node
+equality is canonical-address equality.  Each level w1*j is summarised by its
+sites, one representative Node per structural region.  A view states its sites
+once, per level (``sites_at_height``); ``unc_sites``, the sites of every level
+lowest first, is derived from them on the base view class.  So is the height of
+a hat or tilde view: one past its highest maximal height, or its highest gap.
 Functions that take a node also take its address; ``as_node`` resolves either
 to a Node.
 
@@ -55,11 +57,11 @@ from functools import lru_cache, wraps
 
 from .errors import (
     BadBranching, BadGraftBase, GapAddress, InvalidAddress, NotChainComplete,
-    UnsupportedAddress,
+    UndecidableTailPattern, UnsupportedAddress,
 )
 from .ordinals import (
     ONE, ORDINAL_CACHE_SIZE, ZERO, Cofinality, Ordinal, add, cmp,
-    drop_leading_unit, fundamental, left_sub, pred,
+    drop_leading_unit, fundamental, left_sub, pred, times_nat,
 )
 
 # -- budgets -------------------------------------------------------------------
@@ -229,6 +231,33 @@ class Copy:
 @dataclass(frozen=True, slots=True)
 class Below:
     pass
+
+
+# -- the template slot -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    """Linear parameter slot: value(p) = base + scale*p (+ merged tails)."""
+    base: Ordinal = ZERO
+    scale: Ordinal = ONE
+
+    def at(self, p):
+        if isinstance(p, Ordinal):
+            if self.scale != ONE:
+                raise UndecidableTailPattern(
+                    "ordinal parameters support unit scale only")
+            return add(self.base, p)
+        return add(self.base, times_nat(self.scale, p))
+
+
+def has_param(template):
+    for s in template:
+        if isinstance(s, (Word, Up, Copy, Child)):
+            slot = getattr(s, "count", None) or getattr(s, "delta", None) or \
+                getattr(s, "idx", None) or getattr(s, "i", None)
+            if isinstance(slot, Param):
+                return True
+    return False
 
 
 # -- height transforms --------------------------------------------------------

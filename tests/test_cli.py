@@ -180,6 +180,29 @@ def test_malformed_forms_are_parse_errors(capsys, argv):
     assert json.loads(out)["error"] == "parse-error"
 
 
+_SET, _ADDR = "(explicit (addr))", "(addr)"
+
+
+# one form too few and one too many for each witness kind; maximality reads
+# any number of opens from one on
+@pytest.mark.parametrize("kind,forms", [
+    ("countably-closed", [_ADDR]), ("countably-closed", [_ADDR, _SET, _SET]),
+    ("club", [_ADDR]), ("club", [_ADDR, _SET, _SET]),
+    ("fu-extract", [_SET]), ("fu-extract", [_SET, _ADDR, _ADDR]),
+    ("disjoint-closures", [_SET]), ("disjoint-closures", [_SET, _SET, _SET]),
+    ("separating-family", []), ("separating-family", [_SET, _SET]),
+    ("maximality", []),
+    ("roundtrip", [_ADDR]),
+], ids=lambda x: x if isinstance(x, str) else str(len(x)))
+def test_witness_argument_counts_are_parse_errors(capsys, kind, forms):
+    code, out = run(capsys, "witness", kind, "(seg w1)", *forms, "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "parse-error"
+    assert payload["got"] == len(forms)
+    assert kind in payload["message"]
+
+
 def test_not_closed_error_carries_its_escaping_sequence(capsys):
     code, out = run(capsys, "witness", "disjoint-closures", "(full 2 (+ w1 1))",
                     '(omega-family (addr (word "0" n) (child 1)))',

@@ -262,14 +262,14 @@ def test_branches_accumulate_at_split_points_but_stay_disjoint():
 def test_closedness_is_undecidable_only_when_extraction_fails(monkeypatch):
     # an escaping sequence that cannot be built leaves closedness undecided;
     # any other error, a library one included, is a bug and surfaces
-    import wedgetree.constructions as constructions
+    import wedgetree.topology as topology
     A = OmegaFamily(tpl_0n1())
     B = Explicit(((Child(1),),))
 
     def patch(exc):
         def failing(d, spec, x):
             raise exc("simulated")
-        monkeypatch.setattr(constructions, "fu_extract", failing)
+        monkeypatch.setattr(topology, "fu_extract", failing)
 
     for exc in (ChoiceUnavailable, InvalidAddress, NotInClosure,
                 SupNotRepresentable, UndecidableTailPattern):

@@ -403,23 +403,36 @@ def test_imports_are_lazy():
     assert _loaded("import wedgetree; wedgetree.nat") == [
         "wedgetree", "wedgetree.errors", "wedgetree.ordinals"]
     heavy = {"wedgetree." + m for m in
-             ("classify", "constructions", "topology", "selftest", "corpus")}
+             ("classify", "constructions", "topology", "series", "selftest", "corpus")}
     loaded = _loaded("import wedgetree.cli")
     assert "wedgetree.cli" in loaded and not heavy & set(loaded), loaded
 
 
-def test_light_cli_commands_never_load_topology():
-    code = (
-        "import contextlib, io, json, sys\n"
-        "sys.path.insert(0, %r)\n"
-        "from cliload import COMMANDS\n"
-        "from wedgetree.cli import main\n"
-        "out = {}\n"
-        "for name, argv, want in COMMANDS:\n"
-        "    if name in ('resolve', 'parse-error', 'domain-error'):\n"
-        "        with contextlib.redirect_stdout(io.StringIO()):\n"
-        "            code = main(argv)\n"
-        "        out[name] = [code == want, 'wedgetree.topology' in sys.modules]\n"
-        "print(json.dumps(out))\n" % str(ROOT / "perfbench"))
-    assert json.loads(_python(code)) == {
-        name: [True, False] for name in ("resolve", "parse-error", "domain-error")}
+# the benchmark's CLI commands that run no topology: the classification
+# report, the round trip, the selftest over a corpus file, resolve and both
+# error paths
+_LIGHT_COMMANDS = ("classify", "witness-roundtrip", "selftest-corpus",
+                   "resolve", "parse-error", "domain-error")
+
+
+def test_light_cli_commands_never_load_topology(tmp_path):
+    """Each light command, alone in a fresh interpreter, exits as the
+    benchmark expects and loads neither ``topology`` nor ``series``."""
+    out = {}
+    for name in _LIGHT_COMMANDS:
+        out[name] = json.loads(_python(
+            "import contextlib, io, json, os, sys\n"
+            "sys.path.insert(0, %r)\n"
+            "from cliload import COMMANDS, CORPUS, CORPUS_FILE\n"
+            "from wedgetree.cli import main\n"
+            "os.chdir(%r)\n"
+            "with open(CORPUS_FILE, 'w') as f:\n"
+            "    f.write(CORPUS)\n"
+            "argv, want = {n: (a, w) for n, a, w in COMMANDS}[%r]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(argv)\n"
+            "print(json.dumps([code == want, sorted(\n"
+            "    m for m in ('wedgetree.topology', 'wedgetree.series')\n"
+            "    if m in sys.modules)]))\n"
+            % (str(ROOT / "perfbench"), str(tmp_path), name)))
+    assert out == {name: [True, []] for name in _LIGHT_COMMANDS}
