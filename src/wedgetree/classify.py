@@ -22,10 +22,10 @@ import wedgetree
 
 from .errors import HeightTooLarge, PreconditionFailed
 from .ordinals import (
-    OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, fin_mul, nat,
+    OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat,
 )
 from .trees import (
-    Below, Card, Child, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
+    Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
     ancestor_at, as_node, child_toward, children, height, leq, leq_parts,
     meet_parts, node_at, resolve, validate, view,
 )
@@ -174,92 +174,68 @@ def has_omega1_chain(d):
 @dataclass(frozen=True)
 class BinaryEmbedding:
     """A closed copy of the full binary tree of height w1+1: the {0,1}-paths
-    of one full region, from its root through its w1-th level."""
+    of one full region, from its root through its w1-th level.  ``top`` is
+    the exact address of the copy's leftmost node at level w1, which sits
+    ``offset + w1`` high (see ``_binary_region`` for its ``Below()`` steps)."""
     prefix: tuple     # address of the region root
-    offset: Ordinal   # height of the region root
-
-    def embed(self, steps):
-        return self.prefix + tuple(steps)
+    offset: Ordinal   # height of the region root in d
+    top: tuple        # address of the leftmost node at the region's level w1
 
     def to_json(self):
         from .dsl import print_address
         return {"kind": "binary-embedding", "root": print_address(self.prefix),
-                "offset": str(self.offset)}
+                "offset": str(self.offset), "top": print_address(self.top)}
 
 
 def binary_obstruction(d):
     """A closed embedded full binary tree of height w1+1, when one exists."""
-    spec_ = _binary_region(d, (), ZERO)
-    if spec_ is None:
+    found = _binary_region(d, ())
+    if found is None:
         return None
-    emb = BinaryEmbedding(*spec_)
-    _verify_binary_embedding(d, emb)
-    return emb
+    prefix, hats = found
+    top = prefix + (Word((0,), OMEGA1),) + (Below(),) * hats
+    return BinaryEmbedding(prefix, resolve(d, prefix).ht, top)
 
 
-def _binary_region(d, prefix, offset):
+def _binary_region(d, prefix):
+    """(address of a full region's root, number of hats crossed above it),
+    for a full region of height above w1, or None.
+
+    The root is d's root or a grafted copy's root: a successor height with
+    no split point below it, so ``prefix`` names it in d.  Each ``HatOf``
+    crossed lifts the image of every cofinality-w1 node one level and puts
+    a split point at its old height, so under k hats the region's level-w1
+    node lies k ``Below()`` steps under the node its address names.  Nodes
+    below level w1 keep their height over the root and their branching.  A
+    ``tilde(hat(x))`` pair removes the split points of its hat: it counts
+    for none and leaves x's addresses."""
     if isinstance(d, Seg):
         return None
     if isinstance(d, Full):
         if d.k != 1 and cmp(view(d).top, OMEGA1) >= 0:
-            return (prefix, offset)
+            return (prefix, 0)
         return None
     if isinstance(d, Graft):
-        found = _binary_region(d.base, prefix, offset)
+        found = _binary_region(d.base, prefix)
         if found:
             return found
-        bview = view(d.base)
-        btop = bview.leftmost_top()
-        start = add(offset, bview.height())
+        btop = view(d.base).leftmost_top()
         for slot, (child, _) in enumerate(d.children):
             sub = _binary_region(
-                child, prefix + btop.address() + (Copy(slot, 0),), start)
+                child, prefix + btop.address() + (Copy(slot, 0),))
             if sub:
                 return sub
         return None
     if isinstance(d, HatOf):
-        # the region survives: levels below w1 keep full branching and the
-        # split points close the branches off
-        return _binary_region(d.inner, prefix, offset)
+        # the region survives; its split points close the branches off
+        found = _binary_region(d.inner, prefix)
+        return None if found is None else (found[0], found[1] + 1)
     if isinstance(d, TildeOf) and isinstance(d.inner, HatOf):
         # tilde(hat(x)) is x, with x's addresses
-        return _binary_region(d.inner.inner, prefix, offset)
+        return _binary_region(d.inner.inner, prefix)
     # a validated tilde over anything else has no surviving full w1-region
     # (its level-w1 nodes would violate chain completeness)
     return None
-
-
-def _verify_binary_embedding(d, emb):
-    probes = [(), (Child(0),), (Child(1),), (Child(1), Child(0)),
-              (Word((0,), OMEGA), Child(1)), (Word((1,), nat(3)), Child(0)),
-              (Word((0,), OMEGA1),)]
-    base = resolve(d, emb.embed(())).ht  # wrappers may shift the region root
-    for steps in probes:
-        addr = emb.embed(steps)
-        node = resolve(d, addr)
-        rel = sum_steps_height(steps)
-        want = add(base, rel)
-        guard = 0
-        while cmp(node.ht, want) > 0 and guard < 8:
-            # inside hat wrappers the copy closes off at split points sitting
-            # under the pushed-up original; descend to the innermost one
-            addr = addr + (Below(),)
-            node = resolve(d, addr)
-            guard += 1
-        if cmp(node.ht, want) != 0:
-            raise PreconditionFailed("embedding height mismatch at %r" % (steps,))
-        if cmp(rel, OMEGA1) < 0 and node.ims.is_finite and node.ims.n < 2:
-            raise PreconditionFailed("embedding lost its branching")
-
-
-def sum_steps_height(steps):
-    total = ZERO
-    for s in steps:
-        if isinstance(s, Child):
-            total = add(total, ONE)
-        elif isinstance(s, Word):
-            total = add(total, fin_mul(len(s.letters), s.count))
-    return total
 
 
 # -- G-delta analysis --------------------------------------------------------------

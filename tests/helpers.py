@@ -1,9 +1,13 @@
 """Shared shorthand for the test suite."""
 
+import hashlib
+import json
 import random
 
-from wedgetree.constructions import _spot_nodes
+from wedgetree.classify import classify_report
+from wedgetree.constructions import _spot_nodes, roundtrip_check
 from wedgetree.corpus import random_description
+from wedgetree.dsl import print_desc
 from wedgetree.errors import WedgeTreeError
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, omega_power,
@@ -283,3 +287,32 @@ def fu_triples(seed=7, count=300):
             if tpl is not None:
                 out.append((d, OmegaFamily(tpl), t.address()))
     return out[:count]
+
+
+def output_digest(seed=21, count=300):
+    """md5 of the sorted-key JSON of each tree's printed description,
+    ``classify_report`` JSON and three ``roundtrip_check`` flags, over the
+    named corpus ``(seed, count)``: that many valid descriptions drawn from
+    ``random_description(Random(seed))``, every second one grafted as a hat,
+    ``tilde(hat(.))``, double hat or tilde child onto a random base.  Two
+    versions of the library that give the same digest give the same
+    answers on this corpus."""
+    wraps = (HatOf, lambda x: TildeOf(HatOf(x)), lambda x: HatOf(HatOf(x)),
+             TildeOf)
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        d = random_description(rng)
+        if len(rows) % 2:
+            d = Graft(random_description(rng, 0, False),
+                      ((rng.choice(wraps)(d), rng.choice(
+                          [Card.fin(1), Card.fin(2), CARD_OMEGA])),))
+        try:
+            validate(d)
+        except WedgeTreeError:
+            continue
+        rt = roundtrip_check(d)
+        rows.append({"desc": print_desc(d),
+                     "report": classify_report(d).to_json(),
+                     "roundtrip": [rt.tilde_hat_ok, rt.hat_tilde_ok, rt.is_r1]})
+    return hashlib.md5(json.dumps(rows, sort_keys=True).encode()).hexdigest()

@@ -34,7 +34,7 @@ from wedgetree.corpus import random_description
 
 from helpers import (
     BINARY_W, BINARY_W1, REMARK_TREE, W, W0n, W1, W2, club_cases,
-    disjoint_closure_cases, full, fu_cases, graft, o as osum,
+    disjoint_closure_cases, full, fu_cases, graft, o as osum, output_digest,
     separating_family_cases, seg, up, word,
 )
 
@@ -400,3 +400,11 @@ def test_criterion_10_report_consistency():
             if rep.verdict(b) is V3.NO and rep.verdict(a) is not V3.NO:
                 bad += 1
     _report(10, bad == 0, "%d reports, %d closure violations" % (total, bad))
+
+
+# -- the committed output digest ------------------------------------------------------
+
+def test_output_digest():
+    # a change that moves an answer on the digest corpus moves this value;
+    # CHANGES.md records each move and the keys it changed
+    assert output_digest() == "068827c93a7f1ee498356e41a84f55a6"

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from wedgetree.errors import HeightTooLarge, WedgeTreeError
-from wedgetree.ordinals import ONE, Cofinality, add, nat, times_nat
+from wedgetree.ordinals import (
+    ONE, ZERO, Cofinality, add, cmp, fin_mul, nat, times_nat,
+)
 from wedgetree.trees import (
-    CARD_OMEGA, CARD_OMEGA1, Child, Graft, HatOf, TildeOf, ancestor_at,
+    CARD_OMEGA, CARD_OMEGA1, Below, Child, Graft, HatOf, TildeOf, ancestor_at,
     children, resolve, validate,
 )
 from wedgetree.topology import (
@@ -18,7 +20,7 @@ from wedgetree.classify import (
 )
 from wedgetree.constructions import hat
 from wedgetree.corpus import random_description, sample_nodes
-from wedgetree.dsl import parse_address, read_sexpr
+from wedgetree.dsl import parse_address, parse_desc, read_sexpr
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
@@ -69,6 +71,92 @@ def test_report_on_graft_over_hat_base():
     assert wc["verdict"] == "no" and wc["witness"]["kind"] == "binary-embedding"
     root = resolve(d, parse_address(read_sexpr(wc["witness"]["root"])))
     assert root.ht == o(W1, 2)
+
+
+def _hats(d, k):
+    for _ in range(k):
+        d = HatOf(d)
+    return d
+
+
+# seven paths of the binary copy, from its root: its children, a node two
+# levels up, nodes at w+1 and 4, and the leftmost node at level w1
+_PROBES = ((), (Child(0),), (Child(1),), (Child(1), Child(0)),
+           (word("0", W), Child(1)), (word("1", 3), Child(0)), (word("0", W1),))
+
+
+def _steps_height(steps):
+    total = ZERO
+    for s in steps:
+        total = add(total, ONE if isinstance(s, Child)
+                    else fin_mul(len(s.letters), s.count))
+    return total
+
+
+def _probe_mismatches(d):
+    """The probes that disagree with ``binary_obstruction(d)``.  Each probe
+    is resolved from the region root and, while it sits above its height,
+    descended one ``Below()`` step at a time with no budget: it must land at
+    ``offset`` plus its step height, branch at least twice below level w1,
+    and descend only at level w1, exactly to ``top``."""
+    emb = binary_obstruction(d)
+    bad = []
+    for steps in _PROBES:
+        rel = _steps_height(steps)
+        want = add(emb.offset, rel)
+        addr = emb.prefix + steps
+        node = resolve(d, addr)
+        while cmp(node.ht, want) > 0:
+            addr += (Below(),)
+            node = resolve(d, addr)
+        landed = emb.top if rel == W1 else emb.prefix + steps
+        if cmp(node.ht, want) != 0 or addr != landed or (
+                cmp(rel, W1) < 0 and node.ims.is_finite and node.ims.n < 2):
+            bad.append((d, steps, addr, node))
+    return bad
+
+
+def _hat_ladder():
+    """(full 2 (+ w1 1)) under 0 to 12 hats, bare, under tilde(hat(.)) and
+    grafted onto (seg 3)."""
+    out = []
+    for k in range(13):
+        d = _hats(BINARY_W1, k)
+        out += [d, TildeOf(HatOf(d)), graft(seg(3), (d, 2))]
+    return out
+
+
+def test_binary_embedding_agrees_with_its_probes():
+    rng = random.Random(11)
+    trees = walk_trees() + _hat_ladder()
+    while len(trees) < 800:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except WedgeTreeError:
+            continue
+        trees.append(d)
+    obstructed = [d for d in trees if binary_obstruction(d) is not None]
+    assert len(obstructed) > 100
+    bad = [m for d in obstructed for m in _probe_mismatches(d)]
+    assert not bad, bad[:3]
+
+
+@pytest.mark.parametrize("hats", [9, 12])
+def test_binary_obstruction_under_many_hats(hats):
+    d = _hats(BINARY_W1, hats)
+    validate(d)
+    wc = classify_report(d).props["WeaklyCorson"]
+    assert wc.verdict is V3.NO and wc.rule == "R4"
+    assert "Example 4.5" in wc.citation
+    assert binary_obstruction(d).top == (word("0", W1),) + (Below(),) * hats
+
+
+def test_binary_offset_is_the_root_height_under_hats_over_a_graft():
+    d = parse_desc(read_sexpr(
+        "(hat (hat (graft (seg (+ w1 1)) (((full 3 (+ w1 w 1)) 3)))))"))
+    emb = binary_obstruction(d)
+    assert emb.offset == resolve(d, emb.prefix).ht == o(W1, 4)
 
 
 # -- G-delta ------------------------------------------------------------------------

@@ -24,6 +24,15 @@ def test_classify_json(capsys):
     assert payload["Valdivia"]["verdict"] == "yes"
 
 
+def test_classify_under_nine_hats(capsys):
+    tree = "(hat " * 9 + "(full 2 (+ w1 1))" + ")" * 9
+    code, out = run(capsys, "classify", tree, "--json")
+    assert code == 0
+    wc = json.loads(out)["WeaklyCorson"]
+    assert wc["verdict"] == "no" and wc["rule"] == "R4"
+    assert wc["witness"]["top"] == '(addr (word "0" w1)%s)' % (" (below)" * 9)
+
+
 def test_classify_text(capsys):
     code, out = run(capsys, "classify", "(seg w1)")
     assert code == 0
