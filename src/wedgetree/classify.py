@@ -15,7 +15,6 @@ module or running ``classify_report`` loads neither ``topology`` nor
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import wedgetree
@@ -24,6 +23,7 @@ from .errors import HeightTooLarge, PreconditionFailed
 from .ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat,
 )
+from .records import field, record
 from .trees import (
     Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
     ancestor_at, as_node, child_toward, children, height, leq, leq_parts,
@@ -57,13 +57,23 @@ IMPLICATIONS = (
 )
 
 
-@dataclass
+@record
 class PropVerdict:
     verdict: V3 = V3.UNKNOWN
     rule: str = ""
     citation: str = ""
     witness: object = None
     tried: tuple = ()
+
+    # a report builds about 18 verdicts, so this is written out: on Python
+    # 3.11 the closures of ``record`` take about 2 us a call, this 0.2 us
+    def __init__(self, verdict=V3.UNKNOWN, rule="", citation="", witness=None,
+                 tried=()):
+        self.verdict = verdict
+        self.rule = rule
+        self.citation = citation
+        self.witness = witness
+        self.tried = tried
 
     def to_json(self):
         out = {"verdict": self.verdict.value}
@@ -77,7 +87,7 @@ class PropVerdict:
         return out
 
 
-@dataclass
+@record
 class ClassificationReport:
     desc: object
     props: dict
@@ -171,7 +181,7 @@ def has_omega1_chain(d):
     return True, node.address()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinaryEmbedding:
     """A closed copy of the full binary tree of height w1+1: the {0,1}-paths
     of one full region, from its root through its w1-th level.  ``top`` is
@@ -253,7 +263,7 @@ def gdelta_class(node):
     return "not-gdelta"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GdeltaReport:
     point: object          # class of the queried point, when one was given
     dense: bool
@@ -314,7 +324,7 @@ _MEMBER_HEIGHTS = (ZERO, ONE, nat(2), OMEGA)  # members_containing: heights of c
 _VERIFY_MEMBERS = 8  # verify: points of S sampled, every pair of which must be split
 
 
-@dataclass
+@record
 class FamilyU:
     """The cone family with singleton patches witnessing Valdivia-ness of a
     closed subset: cones V_r with r in I(T) outside all marker cones, plus one

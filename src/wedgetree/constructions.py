@@ -18,7 +18,6 @@ module, ``normalize`` and the round trip load neither ``topology`` nor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 import wedgetree
 
@@ -27,6 +26,7 @@ from .errors import (
     PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
 )
 from .ordinals import ONE, Cofinality, Ordinal, add, cmp, pred
+from .records import field, record
 from .trees import (
     Below, Card, Full, Graft, HatOf, Seg, TildeOf, ancestor_at, as_node,
     children, hat_shift, height, leq_parts, resolve, structure_ok,
@@ -36,7 +36,7 @@ from .trees import (
 
 # -- the constructions ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HatMap:
     """Node correspondence between d and hat(d): originals keep their
     addresses; the split point below an uncountable-cofinality node t is
@@ -207,7 +207,7 @@ def _panel(d):
     return {n.parts: (n, n.address()) for n in _spot_nodes(d)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoundTrip:
     tilde_hat_ok: bool
     hat_tilde_ok: bool
@@ -251,7 +251,7 @@ def _hat_tilde_spot_iso(d, ht_, panel):
 
 # -- disjoint closures in the hat compactification -----------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DisjointVerdict:
     kind: str                 # "disjoint" | "meet"
     at: object = None         # split-point address when kind == "meet"

@@ -20,7 +20,6 @@ are read off the family's profiles and slot, so no budget decides a verdict.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import (
     ChoiceUnavailable, IllegalWedge, NotAccumulating, NotInClosure,
@@ -30,6 +29,7 @@ from .ordinals import (
     OMEGA, ONE, ZERO, Cofinality, Ordinal, add, cmp, left_sub,
     limit_of_affine, pred,
 )
+from .records import record
 from .series import SymbolicSeries as SymbolicSeries
 from .series import cached_series, fit_template, instantiate
 from .trees import Param as Param
@@ -59,23 +59,23 @@ class Verdict(enum.Enum):
 
 # -- basic opens ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cone:
     t: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Wedge:
     t: tuple
     excluded: tuple = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConeComplement:
     t: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CDiff:
     """V_t minus finitely many cones above t (not necessarily immediate)."""
     t: tuple
@@ -133,55 +133,62 @@ def is_subbasic(d, t, topology):
 
 # -- set and sequence specs -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Explicit:
     points: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OmegaFamily:
     """{ template(n) : n < omega }."""
     template: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClubFamily:
     """{ template(alpha) : alpha < ht(anchor) }, ordinal-parameterized."""
     anchor: tuple
     template: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Branch:
     """All predecessors of top, top included (a branch closure)."""
     top: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConeSet:
     """V_t as a point set."""
     t: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnionSpec:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Indexed:
     template: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventuallyConstant:
     point: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeqSpec:
     head: tuple = ()
     tail: object = None
+
+    # the constructions build sequences by keyword, up to three a call, so
+    # this is written out: the closures of ``record`` bind keywords slowly
+    def __init__(self, head=(), tail=None):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "_h", None)
 
     def term_steps(self, n):
         if n < len(self.head):
@@ -325,7 +332,7 @@ def cluster_or_limit(d, seq, x, topology):
 
 # -- witness constructions -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CountablyClosedWitness:
     p: Node
     sup_of_meets: Ordinal
@@ -392,7 +399,7 @@ def _verify_cone_avoids(d, p, S):
     return True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClubWitness:
     pairs: tuple            # concrete (r_j, s_j) prefix
     r: Node                 # sup of the r_j
@@ -577,7 +584,7 @@ def _pick_in_child_cones(d, distinct, t):
 ALREADY_SIGMA_OPEN = "already-sigma-open"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MaximalityWitness:
     t: Node
     seq: SeqSpec

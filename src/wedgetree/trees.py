@@ -29,7 +29,7 @@ a hat or tilde view: one past its highest maximal height, or its highest gap.
 Functions that take a node also take its address; ``as_node`` resolves either
 to a Node.
 
-Descriptions and address steps are frozen, slotted dataclasses that compute
+Descriptions and address steps are frozen, slotted records that compute
 their hash on first use and keep it.  ``view(desc)`` caches the view of the
 ``VIEW_CACHE_SIZE`` most recently used descriptions, and each view keeps one
 ``memo`` dict of its answers.  It computes its nullary facts (``height``,
@@ -52,7 +52,6 @@ raises is not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import lru_cache, wraps
 
 from .errors import (
@@ -63,6 +62,7 @@ from .ordinals import (
     ONE, ORDINAL_CACHE_SIZE, ZERO, Cofinality, Ordinal, add, cmp,
     drop_leading_unit, fundamental, left_sub, pred, times_nat,
 )
+from .records import record
 
 # -- budgets -------------------------------------------------------------------
 # Every bound on work in this module, in one place, with what it bounds.
@@ -146,100 +146,179 @@ def card_of_branching(k):
 
 # -- descriptions -------------------------------------------------------------
 
-def _hash_once(cls):
-    """Make ``cls`` a frozen, slotted dataclass that hashes itself once.
-
-    Views and memos look descriptions up over and over, and the generated
-    dataclass hash walks the whole nested value on every lookup.  Here that
-    generated hash runs on the first ``__hash__`` only; its value is kept in
-    the extra ``_h`` field, which takes no part in ``__init__``, equality or
-    ``repr``.  Copies and pickles are rebuilt from the init fields alone, so
-    ``_h`` starts empty again: a hash is only valid in the process (and under
-    the hash seed) that computed it."""
-    cls.__annotations__["_h"] = "int"
-    cls._h = field(default=None, init=False, compare=False, repr=False)
-    cls = dataclass(frozen=True, slots=True)(cls)
-    field_hash = cls.__hash__
-    init_fields = tuple(f.name for f in fields(cls) if f.init)
-
-    def __hash__(self):
-        h = self._h
-        if h is None:
-            h = field_hash(self)
-            object.__setattr__(self, "_h", h)
-        return h
-
-    def __reduce__(self):
-        return (type(self), tuple(getattr(self, n) for n in init_fields))
-
-    cls.__hash__ = __hash__
-    cls.__reduce__ = __reduce__
-    return cls
+# Views and memos build, hash and compare the description, step and slot
+# classes over and over, so each writes its own ``__init__`` and ``__eq__``,
+# with the meaning ``record`` gives them: the fields set past the frozen
+# ``__setattr__`` and no hash kept yet; equal field tuples in two values of
+# one class.  On Python 3.11 a ``Word`` takes 554 ns to build and 189 ns to
+# compare this way, against 1,004 and 302 ns through ``record``'s closures.
+_set = object.__setattr__
 
 
-@_hash_once
+@record(frozen=True)
 class Seg:
     eta: Ordinal
 
+    def __init__(self, eta):
+        _set(self, "eta", eta)
+        _set(self, "_h", None)
 
-@_hash_once
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.eta,) == (other.eta,)
+        return NotImplemented
+
+
+@record(frozen=True)
 class Full:
     k: object  # positive int or OMEGA_BRANCH
     h: Ordinal
 
+    def __init__(self, k, h):
+        _set(self, "k", k)
+        _set(self, "h", h)
+        _set(self, "_h", None)
 
-@_hash_once
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.h) == (other.k, other.h)
+        return NotImplemented
+
+
+@record(frozen=True)
 class Graft:
     base: object
     children: tuple  # of (desc, Card) pairs
 
+    def __init__(self, base, children):
+        _set(self, "base", base)
+        _set(self, "children", children)
+        _set(self, "_h", None)
 
-@_hash_once
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.children) == (other.base, other.children)
+        return NotImplemented
+
+
+@record(frozen=True)
 class HatOf:
     inner: object
 
+    def __init__(self, inner):
+        _set(self, "inner", inner)
+        _set(self, "_h", None)
 
-@_hash_once
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.inner,) == (other.inner,)
+        return NotImplemented
+
+
+@record(frozen=True)
 class TildeOf:
     inner: object
+
+    def __init__(self, inner):
+        _set(self, "inner", inner)
+        _set(self, "_h", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.inner,) == (other.inner,)
+        return NotImplemented
 
 
 # -- address steps ------------------------------------------------------------
 
-@_hash_once
+@record(frozen=True)
 class Up:
     delta: Ordinal
 
+    def __init__(self, delta):
+        _set(self, "delta", delta)
+        _set(self, "_h", None)
 
-@_hash_once
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.delta,) == (other.delta,)
+        return NotImplemented
+
+
+@record(frozen=True)
 class Child:
     i: int
 
+    def __init__(self, i):
+        _set(self, "i", i)
+        _set(self, "_h", None)
 
-@_hash_once
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i,) == (other.i,)
+        return NotImplemented
+
+
+@record(frozen=True)
 class Word:
     letters: tuple  # of ints
     count: Ordinal
 
+    def __init__(self, letters, count):
+        _set(self, "letters", letters)
+        _set(self, "count", count)
+        _set(self, "_h", None)
 
-@_hash_once
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters, self.count) == (other.letters, other.count)
+        return NotImplemented
+
+
+@record(frozen=True)
 class Copy:
     slot: int
     idx: int
 
+    def __init__(self, slot, idx):
+        _set(self, "slot", slot)
+        _set(self, "idx", idx)
+        _set(self, "_h", None)
 
-@dataclass(frozen=True, slots=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.slot, self.idx) == (other.slot, other.idx)
+        return NotImplemented
+
+
+@record(frozen=True)
 class Below:
-    pass
+    def __init__(self):
+        _set(self, "_h", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
 
 
 # -- the template slot -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Param:
     """Linear parameter slot: value(p) = base + scale*p (+ merged tails)."""
     base: Ordinal = ZERO
     scale: Ordinal = ONE
+
+    def __init__(self, base=ZERO, scale=ONE):
+        _set(self, "base", base)
+        _set(self, "scale", scale)
+        _set(self, "_h", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.scale) == (other.base, other.scale)
+        return NotImplemented
 
     def at(self, p):
         if isinstance(p, Ordinal):
@@ -1035,7 +1114,7 @@ class _TildeView(_View):
                      for s in self.inner.sites_at_height(tilde_unshift(h)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GapSite:
     parts: object
     ht: Ordinal

@@ -4,10 +4,10 @@ import hashlib
 import json
 import random
 
-from wedgetree.classify import classify_report
-from wedgetree.constructions import _spot_nodes, roundtrip_check
+from wedgetree.classify import build_separating_family, classify_report
+from wedgetree.constructions import _spot_nodes, disjoint_closures, roundtrip_check
 from wedgetree.corpus import random_description
-from wedgetree.dsl import print_desc
+from wedgetree.dsl import print_desc, print_seq
 from wedgetree.errors import WedgeTreeError
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, omega_power,
@@ -16,10 +16,12 @@ from wedgetree.ordinals import (
 from wedgetree.series import fit_template
 from wedgetree.topology import (
     Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, Param, UnionSpec,
+    club_accumulation, fu_extract,
 )
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
-    TildeOf, Up, Word, ancestor_at, children, cofinal_I_nodes, validate,
+    TildeOf, Up, Word, ancestor_at, children, cofinal_I_nodes, resolve,
+    validate,
 )
 
 W = OMEGA
@@ -315,4 +317,31 @@ def output_digest(seed=21, count=300):
         rows.append({"desc": print_desc(d),
                      "report": classify_report(d).to_json(),
                      "roundtrip": [rt.tilde_hat_ok, rt.hat_tilde_ok, rt.is_r1]})
+    return hashlib.md5(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def witness_digest():
+    """md5 of the sorted-key JSON of every witness construction over the case
+    tables above, in table order: its ``to_json()`` (a Frechet-Urysohn
+    extraction, which has none, printed with ``print_seq``), or the error it
+    raises as its class, message and the ``repr`` of its witness.  It is the
+    witness half of the output digest, next to ``output_digest``."""
+    rows = []
+
+    def row(kind, build, *args):
+        try:
+            out = build(*args)
+            out = print_seq(out) if kind == "fu-extract" else out.to_json()
+        except WedgeTreeError as e:
+            out = [type(e).__name__, str(e), repr(getattr(e, "witness", None))]
+        rows.append([kind, out])
+
+    for d, t, S in club_cases():
+        row("club", club_accumulation, d, resolve(d, t), S)
+    for _, d, t, A in fu_cases():
+        row("fu-extract", fu_extract, d, A, resolve(d, t))
+    for d, S in separating_family_cases():
+        row("separating-family", build_separating_family, d, S)
+    for d, A, B, _ in disjoint_closure_cases():
+        row("disjoint-closures", disjoint_closures, d, A, B)
     return hashlib.md5(json.dumps(rows, sort_keys=True).encode()).hexdigest()

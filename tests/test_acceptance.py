@@ -35,7 +35,7 @@ from wedgetree.corpus import random_description
 from helpers import (
     BINARY_W, BINARY_W1, REMARK_TREE, W, W0n, W1, W2, club_cases,
     disjoint_closure_cases, full, fu_cases, graft, o as osum, output_digest,
-    separating_family_cases, seg, up, word,
+    separating_family_cases, seg, up, word, witness_digest,
 )
 
 
@@ -408,3 +408,8 @@ def test_output_digest():
     # a change that moves an answer on the digest corpus moves this value;
     # CHANGES.md records each move and the keys it changed
     assert output_digest() == "068827c93a7f1ee498356e41a84f55a6"
+
+
+def test_witness_digest():
+    # the witness half: every construction over the helpers case tables
+    assert witness_digest() == "dfa0014a5bf3dac593692cfadd918533"

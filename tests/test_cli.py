@@ -267,9 +267,8 @@ def test_witness_separating_family_verified_follows_its_checks(capsys, monkeypat
 
 
 def test_witness_fu_extract_verified_follows_its_recheck(capsys, monkeypatch):
-    import dataclasses
-
     import wedgetree.topology as topology
+    from wedgetree.records import replace
 
     argv = ("witness", "fu-extract", "(full 2 (+ w1 1))",
             '(omega-family (addr (word "0" n) (child 1)))', '(addr (word "0" w))',
@@ -280,16 +279,15 @@ def test_witness_fu_extract_verified_follows_its_recheck(capsys, monkeypatch):
     # a tail that stays at the root, and a head that starts outside A
     for change in ({"tail": topology.EventuallyConstant(())}, {"head": ((),)}):
         monkeypatch.setattr(topology, "fu_extract", lambda d, A, t, change=change:
-                            dataclasses.replace(real(d, A, t), **change))
+                            replace(real(d, A, t), **change))
         code, out = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["verified"] is False
 
 
 def test_witness_disjoint_closures_verified_follows_its_recheck(capsys, monkeypatch):
-    import dataclasses
-
     import wedgetree.constructions as constructions
+    from wedgetree.records import replace
     from wedgetree.trees import Below
 
     from helpers import W1, word
@@ -306,9 +304,9 @@ def test_witness_disjoint_closures_verified_follows_its_recheck(capsys, monkeypa
     # explicit points nowhere: no meet there, none at the root's split point
     # (which hat(d) lacks), and the branch does meet itself
     top_split = (word("0", W1), Below())
-    changes = [lambda v, d, A: dataclasses.replace(v, kind="meet", at=top_split),
-               lambda v, d, A: dataclasses.replace(v, kind="meet", at=(Below(),)),
-               lambda v, d, A: dataclasses.replace(v, sets=(d, A, A))]
+    changes = [lambda v, d, A: replace(v, kind="meet", at=top_split),
+               lambda v, d, A: replace(v, kind="meet", at=(Below(),)),
+               lambda v, d, A: replace(v, sets=(d, A, A))]
     for change in changes:
         monkeypatch.setattr(constructions, "disjoint_closures",
                             lambda d, A, B, change=change: change(real(d, A, B), d, A))

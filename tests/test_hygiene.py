@@ -12,14 +12,14 @@ its sites per level only, and the list of all sites is derived once, on
 ``_View``.  ``__init__.py`` imports no library module (it maps each public
 name to its home module and loads that module on first use), so it is not
 checked here; instead the package surface is checked, and fresh interpreters
-check that the CLI and its light commands leave the heavy modules unloaded.
+check that the CLI and its light commands leave the heavy modules unloaded,
+and that no CLI command loads ``dataclasses`` (no library module imports it).
 The description and address-step classes of ``trees`` are frozen, slotted
 values whose stored hash never shows, not even in a copy or a pickle.
 """
 
 import ast
 import copy
-import dataclasses
 import json
 import os
 import pickle
@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from wedgetree.ordinals import OMEGA1, ONE, Ordinal, add, nat
+from wedgetree.records import FrozenInstanceError, fields, replace
 from wedgetree.series import Profile
 from wedgetree.trees import (
     CARD_OMEGA, Below, Card, Child, Copy, Full, Graft, HatOf, Node, Seg,
@@ -307,12 +308,12 @@ def test_descriptions_are_frozen_slotted_values():
         Seg, Full, Graft, HatOf, TildeOf, Up, Child, Word, Copy, Below}
     for (x, text), (twin, _) in zip(values, twins):
         assert not hasattr(x, "__dict__"), type(x)
-        for f in dataclasses.fields(x):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(x, f.name, None)
+        for name in [f.name for f in fields(x)] + ["_h"]:  # the kept hash too
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, name, None)
         assert repr(x) == text
         assert x is not twin and x == twin and hash(x) == hash(twin)
-        copy = dataclasses.replace(twin)
+        copy = replace(twin)
         assert copy is not twin and copy == x and hash(copy) == hash(x)
         assert repr(x) == repr(copy) == text  # a stored hash never shows
 
@@ -415,11 +416,12 @@ _LIGHT_COMMANDS = ("classify", "witness-roundtrip", "selftest-corpus",
                    "resolve", "parse-error", "domain-error")
 
 
-def test_light_cli_commands_never_load_topology(tmp_path):
-    """Each light command, alone in a fresh interpreter, exits as the
-    benchmark expects and loads neither ``topology`` nor ``series``."""
+def _cold_commands(names, watched, tmp_path):
+    """For each named command of the benchmark's CLI workload, run alone in a
+    fresh interpreter: whether it exited as the benchmark expects, and which
+    of the ``watched`` modules it left loaded."""
     out = {}
-    for name in _LIGHT_COMMANDS:
+    for name in names:
         out[name] = json.loads(_python(
             "import contextlib, io, json, os, sys\n"
             "sys.path.insert(0, %r)\n"
@@ -432,7 +434,42 @@ def test_light_cli_commands_never_load_topology(tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(argv)\n"
             "print(json.dumps([code == want, sorted(\n"
-            "    m for m in ('wedgetree.topology', 'wedgetree.series')\n"
-            "    if m in sys.modules)]))\n"
-            % (str(ROOT / "perfbench"), str(tmp_path), name)))
+            "    m for m in %r if m in sys.modules)]))\n"
+            % (str(ROOT / "perfbench"), str(tmp_path), name, tuple(watched))))
+    return out
+
+
+def test_light_cli_commands_never_load_topology(tmp_path):
+    """Each light command, alone in a fresh interpreter, exits as the
+    benchmark expects and loads neither ``topology`` nor ``series``."""
+    out = _cold_commands(_LIGHT_COMMANDS, ("wedgetree.topology", "wedgetree.series"),
+                         tmp_path)
     assert out == {name: [True, []] for name in _LIGHT_COMMANDS}
+
+
+# ``dataclasses`` and the modules it imports, which nothing else in a CLI
+# process loads
+_DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_commands_never_load_dataclasses(tmp_path):
+    """Every command of the benchmark's CLI workload, alone in a fresh
+    interpreter, exits as the benchmark expects and loads neither
+    ``dataclasses`` nor what it imports: records are ``records.record``
+    classes."""
+    names = json.loads(_python(
+        "import json, sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from cliload import COMMANDS\n"
+        "print(json.dumps([n for n, _, _ in COMMANDS]))\n" % str(ROOT / "perfbench")))
+    assert len(names) == 8 and set(_LIGHT_COMMANDS) < set(names)
+    out = _cold_commands(names, _DATACLASS_MODULES, tmp_path)
+    assert out == {name: [True, []] for name in names}
+
+
+def test_no_module_imports_dataclasses():
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {(module or name).split(".")[0]
+                    for _, name, module, level, _ in _imports(tree) if not level}
+        assert "dataclasses" not in imported, path.name

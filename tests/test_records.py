@@ -1,0 +1,217 @@
+"""Differential test of ``wedgetree.records`` against ``dataclasses``.
+
+For every record class in ``src/``, a ``dataclasses`` twin is built from the
+class body as written in the source: the same field names and annotations,
+with each default or ``field(...)`` expression evaluated by
+``dataclasses.field``, and the same ``frozen`` flag.  On sample values (the
+description table of ``test_hygiene`` and the constructions over the
+witness case tables of ``helpers``), each record and its twin must agree on
+``repr``, equality (exact class, compare fields only), ``hash``, field order
+and options, defaults, the error on assigning to or deleting a field, and
+on ``copy``, ``deepcopy`` and ``pickle``.
+"""
+
+import ast
+import copy
+import dataclasses
+import importlib
+import pickle
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from wedgetree.classify import (
+    binary_obstruction, build_separating_family, classify_report,
+    gdelta_analysis,
+)
+from wedgetree.constructions import disjoint_closures, hat, roundtrip_check
+from wedgetree.errors import WedgeTreeError
+from wedgetree.records import MISSING, fields
+from wedgetree.topology import (
+    CDiff, ClubFamily, Cone, ConeComplement, EventuallyConstant, OmegaFamily,
+    SeqSpec, Wedge, club_accumulation, countably_closed_witness, fu_extract,
+    maximality_witness,
+)
+from wedgetree.trees import Child, TildeOf, resolve, view
+
+from helpers import (
+    BINARY_W1, W, W0n, W1, club_cases, disjoint_closure_cases, fu_cases, o,
+    separating_family_cases, seg, up, word,
+)
+from test_hygiene import _values
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wedgetree"
+
+
+def _record_bodies():
+    """(module, class name, frozen, [(field, annotation, default or field)])
+    for each class in ``src/`` decorated with ``record``, read off the source."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("wedgetree." + path.stem)
+        scope = dict(vars(module), field=dataclasses.field)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                if getattr(call.func if call else dec, "id", None) != "record":
+                    continue
+                frozen = any(k.arg == "frozen" and ast.literal_eval(k.value)
+                             for k in (call.keywords if call else ()))
+                specs = [(st.target.id, ast.unparse(st.annotation)) + (
+                    () if st.value is None else
+                    (eval(compile(ast.Expression(st.value), str(path), "eval"), scope),))
+                    for st in node.body if isinstance(st, ast.AnnAssign)]
+                out.append((module, node.name, frozen, specs))
+    return out
+
+
+@pytest.fixture(scope="module")
+def twins():
+    """Each record class mapped to its ``dataclasses`` twin.  The twins live
+    in a module of their own, so that ``pickle`` finds them by name."""
+    home = types.ModuleType("record_twins")
+    sys.modules[home.__name__] = home
+    out = {}
+    for module, name, frozen, specs in _record_bodies():
+        twin = dataclasses.make_dataclass(name, specs, frozen=frozen)
+        twin.__module__ = home.__name__
+        setattr(home, name, twin)
+        out[getattr(module, name)] = twin
+    yield out
+    del sys.modules[home.__name__]
+
+
+def _records_in(value, out):
+    """Every record reachable from ``value`` through records, tuples, lists
+    and dicts, appended to ``out``."""
+    if hasattr(type(value), "__record_fields__"):
+        out.append(value)
+        for f in fields(value):
+            _records_in(getattr(value, f.name), out)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _records_in(v, out)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _records_in(k, out)
+            _records_in(v, out)
+    return out
+
+
+def _samples():
+    """Records from the description table, the witness case tables and one
+    run of each construction that builds a record."""
+    roots = [x for x, _ in _values()]
+
+    def run(fn, *args):
+        roots.extend(args)
+        try:
+            roots.append(fn(*args))
+        except WedgeTreeError as e:
+            roots.append(getattr(e, "witness", None))
+
+    for d, t, S in club_cases():
+        run(club_accumulation, d, resolve(d, t), S)
+    for _, d, t, A in fu_cases():
+        run(fu_extract, d, A, resolve(d, t))
+    for d, S in separating_family_cases():
+        run(build_separating_family, d, S)
+    for d, A, B, _ in disjoint_closure_cases():
+        run(disjoint_closures, d, A, B)
+    tops = (word("0", W1),)
+    run(countably_closed_witness, BINARY_W1, resolve(BINARY_W1, tops),
+        OmegaFamily((W0n(), Child(1))))
+    run(maximality_witness, seg(o(W, 1)), [CDiff((up(W),), ((up(o(W, 1)),),))])
+    run(maximality_witness, BINARY_W1, [Wedge((word("0", W1),), ()),
+                                        Cone((Child(1),)), ConeComplement(tops)])
+    run(classify_report, BINARY_W1)
+    run(binary_obstruction, BINARY_W1)
+    run(gdelta_analysis, BINARY_W1, tops)
+    run(roundtrip_check, BINARY_W1)
+    run(hat, BINARY_W1)
+    run(lambda d: view(d).gaps(), TildeOf(BINARY_W1))
+    roots += [ClubFamily(tops, (W0n(),)), SeqSpec((tops,), EventuallyConstant(()))]
+    return _records_in(roots, [])
+
+
+def _twin_of(x, twins):
+    return twins[type(x)](**{f.name: getattr(x, f.name) for f in fields(x) if f.init})
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value, or its error's class and text."""
+    try:
+        return "value", fn(*args)
+    except (AttributeError, TypeError) as e:
+        return isinstance(e, AttributeError), str(e)
+
+
+def _options(f, missing):
+    return (f.name, f.default is missing, f.default_factory is missing,
+            f.init, f.repr, f.compare)
+
+
+def test_every_record_class_has_a_twin_and_a_sample(twins):
+    sampled = {type(x) for x in _samples()}
+    assert len(twins) == 36
+    assert sampled == set(twins), set(twins) - sampled
+
+
+def test_fields_and_defaults_agree(twins):
+    for cls, twin in twins.items():
+        ours, theirs = fields(cls), dataclasses.fields(twin)
+        assert [_options(f, MISSING) for f in ours] == \
+            [_options(f, dataclasses.MISSING) for f in theirs], cls
+        for f, g in zip(ours, theirs):
+            if f.default is not MISSING:
+                assert f.default is g.default, (cls, f.name)
+            if f.default_factory is not MISSING:
+                assert f.default_factory is g.default_factory, (cls, f.name)
+        # a call with the required fields only fills in the same defaults
+        required = [f.name for f in theirs if f.init and f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+        args = {name: () for name in required}
+        assert repr(cls(**args)) == repr(twin(**args)), cls
+
+
+def test_records_agree_with_their_twins(twins):
+    by_class = {}
+    for x in _samples():  # up to 12 distinct values of each class
+        distinct = by_class.setdefault(type(x), {})
+        if len(distinct) < 12:
+            distinct.setdefault(repr(x), x)
+    for cls, distinct in by_class.items():
+        xs = list(distinct.values())
+        twin = twins[cls]
+        sub, twin_sub = type("Sub", (cls,), {}), type("Sub", (twin,), {})
+        frozen = twin.__dataclass_params__.frozen
+        for x in xs:
+            t = _twin_of(x, twins)
+            assert repr(x) == repr(t)
+            assert _outcome(hash, x) == _outcome(hash, t), repr(x)
+            # equality: exact class, compare fields only
+            init = {f.name: getattr(x, f.name) for f in fields(x) if f.init}
+            assert x == cls(**init) and t == twin(**init)
+            assert (x == sub(**init)) is (t == twin_sub(**init)) is False
+            assert (x == t) is False and (x != t) is True
+            for y in xs:
+                assert (x == y) is (t == _twin_of(y, twins)), (x, y)
+            for f in fields(x):
+                value = getattr(x, f.name)
+                assert _outcome(setattr, x, f.name, value) == \
+                    _outcome(setattr, t, f.name, value)
+                if frozen:
+                    assert _outcome(delattr, x, f.name) == _outcome(delattr, t, f.name)
+            if frozen:
+                assert _outcome(setattr, x, "other", 1) == _outcome(setattr, t, "other", 1)
+            for make in (copy.copy, copy.deepcopy,
+                         lambda v: pickle.loads(pickle.dumps(v))):
+                y, u = make(x), make(t)
+                assert type(y) is cls and type(u) is twin
+                assert repr(y) == repr(u) == repr(x)
+                assert (y == x) is (u == t) is True
+                assert _outcome(hash, y) == _outcome(hash, u)
