@@ -26,20 +26,20 @@ memo belongs to the series and dies with it, and it keeps at most
 ``PROFILE_CACHE_SIZE`` answers, dropping the oldest first; every caller
 asking one question gets the same ``Profile`` or tuple, which nobody assigns
 to.  A question that raises ``UndecidableTailPattern`` is not kept and
-raises again on every call.  ``children_profile`` reads the children of a
-node that the members enter off the slot, with no probe: finitely many, or
-one per member.
+raises again on every call.
 
-The slot is still found from samples, not read off the template.  Probe
-fitting is used here:
+Every profile is read off the slot, with no probe: ``_locate`` finds the
+value c that a node holds in the slot, and the members from 2 on hold a
+value below c, c itself (``_Slot.solve_eq``) or one past it
+(``_Slot.solve_ge``).  That decides which members lie above the node or
+equal it, which of its children they enter and how high they meet it.
+
+The slot itself is still found from samples, not read off the template:
 
 - ``_NAT_PROBES``/``_NAT_VERIFY``: an omega-indexed series is fitted at
   parameters 2, 3, 5, 9 and checked at 12 and 20;
 - ``_ord_probes``: an ordinal-indexed series is fitted at 2, 3, 5, 9, omega
-  and omega*2, without verification probes;
-- ``meet_profile_with``: unless all but finitely many members lie above the
-  node, the meet heights with it are fitted at ``_NAT_PROBES``, or at the
-  four ``_MEET_ORD_PROBES`` of an ordinal-indexed series.
+  and omega*2, without verification probes.
 
 A fit reads the scale and the tail off the sampled values and derives the
 base by right cancellation (``ordinals.right_sub``): no coefficient is
@@ -93,9 +93,8 @@ def instantiate(template, p):
 # -- fitting a series from probes --------------------------------------------------
 
 # Every parameter sample of this module, in one place, with what it samples.
-_NAT_PROBES = (2, 3, 5, 9)  # an omega-indexed series and its meet heights are fitted here,
-_NAT_VERIFY = (12, 20)      # and the series' fit is checked here
-_MEET_ORD_PROBES = (nat(2), nat(3), nat(5), OMEGA)  # an ordinal series' meet heights, to omega
+_NAT_PROBES = (2, 3, 5, 9)  # an omega-indexed series is fitted here,
+_NAT_VERIFY = (12, 20)      # and checked here
 
 
 def _ord_probes():
@@ -179,19 +178,14 @@ class _Slot:
     def solve_ge(self, c, bound=None):
         """Least parameter p with value(p) >= c, or None."""
         if self.ordinal:
-            if cmp(self.value(ZERO), c) >= 0:
-                return ZERO
+            # base + a + n >= base + rest, n being the finite tail, holds from
+            # rest on, and n covers up to n of rest's own finite tail
             try:
-                lo = left_sub(self.base, c)
+                rest = left_sub(self.base, c)
             except OrdinalUnderflowError:  # c lies below the base
                 return ZERO
-            for cand in (lo, add(lo, ONE)):
-                if bound is not None and cmp(cand, bound) >= 0:
-                    continue
-                if cmp(self.value(cand), c) >= 0:
-                    # walk down while the predecessor still satisfies
-                    return cand
-            return None
+            a = right_sub(rest, nat(min(rest.finite_tail, self.tail.to_int())))
+            return None if bound is not None and cmp(a, bound) >= 0 else a
         if self.scale.is_zero:
             return 0 if cmp(self.value(0), c) >= 0 else None
         if cmp(c, limit_of_affine(self.base, self.scale)) >= 0:
@@ -385,6 +379,10 @@ class SymbolicSeries:
     def constant(self):
         return self.slot is None
 
+    def _param(self, k):
+        """The parameter k, typed as the series' parameters are."""
+        return nat(k) if self.ordinal else k
+
     def at(self, p):
         key = p if not isinstance(p, Ordinal) else ("o", p)
         if key not in self._small:
@@ -407,31 +405,34 @@ class SymbolicSeries:
         if self.constant:
             return []
         slot = self.slot
-        head = self.parts[:slot.comp]
-        if slot.kind == "count":
-            runs = self.parts[slot.comp][1]
-            if self.ordinal:
-                values = [slot.value(lam) for lam in (OMEGA, times_nat(OMEGA, 2))
-                          if cmp(lam, self.bound) < 0]
-            else:
-                values = [slot.sup()]
-            tops = [("runs", runs[:slot.run] + ((runs[slot.run][0], v),))
-                    for v in values]
+        if slot.kind == "count" and self.ordinal:
+            values = [slot.value(lam) for lam in (OMEGA, times_nat(OMEGA, 2))
+                      if cmp(lam, self.bound) < 0]
         elif self.ordinal:
             return []
-        elif slot.kind == "up":
-            tops = [("up", slot.sup())]
+        elif slot.kind in ("up", "count"):
+            values = [slot.sup()]
         else:
+            head = self.parts[:slot.comp]
             if slot.kind == "letter" and slot.run > 0:
                 head += (("runs", self.parts[slot.comp][1][:slot.run]),)
             return [node_at(self.d, head)]
         out = []
-        for top in tops:
+        for v in values:
             try:
-                out.append(node_at(self.d, head + (top,)))
+                out.append(node_at(self.d, self._upto(v)))
             except InvalidAddress:  # the supremum is not a node of the tree
                 pass
         return out
+
+    def _upto(self, v):
+        """The fitted parts up to an up or count slot, holding v there."""
+        slot = self.slot
+        head = self.parts[:slot.comp]
+        if slot.kind == "up":
+            return head + (("up", v),)
+        runs = self.parts[slot.comp][1]
+        return head + (("runs", runs[:slot.run] + ((runs[slot.run][0], v),)),)
 
     # profiles ------------------------------------------------------------------
 
@@ -445,7 +446,7 @@ class SymbolicSeries:
         while ucore and ucore[-1][0] == "below":
             ucore = ucore[:-1]
         if self.constant:
-            return Profile.const(leq_parts(ucore, self.parts) or ucore == self.parts)
+            return Profile.const(leq_parts(ucore, self.parts))
         return self._patch_small(self._walk_profile(ucore, equality=False),
                                  ucore, equality=False)
 
@@ -465,7 +466,7 @@ class SymbolicSeries:
     def _patch_small(self, prof, u, equality):
         """Small parameters canonicalize into different shapes than the tail
         (runs merge, zero-count steps vanish); correct them pointwise."""
-        small = [nat(0), nat(1)] if self.ordinal else [0, 1]
+        small = [self._param(0), self._param(1)]
         extras, holes = list(prof.extras), list(prof.holes)
         for p in small:
             actual = self._concrete_holds(u, p, equality)
@@ -482,77 +483,43 @@ class SymbolicSeries:
         sp = self.at(p).parts
         return u_parts == sp if equality else (leq_parts(u_parts, sp))
 
-    def _walk_profile(self, u, equality):
-        s = self.parts
-        probe = 2 if not self.ordinal else nat(2)
-        for i in range(len(s)):
-            if i >= len(u):
-                # u is a proper prefix of every member
-                return Profile.never() if equality else Profile.always()
-            if i != self.slot.comp:
-                if u[i] == s[i]:
-                    continue
-                # divergence on a fixed component: answer is constant in p
-                return Profile.const(self._concrete_holds(u, probe, equality))
-            return self._slot_compare(u, i, equality)
-        return Profile.never()  # u has components past the whole member shape
-
-    def _slot_compare(self, u, i, equality):
-        slot = self.slot
-        s = self.parts
-        u_last_comp = i == len(u) - 1
-        uc, sc = u[i], s[i]
-        if uc[0] != sc[0]:
-            return Profile.never()
+    def _locate(self, core):
+        """``(c, ends)``: the ordinal c that core parts (below markers
+        stripped) hold in the slot, an ``up`` position, a run count, a copy
+        index or a child letter, and whether they end there.  None when they
+        end or leave the fitted parts before the slot's value, so that every
+        member from 2 on relates to them as member 2 does."""
+        slot, s = self.slot, self.parts
+        i = slot.comp
+        if len(core) <= i or core[:i] != s[:i] or core[i][0] != s[i][0]:
+            return None
+        last = i == len(core) - 1
         if slot.kind == "up":
-            c = uc[1]
-            if not equality and u_last_comp:
-                p0 = slot.solve_ge(c, self.bound)
-                return Profile.never() if p0 is None else self._le_from(u, p0)
-            sols = slot.solve_eq(c, self.bound)
-            good = [p for p in sols if self._concrete_holds(u, p, equality)]
-            return Profile.only(tuple(good))
+            return core[i][1], last
         if slot.kind == "copy":
-            if uc[1] != sc[1]:
-                return Profile.never()
-            sols = slot.solve_eq(nat(uc[2]), self.bound)
-            good = [p for p in sols if self._concrete_holds(u, p, equality)]
-            return Profile.only(tuple(good))
-        # runs component
-        uruns, sruns = uc[1], sc[1]
-        j = slot.run
-        # fixed runs before the slot must match (or u may end inside them)
-        for jj in range(min(j, len(uruns))):
-            if uruns[jj] == sruns[jj]:
-                continue
-            if equality:
-                return Profile.never()
-            # divergence before the slot: constant answer
-            return Profile.const(self._concrete_holds(u, 2 if not self.ordinal else nat(2), False))
-        if len(uruns) <= j:
-            if equality:
-                return Profile.never()
-            if u_last_comp:
-                return Profile.always()
-            return Profile.never()
-        ul, ucnt = uruns[j]
+            return (nat(core[i][2]), last) if core[i][1] == s[i][1] else None
+        j, runs = slot.run, core[i][1]
+        if len(runs) <= j or runs[:j] != s[i][1][:j]:
+            return None
+        letter, count = runs[j]
+        ends = last and j == len(runs) - 1
         if slot.kind == "letter":
-            sols = slot.solve_eq(nat(ul), self.bound)
-            if uruns[j][1] != sruns[j][1]:
-                sols = []
-            good = [p for p in sols if self._concrete_holds(u, p, equality)]
-            return Profile.only(tuple(good))
-        # count slot
-        sl = sruns[j][0]
-        if ul != sl:
-            return Profile.never()
-        u_ends_here = u_last_comp and j == len(uruns) - 1
-        if u_ends_here and not equality:
-            p0 = slot.solve_ge(ucnt, self.bound)
+            return nat(letter), ends
+        return (count, ends) if letter == s[i][1][j][0] else None
+
+    def _walk_profile(self, u, equality):
+        """u lies under the members past its slot value only when it ends at
+        an up or count slot; otherwise only a member at that value can hold
+        u."""
+        loc = self._locate(u)
+        if loc is None:
+            return Profile.const(self._concrete_holds(u, self._param(2), equality))
+        c, ends = loc
+        if ends and not equality and self.slot.kind in ("up", "count"):
+            p0 = self.slot.solve_ge(c, self.bound)
             return Profile.never() if p0 is None else self._le_from(u, p0)
-        sols = slot.solve_eq(ucnt, self.bound)
-        good = [p for p in sols if self._concrete_holds(u, p, equality)]
-        return Profile.only(tuple(good))
+        return Profile.only(p for p in self.slot.solve_eq(c, self.bound)
+                            if self._concrete_holds(u, p, equality))
 
     def _le_from(self, u, p0):
         if not isinstance(p0, Ordinal):
@@ -600,7 +567,7 @@ class SymbolicSeries:
         le, eq = self.le_profile(t), self.eq_profile(t)
         kids = {}
         if le.eventually and not eq.eventually:
-            two = nat(2) if self.ordinal else 2  # an ordinal always() starts at the int 0
+            two = self._param(2)  # an ordinal always() starts at the int 0
             q = max(le.data, two) if isinstance(le.data, type(two)) else two
             c = child_toward(d, t, self.at(next_param(q)))
             if not self.le_profile(c).eventually:
@@ -617,43 +584,41 @@ class SymbolicSeries:
     # meets ----------------------------------------------------------------------
 
     def meet_profile_with(self, t):
-        """("const", height) or ("increasing", sup of heights) for
-        ht(meet(s_p, t)) over the parameter range, small parameters included."""
+        """ht(meet(s_p, t)) over the parameter range, small parameters
+        included: ``("const", h)`` when the heights end constant, h being the
+        largest height of any member; ``("increasing", h)`` when they end
+        strictly increasing, h being their supremum, capped at ``t.ht``, over
+        the whole range below an ordinal family's bound.
+
+        Unless all but finitely many members lie in V_t, read off the slot.
+        A member whose value lies below t's value c meets t no higher than one
+        past c, and all members past c meet t at one node.  So if no value
+        reaches c in an up or count slot, the heights rise to the node at the
+        slot's supremum; otherwise none meets t higher than member 0, 1, a
+        member at c (``solve_eq``) or one past ``solve_ge(c)``, or, when t
+        leaves the fitted parts first (``_locate``), member 2."""
         return self._meet_profile_with(as_node(self.d, t))
 
     @_per_series
     def _meet_profile_with(self, t):
-        le = self.le_profile(t)
-        if le.eventually and (not isinstance(le.data, Ordinal) or le.data.is_finite):
-            # all but finitely many members lie in V_t, where the meet is t
+        if self.le_profile(t).eventually:
             return ("const", t.ht)
-        probes = _NAT_PROBES if not self.ordinal else _MEET_ORD_PROBES
-        hs = []
-        for p in probes:
-            m = meet_parts(self.at(p).parts, t.parts)
-            hs.append((p, node_at(self.d, m).ht))
-        small_sup = ZERO
-        for p in ([0, 1] if not self.ordinal else [nat(0), nat(1)]):
-            m = meet_parts(self.at(p).parts, t.parts)
-            h = node_at(self.d, m).ht
-            if cmp(h, small_sup) > 0:
-                small_sup = h
-        if all(h == hs[0][1] for _, h in hs):
-            sup = hs[0][1] if cmp(hs[0][1], small_sup) >= 0 else small_sup
-            return ("const", sup)
-        fit = _fit_affine(hs, self.ordinal)
-        if fit is None:
-            raise UndecidableTailPattern("meet heights are not affine")
-        base, scale, tail = fit
-        if self.ordinal:
-            sup = add(base, self.bound)
-        else:
-            sup = limit_of_affine(base, scale)
-        if cmp(sup, small_sup) < 0:
-            sup = small_sup
-        if cmp(sup, t.ht) > 0:
-            sup = t.ht
-        return ("increasing", sup)
+        # below markers at the end of t change only ``ends``, which no meet reads
+        loc = None if self.constant else self._locate(t.parts)
+        params = [self._param(k) for k in (0, 1, 2)]
+        if loc is not None:
+            slot, c = self.slot, loc[0]
+            p0 = slot.solve_ge(c, self.bound)
+            if p0 is None and slot.kind in ("up", "count"):
+                return ("increasing", node_at(self.d, self._upto(slot.sup(self.bound))).ht)
+            params[2] = next_param(params[2] if p0 is None else max(p0, params[2]))
+            params += slot.solve_eq(c, self.bound)
+        best = ZERO
+        for p in params:
+            h = node_at(self.d, meet_parts(self.at(p).parts, t.parts)).ht
+            if cmp(h, best) > 0:
+                best = h
+        return ("const", best)
 
 
 @functools.lru_cache(maxsize=SERIES_CACHE_SIZE)

@@ -20,7 +20,7 @@ from wedgetree.classify import (
 )
 from wedgetree.constructions import hat
 from wedgetree.corpus import random_description, sample_nodes
-from wedgetree.dsl import parse_address, parse_desc, read_sexpr
+from wedgetree.dsl import parse_address, parse_desc, parse_set, read_sexpr
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
@@ -287,6 +287,18 @@ def test_family_with_top_point_isolates_it():
     # identity pairs are vacuously separated
     x = resolve(BINARY_W1, (Child(1),))
     assert check_t0(BINARY_W1, S, fam, [(x, x)])
+
+
+def test_family_marker_clears_a_member_in_the_cone():
+    """Member 30 of ``(child n) (child 1)`` lies above ``(child 30)``, so the
+    marker of the top point must sit past it for the family to exist."""
+    d = parse_desc(read_sexpr("(full w (+ w1 1))"))
+    S = parse_set(read_sexpr('(union (explicit (addr (child 30) (word "0" w1)))'
+                             ' (omega-family (addr (child n) (child 1))))'))
+    fam = build_separating_family(d, S)
+    (s, ts), = fam.markers.values()
+    assert ts.parts == resolve(d, (Child(30), Child(0))).parts
+    assert fam.verify()
 
 
 def test_family_height_gate():

@@ -73,6 +73,19 @@ def test_witness_countably_closed(capsys):
     assert payload["kind"] == "countably-closed"
 
 
+def test_witness_countably_closed_clears_a_member_in_the_cone(capsys):
+    """Member 30 of the family lies above t's node ``(child 30)``, so the
+    meets reach height 1 and p sits one step above it, outside the family."""
+    code, out = run(capsys, "witness", "countably-closed", "(full w (+ w1 1))",
+                    '(addr (child 30) (word "0" w1))',
+                    '(omega-family (addr (child n) (child 1)))', "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p"] == "(addr (child 30) (child 0))"
+    assert payload["sup_of_meets"] == "1"
+    assert payload["verified"] is True
+
+
 def test_witness_maximality(capsys):
     code, out = run(capsys, "witness", "maximality", "(seg (+ w 1))",
                     "(cdiff (addr (up w)) ((addr (up (+ w 1)))))", "--json")

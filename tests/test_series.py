@@ -11,11 +11,12 @@ from wedgetree.errors import UndecidableTailPattern
 from hypothesis import assume, given, settings, strategies as st
 
 from wedgetree.ordinals import (
-    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, cmp, limit_of_affine, nat, times_nat,
+    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, cmp, limit_of_affine, nat, omega_power,
+    times_nat,
 )
 from wedgetree.trees import (
     OMEGA_BRANCH, Child, Copy, Full, Up, Word, ancestor_at, child_toward,
-    children, leq_parts, resolve,
+    children, leq_parts, meet_parts, node_at, resolve,
 )
 from wedgetree.topology import (
     ClubFamily, OmegaFamily, contains, series_of, spec_parts,
@@ -180,6 +181,34 @@ def test_ordinal_parameter_in_an_index_slot_is_undecidable(d, template):
         instantiate(template, OMEGA)
     with pytest.raises(UndecidableTailPattern):
         SymbolicSeries(d, template, True, OMEGA1)
+
+
+def test_ordinal_threshold_counts_the_finite_tail():
+    """Member a of ``0^a 0^2`` is 0^(a+2): 0^5 lies below the members from 3
+    on, member 3 being 0^5 itself, and in ``CLUB_00`` 0^(w+2) lies below the
+    members from w on."""
+    s = SymbolicSeries(BINARY_W1, (_count_run(), word("0", 2)), True, OMEGA1)
+    t = resolve(BINARY_W1, (word("0", 5),))
+    assert repr(s.le_profile(t)) == "Profile(from, Ordinal(3), +(), -())"
+    assert repr(s.eq_profile(t)) == "Profile(only, (Ordinal(3),), +(), -())"
+    club = series_of(BINARY_W1, CLUB_00)
+    assert club.le_profile((word("0", add(OMEGA, nat(2))),)).data == OMEGA
+
+
+_ORD_SEARCH = [add(b, nat(k)) for b in (ZERO, OMEGA, times_nat(OMEGA, 2), times_nat(OMEGA, 3))
+               for k in range(20)]
+
+
+def test_ordinal_slot_threshold_is_the_least_search():
+    """``solve_ge`` on an ordinal slot base + a + n is the least a of the
+    search that reaches c, and None when that a is not below the bound."""
+    for base in (ZERO, nat(3), OMEGA, add(OMEGA, nat(2)), OMEGA1):
+        for n in range(4):
+            slot = _Slot("count", 0, 0, base, ONE, nat(n), True)
+            for c in [nat(1)] + [add(base, q) for q in _ORD_SEARCH[::3]]:
+                want = next(a for a in _ORD_SEARCH if cmp(slot.value(a), c) >= 0)
+                assert slot.solve_ge(c, OMEGA1) == want, (base, n, c)
+            assert slot.solve_ge(add(base, OMEGA), OMEGA) is None
 
 
 # -- solving a natural-number slot ---------------------------------------------------
@@ -459,15 +488,32 @@ def test_profile_memo_keeps_its_named_bound(monkeypatch):
 def test_meet_profile_of_a_family_that_stays_in_the_cone():
     """All but finitely many members of ``(up n)`` lie above ``(up 3)``, so
     their meets with it are ``(up 3)`` itself: a constant height, although
-    the probes 2, 3, 5, 9 meet it at 2, 3, 3, 3."""
+    members 0, 1 and 2 meet it lower."""
     s = SymbolicSeries(seg(OMEGA1), (Up(Param()),))
     t = resolve(s.d, (up(3),))
     assert s.le_profile(t).kind == "from" and s.le_profile(t).data == 3
     assert s.meet_profile_with(t) == ("const", nat(3))
 
 
+def test_meet_profile_sees_the_member_at_t():
+    """Member 30 of ``(child n)`` is t = ``(child 30)`` itself, so the meets
+    reach height 1 once, though every other member meets t at the root."""
+    s = SymbolicSeries(FULL_W, (Child(Param()),))
+    t = resolve(FULL_W, (Child(30),))
+    assert repr(s.le_profile(t)) == "Profile(only, (30,), +(), -())"
+    assert s.meet_profile_with(t) == ("const", ONE)
+
+
+def test_meet_profile_sees_the_members_past_t():
+    """The members 0^(2n) 1 with n >= 3 pass t = 0^5 1 in the slot and meet
+    it at 0^5, a height that no member with value 5 reaches: there is none."""
+    s = SymbolicSeries(BINARY_W1, (Word((0,), Param(ZERO, nat(2))), Child(1)))
+    assert s.meet_profile_with((word("0", 5), Child(1))) == ("const", nat(5))
+
+
 # -- the child cones a family enters ------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _child_families():
     """Corpus-fitted families (with their limit point), the families of the
     Frechet-Urysohn and club suites, the club (ordinal) families among them,
@@ -481,7 +527,7 @@ def _child_families():
         for part in spec_parts(S):
             if isinstance(part, (OmegaFamily, ClubFamily)):
                 out.append((series_of(d, part), resolve(d, t)))
-    return out
+    return tuple(out)
 
 
 def test_children_profile_matches_the_entered_children():
@@ -522,3 +568,54 @@ def test_children_profile_matches_the_entered_children():
                 assert all(m.parts == series._predict(p)
                            for p, m in zip(params, members) if p >= p0), case
     assert kinds == {"finite", "injective"}
+
+
+# -- profiles against the members ----------------------------------------------------
+
+def _sample_params(series):
+    """The parameters p < 90, and in a club family also omega*k and
+    omega*k + 1 (k <= 5), omega^2 and omega^2 + 1 below its bound, in
+    increasing order."""
+    if not series.ordinal:
+        return list(range(90))
+    limits = [times_nat(OMEGA, k) for k in range(1, 6)] + [omega_power(nat(2))]
+    return [nat(p) for p in range(90)] + [q for lam in limits for q in (lam, add(lam, ONE))
+                                          if cmp(q, series.bound) < 0]
+
+
+def test_profiles_match_the_members():
+    """Order, equality and meet profiles against the members themselves,
+    over every node the child-cone test asks about, in the omega and club
+    families of that test and ``CLUB_00``.  A ``"const"`` meet answer is
+    the largest meet height and the heights end constant; an
+    ``"increasing"`` one ends strictly increasing, bounds every height and
+    lies at or below ``t.ht``.  No question raises."""
+    club = series_of(BINARY_W1, CLUB_00)
+    families = _child_families() + ((club, resolve(BINARY_W1, CLUB_00.anchor)),)
+    kinds = set()
+    for series, limit in families:
+        d = series.d
+        params = _sample_params(series)
+        members = [series.at(p) for p in params]
+        asked = [limit] + _question_nodes(series) + series.limit_nodes()
+        for t in {t.parts: t for t in asked}.values():
+            case = (series.template, t)
+            le, eq = series.le_profile(t), series.eq_profile(t)
+            for p, m in zip(params, members):
+                assert le.holds_at(p) == leq_parts(t.parts, m.parts), (case, p)
+                assert eq.holds_at(p) == (t.parts == m.parts), (case, p)
+            meets = [meet_parts(m.parts, t.parts) for m in members]
+            height = {m: node_at(d, m).ht for m in set(meets)}
+            heights = [height[m] for m in meets]
+            top = max(height.values())
+            kind, h = series.meet_profile_with(t)
+            kinds.add((kind, series.ordinal))
+            tail = heights[-4:]
+            if kind == "const":
+                assert h == top and len(set(tail)) == 1, case
+            else:
+                assert kind == "increasing", case
+                assert all(cmp(a, b) < 0 for a, b in zip(tail, tail[1:])), case
+                assert cmp(top, h) <= 0 and cmp(h, t.ht) <= 0, case
+    assert kinds == {("const", False), ("increasing", False),
+                     ("const", True), ("increasing", True)}
