@@ -15,18 +15,15 @@ module or running ``classify_report`` loads neither ``topology`` nor
 from __future__ import annotations
 
 import enum
-from itertools import combinations
 
 import wedgetree
 
 from .errors import HeightTooLarge, PreconditionFailed
-from .ordinals import (
-    OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat,
-)
-from .records import field, record
+from .ordinals import OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp
+from .records import record
 from .trees import (
     Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
-    ancestor_at, as_node, child_toward, children, height, leq, leq_parts,
+    ancestor_at, as_node, child_toward, height, leq, leq_parts,
     meet_parts, node_at, resolve, validate, view,
 )
 from .constructions import normalize, r_flags
@@ -266,12 +263,12 @@ def gdelta_class(node):
 @record(frozen=True)
 class GdeltaReport:
     point: object          # class of the queried point, when one was given
-    dense: bool
 
 
 def gdelta_analysis(d, x=None):
-    """The G-delta class of ``x`` (when given), and density of the G-delta
-    points, which holds on every valid described tree (rule R8):
+    """The G-delta class of ``x`` (when given).  The G-delta points are
+    dense on every valid described tree (rule R8), so the report carries no
+    density flag:
 
     *  Every nonempty open set of the coarse wedge topology contains a point
        u of cofinality 0: the top of the set's cone part, or else the root.
@@ -288,41 +285,10 @@ def gdelta_analysis(d, x=None):
     point = None
     if x is not None:
         point = gdelta_class(as_node(d, x))
-    return GdeltaReport(point, dense=True)
-
-
-def gdelta_intersection_oracle(d, x, sample_bases):
-    """Brute-force side of the not-G-delta verdicts: given countably many
-    basic neighbourhoods of x (sampled), produce a point other than x inside
-    all of them."""
-    x = as_node(d, x)
-    if x.cof is Cofinality.OMEGA1:
-        best = ZERO
-        for u, _ in sample_bases:
-            if cmp(u.ht, best) > 0:
-                best = u.ht
-        y = ancestor_at(d, x, add(best, ONE))
-        return y
-    if not x.ims.le_omega:
-        taken = set()
-        for _, F in sample_bases:
-            for f in F:
-                if f.parts and f.parts[-1][0] == "copy":
-                    taken.add(f.parts[-1][2])
-        idx = 0
-        while idx in taken:
-            idx += 1
-        kids = children(d, x, idx + 1)
-        return kids[idx]
-    raise PreconditionFailed("the point has a countable local base")
+    return GdeltaReport(point)
 
 
 # -- separating family (heights up to w1+1) -------------------------------------------
-
-# Every sample this module takes, in one place, with what it samples.
-_MEMBER_HEIGHTS = (ZERO, ONE, nat(2), OMEGA)  # members_containing: heights of cone bases below x
-_VERIFY_MEMBERS = 8  # verify: points of S sampled, every pair of which must be split
-
 
 @record
 class FamilyU:
@@ -333,9 +299,6 @@ class FamilyU:
     S: object
     markers: dict          # s.parts -> (s, t(s))
     singletons: tuple      # the S1 points
-    # x.parts -> the members containing x, filled by members_containing
-    _members: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def cone_allowed(self, r):
         if r.cof is not Cofinality.ZERO:
@@ -359,41 +322,43 @@ class FamilyU:
         else:
             m = node_at(d, meet_parts(x.parts, y.parts))
             r = child_toward(d, m, y)
-        if not r.in_I:
-            r = _descend_to_I(d, r, y if leq_parts(r.parts, y.parts) else x)
-        if r is None or not self.cone_allowed(r):
+        if not self.cone_allowed(r):
             return None
         return ("cone", r)
 
-    def members_containing(self, x):
-        """Sampled family members containing x, as ("cone", r) descriptors.
-
-        Kept per point for the life of the family; each call returns a new
-        list."""
-        members = self._members.get(x.parts)
-        if members is None:
-            out = []
-            if x.parts in self.markers:
-                out.append(("singleton", x))
-            for h in _MEMBER_HEIGHTS:
-                if cmp(h, x.ht) <= 0:
-                    r = ancestor_at(self.d, x, h)
-                    if self.cone_allowed(r):
-                        out.append(("cone", r))
-            members = self._members[x.parts] = tuple(out)
-        return list(members)
-
     def verify(self):
-        """Re-check the family on its own deterministic sample of S: every
-        pair of sampled points is split (``check_t0``), and every sampled
-        point of countable height and every singleton lies in countably many
-        members (``check_point_countable``)."""
-        d = self.d
-        sample = wedgetree.topology.sample_members(d, self.S, _VERIFY_MEMBERS)
-        pts = list({x.parts: x for x in sample}.values())
-        points = [x for x in pts if x.ht.is_countable] + list(self.singletons)
-        return (check_t0(d, self.S, self, combinations(pts, 2))
-                and check_point_countable(d, self, points))
+        """Re-derive the family from its markers and the parts of S:
+
+        *  The singletons and the marker keys are both S1
+           (``_leftover_points``).
+        *  Each marker t(s) is an I-point of countable height below s.
+        *  No part meets V_t(s) in a point of countable height, and no
+           family member lies in V_t(s) (``_cone_meets_D_closure``).
+        *  No singleton other than s lies above t(s).
+
+        These give T0 on every pair and point-countability on a dense set.
+        The tree has height at most w1+1, so a point of S in V_t(s) has
+        height w1 and is a candidate for S1; V_t(s) is an open neighbourhood
+        of it that misses every part's countable-height points, so it is in
+        S1, and it is s.  A pair with a singleton is split by it.  Any other
+        pair x, y is split by the child r of x, or of their meet, toward y:
+        r has a successor height, so r is in I(T), and V_r lies in no marker
+        cone, since it holds y, which is no singleton.  A point of countable
+        height lies in the cones at its countably many predecessors; a
+        singleton s lies in its own singleton and in the cones strictly below
+        t(s)."""
+        d, parts = self.d, wedgetree.topology.spec_parts(self.S)
+        s1 = {s.parts for s in _leftover_points(d, parts)}
+        if s1 != {s.parts for s in self.singletons} or s1 != set(self.markers):
+            return False
+        for key, (s, ts) in self.markers.items():
+            if (key != s.parts or not ts.in_I or not ts.ht.is_countable
+                    or not leq_parts(ts.parts, s.parts)
+                    or any(_cone_meets_D_closure(d, part, ts) for part in parts)
+                    or any(o.parts != key and leq_parts(ts.parts, o.parts)
+                           for o in self.singletons)):
+                return False
+        return True
 
     def to_json(self):
         from .dsl import print_address
@@ -404,14 +369,6 @@ class FamilyU:
                         for s, t in self.markers.values()],
             "verified": self.verify(),
         }
-
-
-def _descend_to_I(d, r, target):
-    """First successor-height node on the chain from r toward target."""
-    h = add(r.ht, ONE)
-    if cmp(h, target.ht) <= 0:
-        return ancestor_at(d, target, h)
-    return None
 
 
 def _closure_of_D_part_contains(d, part, s):
@@ -437,12 +394,13 @@ def _closure_of_D_part_contains(d, part, s):
     raise TypeError(part)
 
 
-def _candidate_S1_points(d, S):
-    """Points of S at uncountable-cofinality heights (finitely many in the
-    closed-set description language)."""
+def _leftover_points(d, parts):
+    """S1: the points of S at uncountable-cofinality heights (finitely many in
+    the closed-set description language) outside the closure of every part's
+    countable-height points."""
     topology = wedgetree.topology
     out = {}
-    for part in topology.spec_parts(S):
+    for part in parts:
         if isinstance(part, topology.Explicit):
             for p in part.points:
                 n = resolve(d, p)
@@ -456,7 +414,8 @@ def _candidate_S1_points(d, S):
             t = resolve(d, part.t)
             if t.cof is Cofinality.OMEGA1:
                 out[t.parts] = t
-    return list(out.values())
+    return [s for s in out.values()
+            if not any(_closure_of_D_part_contains(d, part, s) for part in parts)]
 
 
 def build_separating_family(d, S):
@@ -466,11 +425,7 @@ def build_separating_family(d, S):
     if cmp(height(d), add(OMEGA1, ONE)) > 0:
         raise HeightTooLarge("separating families need height at most w1+1")
     parts = wedgetree.topology.spec_parts(S)
-    candidates = _candidate_S1_points(d, S)
-    s1 = []
-    for s in candidates:
-        if not any(_closure_of_D_part_contains(d, part, s) for part in parts):
-            s1.append(s)
+    s1 = _leftover_points(d, parts)
     # discreteness of the leftover part comes with the construction; the
     # markers below certify it point by point
     markers = {}
@@ -567,20 +522,15 @@ def check_t0(d, S, family, pairs):
 
 
 def check_point_countable(d, family, points):
-    """Each point lies in countably many family members, certified by a
-    countable predecessor-height index."""
+    """Each point lies in countably many family members: in the cones at its
+    predecessors, or, for a marked point, at its marker's predecessors (see
+    ``FamilyU.verify``), so that height must be countable."""
     for p in points:
         x = as_node(d, p)
         marked = family.markers.get(x.parts)
-        if marked is not None:
-            bound = marked[1].ht
-        else:
-            bound = x.ht
+        bound = x.ht if marked is None else marked[1].ht
         if not bound.is_countable:
             return False
-        for kind, r in family.members_containing(x):
-            if kind == "cone" and not leq_parts(r.parts, x.parts):
-                return False
     return True
 
 

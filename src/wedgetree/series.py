@@ -736,10 +736,14 @@ def fit_template(nodes):
         parts, slot = _unify(range(len(nodes)), [n.parts for n in nodes], False)
     except UndecidableTailPattern:
         return None
-    if slot is None or slot.kind == "up":
+    # value(p) = base + scale*p + tail is base + tail + scale*p when the
+    # scale is finite or the tail is zero; otherwise no Param says it
+    if slot is None or not (slot.tail.is_zero or slot.scale.is_finite):
         return None
     finite = slot.base.is_finite and slot.scale.is_finite
-    if slot.kind == "copy":
+    if slot.kind == "up":
+        mid = [Up(Param(add(slot.base, slot.tail), slot.scale))]
+    elif slot.kind == "copy":
         if not finite:
             return None
         mid = [Copy(parts[slot.comp][1], Param(slot.base, slot.scale))]
@@ -750,8 +754,6 @@ def fit_template(nodes):
                 return None
             slot_step = Child(Param(slot.base, slot.scale))
         else:
-            if not slot.tail.is_zero and not slot.scale.is_finite:
-                return None
             slot_step = Word((runs[slot.run][0],),
                              Param(add(slot.base, slot.tail), slot.scale))
         mid = [slot_step if jj == slot.run else Word((l,), c)

@@ -487,9 +487,7 @@ def _cluster_of_concrete_tail(d, nodes, x):
     """Cluster verdict for a finite prefix extended by its affine pattern."""
     tpl = fit_template(nodes)
     if tpl is None:
-        # fall back: every wedge at x must contain some node; sample checks
-        ok = all(leq(d, node_at(d, meet_parts(n.parts, x.parts)), x) for n in nodes)
-        return Verdict.CLUSTERS_ONLY if ok else Verdict.NEITHER
+        raise UndecidableTailPattern("the picked members fit no template")
     return cluster_or_limit(d, SeqSpec(tail=Indexed(tpl)), x, Topology.CW)
 
 
@@ -501,7 +499,8 @@ def fu_extract(d, A, t):
     immediate-successor cones of t meet A, read off each family's slot
     (``SymbolicSeries.children_profile``).  When cf(t) = omega and finitely
     many do, the sequence takes, above each of _FU_PICKS cofinal I-points
-    below t, the family's least member outside them and other than t."""
+    below t, the family's least member outside them and other than t, and
+    raises UndecidableTailPattern when those members fit no template."""
     t = as_node(d, t)
     if contains(d, A, t):
         raise PreconditionFailed("t itself belongs to A")
@@ -518,7 +517,6 @@ def fu_extract(d, A, t):
             "only finitely many cones below t's wedge meet A; t is not in the closure")
     base_nodes = cofinal_I_nodes(d, t, _FU_PICKS)
     head = []
-    tpl = None
     for part in spec_parts(A):
         if isinstance(part, (OmegaFamily, ClubFamily)):
             series = series_of(d, part)
@@ -532,10 +530,12 @@ def fu_extract(d, A, t):
     if not head:
         raise ChoiceUnavailable(
             "A's description cannot exhibit members in the required wedges")
-    seq = SeqSpec(head=tuple(head), tail=Indexed(tpl) if tpl else None)
-    verdict = cluster_or_limit(d, SeqSpec(tail=Indexed(tpl)), t, Topology.SIGMA_CW) \
-        if tpl else Verdict.NEITHER
-    if verdict is not Verdict.CONVERGES:
+    if tpl is None:
+        raise UndecidableTailPattern("the picked members fit no template",
+                                     witness=SeqSpec(head=tuple(head)))
+    seq = SeqSpec(head=tuple(head), tail=Indexed(tpl))
+    if cluster_or_limit(d, SeqSpec(tail=Indexed(tpl)), t,
+                        Topology.SIGMA_CW) is not Verdict.CONVERGES:
         raise NotInClosure("extracted sequence does not converge to t", witness=seq)
     return seq
 

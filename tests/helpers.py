@@ -263,7 +263,8 @@ def fu_triples(seed=7, count=300):
     Each t is a spot-panel node of a valid random description or its
     ancestor at omega, omega*2 or omega^2; A is the omega-family fitted to
     eight cofinal I-points below t when cf(t) = omega, or to eight children
-    of t when t has infinitely many.  Points no template fits are skipped."""
+    of t when t has infinitely many.  Points no template fits, and templates
+    with an up slot, are skipped."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -286,7 +287,11 @@ def fu_triples(seed=7, count=300):
                 tpl = fit_template(children(d, t, 8))
             else:
                 continue
-            if tpl is not None:
+            # families with an up slot are left out: the laws' counts and the
+            # differentials built on these triples were set on the stream
+            # without them (the laws hold with them too)
+            if tpl is not None and not any(
+                    isinstance(s, Up) and isinstance(s.delta, Param) for s in tpl):
                 out.append((d, OmegaFamily(tpl), t.address()))
     return out[:count]
 

@@ -412,4 +412,4 @@ def test_output_digest():
 
 def test_witness_digest():
     # the witness half: every construction over the helpers case tables
-    assert witness_digest() == "dfa0014a5bf3dac593692cfadd918533"
+    assert witness_digest() == "f7ea72613e1d68f5e9897782f8e5068b"

@@ -2,25 +2,24 @@ import random
 
 import pytest
 
-from wedgetree.errors import HeightTooLarge, WedgeTreeError
+from wedgetree.errors import HeightTooLarge, PreconditionFailed, WedgeTreeError
 from wedgetree.ordinals import (
     ONE, ZERO, Cofinality, add, cmp, fin_mul, nat, times_nat,
 )
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Below, Child, Graft, HatOf, TildeOf, ancestor_at,
-    children, resolve, validate,
+    as_node, children, resolve, validate,
 )
-from wedgetree.topology import (
-    Branch, Explicit, UnionSpec, sample_members,
-)
+from wedgetree.topology import Branch, Explicit, UnionSpec
 from wedgetree.classify import (
     V3, build_separating_family, binary_obstruction, check_point_countable,
     check_t0, classify_report, gdelta_analysis, gdelta_class,
-    gdelta_intersection_oracle, has_omega1_chain, r_flags,
+    has_omega1_chain, r_flags,
 )
 from wedgetree.constructions import hat
 from wedgetree.corpus import random_description, sample_nodes
 from wedgetree.dsl import parse_address, parse_desc, parse_set, read_sexpr
+from wedgetree.records import replace
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
@@ -170,9 +169,33 @@ def test_gdelta_point_classes():
 
 def test_gdelta_analysis_dense():
     rep = gdelta_analysis(BINARY_W1, [Child(0)])
-    assert rep.point == "isolated" and rep.dense
+    assert rep.point == "isolated"
     rep2 = gdelta_analysis(FAN_OMEGA1, [])
-    assert rep2.point == "not-gdelta" and rep2.dense
+    assert rep2.point == "not-gdelta"
+
+
+def gdelta_intersection_oracle(d, x, sample_bases):
+    """Brute-force side of the not-G-delta verdicts: given countably many
+    basic neighbourhoods of x (sampled), produce a point other than x inside
+    all of them."""
+    x = as_node(d, x)
+    if x.cof is Cofinality.OMEGA1:
+        best = ZERO
+        for u, _ in sample_bases:
+            if cmp(u.ht, best) > 0:
+                best = u.ht
+        return ancestor_at(d, x, add(best, ONE))
+    if not x.ims.le_omega:
+        taken = set()
+        for _, F in sample_bases:
+            for f in F:
+                if f.parts and f.parts[-1][0] == "copy":
+                    taken.add(f.parts[-1][2])
+        idx = 0
+        while idx in taken:
+            idx += 1
+        return children(d, x, idx + 1)[idx]
+    raise PreconditionFailed("the point has a countable local base")
 
 
 def test_gdelta_oracle_uncountable_cofinality():
@@ -312,20 +335,25 @@ def test_family_point_countable():
     assert check_point_countable(BINARY_W1, fam, pts)
 
 
-def test_family_members_are_kept_per_point():
+def test_family_mutants_fail_verification():
+    """Each marker dropped, each marker moved down to height 1, and each
+    marker dropped with its singleton: the re-derived family disagrees."""
+    total = 0
     for d, S in separating_family_cases():
         fam = build_separating_family(d, S)
-        pts = {x.parts: x for x in sample_members(d, S, 8)}
-        pts.update((s.parts, s) for s in fam.singletons)
-        for x in pts.values():
-            first = fam.members_containing(x)
-            want = list(first)
-            assert want, (d, x.parts)  # the cone at the root holds every point
-            first.append(("singleton", x))
-            again = fam.members_containing(x)
-            assert again == want, (d, x.parts)
-            again.clear()
-            assert fam.members_containing(x) == want, (d, x.parts)
+        assert fam.verify(), (d, S)
+        for key, (s, ts) in fam.markers.items():
+            rest = {k: v for k, v in fam.markers.items() if k != key}
+            mutants = [replace(fam, markers=rest),
+                       replace(fam, markers=rest, singletons=tuple(
+                           x for x in fam.singletons if x.parts != key))]
+            low = ancestor_at(d, s, ONE)
+            if low.parts != ts.parts:
+                mutants.append(replace(fam, markers={**fam.markers, key: (s, low)}))
+            for mutant in mutants:
+                assert not mutant.verify(), (d, S, mutant.markers)
+                total += 1
+    assert total == 30  # 13 markers dropped, 4 moved down, 13 dropped with their singleton
 
 
 def test_family_checks_on_random_pairs():

@@ -263,6 +263,9 @@ def test_error_details_outside_json_are_printed_as_text(capsys, monkeypatch):
 
 def test_witness_separating_family_verified_follows_its_checks(capsys, monkeypatch):
     import wedgetree.classify as classify
+    from wedgetree.ordinals import ZERO
+    from wedgetree.records import replace
+    from wedgetree.trees import ancestor_at
 
     argv = ("witness", "separating-family", "(full 2 (+ w1 1))",
             '(explicit (addr (word "0" w1)) (addr (child 1)))', "--json")
@@ -271,12 +274,39 @@ def test_witness_separating_family_verified_follows_its_checks(capsys, monkeypat
     payload = json.loads(out)
     assert payload["singletons"] == ['(addr (word "0" w1))']
     assert payload["verified"] is True
-    for check in ("check_t0", "check_point_countable"):
-        with monkeypatch.context() as m:
-            m.setattr(classify, check, lambda *args: False)
-            code, out = run(capsys, *argv)
-            assert code == 0
-            assert json.loads(out)["verified"] is False
+    real = classify.build_separating_family
+    # the marker, at height 1, dropped with and without its singleton, and
+    # moved down to the root
+    changes = [
+        lambda f: replace(f, markers={}),
+        lambda f: replace(f, markers={}, singletons=()),
+        lambda f: replace(f, markers={k: (s, ancestor_at(f.d, s, ZERO))
+                                      for k, (s, _) in f.markers.items()}),
+    ]
+    for change in changes:
+        monkeypatch.setattr(classify, "build_separating_family",
+                            lambda d, S, change=change: change(real(d, S)))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["verified"] is False
+
+
+def test_witness_fu_extract_on_a_segment(capsys):
+    code, out = run(capsys, "witness", "fu-extract", "(seg (+ w 1))",
+                    "(omega-family (addr (up n)))", "(addr (up w))", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert payload["sequence"].endswith("(tail (addr (up (lin 1 1)))))")
+
+
+def test_witness_fu_extract_with_no_template_is_undecidable(capsys):
+    # the picked members 0^(w*j+1) 1 carry a tail after an infinite scale
+    code, out = run(capsys, "witness", "fu-extract", "(full 2 (+ (^ w 2) 2))",
+                    '(omega-family (addr (word "0" (lin 0 w)) (child 0) (child 1)))',
+                    '(addr (word "0" (^ w 2)))', "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "undecidable-tail"
 
 
 def test_witness_fu_extract_verified_follows_its_recheck(capsys, monkeypatch):

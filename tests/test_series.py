@@ -16,7 +16,7 @@ from wedgetree.ordinals import (
 )
 from wedgetree.trees import (
     OMEGA_BRANCH, Child, Copy, Full, Up, Word, ancestor_at, child_toward,
-    children, leq_parts, meet_parts, node_at, resolve,
+    children, cofinal_I_nodes, leq_parts, meet_parts, node_at, resolve,
 )
 from wedgetree.topology import (
     ClubFamily, OmegaFamily, contains, series_of, spec_parts,
@@ -45,6 +45,7 @@ def _members(d, template, params=range(2, 10)):
     (BINARY_W1, (Word((0,), Param()), Child(1))),      # run count slot
     (FAN_OMEGA, (Copy(0, Param()),)),                  # copy index slot
     (FULL_W, (Child(Param()),)),                       # child letter slot
+    (seg(OMEGA1), (Up(Param()),)),                     # up position slot
 ])
 def test_fit_template_reproduces_the_nodes(d, template):
     nodes = _members(d, template)
@@ -53,9 +54,20 @@ def test_fit_template_reproduces_the_nodes(d, template):
     assert [resolve(d, instantiate(fitted, i)) for i in range(len(nodes))] == nodes
 
 
-def test_fit_template_rejects_up_slots_and_constant_lists():
-    assert fit_template(_members(seg(OMEGA1), (Up(Param()),))) is None
+def test_fit_template_rejects_constant_lists():
     assert fit_template([resolve(BINARY_W1, (word("0", 3),))] * 8) is None
+
+
+def test_fit_template_fits_a_tail_only_after_a_finite_scale():
+    # the cofinal I-points below w*2 sit at w + j + 1, the template's
+    # (up (lin (+ w 1) 1)); those below w^2 sit at w*j + 1, which no Param says
+    d = seg(omega_power(nat(2)))
+    below = {h: cofinal_I_nodes(d, resolve(d, (up(h),)), 8)
+             for h in (times_nat(W, 2), omega_power(nat(2)))}
+    assert fit_template(below[times_nat(W, 2)]) == (Up(Param(o(W, 1), ONE)),)
+    nodes = below[omega_power(nat(2))]
+    assert [n.ht for n in nodes[1:3]] == [o(W, 1), o(times_nat(W, 2), 1)]
+    assert fit_template(nodes) is None
 
 
 def _limits(d, spec):

@@ -203,6 +203,17 @@ def test_club_accumulation_omega_steps():
     assert wit.pairs[1][0].ht == W
 
 
+@pytest.mark.parametrize("h", [W1, o(W1, W)])
+def test_club_accumulation_on_a_segment_converges(h):
+    # the members (up n) converge to (up w), which the picked members show
+    # once their up slot is fitted
+    d = seg(h)
+    t = resolve(d, (up(W1),))
+    wit = club_accumulation(d, t, ClubFamily((up(W1),), (Up(Param(ZERO, ONE)),)))
+    assert wit.verified and wit.r.ht == W
+    assert wit.verdict is Verdict.CONVERGES
+
+
 def test_club_accumulation_rejects_far_sets():
     t = resolve(BINARY_W1, ZERO_ONE_BRANCH)
     with pytest.raises(NotAccumulating):
