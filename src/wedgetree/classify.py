@@ -23,8 +23,8 @@ from .ordinals import OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp
 from .records import record
 from .trees import (
     Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
-    ancestor_at, as_node, child_toward, height, leq, leq_parts,
-    meet_parts, node_at, resolve, validate, view,
+    ancestor_at, as_node, child_toward, height, leq, leq_parts, meet,
+    resolve, validate, view,
 )
 from .constructions import normalize, r_flags
 
@@ -320,7 +320,7 @@ class FamilyU:
         elif leq_parts(y.parts, x.parts):
             r = child_toward(d, y, x)
         else:
-            m = node_at(d, meet_parts(x.parts, y.parts))
+            m = meet(d, x, y)
             r = child_toward(d, m, y)
         if not self.cone_allowed(r):
             return None
@@ -437,7 +437,7 @@ def build_separating_family(d, S):
                 beta = h
         for other in s1:
             if other.parts != s.parts:
-                h = node_at(d, meet_parts(s.parts, other.parts)).ht
+                h = meet(d, s, other).ht
                 if cmp(h, beta) > 0:
                     beta = h
         ts = ancestor_at(d, s, add(beta, ONE))
@@ -462,19 +462,19 @@ def _marker_bound(d, part, s):
     topology = wedgetree.topology
     if isinstance(part, topology.Branch):
         top = resolve(d, part.top)
-        return node_at(d, meet_parts(s.parts, top.parts)).ht
+        return meet(d, s, top).ht
     if isinstance(part, topology.ConeSet):
         t = resolve(d, part.t)
         if not t.ht.is_countable:
             return None  # the cone carries no countable-height points
-        return node_at(d, meet_parts(s.parts, t.parts)).ht
+        return meet(d, s, t).ht
     if isinstance(part, topology.Explicit):
         best = None
         for p in part.points:
             n = resolve(d, p)
             if n.parts == s.parts or not n.ht.is_countable:
                 continue
-            h = node_at(d, meet_parts(s.parts, n.parts)).ht
+            h = meet(d, s, n).ht
             if best is None or cmp(h, best) > 0:
                 best = h
         return best
@@ -503,11 +503,15 @@ def _cone_meets_D_closure(d, part, ts):
 
 
 def check_t0(d, S, family, pairs):
-    """Every pair of distinct points of S is split by some family member."""
+    """Every pair of distinct points of S is split by some family member.
+    An ordered pair of parts is asked once: a repeat was already split."""
+    split = set()
     for a, b in pairs:
         x, y = as_node(d, a), as_node(d, b)
-        if x.parts == y.parts:
+        key = (x.parts, y.parts)
+        if x.parts == y.parts or key in split:
             continue
+        split.add(key)
         sep = family.separator_for(x, y)
         if sep is None:
             return False
@@ -524,9 +528,14 @@ def check_t0(d, S, family, pairs):
 def check_point_countable(d, family, points):
     """Each point lies in countably many family members: in the cones at its
     predecessors, or, for a marked point, at its marker's predecessors (see
-    ``FamilyU.verify``), so that height must be countable."""
+    ``FamilyU.verify``), so that height must be countable.  Each point is
+    checked once, however often it is listed."""
+    checked = set()
     for p in points:
         x = as_node(d, p)
+        if x.parts in checked:
+            continue
+        checked.add(x.parts)
         marked = family.markers.get(x.parts)
         bound = x.ht if marked is None else marked[1].ht
         if not bound.is_countable:

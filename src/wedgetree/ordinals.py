@@ -10,9 +10,9 @@ tree descriptions can produce while keeping canonical forms finite.  w2 is not
 representable; suprema that would need w1*omega raise SupNotRepresentable.
 
 Values are immutable, so the pure operations that build them are memoized by
-value: ``add``, ``left_sub`` and ``pred`` keep the answers of their
-``ORDINAL_CACHE_SIZE`` most recently used arguments and hand every caller
-the same ``Ordinal``.  A call that raises is not kept and raises again.
+value: ``add``, ``left_sub``, ``pred`` and ``fundamental`` keep the answers
+of their ``ORDINAL_CACHE_SIZE`` most recently used arguments and hand every
+caller the same ``Ordinal``.  A call that raises is not kept and raises again.
 Every newly built value still validates its CNF; a cache hit returns one
 that was validated when it was built.  ``Ordinal.cof()`` reads the
 cofinality class that the constructor stores once, like the hash.
@@ -26,14 +26,18 @@ from functools import lru_cache, total_ordering
 from .errors import OracleRangeError, OrdinalUnderflowError, SupNotRepresentable
 
 # Answers kept by each value memo of this module (``add``, ``left_sub``,
-# ``pred``) and of the height maps in ``trees``; least recently used go
-# first.  Keys are one or two immutable ordinals and the value an ordinal (or
-# a pair), so an entry is small.  Every height of a described tree is
-# w1*m + gamma built from a few constants, so inputs repeat: validating,
-# classifying and round-tripping 3,000 corpus trees (the benchmark's
-# generator, seeds 5 and 9) makes 298,452 ``add`` calls on 2,708 distinct
-# pairs, 10,757 ``left_sub`` calls on 73 and 23,438 ``pred`` calls on 16, and
-# the hat and tilde height maps take 236,605 calls on 319 distinct heights.
+# ``pred``, ``fundamental``) and of the height maps in ``trees``; least
+# recently used go first.  Keys are one or two immutable ordinals (or an
+# ordinal and a natural number) and the value an ordinal (or a pair), so an
+# entry is small.  Every height of a described tree is w1*m + gamma built
+# from a few constants, so inputs repeat: validating, classifying and
+# round-tripping 3,000 corpus trees (the benchmark's generator, seeds 5 and
+# 9) makes 298,452 ``add`` calls on 2,708 distinct pairs, 10,757 ``left_sub``
+# calls on 73 and 23,438 ``pred`` calls on 16, and the hat and tilde height
+# maps take 236,605 calls on 319 distinct heights.  The corpus never asks
+# for a fundamental sequence; the benchmark's witness workload (seed 901, its
+# warm-up and 4,000 draws) asks ``fundamental`` 5,248 times on 40 distinct
+# arguments.
 ORDINAL_CACHE_SIZE = 4096
 
 
@@ -344,6 +348,7 @@ def limit_of_affine(base, step):
     return add(base, omega_power(add(lead, ONE)))
 
 
+@lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def fundamental(lam, j):
     """j-th element of a strictly increasing sequence cofinal in the limit
     ordinal lam (lam must have cofinality omega)."""

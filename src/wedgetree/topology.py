@@ -35,7 +35,7 @@ from .series import cached_series, fit_template, instantiate
 from .trees import Param as Param
 from .trees import (
     Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
-    leq_parts, meet, meet_parts, node_at, resolve,
+    leq_parts, meet, resolve,
 )
 
 
@@ -359,7 +359,7 @@ def countably_closed_witness(d, t, S):
                 n = resolve(d, pt)
                 if leq_parts(t.parts, n.parts):
                     raise PreconditionFailed("an element of S lies in the cone of t")
-                h = node_at(d, meet_parts(n.parts, t.parts)).ht
+                h = meet(d, n, t).ht
                 if cmp(h, sup) > 0:
                     sup = h
         elif isinstance(part, (OmegaFamily, ClubFamily)):
@@ -373,7 +373,7 @@ def countably_closed_witness(d, t, S):
             top = as_node(d, part.top)
             if leq_parts(t.parts, top.parts):
                 raise PreconditionFailed("an element of S lies in the cone of t")
-            h = node_at(d, meet_parts(top.parts, t.parts)).ht
+            h = meet(d, top, t).ht
             if cmp(h, sup) > 0:
                 sup = h
         else:

@@ -39,15 +39,18 @@ frozenset, which no caller can change.  It also walks each ``(steps, i)``
 once, lists the children of each ``(parts, count)`` once and finds the
 ancestor of each ``(parts, h)`` once, so ``resolve`` and ``ancestor_at`` on a
 graft, hat or tilde view reach into its inner views at an address only the
-first time.  Calls that raise are not kept.  Resolved nodes and ancestors
-are shared between callers, so no code outside ``Node.__init__`` sets a
-node's attributes; ``children`` returns a new list on every call.  The tree
-order on parts, ``leq_parts``, keeps its answer for the ``ORDER_CACHE_SIZE``
-most recently asked pairs.  The height maps of hat and tilde (``hat_shift``,
-``hat_unshift``, ``tilde_shift``, ``tilde_unshift``) are pure functions of
-one ordinal and keep their answers for the ``ordinals.ORDINAL_CACHE_SIZE``
-most recently used heights, as the ordinal arithmetic does; a height that
-raises is not kept.
+first time.  It resolves each canonical parts tuple once (``node_at``), by
+walking the address ``parts_to_steps`` spells, so ``node_at`` and ``meet``
+hand out the node that ``resolve`` gives that address.  Calls that raise are
+not kept.  Resolved nodes and ancestors are shared between callers, so no
+code outside ``Node.__init__`` sets a node's attributes; ``children`` returns
+a new list on every call.  The tree order on parts, ``leq_parts``, and the
+meet of parts, ``meet_parts``, keep their answers for the
+``ORDER_CACHE_SIZE`` most recently asked pairs each.  The height maps of hat
+and tilde (``hat_shift``, ``hat_unshift``, ``tilde_shift``,
+``tilde_unshift``) are pure functions of one ordinal and keep their answers
+for the ``ordinals.ORDINAL_CACHE_SIZE`` most recently used heights, as the
+ordinal arithmetic does; a height that raises is not kept.
 """
 
 from __future__ import annotations
@@ -78,11 +81,13 @@ _EXPAND_CAP = 10000  # letters a finite multi-letter word spells out; longer is 
 # series memo has its own bound, ``series.SERIES_CACHE_SIZE``.
 VIEW_CACHE_SIZE = 32
 
-# Pairs kept by the ``leq_parts`` memo.  Keys are two immutable parts tuples
-# and the value a bool, so an entry is small.  The re-checks of the witness
-# constructions ask the same few questions again and again: 3,000 witness
-# draws touch 927 distinct pairs, and this bound kept 99.6% of their calls
-# as hits.  The corpus workload never calls ``leq_parts``.
+# Pairs kept by each of the ``leq_parts`` and ``meet_parts`` memos.  Keys are
+# two immutable parts tuples and the value a bool or a parts tuple, so an
+# entry is small.  The witness constructions and their re-checks ask the same
+# few questions again and again: the benchmark's witness workload (seed 901,
+# its warm-up and 4,000 draws) asks ``leq_parts`` 640 distinct pairs (98.0%
+# of its calls hits) and ``meet_parts`` 129 (98.4% hits).  The corpus
+# workload calls neither.
 ORDER_CACHE_SIZE = 4096
 
 OMEGA_BRANCH = "w"
@@ -410,21 +415,7 @@ class Node:
 
     def address(self):
         """Canonical address (user steps) for the node."""
-        steps = []
-        for part in self.parts:
-            if part[0] == "up":
-                steps.append(Up(part[1]))
-            elif part[0] == "runs":
-                for letter, count in part[1]:
-                    if count == ONE:
-                        steps.append(Child(letter))
-                    else:
-                        steps.append(Word((letter,), count))
-            elif part[0] == "copy":
-                steps.append(Copy(part[1], part[2]))
-            elif part[0] == "below":
-                steps.append(Below())
-        return tuple(steps)
+        return parts_to_steps(self.parts)
 
     def __eq__(self, other):
         return isinstance(other, Node) and self.parts == other.parts and self.desc == other.desc
@@ -513,7 +504,9 @@ def _runs_meet(r1, r2):
     return tuple(out)
 
 
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
 def meet_parts(a, b):
+    """Parts of the meet of the nodes at canonical parts ``a`` and ``b``."""
     xa, na = _split_below(a)
     xb, nb = _split_below(b)
     if xa == xb:
@@ -584,6 +577,17 @@ class _View:
         walks catch ``GapAddress`` and ``InvalidAddress`` from their inner
         views, which raise again on every call.  Callers share the ``Node``."""
         return self._walk(steps, i)
+
+    @_memo()
+    def node_at(self, parts):
+        """The node at canonical parts: the shared node that ``walk`` gives
+        their address, which is built once per view and parts.  Parts that
+        do not resolve raise ``InvalidAddress`` on every call."""
+        steps = parts_to_steps(parts)
+        node, i = self.walk(steps, 0)
+        if i != len(steps):
+            raise InvalidAddress("address step %d cannot be taken from %r" % (i, node))
+        return node
 
     @_memo(_on_parts)
     def _kids(self, node, count):
@@ -1196,12 +1200,28 @@ def resolve(desc, steps):
 
 
 def parts_to_steps(parts):
-    return Node(None, tuple(parts), ZERO, Cofinality.ZERO, Card.fin(0), False).address()
+    """The canonical address (user steps) that canonical parts spell."""
+    steps = []
+    for part in parts:
+        if part[0] == "up":
+            steps.append(Up(part[1]))
+        elif part[0] == "runs":
+            for letter, count in part[1]:
+                if count == ONE:
+                    steps.append(Child(letter))
+                else:
+                    steps.append(Word((letter,), count))
+        elif part[0] == "copy":
+            steps.append(Copy(part[1], part[2]))
+        elif part[0] == "below":
+            steps.append(Below())
+    return tuple(steps)
 
 
 def node_at(desc, parts):
-    """Resolve trusted canonical parts back into a Node."""
-    return resolve(desc, parts_to_steps(parts))
+    """Resolve trusted canonical parts back into a Node, once per view and
+    parts; callers share the Node that ``resolve`` gives its address."""
+    return view(desc).node_at(tuple(parts))
 
 
 def as_node(desc, x):

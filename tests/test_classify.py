@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Below, Child, Graft, HatOf, TildeOf, ancestor_at,
     as_node, children, resolve, validate,
 )
-from wedgetree.topology import Branch, Explicit, UnionSpec
+from wedgetree.topology import Branch, Explicit, UnionSpec, sample_members
 from wedgetree.classify import (
     V3, build_separating_family, binary_obstruction, check_point_countable,
     check_t0, classify_report, gdelta_analysis, gdelta_class,
@@ -354,6 +355,100 @@ def test_family_mutants_fail_verification():
                 assert not mutant.verify(), (d, S, mutant.markers)
                 total += 1
     assert total == 30  # 13 markers dropped, 4 moved down, 13 dropped with their singleton
+
+
+def _family_pool(d, S, fam):
+    """Sampled points of S, the family's singletons and their ancestors at
+    heights 0, 1, 2 and w."""
+    pool = {x.parts: x for x in list(sample_members(d, S, 8)) + list(fam.singletons)}
+    for x in list(pool.values()):
+        for h in (ZERO, ONE, nat(2), W):
+            if cmp(h, x.ht) <= 0:
+                a = ancestor_at(d, x, h)
+                pool[a.parts] = a
+    return list(pool.values())
+
+
+def _marker_mutants(d, fam):
+    """The mutants of ``test_family_mutants_fail_verification``."""
+    out = []
+    for key, (s, ts) in fam.markers.items():
+        rest = {k: v for k, v in fam.markers.items() if k != key}
+        out += [replace(fam, markers=rest),
+                replace(fam, markers=rest, singletons=tuple(
+                    x for x in fam.singletons if x.parts != key))]
+        low = ancestor_at(d, s, ONE)
+        if low.parts != ts.parts:
+            out.append(replace(fam, markers={**fam.markers, key: (s, low)}))
+    return out
+
+
+def test_family_checks_keep_their_verdict_on_repeats():
+    """A pair or point list, that list with every entry tripled and its
+    entries one at a time get the same verdict, for each family and each
+    marker mutant."""
+    verdicts = set()
+    for d, S in separating_family_cases():
+        fam = build_separating_family(d, S)
+        pool = _family_pool(d, S, fam)
+        pairs = [(x, y) for x in pool for y in pool]
+        for f in [fam] + _marker_mutants(d, fam):
+            for chunk in (pairs, pairs[::-1], pairs[:5]):
+                want = all(check_t0(d, S, f, [p]) for p in chunk)
+                assert check_t0(d, S, f, chunk) is want
+                assert check_t0(d, S, f, [p for p in chunk for _ in range(3)]) is want
+                verdicts.add(("t0", want))
+            for chunk in (pool, pool[::-1], pool[1:]):
+                want = all(check_point_countable(d, f, [x]) for x in chunk)
+                assert check_point_countable(d, f, chunk) is want
+                assert check_point_countable(
+                    d, f, [x for x in chunk for _ in range(3)]) is want
+                verdicts.add(("pc", want))
+    assert len(verdicts) == 4  # each check both passes and fails
+
+
+def test_marker_mutants_fail_check_t0_after_repeats():
+    """A mutant's failing pair is still found when passing pairs, each
+    asked three times, come before it."""
+    failing = 0
+    for d, S in separating_family_cases():
+        fam = build_separating_family(d, S)
+        pool = _family_pool(d, S, fam)
+        pairs = [(x, y) for x in pool for y in pool]
+        for mutant in _marker_mutants(d, fam):
+            good = [p for p in pairs if check_t0(d, S, mutant, [p])]
+            bad = [p for p in pairs if p not in good]
+            if not bad:
+                continue
+            repeated = [p for p in good for _ in range(3)]
+            assert check_t0(d, S, mutant, repeated)
+            assert not check_t0(d, S, mutant, repeated + bad[-1:] + repeated)
+            failing += 1
+    assert failing == 12  # 8 markers dropped, with or without singleton, 4 moved down
+
+
+def test_check_t0_asks_each_distinct_pair_once(monkeypatch):
+    import wedgetree.classify as classify
+
+    real = classify.FamilyU.separator_for
+    asked = Counter()
+
+    def counted(self, x, y):
+        asked[x.parts, y.parts] += 1
+        return real(self, x, y)
+
+    monkeypatch.setattr(classify.FamilyU, "separator_for", counted)
+    distinct = 0
+    for d, S in separating_family_cases():
+        fam = build_separating_family(d, S)
+        pool = {x.parts: x for x in sample_members(d, S, 8)}.values()
+        pairs = [(x, y) for x in pool for y in pool] * 3
+        asked.clear()
+        assert check_t0(d, S, fam, pairs), (d, S)
+        want = {(x.parts, y.parts) for x, y in pairs if x.parts != y.parts}
+        assert set(asked) == want and set(asked.values()) <= {1}, (d, S)
+        distinct += len(want)
+    assert distinct == 186
 
 
 def test_family_checks_on_random_pairs():

@@ -303,9 +303,11 @@ def test_ordinals_are_immutable():
 # -- value memos ---------------------------------------------------------------
 
 # (memoized function, arity): the pure operations kept by value, each bounded
-# by ordinals.ORDINAL_CACHE_SIZE
-MEMOIZED = [(o.add, 2), (o.left_sub, 2), (o.pred, 1), (trees.hat_shift, 1),
-            (trees.hat_unshift, 1), (trees.tilde_shift, 1), (trees.tilde_unshift, 1)]
+# by ordinals.ORDINAL_CACHE_SIZE.  ``fundamental`` takes an ordinal and a
+# natural number, the others one or two ordinals
+MEMOIZED = [(o.add, 2), (o.left_sub, 2), (o.pred, 1), (o.fundamental, 2),
+            (trees.hat_shift, 1), (trees.hat_unshift, 1), (trees.tilde_shift, 1),
+            (trees.tilde_unshift, 1)]
 
 
 def _outcome(fn, args):
@@ -318,12 +320,12 @@ def _outcome(fn, args):
 
 @pytest.mark.parametrize("fn, arity", MEMOIZED, ids=[fn.__name__ for fn, _ in MEMOIZED])
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(a=any_ordinals(), b=any_ordinals())
-def test_memoized_operations_equal_their_uncached_functions(fn, arity, a, b):
+@given(a=any_ordinals(), b=any_ordinals(), n=st.integers(0, 40))
+def test_memoized_operations_equal_their_uncached_functions(fn, arity, a, b, n):
     """A memo hit is the uncached answer and the same object on every call;
     a call that raises raises the uncached error and is not kept."""
     assert fn.cache_info().maxsize == o.ORDINAL_CACHE_SIZE
-    args = (a, b)[:arity]
+    args = (a, n) if fn is o.fundamental else (a, b)[:arity]
     want, want_error = _outcome(fn.__wrapped__, args)
     size = fn.cache_info().currsize
     got, got_error = _outcome(fn, args)

@@ -70,6 +70,46 @@ def test_fit_template_fits_a_tail_only_after_a_finite_scale():
     assert fit_template(nodes) is None
 
 
+def test_memoized_fit_equals_an_uncached_fit(monkeypatch):
+    """Over the node lists fitted by the witness case tables and by the
+    ``fu_triples(seed=7)`` families, a memoized fit is the uncached one and
+    the same template on every call."""
+    import helpers
+    from wedgetree import topology
+    from wedgetree.constructions import disjoint_closures
+    from wedgetree.errors import WedgeTreeError
+
+    lists = {}
+
+    def recorded(nodes):
+        lists[tuple(n.parts for n in nodes)] = list(nodes)
+        return fit_template(nodes)
+
+    monkeypatch.setattr(topology, "fit_template", recorded)
+    monkeypatch.setattr(helpers, "fit_template", recorded)
+    builds = ([(topology.club_accumulation, d, resolve(d, t), S)
+               for d, t, S in club_cases()]
+              + [(topology.fu_extract, d, A, resolve(d, t)) for _, d, t, A in fu_cases()]
+              + [(topology.fu_extract, d, A, resolve(d, t)) for d, A, t in fu_triples()]
+              + [(disjoint_closures, d, A, B)
+                 for d, A, B, _ in helpers.disjoint_closure_cases()])
+    for build, *args in builds:
+        try:
+            build(*args)
+        except WedgeTreeError:
+            pass
+    monkeypatch.undo()
+    fit = series_module._fit_parts
+    assert fit.cache_info().maxsize == series_module.SERIES_CACHE_SIZE
+    fitted = 0
+    for shapes, nodes in lists.items():
+        want = fit.__wrapped__(shapes)
+        got = fit_template(nodes)
+        assert got == want and fit_template(nodes) is got, shapes
+        fitted += want is not None
+    assert 0 < fitted < len(lists)
+
+
 def _limits(d, spec):
     return [n.parts for n in series_of(d, spec).limit_nodes()]
 

@@ -716,6 +716,51 @@ def test_memoized_order_agrees_with_the_plain_one():
     run()
 
 
+def test_memoized_meet_agrees_with_the_plain_one():
+    from hypothesis import given, settings, strategies as st
+
+    assert trees.meet_parts.cache_info().maxsize == trees.ORDER_CACHE_SIZE
+    pools = _order_pools()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(pools), st.data())
+    def run(pool, data):
+        d, parts = pool
+        a = data.draw(st.sampled_from(parts))
+        b = data.draw(st.sampled_from(parts))
+        for x, y in ((a, b), (b, a), (a, a)):
+            want = trees.meet_parts.__wrapped__(x, y)
+            got = trees.meet_parts(x, y)
+            assert got == want and trees.meet_parts(x, y) is got, (d, x, y)
+            assert meet(d, node_at(d, x), node_at(d, y)) is node_at(d, want)
+
+    run()
+
+
+# -- nodes by parts --------------------------------------------------------------------
+
+def test_node_at_shares_the_node_of_its_address():
+    for d in walk_trees():
+        for a in _panel(d):
+            n = resolve(d, a)
+            assert node_at(d, n.parts) is resolve(d, n.address()), (d, a)
+            assert node_at(d, list(n.parts)) is node_at(d, n.parts), (d, a)
+
+
+def test_parts_that_do_not_resolve_raise_on_every_call():
+    cases = [
+        (seg(W1), resolve(seg(o(W1, 2)), [up(o(W1, 1))]).parts),      # past the top
+        (TildeOf(BINARY_W1), resolve(BINARY_W1, [word("0", W1)]).parts),  # a gap
+        (HatOf(BINARY_W), resolve(HatOf(seg(W1)), [up(W1), Below()]).parts),  # an up step
+        (BINARY_W1, resolve(FAN_OMEGA, [Copy(0, 3)]).parts),           # no copies
+    ]
+    for d, parts in cases:
+        for _ in range(3):
+            with pytest.raises(InvalidAddress):
+                node_at(d, parts)
+        assert ("node_at", parts) not in view(d).memo, (d, parts)
+
+
 # -- hat / tilde views -------------------------------------------------------------
 
 def test_hat_inserts_point_below_uncountable_node():
