@@ -504,7 +504,9 @@ def _cone_meets_D_closure(d, part, ts):
 
 def check_t0(d, S, family, pairs):
     """Every pair of distinct points of S is split by some family member.
-    An ordered pair of parts is asked once: a repeat was already split."""
+    ``S`` is not read: the caller must draw ``pairs`` from S, because a pair
+    with a point outside S is judged as if that point were in S.  An
+    ordered pair of parts is asked once: a repeat was already split."""
     split = set()
     for a, b in pairs:
         x, y = as_node(d, a), as_node(d, b)

@@ -18,6 +18,7 @@ module, ``normalize`` and the round trip load neither ``topology`` nor
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 import wedgetree
 
@@ -28,9 +29,9 @@ from .errors import (
 from .ordinals import ONE, Cofinality, Ordinal, add, cmp, pred
 from .records import field, record
 from .trees import (
-    Below, Card, Full, Graft, HatOf, Seg, TildeOf, ancestor_at, as_node,
-    children, hat_shift, height, leq_parts, resolve, structure_ok,
-    tilde_shift, unc_sites, validate, view,
+    VIEW_CACHE_SIZE, Below, Card, Full, Graft, HatOf, Seg, TildeOf,
+    ancestor_at, as_node, children, hat_shift, height, leq_parts, resolve,
+    structure_ok, tilde_shift, unc_sites, validate, view,
 )
 
 
@@ -71,9 +72,14 @@ def tilde(d):
 
 # -- normalization ----------------------------------------------------------------
 
+@lru_cache(maxsize=VIEW_CACHE_SIZE)
 def normalize(d):
     """Rewrite a description into an equivalent simpler one where the
-    wrappers act trivially or collapse."""
+    wrappers act trivially or collapse.  A description and its normal form
+    are immutable, so the answers for the ``VIEW_CACHE_SIZE`` most recently
+    used descriptions are kept: ``classify_report`` and ``roundtrip_check``
+    on one tree ask for the normal form of d four times between them (R5,
+    ``iso_check`` and twice inside the normal form of tilde(hat(d)))."""
     if isinstance(d, Seg):
         return d
     if isinstance(d, Full):
@@ -155,7 +161,9 @@ def _spot_nodes(d):
     uncountable-cofinality site included: the root, the leftmost top, the
     sites and the walk's nodes, the first node with each parts kept.  A spot
     check resolves each panel node's address, or a translation of it, on the
-    other tree, so the panel is never resolved on d itself."""
+    other tree, so the panel is never resolved on d itself; the round trip
+    matches the panel of tilde(hat(d)) to d's by parts, so it builds no
+    address of that panel."""
     v = view(d)
     root = v.root()
     out = [root]
@@ -207,6 +215,14 @@ def _panel(d):
     return {n.parts: (n, n.address()) for n in _spot_nodes(d)}
 
 
+def _parts_match(d, panel):
+    """The spot panel of d names exactly the parts of ``panel``, and each of
+    its nodes has the data of the ``panel`` node with the same parts."""
+    nodes = _spot_nodes(d)
+    return {n.parts for n in nodes} == panel.keys() and all(
+        _node_data_match(n, panel[n.parts][0]) for n in nodes)
+
+
 @record(frozen=True)
 class RoundTrip:
     tilde_hat_ok: bool
@@ -220,11 +236,12 @@ def roundtrip_check(d):
     structure_ok(d)
     th = TildeOf(HatOf(d))
     _, r1 = r_flags(d)
-    panel = _panel(d)  # each address built once, shared by both spot checks
-    # removing the split points restores the addresses, so each panel is
-    # resolved on the other tree at its own addresses
-    tilde_hat_ok = iso_check(th, d) and \
-        _spot_iso(d, _panel(th).values()) and _spot_iso(th, panel.values())
+    panel = _panel(d)  # each address built once, shared by both halves
+    # removing the split points restores the parts and the addresses, so the
+    # panel of tilde(hat(d)) matches d's node for node by parts, and d's
+    # panel is resolved on tilde(hat(d)) at its own addresses, once each
+    tilde_hat_ok = iso_check(th, d) and _parts_match(th, panel) and \
+        _spot_iso(th, panel.values())
     hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), panel)
     return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
 

@@ -50,7 +50,9 @@ meet of parts, ``meet_parts``, keep their answers for the
 and tilde (``hat_shift``, ``hat_unshift``, ``tilde_shift``,
 ``tilde_unshift``) are pure functions of one ordinal and keep their answers
 for the ``ordinals.ORDINAL_CACHE_SIZE`` most recently used heights, as the
-ordinal arithmetic does; a height that raises is not kept.
+ordinal arithmetic does; a height that raises is not kept.  ``structure_ok``
+keeps the ``VIEW_CACHE_SIZE`` most recently used descriptions that pass it;
+one that fails raises again on every call.
 """
 
 from __future__ import annotations
@@ -1141,8 +1143,11 @@ def view(desc):
 
 # -- public operations ---------------------------------------------------------
 
+@lru_cache(maxsize=VIEW_CACHE_SIZE)
 def structure_ok(desc):
-    """Structural invariants only (no chain-completeness judgement)."""
+    """Structural invariants only (no chain-completeness judgement).  The
+    descriptions that pass are kept, as their views are; one that fails is
+    not kept and raises again on every call."""
     if isinstance(desc, Seg):
         return
     if isinstance(desc, Full):

@@ -5,7 +5,10 @@ import json
 import random
 
 from wedgetree.classify import build_separating_family, classify_report
-from wedgetree.constructions import _spot_nodes, disjoint_closures, roundtrip_check
+from wedgetree.constructions import (
+    RoundTrip, _hat_tilde_spot_iso, _panel, _spot_iso, _spot_nodes,
+    disjoint_closures, iso_check, r_flags, roundtrip_check,
+)
 from wedgetree.corpus import random_description
 from wedgetree.dsl import print_desc, print_seq
 from wedgetree.errors import WedgeTreeError
@@ -21,7 +24,7 @@ from wedgetree.topology import (
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
     TildeOf, Up, Word, ancestor_at, children, cofinal_I_nodes, resolve,
-    validate,
+    structure_ok, validate,
 )
 
 W = OMEGA
@@ -294,6 +297,44 @@ def fu_triples(seed=7, count=300):
                     isinstance(s, Up) and isinstance(s.delta, Param) for s in tpl):
                 out.append((d, OmegaFamily(tpl), t.address()))
     return out[:count]
+
+
+def valid_draws(seed, count):
+    """The first ``count`` valid ``random_description(Random(seed))`` trees."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = random_description(rng)
+        try:
+            validate(d)
+        except WedgeTreeError:
+            continue
+        out.append(d)
+    return out
+
+
+def outcome(fn, d):
+    """``("ok", fn(d))``, or the class and message of the library error
+    ``fn(d)`` raises."""
+    try:
+        return "ok", fn(d)
+    except WedgeTreeError as e:
+        return type(e), str(e)
+
+
+def reference_roundtrip(d):
+    """``roundtrip_check`` as three spot panels, a reference for the
+    library's: the panel of tilde(hat(d)) resolved on d, d's panel resolved
+    on tilde(hat(d)), and d's panel translated onto hat(tilde(d)).  The
+    library matches the first two panels by parts and resolves only d's."""
+    structure_ok(d)
+    th = TildeOf(HatOf(d))
+    _, r1 = r_flags(d)
+    panel = _panel(d)
+    tilde_hat_ok = iso_check(th, d) and \
+        _spot_iso(d, _panel(th).values()) and _spot_iso(th, panel.values())
+    hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), panel)
+    return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
 
 
 def output_digest(seed=21, count=300):

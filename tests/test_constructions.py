@@ -8,6 +8,7 @@ from wedgetree.errors import (
     PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
 )
 from wedgetree.ordinals import ONE, add, cmp, times_nat
+from wedgetree import trees
 from wedgetree.trees import (
     CARD_OMEGA, Card, Child, Copy, Full, Graft, HatOf, Node, TildeOf, Word,
     height, resolve, validate,
@@ -16,13 +17,14 @@ from wedgetree.topology import (
     Branch, ClubFamily, Explicit, OmegaFamily, Param, UnionSpec,
 )
 from wedgetree.constructions import (
-    disjoint_closures, hat, is_r1_tree, iso_check, normalize, roundtrip_check,
-    tilde,
+    _spot_nodes, disjoint_closures, hat, is_r1_tree, iso_check, normalize,
+    roundtrip_check, tilde,
 )
 from wedgetree.corpus import random_description
 
 from helpers import (
-    BINARY_W, BINARY_W1, REMARK_TREE, W, W1, full, graft, o, seg, up, word,
+    BINARY_W, BINARY_W1, REMARK_TREE, W, W1, full, graft, o, outcome,
+    reference_roundtrip, seg, up, valid_draws, walk_trees, word,
 )
 
 
@@ -141,25 +143,35 @@ def test_roundtrip_check_builds_each_spot_panel_once(monkeypatch):
     assert len(seen) == 2 and set(seen) == {BINARY_W1, TildeOf(HatOf(BINARY_W1))}
 
 
-def test_roundtrip_check_resolves_each_panel_on_the_other_tree(monkeypatch):
-    # a panel carries its nodes, so its addresses are resolved only on the
-    # tree it is compared with, once each, and never on its own tree
+def test_roundtrip_check_resolves_only_the_panel_of_d(monkeypatch):
+    # the panel of tilde(hat(d)) is matched to d's by parts, so only d's
+    # panel is resolved, on tilde(hat(d)) once per address; nothing is
+    # resolved on d, and no node of tilde(hat(d))'s panel gets an address
     import wedgetree.constructions as constructions
-    th = TildeOf(HatOf(BINARY_W1))
-    panel = {t: Counter(n.address() for n in constructions._spot_nodes(t))
-             for t in (BINARY_W1, th)}
-    real = constructions.resolve
-    calls = []
+    real_resolve, real_address = constructions.resolve, Node.address
+    for d in (BINARY_W1, REMARK_TREE, seg(o(W1, 1)),
+              graft(seg(W1), (HatOf(BINARY_W1), 2))):
+        th = TildeOf(HatOf(d))
+        panel = Counter(n.address() for n in _spot_nodes(d))
+        th_panel = _parts(th)
+        calls, built = [], []
 
-    def counted(desc, steps):
-        calls.append((desc, tuple(steps)))
-        return real(desc, steps)
+        def resolve(desc, steps):
+            calls.append((desc, tuple(steps)))
+            return real_resolve(desc, steps)
 
-    monkeypatch.setattr(constructions, "resolve", counted)
-    rt = roundtrip_check(BINARY_W1)
-    assert rt.tilde_hat_ok and rt.hat_tilde_ok == rt.is_r1
-    assert Counter(a for t, a in calls if t == BINARY_W1) == panel[th]
-    assert Counter(a for t, a in calls if t == th) == panel[BINARY_W1]
+        def address(node):
+            built.append((node.desc, node.parts))
+            return real_address(node)
+
+        monkeypatch.setattr(constructions, "resolve", resolve)
+        monkeypatch.setattr(Node, "address", address)
+        rt = roundtrip_check(d)
+        monkeypatch.undo()
+        assert rt.tilde_hat_ok, d
+        assert not [a for t, a in calls if t == d], d
+        assert Counter(a for t, a in calls if t == th) == panel, d
+        assert not [p for t, p in built if t == th and p in th_panel], d
 
 
 def test_roundtrip_check_builds_each_panel_address_once(monkeypatch):
@@ -190,6 +202,97 @@ def test_roundtrip_check_builds_each_panel_address_once(monkeypatch):
         roundtrip_check(d)
         monkeypatch.undo()
         assert [built[d, n.parts] for n in panel] == [1] * len(panel), d
+
+
+# -- the round trip against the three-panel reference ----------------------------
+
+def _parts(d):
+    return {n.parts for n in _spot_nodes(d)}
+
+
+def test_roundtrip_check_agrees_with_the_three_panel_reference():
+    # matching the tilde-hat panel to d's by parts answers as resolving both
+    # panels did, and the two panels name the same parts
+    draws = valid_draws(11, 2000)
+    wrapped = [f(d) for d in draws[:400]
+               for f in (lambda x: tilde(hat(x)[0]), lambda x: hat(x)[0], normalize)]
+    for d in walk_trees() + draws + wrapped:
+        assert roundtrip_check(d) == reference_roundtrip(d), d
+        assert _parts(TildeOf(HatOf(d))) == _parts(d), d
+
+
+def _clear_memos():
+    for memo in (trees.view, trees.structure_ok, normalize):
+        memo.cache_clear()
+
+
+def _flagged_under(monkeypatch, cls, name, fault):
+    """Indices of 300 valid seed-5 trees whose ``tilde_hat_ok`` is False with
+    ``fault(method)`` in place of ``cls.name``: (the library's, the
+    reference's).  Memoized views and answers are dropped before and after,
+    so the fault reaches every view and leaves none behind."""
+    draws = valid_draws(5, 300)
+    monkeypatch.setattr(cls, name, fault(getattr(cls, name)))
+    _clear_memos()
+    try:
+        lib = {i for i, d in enumerate(draws)
+               if not roundtrip_check(d).tilde_hat_ok}
+        ref = {i for i, d in enumerate(draws)
+               if not reference_roundtrip(d).tilde_hat_ok}
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
+    return lib, ref
+
+
+def _with_ims(node, n):
+    return Node(node.desc, node.parts, node.ht, node.cof, Card.fin(n),
+                node.maximal, node.tag, node.inner)
+
+
+def test_roundtrip_check_catches_a_tilde_remap_fault(monkeypatch):
+    def fault(remap):
+        def wrong(self, n):
+            out = remap(self, n)
+            return _with_ims(out, 7) if cmp(out.ht, W1) > 0 else out
+        return wrong
+
+    lib, ref = _flagged_under(monkeypatch, trees._TildeView, "_remap", fault)
+    assert ref <= lib and len(lib) >= 135
+
+
+def test_roundtrip_check_catches_a_segment_walk_fault(monkeypatch):
+    # only the walk is wrong: sites, tops and children keep the true data
+    def fault(walk):
+        def wrong(self, steps, i):
+            node, j = walk(self, steps, i)
+            return (_with_ims(node, 5) if cmp(node.ht, W1) > 0 else node), j
+        return wrong
+
+    lib, ref = _flagged_under(monkeypatch, trees._SegView, "_walk", fault)
+    assert ref <= lib and len(lib) >= 106
+
+
+def test_roundtrip_check_catches_a_tilde_children_fault(monkeypatch):
+    # only the children are wrong: walks resolve the true nodes, so this is
+    # caught by the node data of the tilde-hat panel, which the walk builds
+    def fault(kids):
+        return lambda self, node, count: [
+            _with_ims(c, 7) for c in kids(self, node, count)]
+
+    lib, ref = _flagged_under(monkeypatch, trees._TildeView, "_children", fault)
+    assert ref <= lib and len(lib) >= 288
+
+
+def test_roundtrip_check_catches_a_hat_that_drops_children(monkeypatch):
+    # the hat's images keep their data, so no resolved node differs; only
+    # the panel of tilde(hat(d)), which the walk builds from children,
+    # names other parts than d's
+    def fault(kids):
+        return lambda self, node, count: kids(self, node, count)[:1]
+
+    lib, ref = _flagged_under(monkeypatch, trees._HatView, "_children", fault)
+    assert ref <= lib and len(lib) >= 88
 
 
 def test_hat_output_is_always_r1():
@@ -320,6 +423,16 @@ def test_copy_family_missing_its_parent_is_not_closed():
 
 
 # -- normalization ---------------------------------------------------------------
+
+def test_memoized_normalize_equals_the_plain_one():
+    rng = random.Random(13)
+    drawn = [random_description(rng) for _ in range(300)]  # valid or not
+    for d in walk_trees() + drawn:
+        got = outcome(normalize, d)
+        assert got == outcome(normalize.__wrapped__, d), d
+        if got[0] == "ok":
+            assert normalize(d) is normalize(d), d
+
 
 def test_normalize_rules():
     assert normalize(Full(1, o(W, 1))) == seg(W)

@@ -24,7 +24,7 @@ from wedgetree.topology import ConeSet
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, fact_trees, full,
-    graft, o, seg, up, walk_trees, word,
+    graft, o, outcome, seg, up, walk_trees, word,
 )
 
 
@@ -51,6 +51,37 @@ def test_bad_branching_is_a_library_error():
         with pytest.raises(BadBranching) as err:
             check(d)
         assert err.value.code == "bad-branching"
+
+
+def test_memoized_structure_check_equals_the_plain_one():
+    rng = random.Random(13)
+    drawn = [random_description(rng) for _ in range(300)]
+    # a seg(0) grafted onto each: a base without one top level fails
+    drawn += [graft(d, (seg(0), 1)) for d in drawn]
+    assert any(outcome(trees.structure_ok, d)[0] != "ok" for d in drawn)
+    for d in walk_trees() + drawn:
+        assert outcome(trees.structure_ok, d) == \
+            outcome(trees.structure_ok.__wrapped__, d), d
+
+
+def test_a_failing_structure_check_raises_on_every_call():
+    cases = [
+        Full(0, nat(3)),                                          # branching
+        full(2, W),                                               # limit height
+        Graft(TildeOf(BINARY_W1), ((seg(0), Card.fin(1)),)),      # untopped base
+        Graft(seg(W1), ((seg(0), Card.fin(0)),)),                 # no copies
+        HatOf(graft(seg(W1), (Full(0, nat(2)), 1))),              # inner child
+    ]
+    trees.structure_ok.cache_clear()
+    first = None
+    for _ in range(3):
+        errors = [outcome(trees.structure_ok, d) for d in cases]
+        assert all(kind != "ok" for kind, _ in errors), errors
+        first = first or errors
+        assert errors == first
+        # the descriptions that pass inside a failing one are kept (binary
+        # w1, its tilde, seg(w1) and seg(0)), the failing ones are not
+        assert trees.structure_ok.cache_info().currsize == 4
 
 
 def test_tilde_of_binary_tree_is_not_chain_complete():
