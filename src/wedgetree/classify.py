@@ -62,16 +62,6 @@ class PropVerdict:
     witness: object = None
     tried: tuple = ()
 
-    # a report builds about 18 verdicts, so this is written out: on Python
-    # 3.11 the closures of ``record`` take about 2 us a call, this 0.2 us
-    def __init__(self, verdict=V3.UNKNOWN, rule="", citation="", witness=None,
-                 tried=()):
-        self.verdict = verdict
-        self.rule = rule
-        self.citation = citation
-        self.witness = witness
-        self.tried = tried
-
     def to_json(self):
         out = {"verdict": self.verdict.value}
         if self.verdict is V3.UNKNOWN:

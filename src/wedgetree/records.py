@@ -7,17 +7,18 @@ the same class and their compare fields are equal.  A ``frozen`` record
 raises ``FrozenInstanceError``, an ``AttributeError``, on every assignment
 and deletion; it hashes as the tuple of its compare fields, once, and keeps
 the hash in the slot ``_h``.  A mutable record is unhashable.  The methods
-are closures over the fields, not generated source, so no code is compiled
-and neither ``dataclasses`` nor ``inspect`` is imported.  A method the body
-defines is kept (an ``__init__`` of a frozen record written by hand sets
-``_h`` to None), and no method may use the zero-argument ``super()``.
-Copies and pickles are rebuilt through ``__init__`` from the init fields,
-so a kept hash, valid only in the process and under the hash seed that
-computed it, is never carried over.
+are compiled from generated source, as ``dataclasses`` does, but each one
+only on its first call, so importing a module of records compiles nothing
+and building a record compiles only its ``__init__``.  ``__init__`` takes
+the init fields as its parameters, so Python itself binds and checks the
+arguments; a frozen record sets the fields through its slots' own setters,
+and ``__eq__`` and ``__hash__`` compare and hash a tuple of the fields read
+by name.  Neither ``dataclasses`` nor ``inspect`` is imported.  ``record``
+sets every one of these methods, so a class body defines none of them, and
+no method may use the zero-argument ``super()``.  Copies and pickles are rebuilt through ``__init__`` from the
+init fields, so a kept hash, valid only in the process and under the hash
+seed that computed it, is never carried over.
 """
-
-from itertools import repeat
-from operator import attrgetter, is_
 
 MISSING = object()
 
@@ -34,12 +35,6 @@ class Field:
                  repr=True, compare=True):
         self.name, self.default, self.default_factory = None, default, default_factory
         self.init, self.repr, self.compare = init, repr, compare
-
-    def value(self):
-        """The field's default value; MISSING when it has none."""
-        if self.default_factory is not MISSING:
-            return self.default_factory()
-        return self.default
 
 
 def field(*, default=MISSING, default_factory=MISSING, init=True, repr=True,
@@ -63,22 +58,83 @@ def replace(obj, **changes):
     return obj.__class__(**changes)
 
 
-def _tuple_of(names):
-    """A function from a record to the tuple of its ``names`` fields."""
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda obj: (get(obj),)
-    if names:
-        return attrgetter(*names)
-    return lambda obj: ()
-
-
 def _frozen_setattr(self, name, value):
     raise FrozenInstanceError("cannot assign to field %r" % name)
 
 
 def _frozen_delattr(self, name):
     raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+def _sources(cls, frozen):
+    """The source of each method of record class ``cls``, and the names they
+    read: each field's default ``_d_<name>``, default factory ``_f_<name>``
+    and, for a frozen record, the setter ``_s_<name>`` of its slot."""
+    specs = cls.__record_fields__
+    env = {"MISSING": MISSING}
+    params, sets = ["self"], []
+    for f in specs:
+        name = f.name
+        env["_d_" + name], env["_f_" + name] = f.default, f.default_factory
+        if f.default_factory is not MISSING:
+            value = "_f_%s()" % name
+            if f.init:
+                params.append("%s=MISSING" % name)
+                value = "%s if %s is not MISSING else %s" % (name, name, value)
+        elif f.init:
+            params.append(name if f.default is MISSING else "%s=_d_%s" % (name, name))
+            value = name
+        elif f.default is not MISSING:
+            value = "_d_" + name
+        else:
+            continue
+        sets.append((name, value))
+    if frozen:
+        sets.append(("_h", "None"))
+        env.update(("_s_" + name, vars(cls)[name].__set__) for name in cls.__slots__)
+        sets = ["_s_%s(self, %s)" % s for s in sets]
+    else:
+        sets = ["self.%s = %s" % s for s in sets]
+
+    def attrs(obj, names):
+        return "(%s)" % "".join("%s.%s," % (obj, n) for n in names)
+
+    key = [f.name for f in specs if f.compare]
+    sources = {
+        "__init__": "def __init__(%s):\n    %s" % (
+            ", ".join(params), "\n    ".join(sets or ["pass"])),
+        "__eq__": "def __eq__(self, other):\n"
+                  "    if other.__class__ is self.__class__:\n"
+                  "        return %s == %s\n"
+                  "    return NotImplemented" % (attrs("self", key), attrs("other", key)),
+        "__repr__": "def __repr__(self):\n"
+                    "    return f'{self.__class__.__qualname__}(%s)'" % ", ".join(
+                        "%s={self.%s!r}" % (f.name, f.name) for f in specs if f.repr),
+        "__reduce__": "def __reduce__(self):\n    return self.__class__, %s"
+                      % attrs("self", [f.name for f in specs if f.init]),
+    }
+    if frozen:
+        sources["__hash__"] = ("def __hash__(self):\n"
+                               "    h = self._h\n"
+                               "    if h is None:\n"
+                               "        h = hash(%s)\n"
+                               "        _s__h(self, h)\n"
+                               "    return h" % attrs("self", key))
+    return sources, env
+
+
+def _compiled_on_first_call(cls, frozen, name):
+    """A stand-in for the method ``name`` of record class ``cls``: its first
+    call compiles the method, puts it in its place and calls it."""
+    def method(self, *args, **kwargs):
+        sources, env = _sources(cls, frozen)
+        compiled = {}
+        exec(compile(sources[name], "<record %s>" % cls.__qualname__, "exec"),
+             env, compiled)
+        setattr(cls, name, compiled[name])
+        return compiled[name](self, *args, **kwargs)
+
+    return method
 
 
 def record(cls=None, *, frozen=False):
@@ -88,8 +144,6 @@ def record(cls=None, *, frozen=False):
     ns = dict(cls.__dict__)
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
-    if "__hash__" in ns and ns["__hash__"] is None:
-        del ns["__hash__"]  # set by the interpreter, since the body defines __eq__
     specs = []
     for name in cls.__annotations__:
         f = ns.pop(name, MISSING)
@@ -97,76 +151,13 @@ def record(cls=None, *, frozen=False):
             f = Field(default=f)
         f.name = name
         specs.append(f)
-    ns["__slots__"] = tuple(f.name for f in specs) + (("_h",) if frozen else ())
-    ns["__record_fields__"] = specs = tuple(specs)
+    ns.update(__hash__=None, __record_fields__=tuple(specs),
+              __slots__=tuple(f.name for f in specs) + (("_h",) if frozen else ()))
+    if frozen:
+        ns.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     new = type(cls)(cls.__name__, cls.__bases__, ns)
     new.__qualname__ = cls.__qualname__
-    slots = vars(new)
-    set_hash = slots["_h"].__set__ if frozen else None
-
-    init_specs = tuple(f for f in specs if f.init)
-    names = tuple(f.name for f in init_specs)
-    defaults = tuple(f.default for f in init_specs)
-    # past this index every init field has a plain default
-    required = max((i + 1 for i, f in enumerate(init_specs) if f.default is MISSING),
-                   default=0)
-    later = tuple(f for f in specs if not f.init)
-    setters = tuple(slots[name].__set__ for name in names)
-    key = _tuple_of([f.name for f in specs if f.compare])
-    init_values = _tuple_of(names)
-    shown = [f.name for f in specs if f.repr]
-
-    def bind(args, kwargs):
-        """The init field values of a call that leaves out or names some."""
-        k = len(args)
-        values = args + tuple(map(kwargs.pop, names[k:], defaults[k:]))
-        if k < required and any(map(is_, values[k:required], repeat(MISSING))):
-            values = tuple(f.value() if v is MISSING else v
-                           for f, v in zip(init_specs, values))
-        if kwargs or k > len(names) or (
-                k < required and any(map(is_, values, repeat(MISSING)))):
-            raise TypeError("%s() takes the arguments (%s)"
-                            % (new.__qualname__, ", ".join(names)))
-        return values
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = bind(args, kwargs)
-        if frozen:
-            for set_field, value in zip(setters, args):
-                set_field(self, value)
-            set_hash(self, None)
-        else:
-            for name, value in zip(names, args):
-                setattr(self, name, value)
-        for f in later:
-            object.__setattr__(self, f.name, f.value())
-
-    def __repr__(self):
-        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in shown))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return key(self) == key(other)
-        return NotImplemented
-
-    def __reduce__(self):
-        return (self.__class__, init_values(self))
-
-    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
-               "__reduce__": __reduce__, "__hash__": None}
-    if frozen:
-        def __hash__(self):
-            h = self._h
-            if h is None:
-                h = hash(key(self))
-                set_hash(self, h)
-            return h
-
-        methods.update(__hash__=__hash__, __setattr__=_frozen_setattr,
-                       __delattr__=_frozen_delattr)
-    for name, method in methods.items():
-        if name not in ns:
-            setattr(new, name, method)
+    for name in ("__init__", "__eq__", "__repr__", "__reduce__") + (
+            ("__hash__",) if frozen else ()):
+        setattr(new, name, _compiled_on_first_call(new, frozen, name))
     return new

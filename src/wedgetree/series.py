@@ -58,8 +58,8 @@ from .ordinals import (
     omega_power, right_sub, times_nat,
 )
 from .trees import (
-    Below, Child, Copy, Param, Up, Word, as_node, child_toward, leq_parts,
-    meet, node_at, resolve,
+    Child, Copy, Param, Up, Word, as_node, child_toward, leq_parts, meet,
+    node_at, parts_to_steps, resolve,
 )
 
 
@@ -771,15 +771,5 @@ def _fit_parts(shapes):
                for jj, (l, c) in enumerate(runs)]
     steps = []
     for k, comp in enumerate(parts):
-        steps.extend(mid if k == slot.comp else _parts_component_steps(comp))
+        steps.extend(mid if k == slot.comp else parts_to_steps((comp,)))
     return tuple(steps)
-
-
-def _parts_component_steps(comp):
-    if comp[0] == "up":
-        return [Up(comp[1])]
-    if comp[0] == "runs":
-        return [Word((l,), c) for l, c in comp[1]]
-    if comp[0] == "copy":
-        return [Copy(comp[1], comp[2])]
-    return [Below()]

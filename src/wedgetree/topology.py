@@ -109,14 +109,10 @@ def member(d, x, U):
         return leq(d, as_node(d, U.t), x)
     if isinstance(U, ConeComplement):
         return not leq(d, as_node(d, U.t), x)
-    if isinstance(U, Wedge):
+    if isinstance(U, (Wedge, CDiff)):
         base = as_node(d, U.t)
-        _check_wedge_legal(d, base, U.excluded)
-        if not leq(d, base, x):
-            return False
-        return all(not leq(d, as_node(d, f), x) for f in U.excluded)
-    if isinstance(U, CDiff):
-        base = as_node(d, U.t)
+        if isinstance(U, Wedge):
+            _check_wedge_legal(d, base, U.excluded)
         if not leq(d, base, x):
             return False
         return all(not leq(d, as_node(d, f), x) for f in U.excluded)
@@ -182,13 +178,6 @@ class EventuallyConstant:
 class SeqSpec:
     head: tuple = ()
     tail: object = None
-
-    # the constructions build sequences by keyword, up to three a call, so
-    # this is written out: the closures of ``record`` bind keywords slowly
-    def __init__(self, head=(), tail=None):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "_h", None)
 
     def term_steps(self, n):
         if n < len(self.head):

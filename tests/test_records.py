@@ -8,7 +8,10 @@ description table of ``test_hygiene`` and the constructions over the
 witness case tables of ``helpers``), each record and its twin must agree on
 ``repr``, equality (exact class, compare fields only), ``hash``, field order
 and options, defaults, the error on assigning to or deleting a field, and
-on ``copy``, ``deepcopy`` and ``pickle``.
+on ``copy``, ``deepcopy`` and ``pickle``, and on which calls with a field
+missing, an argument too many or an unknown keyword raise ``TypeError``.
+``record`` compiles each method on its first call; no class body writes its
+own.
 """
 
 import ast
@@ -40,9 +43,20 @@ from helpers import (
     BINARY_W1, W, W0n, W1, club_cases, disjoint_closure_cases, fu_cases, o,
     separating_family_cases, seg, up, word,
 )
-from test_hygiene import _values
+from test_hygiene import _python, _values
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wedgetree"
+
+
+def _record_classes(path):
+    """(class node, decorator call or None) for each class of ``path``
+    decorated with ``record``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                if getattr(call.func if call else dec, "id", None) == "record":
+                    yield node, call
 
 
 def _record_bodies():
@@ -52,20 +66,14 @@ def _record_bodies():
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module("wedgetree." + path.stem)
         scope = dict(vars(module), field=dataclasses.field)
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for dec in node.decorator_list:
-                call = dec if isinstance(dec, ast.Call) else None
-                if getattr(call.func if call else dec, "id", None) != "record":
-                    continue
-                frozen = any(k.arg == "frozen" and ast.literal_eval(k.value)
-                             for k in (call.keywords if call else ()))
-                specs = [(st.target.id, ast.unparse(st.annotation)) + (
-                    () if st.value is None else
-                    (eval(compile(ast.Expression(st.value), str(path), "eval"), scope),))
-                    for st in node.body if isinstance(st, ast.AnnAssign)]
-                out.append((module, node.name, frozen, specs))
+        for node, call in _record_classes(path):
+            frozen = any(k.arg == "frozen" and ast.literal_eval(k.value)
+                         for k in (call.keywords if call else ()))
+            specs = [(st.target.id, ast.unparse(st.annotation)) + (
+                () if st.value is None else
+                (eval(compile(ast.Expression(st.value), str(path), "eval"), scope),))
+                for st in node.body if isinstance(st, ast.AnnAssign)]
+            out.append((module, node.name, frozen, specs))
     return out
 
 
@@ -215,3 +223,74 @@ def test_records_agree_with_their_twins(twins):
                 assert repr(y) == repr(u) == repr(x)
                 assert (y == x) is (u == t) is True
                 assert _outcome(hash, y) == _outcome(hash, u)
+
+
+_BUILT_METHODS = ("__init__", "__eq__", "__repr__", "__hash__", "__reduce__")
+
+
+def test_no_record_body_writes_a_built_method():
+    for path in sorted(SRC.glob("*.py")):
+        for node, _ in _record_classes(path):
+            written = {st.name for st in node.body if isinstance(st, ast.FunctionDef)}
+            written |= {t.id for st in node.body if isinstance(st, ast.Assign)
+                        for t in st.targets if isinstance(t, ast.Name)}
+            assert not written & set(_BUILT_METHODS), (path.name, node.name)
+
+
+def _type_error(make, args, kwargs):
+    try:
+        make(*args, **kwargs)
+    except TypeError:
+        return True
+    return False
+
+
+def test_bad_calls_raise_exactly_when_the_twins_do(twins):
+    """A call with a field missing, one positional argument too many, an
+    unknown keyword or a field given twice raises ``TypeError`` for each
+    record class exactly when it does for its twin."""
+    raised = 0
+    for cls, twin in twins.items():
+        names = [f.name for f in fields(cls) if f.init]
+        full = {name: () for name in names}
+        calls = [((), {}), ((), dict(full, bogus=1)), (((),) * (len(names) + 1), {}),
+                 (((),) * len(names), {}), (((),) * len(names), {"bogus": 1})]
+        calls += [((), {k: v for k, v in full.items() if k != name}) for name in names]
+        calls += [(((),) * i, {name: ()}) for i, name in enumerate(names, 1)]
+        for args, kwargs in calls:
+            expected = _type_error(twin, args, kwargs)
+            assert _type_error(cls, args, kwargs) is expected, (cls, args, kwargs)
+            raised += expected
+    assert raised > 5 * len(twins)
+
+
+_COMPILED = """
+import sys
+import wedgetree.topology
+from wedgetree.topology import Cone
+
+
+def compiled():
+    return sorted({c.__name__ + "." + n
+                   for m in list(sys.modules) if m.startswith("wedgetree")
+                   for c in vars(sys.modules[m]).values()
+                   if hasattr(c, "__record_fields__")
+                   for n in %r if hasattr(vars(c).get(n), "__code__")
+                   and vars(c)[n].__code__.co_filename.startswith("<record ")})
+
+
+print(compiled())
+x = Cone(())
+print(compiled())
+x == Cone(()), hash(x), repr(x)
+print(compiled())
+""" % (_BUILT_METHODS,)
+
+
+def test_methods_are_compiled_on_first_call():
+    """Importing the records of ``topology`` compiles none of their methods;
+    building one ``Cone`` compiles its ``__init__`` and nothing else, and
+    each other method of ``Cone`` is compiled on its own first call."""
+    assert _python(_COMPILED).splitlines() == [
+        "[]", "['Cone.__init__']",
+        "['Cone.__eq__', 'Cone.__hash__', 'Cone.__init__', 'Cone.__repr__']"]
