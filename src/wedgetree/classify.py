@@ -6,10 +6,10 @@ together by the class inclusions (Corson inside Valdivia inside weakly
 Valdivia, and so on), enforced by a closure pass that may never contradict a
 fired rule.
 
-The separating-family code reads the set specs and deciders of ``topology``
-off the package (``wedgetree.topology``) when it runs, so importing this
-module or running ``classify_report`` loads neither ``topology`` nor
-``series``.
+The separating-family code reads the set specs and what their parts answer
+(``topology.named_nodes``, ``reaches``, ``meet_height``, ``limit_at``) off
+the package (``wedgetree.topology``) when it runs, so importing this module
+or running ``classify_report`` loads neither ``topology`` nor ``series``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .ordinals import OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp
 from .records import record
 from .trees import (
     Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
-    ancestor_at, as_node, child_toward, height, leq, leq_parts, meet,
+    ancestor_at, as_node, child_toward, height, leq_parts, meet,
     resolve, validate, view,
 )
 from .constructions import normalize, r_flags
@@ -322,8 +322,8 @@ class FamilyU:
         *  The singletons and the marker keys are both S1
            (``_leftover_points``).
         *  Each marker t(s) is an I-point of countable height below s.
-        *  No part meets V_t(s) in a point of countable height, and no
-           family member lies in V_t(s) (``_cone_meets_D_closure``).
+        *  No part of S's countable-height points (``_countable_parts``)
+           reaches V_t(s) (``topology.reaches``).
         *  No singleton other than s lies above t(s).
 
         These give T0 on every pair and point-countability on a dense set.
@@ -337,14 +337,15 @@ class FamilyU:
         height lies in the cones at its countably many predecessors; a
         singleton s lies in its own singleton and in the cones strictly below
         t(s)."""
-        d, parts = self.d, wedgetree.topology.spec_parts(self.S)
-        s1 = {s.parts for s in _leftover_points(d, parts)}
+        d, reaches = self.d, wedgetree.topology.reaches
+        parts = _countable_parts(d, self.S)
+        s1 = {s.parts for s in _leftover_points(d, self.S, parts)}
         if s1 != {s.parts for s in self.singletons} or s1 != set(self.markers):
             return False
         for key, (s, ts) in self.markers.items():
             if (key != s.parts or not ts.in_I or not ts.ht.is_countable
                     or not leq_parts(ts.parts, s.parts)
-                    or any(_cone_meets_D_closure(d, part, ts) for part in parts)
+                    or any(reaches(d, part, ts) for part in parts)
                     or any(o.parts != key and leq_parts(ts.parts, o.parts)
                            for o in self.singletons)):
                 return False
@@ -361,82 +362,66 @@ class FamilyU:
         }
 
 
-def _closure_of_D_part_contains(d, part, s):
-    """Does s lie in the closure of {ht < w1} intersected with this part?"""
+def _countable_parts(d, S):
+    """The parts of S cut down to the points of countable height, whose
+    closure the separating family reads: an explicit set keeps its points of
+    countable height, and a cone set based at an uncountable height, all of
+    whose points lie that high, is dropped.  Branches and families stay
+    whole: the answers read from them are the same either way."""
     topology = wedgetree.topology
-    if isinstance(part, topology.Branch):
-        # every point of the branch is a limit of its countable predecessors
-        return leq_parts(s.parts, resolve(d, part.top).parts)
-    if isinstance(part, topology.ConeSet):
-        t = resolve(d, part.t)
-        if not t.ht.is_countable:
-            return False  # V_t carries no points of D at all
-        return leq_parts(t.parts, s.parts)
-    if isinstance(part, topology.Explicit):
-        return any(resolve(d, p).parts == s.parts and s.ht.is_countable
-                   for p in part.points)
-    if isinstance(part, (topology.OmegaFamily, topology.ClubFamily)):
-        series = topology.series_of(d, part)
-        if series.eq_profile(s).ever and s.ht.is_countable:
-            return True
-        kind, sup = series.meet_profile_with(s)
-        return kind == "increasing" and cmp(sup, s.ht) == 0
-    raise TypeError(part)
+    out = []
+    for part in topology.spec_parts(S):
+        if isinstance(part, topology.Explicit):
+            part = topology.Explicit(tuple(
+                p for p, n in zip(part.points, topology.named_nodes(d, part))
+                if n.ht.is_countable))
+        elif isinstance(part, topology.ConeSet) and \
+                not topology.named_nodes(d, part)[0].ht.is_countable:
+            continue
+        out.append(part)
+    return out
 
 
-def _leftover_points(d, parts):
-    """S1: the points of S at uncountable-cofinality heights (finitely many in
-    the closed-set description language) outside the closure of every part's
-    countable-height points."""
+def _leftover_points(d, S, countable):
+    """S1: the points of S of uncountable cofinality, which its parts name
+    (finitely many in the closed-set description language), at which no part
+    of ``countable`` is a limit (``topology.limit_at``)."""
     topology = wedgetree.topology
     out = {}
-    for part in parts:
-        if isinstance(part, topology.Explicit):
-            for p in part.points:
-                n = resolve(d, p)
-                if n.cof is Cofinality.OMEGA1:
-                    out[n.parts] = n
-        elif isinstance(part, topology.Branch):
-            top = resolve(d, part.top)
-            if top.cof is Cofinality.OMEGA1:
-                out[top.parts] = top
-        elif isinstance(part, topology.ConeSet):
-            t = resolve(d, part.t)
-            if t.cof is Cofinality.OMEGA1:
-                out[t.parts] = t
+    for part in topology.spec_parts(S):
+        for n in topology.named_nodes(d, part):
+            if n.cof is Cofinality.OMEGA1:
+                out[n.parts] = n
     return [s for s in out.values()
-            if not any(_closure_of_D_part_contains(d, part, s) for part in parts)]
+            if not any(topology.limit_at(d, part, s) for part in countable)]
 
 
 def build_separating_family(d, S):
     """The cones-plus-singletons family for a closed subset of a tree of
     height at most w1+1."""
+    topology = wedgetree.topology
     validate(d)
     if cmp(height(d), add(OMEGA1, ONE)) > 0:
         raise HeightTooLarge("separating families need height at most w1+1")
-    parts = wedgetree.topology.spec_parts(S)
-    s1 = _leftover_points(d, parts)
+    parts = _countable_parts(d, S)
+    s1 = _leftover_points(d, S, parts)
     # discreteness of the leftover part comes with the construction; the
     # markers below certify it point by point
     markers = {}
     for s in s1:
+        # the marker sits past every height at which the countable part, or
+        # another leftover point, meets s's chain
         beta = ZERO
-        for part in parts:
-            h = _marker_bound(d, part, s)
-            if h is not None and cmp(h, beta) > 0:
+        for h in [topology.meet_height(d, part, s) for part in parts] + \
+                [meet(d, s, other).ht for other in s1 if other.parts != s.parts]:
+            if cmp(h, beta) > 0:
                 beta = h
-        for other in s1:
-            if other.parts != s.parts:
-                h = meet(d, s, other).ht
-                if cmp(h, beta) > 0:
-                    beta = h
         ts = ancestor_at(d, s, add(beta, ONE))
         if not ts.in_I:
             raise PreconditionFailed("marker is not at a successor height")
-        for part in parts:
-            if _cone_meets_D_closure(d, part, ts):
-                raise PreconditionFailed(
-                    "marker cone still meets the closure of the countable part")
+        if any(topology.reaches(d, part, ts) for part in parts):
+            raise PreconditionFailed(
+                "marker cone still meets the closure of the countable part")
         markers[s.parts] = (s, ts)
     fam = FamilyU(d, S, markers, tuple(s1))
     for s, ts in markers.values():
@@ -444,52 +429,6 @@ def build_separating_family(d, S):
             if other.parts != s.parts and leq_parts(ts.parts, other.parts):
                 raise PreconditionFailed("the leftover part is not discrete")
     return fam
-
-
-def _marker_bound(d, part, s):
-    """Height below which this part's contribution to the closure of the
-    countable-height slice stays away from s's chain."""
-    topology = wedgetree.topology
-    if isinstance(part, topology.Branch):
-        top = resolve(d, part.top)
-        return meet(d, s, top).ht
-    if isinstance(part, topology.ConeSet):
-        t = resolve(d, part.t)
-        if not t.ht.is_countable:
-            return None  # the cone carries no countable-height points
-        return meet(d, s, t).ht
-    if isinstance(part, topology.Explicit):
-        best = None
-        for p in part.points:
-            n = resolve(d, p)
-            if n.parts == s.parts or not n.ht.is_countable:
-                continue
-            h = meet(d, s, n).ht
-            if best is None or cmp(h, best) > 0:
-                best = h
-        return best
-    if isinstance(part, (topology.OmegaFamily, topology.ClubFamily)):
-        series = topology.series_of(d, part)
-        kind, sup = series.meet_profile_with(s)
-        return sup
-    raise TypeError(part)
-
-
-def _cone_meets_D_closure(d, part, ts):
-    topology = wedgetree.topology
-    if isinstance(part, topology.Branch):
-        return leq(d, ts, resolve(d, part.top))
-    if isinstance(part, topology.ConeSet):
-        t = resolve(d, part.t)
-        if not t.ht.is_countable:
-            return False
-        return leq_parts(t.parts, ts.parts) or leq_parts(ts.parts, t.parts)
-    if isinstance(part, topology.Explicit):
-        return any(leq(d, ts, resolve(d, p)) and resolve(d, p).ht.is_countable
-                   for p in part.points)
-    if isinstance(part, (topology.OmegaFamily, topology.ClubFamily)):
-        return topology.series_of(d, part).le_profile(ts).ever
-    raise TypeError(part)
 
 
 def check_t0(d, S, family, pairs):

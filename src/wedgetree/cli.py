@@ -187,12 +187,13 @@ def cmd_selftest(args):
     from .selftest import run_selftest
     descs = None
     if args.corpus:
-        descs = []
-        with open(args.corpus) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    descs.append(_parse_desc_arg(line))
+        try:
+            with open(args.corpus) as f:
+                lines = [line.strip() for line in f]
+        except (OSError, UnicodeDecodeError) as e:
+            raise ParseError("cannot read the corpus file", path=args.corpus,
+                             reason=str(e)) from e
+        descs = [_parse_desc_arg(line) for line in lines if line]
     results = run_selftest(args.scope, seed=args.seed, descs=descs)
     failures = 0
     payload = []

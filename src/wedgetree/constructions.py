@@ -10,10 +10,10 @@ Stone-Cech compactification of the countably coarse wedge space.
 recovers d; hat(tilde(d)) recovers d exactly when every uncountable-cofinality
 node has at most one immediate successor.
 
-The disjoint-closures code reads the set specs and deciders of ``topology``
-off the package (``wedgetree.topology``) when it runs, so importing this
-module, ``normalize`` and the round trip load neither ``topology`` nor
-``series``.
+The disjoint-closures code reads the set specs, and where their parts are a
+limit (``topology.limit_at``), off the package (``wedgetree.topology``) when
+it runs, so importing this module, ``normalize`` and the round trip load
+neither ``topology`` nor ``series``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .ordinals import ONE, Cofinality, Ordinal, add, cmp, pred
 from .records import field, record
 from .trees import (
     VIEW_CACHE_SIZE, Below, Card, Full, Graft, HatOf, Seg, TildeOf,
-    ancestor_at, as_node, children, hat_shift, height, leq_parts, resolve,
+    ancestor_at, children, hat_shift, height, leq_parts, resolve,
     structure_ok, tilde_shift, unc_sites, validate, view,
 )
 
@@ -247,23 +247,20 @@ def roundtrip_check(d):
 
 
 def _hat_tilde_address(d, node, addr, panel):
-    """Candidate translation of ``node`` of d, at address ``addr``, to an
-    address of hat(tilde(d)) for r1 trees."""
+    """Translation of ``node`` of d, at address ``addr``, to an address of
+    hat(tilde(d)); d is an r1 tree, so a site that is not maximal has one
+    immediate successor."""
     if node.cof is not Cofinality.OMEGA1 or node.maximal:
         return addr  # a maximal one's completion point has its address too
-    kid = children(d, node, 2)
-    if len(kid) != 1:
-        raise UndecidableTailPattern("not an r1 position")
-    k = kid[0]
+    k, = children(d, node, 2)
     return (panel[k.parts][1] if k.parts in panel else k.address()) + (Below(),)
 
 
 def _hat_tilde_spot_iso(d, ht_, panel):
-    try:
-        return cmp(height(d), height(ht_)) == 0 and _spot_iso(
-            ht_, ((n, _hat_tilde_address(d, n, a, panel)) for n, a in panel.values()))
-    except (InvalidAddress, UndecidableTailPattern):
-        return False  # children the walk rejects, or a site not in r1 position
+    """hat(tilde(d)) recovers d, on d's spot panel.  Every site of d is in
+    the panel, so a tree that is not r1 fails: it is decided by r1 first."""
+    return r_flags(d)[1] and cmp(height(d), height(ht_)) == 0 and _spot_iso(
+        ht_, ((n, _hat_tilde_address(d, n, a, panel)) for n, a in panel.values()))
 
 
 # -- disjoint closures in the hat compactification -----------------------------------
@@ -321,36 +318,29 @@ def _sigma_closed_check(d, spec, name):
 
 
 def _accumulating_split_points(d, spec):
-    """Split points s(t) where the set accumulates in hat(d): explicit
-    uncountable-cofinality nodes with cofinal meets, plus whole cones (a cone
-    accumulates at s(u) for every uncountable-cofinality u above its base)."""
+    """Split points s(t) where the set accumulates in hat(d): the
+    uncountable-cofinality points t on the chain below a branch's top or a
+    club family's anchor that the part is a limit at (``topology.limit_at``),
+    plus whole cones (a cone accumulates at s(u) for every
+    uncountable-cofinality u above its base)."""
     topology = wedgetree.topology
     out = {}
     cones = []
     for part in topology.spec_parts(spec):
+        if isinstance(part, topology.ConeSet):
+            cones.extend(topology.named_nodes(d, part))
+            continue
         if isinstance(part, topology.Branch):
-            top = as_node(d, part.top)
-            for site_ht in _unc_heights_upto(d, top.ht):
-                t = ancestor_at(d, top, site_ht)
-                out[t.parts] = t
+            top, = topology.named_nodes(d, part)
         elif isinstance(part, topology.ClubFamily):
-            series = topology.series_of(d, part)
-            anchor = resolve(d, part.anchor)
-            for site_ht in _unc_heights_upto(d, anchor.ht):
-                t = ancestor_at(d, anchor, site_ht)
-                kind, sup = series.meet_profile_with(t)
-                if kind == "increasing" and cmp(sup, t.ht) == 0:
-                    out[t.parts] = t
-        elif isinstance(part, topology.ConeSet):
-            cones.append(resolve(d, part.t))
-        # omega families and explicit sets have countable meet suprema and
-        # never reach an uncountable-cofinality point
+            top = resolve(d, part.anchor)
+        else:
+            continue  # finitely many points, or an omega family, are a limit at none
+        for j in range(1, top.ht.omega1 + 1):  # the heights w1*j up to top's
+            t = ancestor_at(d, top, Ordinal(j, ()))
+            if topology.limit_at(d, part, t):
+                out[t.parts] = t
     return out, cones
-
-
-def _unc_heights_upto(d, h):
-    return [Ordinal(j, ()) for j in range(1, h.omega1 + 1)
-            if cmp(Ordinal(j, ()), h) <= 0]
 
 
 _SHARED_MEMBERS = 5  # members per family of A and B looked up in the other set

@@ -10,13 +10,13 @@ the hash in the slot ``_h``.  A mutable record is unhashable.  The methods
 are compiled from generated source, as ``dataclasses`` does, but each one
 only on its first call, so importing a module of records compiles nothing
 and building a record compiles only its ``__init__``.  ``__init__`` takes
-the init fields as its parameters, so Python itself binds and checks the
+the fields as its parameters, so Python itself binds and checks the
 arguments; a frozen record sets the fields through its slots' own setters,
 and ``__eq__`` and ``__hash__`` compare and hash a tuple of the fields read
 by name.  Neither ``dataclasses`` nor ``inspect`` is imported.  ``record``
 sets every one of these methods, so a class body defines none of them, and
 no method may use the zero-argument ``super()``.  Copies and pickles are rebuilt through ``__init__`` from the
-init fields, so a kept hash, valid only in the process and under the hash
+fields, so a kept hash, valid only in the process and under the hash
 seed that computed it, is never carried over.
 """
 
@@ -28,18 +28,15 @@ class FrozenInstanceError(AttributeError):
 
 
 class Field:
-    """One field of a record: its name, its default and three flags, with the
+    """One field of a record: its name, its default and two flags, with the
     meaning ``dataclasses.field`` gives them."""
 
-    def __init__(self, default=MISSING, default_factory=MISSING, init=True,
-                 repr=True, compare=True):
-        self.name, self.default, self.default_factory = None, default, default_factory
-        self.init, self.repr, self.compare = init, repr, compare
+    def __init__(self, default=MISSING, repr=True, compare=True):
+        self.name, self.default, self.repr, self.compare = None, default, repr, compare
 
 
-def field(*, default=MISSING, default_factory=MISSING, init=True, repr=True,
-          compare=True):
-    return Field(default, default_factory, init, repr, compare)
+def field(*, default=MISSING, repr=True, compare=True):
+    return Field(default, repr, compare)
 
 
 def fields(record_or_class):
@@ -47,13 +44,9 @@ def fields(record_or_class):
 
 
 def replace(obj, **changes):
-    """A new record like ``obj``, with the init fields in ``changes``."""
+    """A new record like ``obj``, with the fields in ``changes``."""
     for f in fields(obj):
-        if not f.init:
-            if f.name in changes:
-                raise ValueError("field %s is declared with init=False, it "
-                                 "cannot be specified with replace()" % f.name)
-        elif f.name not in changes:
+        if f.name not in changes:
             changes[f.name] = getattr(obj, f.name)
     return obj.__class__(**changes)
 
@@ -68,27 +61,14 @@ def _frozen_delattr(self, name):
 
 def _sources(cls, frozen):
     """The source of each method of record class ``cls``, and the names they
-    read: each field's default ``_d_<name>``, default factory ``_f_<name>``
-    and, for a frozen record, the setter ``_s_<name>`` of its slot."""
+    read: each field's default ``_d_<name>`` and, for a frozen record, the
+    setter ``_s_<name>`` of its slot."""
     specs = cls.__record_fields__
-    env = {"MISSING": MISSING}
-    params, sets = ["self"], []
-    for f in specs:
-        name = f.name
-        env["_d_" + name], env["_f_" + name] = f.default, f.default_factory
-        if f.default_factory is not MISSING:
-            value = "_f_%s()" % name
-            if f.init:
-                params.append("%s=MISSING" % name)
-                value = "%s if %s is not MISSING else %s" % (name, name, value)
-        elif f.init:
-            params.append(name if f.default is MISSING else "%s=_d_%s" % (name, name))
-            value = name
-        elif f.default is not MISSING:
-            value = "_d_" + name
-        else:
-            continue
-        sets.append((name, value))
+    names = [f.name for f in specs]
+    env = {"_d_" + f.name: f.default for f in specs}
+    params = ["self"] + [f.name if f.default is MISSING else "%s=_d_%s" % (f.name, f.name)
+                         for f in specs]
+    sets = [(name, name) for name in names]
     if frozen:
         sets.append(("_h", "None"))
         env.update(("_s_" + name, vars(cls)[name].__set__) for name in cls.__slots__)
@@ -111,7 +91,7 @@ def _sources(cls, frozen):
                     "    return f'{self.__class__.__qualname__}(%s)'" % ", ".join(
                         "%s={self.%s!r}" % (f.name, f.name) for f in specs if f.repr),
         "__reduce__": "def __reduce__(self):\n    return self.__class__, %s"
-                      % attrs("self", [f.name for f in specs if f.init]),
+                      % attrs("self", names),
     }
     if frozen:
         sources["__hash__"] = ("def __hash__(self):\n"

@@ -4,7 +4,10 @@ Two topologies share the cone subbase {V_t, T \\ V_t}: the coarse wedge
 topology takes it at finite-cofinality points, the countably coarse wedge
 topology at all points of cofinality != omega.  This module holds the basic
 opens, the set and sequence specs, the deciders (membership, convergence
-verdicts) and the four witness constructions.  They run symbolically over
+verdicts), what a part of a set answers (``named_nodes``, ``reaches``,
+``meet_height``, ``limit_at``: one ladder over the part kinds each, which
+the witnesses, the separating family and the disjoint closures read) and
+the four witness constructions.  They run symbolically over
 set/sequence templates with one linear parameter: the template slot
 ``Param`` lives in ``wedgetree.trees`` next to the address steps, and the
 series fitted from the templates in ``wedgetree.series``.
@@ -20,6 +23,7 @@ are read off the family's profiles and slot, so no budget decides a verdict.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 from .errors import (
     ChoiceUnavailable, IllegalWedge, NotAccumulating, NotInClosure,
@@ -31,7 +35,7 @@ from .ordinals import (
 )
 from .records import record
 from .series import SymbolicSeries as SymbolicSeries
-from .series import cached_series, fit_template, instantiate
+from .series import SERIES_CACHE_SIZE, cached_series, fit_template, instantiate
 from .trees import Param as Param
 from .trees import (
     Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
@@ -233,6 +237,72 @@ def contains(d, spec, x):
     return False
 
 
+# -- what a part of a set spec answers ----------------------------------------------
+# A family answers from its series' profiles, the other kinds from the nodes
+# they name.
+
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
+def named_nodes(d, part):
+    """The nodes a part names: an explicit set's points, a branch's top or a
+    cone set's base.  A family names none.  Kept per tree and part, like the
+    series: one round of the witness cases asks 84 distinct parts."""
+    if isinstance(part, Explicit):
+        return tuple(resolve(d, p) for p in part.points)
+    if isinstance(part, Branch):
+        return (as_node(d, part.top),)
+    if isinstance(part, ConeSet):
+        return (as_node(d, part.t),)
+    if isinstance(part, (OmegaFamily, ClubFamily)):
+        return ()
+    raise TypeError(part)
+
+
+def reaches(d, part, p):
+    """Does some member of the part lie in V_p, for a node p?"""
+    if isinstance(part, (OmegaFamily, ClubFamily)):
+        return series_of(d, part).le_profile(p).ever
+    if isinstance(part, ConeSet):
+        c, = named_nodes(d, part)
+        return leq_parts(c.parts, p.parts) or leq_parts(p.parts, c.parts)
+    # a branch is closed downwards, so it reaches V_p exactly when its top does
+    return any(leq_parts(p.parts, n.parts) for n in named_nodes(d, part))
+
+
+def meet_height(d, part, t):
+    """The greatest height at which a member of the part meets the node t
+    (ZERO for an empty part); for a family, the supremum of its meet profile
+    with t.  It is t's height when some member lies in V_t."""
+    if isinstance(part, (OmegaFamily, ClubFamily)):
+        return series_of(d, part).meet_profile_with(t)[1]
+    if isinstance(part, ConeSet) and reaches(d, part, t):
+        return t.ht  # t itself, or the base above it, is a member
+    best = ZERO
+    for n in named_nodes(d, part):  # a branch meets t highest at its top
+        h = meet(d, n, t).ht
+        if cmp(h, best) > 0:
+            best = h
+    return best
+
+
+def limit_at(d, part, s):
+    """Is the node s of cofinality w1 and a limit of members of the part
+    strictly below it?  For a family: its members meet s cofinally."""
+    if s.cof is not Cofinality.OMEGA1:
+        return False
+    if isinstance(part, (OmegaFamily, ClubFamily)):
+        kind, sup = series_of(d, part).meet_profile_with(s)
+        return kind == "increasing" and cmp(sup, s.ht) == 0
+    if isinstance(part, Branch):
+        top, = named_nodes(d, part)
+        return leq_parts(s.parts, top.parts)
+    if isinstance(part, ConeSet):
+        c, = named_nodes(d, part)
+        return leq_parts(c.parts, s.parts) and c.parts != s.parts
+    if isinstance(part, Explicit):
+        return False  # finitely many points
+    raise TypeError(part)
+
+
 def is_countable_spec(d, spec):
     for part in spec_parts(spec):
         if isinstance(part, ClubFamily):
@@ -341,51 +411,20 @@ def countably_closed_witness(d, t, S):
         raise PreconditionFailed("witness requires cf(t) uncountable, got %s" % t.cof)
     if not is_countable_spec(d, S):
         raise PreconditionFailed("S must be countable")
+    parts = spec_parts(S)
     sup = ZERO
-    for part in spec_parts(S):
-        if isinstance(part, Explicit):
-            for pt in part.points:
-                n = resolve(d, pt)
-                if leq_parts(t.parts, n.parts):
-                    raise PreconditionFailed("an element of S lies in the cone of t")
-                h = meet(d, n, t).ht
-                if cmp(h, sup) > 0:
-                    sup = h
-        elif isinstance(part, (OmegaFamily, ClubFamily)):
-            series = series_of(d, part)
-            if series.le_profile(t).ever or series.eq_profile(t).ever:
-                raise PreconditionFailed("an element of S lies in the cone of t")
-            kind, s = series.meet_profile_with(t)
-            if cmp(s, sup) > 0:
-                sup = s
-        elif isinstance(part, Branch):
-            top = as_node(d, part.top)
-            if leq_parts(t.parts, top.parts):
-                raise PreconditionFailed("an element of S lies in the cone of t")
-            h = meet(d, top, t).ht
-            if cmp(h, sup) > 0:
-                sup = h
-        else:
-            raise PreconditionFailed("cone sets are not countable inputs")
+    for part in parts:
+        # a member in V_t meets t at t's height, so only then can one lie there
+        h = meet_height(d, part, t)
+        if cmp(h, t.ht) >= 0 and reaches(d, part, t):
+            raise PreconditionFailed("an element of S lies in the cone of t")
+        if cmp(h, sup) > 0:
+            sup = h
     if cmp(sup, t.ht) >= 0:
         raise SupNotRepresentable("meets are cofinal in t; no separating point exists")
     p = ancestor_at(d, t, add(sup, ONE))
-    verified = _verify_cone_avoids(d, p, S) and p.in_I and leq(d, p, t)
+    verified = not any(reaches(d, part, p) for part in parts) and p.in_I and leq(d, p, t)
     return CountablyClosedWitness(p, sup, verified)
-
-
-def _verify_cone_avoids(d, p, S):
-    for part in spec_parts(S):
-        if isinstance(part, Explicit):
-            if any(leq(d, p, resolve(d, pt)) for pt in part.points):
-                return False
-        elif isinstance(part, (OmegaFamily, ClubFamily)):
-            if series_of(d, part).le_profile(p).ever:
-                return False
-        elif isinstance(part, Branch):
-            if leq(d, p, as_node(d, part.top)):
-                return False
-    return True
 
 
 @record(frozen=True)
@@ -434,7 +473,7 @@ def _least_member_above(d, S, lower, avoid_cone):
     return best
 
 
-def club_accumulation(d, t, S, steps=_CLUB_STEPS):
+def club_accumulation(d, t, S):
     """The closed-unbounded accumulation construction below an
     uncountable-cofinality point t: alternately pick s_j in S above r_j + 1
     and set r_{j+1} to the meet of s_j with t; r is the supremum."""
@@ -443,7 +482,7 @@ def club_accumulation(d, t, S, steps=_CLUB_STEPS):
         raise PreconditionFailed("club accumulation requires cf(t) uncountable")
     r = resolve(d, ())  # r_0 = root
     pairs = []
-    for _ in range(steps):
+    for _ in range(_CLUB_STEPS):
         toward = child_toward(d, r, t)
         s = _least_member_above(d, S, toward, t)
         if s is None:
@@ -540,14 +579,9 @@ def _meeting_children(d, A, t):
             meeting.update((f.parts, f) for f, _ in kids)
             if p0 is not None:
                 distinct.append((part, p0))
-            continue
-        if isinstance(part, Explicit):
-            nodes = [resolve(d, pt) for pt in part.points]
-        elif isinstance(part, Branch):
-            nodes = [as_node(d, part.top)]
-        else:  # a cone set: V_t inside it would have put t in A
-            nodes = [as_node(d, part.t)]
-        for n in nodes:
+        # a cone set enters the child cone toward its base: a base at or
+        # below t would have put t in A
+        for n in named_nodes(d, part):
             if leq_parts(t.parts, n.parts) and n.parts != t.parts:
                 f = child_toward(d, t, n)
                 meeting[f.parts] = f

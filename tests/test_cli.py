@@ -159,6 +159,17 @@ def test_selftest_counts_a_tree_it_cannot_classify_as_a_failure(tmp_path, capsys
                                 "total": 2, "ok": False}]
 
 
+def test_selftest_with_an_unreadable_corpus_file_is_a_parse_error(tmp_path, capsys):
+    """A corpus path that names no file, or a directory, gives the usual
+    error line with the path, and exit code 2."""
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out = run(capsys, "selftest", "classify", "--corpus", str(path), "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "parse-error"
+        assert payload["path"] == str(path)
+
+
 def test_witness_roundtrip_verified_follows_the_round_trip_law(capsys, monkeypatch):
     import wedgetree.constructions as constructions
 

@@ -1,29 +1,35 @@
+import functools
 import random
 
 import pytest
 
 from wedgetree import topology
-from wedgetree.constructions import disjoint_closures
+from wedgetree.constructions import _spot_nodes, disjoint_closures
 from wedgetree.errors import (
     IllegalWedge, NotAccumulating, NotInClosure, PreconditionFailed,
     UndecidableTailPattern, WedgeTreeError,
 )
-from wedgetree.ordinals import ONE, ZERO, cmp, nat
+from wedgetree.ordinals import (
+    OMEGA, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, omega_power, times_nat,
+)
 from wedgetree.series import cached_series
 from wedgetree.trees import (
-    Child, Copy, Up, Word, leq, resolve, validate,
+    Below, Child, Copy, HatOf, Up, Word, ancestor_at, children, leq,
+    meet, resolve, validate,
 )
 from wedgetree.topology import (
-    ALREADY_SIGMA_OPEN, CDiff, ClubFamily, Cone, ConeComplement,
-    EventuallyConstant, Explicit, Indexed, MaximalityWitness, OmegaFamily,
-    Param, SeqSpec, Topology, UnionSpec, Verdict, Wedge, club_accumulation,
-    cluster_or_limit, contains, countably_closed_witness, fu_extract,
-    is_subbasic, maximality_witness, member,
+    ALREADY_SIGMA_OPEN, Branch, CDiff, ClubFamily, Cone, ConeComplement,
+    ConeSet, EventuallyConstant, Explicit, Indexed, MaximalityWitness,
+    OmegaFamily, Param, SeqSpec, Topology, UnionSpec, Verdict, Wedge,
+    club_accumulation, cluster_or_limit, contains, countably_closed_witness,
+    fu_extract, is_subbasic, limit_at, maximality_witness, meet_height, member,
+    named_nodes, reaches, series_of, spec_parts,
 )
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, club_cases,
-    disjoint_closure_cases, fu_cases, fu_triples, full, o, seg, up, word,
+    disjoint_closure_cases, fu_cases, fu_triples, full, o, seg,
+    separating_family_cases, up, word,
 )
 
 
@@ -347,8 +353,7 @@ BUDGETS = ("_FU_PICKS", "_CLUB_STEPS", "_MAXIMALITY_HEAD")
 def _acceptance_runs():
     """Every club, fu-extract and disjoint-closures case of the acceptance
     suites."""
-    runs = [lambda d=d, t=t, S=S: club_accumulation(
-                d, resolve(d, t), S, steps=topology._CLUB_STEPS)
+    runs = [lambda d=d, t=t, S=S: club_accumulation(d, resolve(d, t), S)
             for d, t, S in club_cases()]
     runs += [lambda d=d, t=t, A=A: fu_extract(d, A, resolve(d, t))
              for _, d, t, A in fu_cases()]
@@ -427,3 +432,133 @@ def test_frechet_urysohn_law_on_generated_triples():
         assert contains(d, A, seq.head[0])
         converged += 1
     assert converged >= 250
+
+
+# -- what a part of a set spec answers, against its members ----------------------------
+
+# heights past every countable offset the case tables use: a member set is
+# cofinal below a point of cofinality w1 when it has members below it at
+# each of these heights above the point's own w1-multiple
+_LADDER = [omega_power(OMEGA, k) for k in (1, 2, 3)]
+_CLUB_PARAMS = [times_nat(omega_power(OMEGA), 4)]  # a club's members meet past the ladder
+
+
+def _part_cases():
+    """(tree, part, extra query nodes) over the witness case tables, the
+    generated Frechet-Urysohn triples, and explicit points and cone bases at
+    uncountable heights."""
+    specs = [(d, S, [t]) for d, t, S in club_cases()]
+    specs += [(d, A, [t]) for _, d, t, A in fu_cases()]
+    specs += [(d, S, []) for d, S in separating_family_cases()]
+    specs += [(d, S, []) for d, A, B, _ in disjoint_closure_cases() for S in (A, B)]
+    specs += [(d, A, [t]) for d, A, t in fu_triples(seed=7)]
+    tall = seg(o(times_nat(W1, 2), 3))
+    specs += [
+        (BINARY_W1, Explicit(((word("0", W1),), (word("1", W1),), (Child(1),))), []),
+        (BINARY_W1, ConeSet((word("1", W1),)), []),
+        (tall, Explicit(((up(W1),), (up(times_nat(W1, 2)),), (up(3),))), []),
+        (tall, ConeSet((up(W1),)), []),
+        (tall, ConeSet((up(o(W1, 1)),)), []),
+        (tall, Branch((up(times_nat(W1, 2)),)), []),
+        (HatOf(BINARY_W1), ConeSet((word("0", W1), Below())), [(word("0", W1),)]),
+    ]
+    return [(d, part, [resolve(d, t) for t in ts])
+            for d, S, ts in specs for part in spec_parts(S)]
+
+
+def _pool(d, part, extra):
+    """Query nodes: the extra ones, the nodes the part names, a family's
+    first members and anchor, the tree's spot panel, each with its children
+    and its ancestors at a few heights."""
+    nodes = list(extra) + list(_spot_nodes(d))
+    if isinstance(part, (OmegaFamily, ClubFamily)):
+        nodes += [series_of(d, part).at(p) for p in range(3)]
+        nodes += [resolve(d, part.anchor)] if isinstance(part, ClubFamily) else []
+    else:
+        nodes += named_nodes(d, part)
+        nodes += [c for n in named_nodes(d, part) for c in children(d, n, 2)]
+    out = {}
+    for n in nodes:
+        out[n.parts] = n
+        for h in (ZERO, ONE, W, o(W, 1), W1, o(W1, 1)):
+            if cmp(h, n.ht) < 0:
+                a = ancestor_at(d, n, h)
+                out[a.parts] = a
+    return list(out.values())
+
+
+def _ladder(d, q):
+    """Ancestors of q, of cofinality w1, at the ``_LADDER`` heights above
+    q's w1-multiple below it."""
+    below = Ordinal(q.ht.omega1 - 1, ())
+    return [ancestor_at(d, q, add(below, h)) for h in _LADDER]
+
+
+def _named_member(d, part, x):
+    """Is x a member of an explicit set, branch or cone set, read off the
+    nodes it names: one of the points, below the top, above the base?"""
+    named = named_nodes(d, part)
+    if isinstance(part, Explicit):
+        return any(x.parts == n.parts for n in named)
+    if isinstance(part, Branch):
+        return leq(d, x, named[0])
+    return leq(d, named[0], x)
+
+
+def _brute(d, part, q, pool):
+    """(reaches, meet height, limit, meets increase) of part at q, read off
+    members: a family's at parameters below 120 (and, for a club, past the
+    ladder), the other kinds' among the nodes the part names, the pool, q
+    and q's ladder, by the kind's membership."""
+    if isinstance(part, (OmegaFamily, ClubFamily)):
+        series = series_of(d, part)
+        params = list(range(120))
+        if isinstance(part, ClubFamily):
+            params += [a for a in _CLUB_PARAMS if cmp(a, series.bound) < 0]
+        members = [series.at(p) for p in params]
+    else:
+        cands = list(named_nodes(d, part)) + pool + [q]
+        if q.cof is Cofinality.OMEGA1:
+            cands += _ladder(d, q)
+        members = [m for m in cands if _named_member(d, part, m)]
+    heights = [meet(d, m, q).ht for m in members]
+    best = max(heights, key=functools.cmp_to_key(cmp), default=ZERO)
+    rising = len(heights) >= 120 and all(
+        cmp(a, b) < 0 for a, b in zip(heights[100:120], heights[101:120]))
+    limit = q.cof is Cofinality.OMEGA1 and all(
+        any(cmp(rung.ht, h) < 0 and not leq(d, q, m) for m, h in zip(members, heights))
+        for rung in _ladder(d, q)[:-1])
+    return any(leq(d, q, m) for m in members), best, limit, rising
+
+
+def test_part_answers_match_their_members():
+    """``named_nodes``, ``reaches``, ``meet_height`` and ``limit_at`` agree
+    with brute force over the members.  Where a family's meets with q still
+    rise at parameter 119 and no member reaches their supremum, the meet
+    height lies above all of them, at most at q's height."""
+    asked = limits = rising = 0
+    for d, part, extra in _part_cases():
+        pool = _pool(d, part, extra)
+        family = isinstance(part, (OmegaFamily, ClubFamily))
+        named = named_nodes(d, part)
+        assert all(contains(d, part, n) for n in named), (d, part)
+        # a family names none, a branch or cone set one node
+        assert len(named) == (0 if family else len(part.points)
+                              if isinstance(part, Explicit) else 1)
+        for q in pool:
+            if not family:
+                assert _named_member(d, part, q) is contains(d, part, q), (d, part, q)
+            reach, best, limit, up_ = _brute(d, part, q, pool)
+            assert reaches(d, part, q) is reach, (d, part, q)
+            assert limit_at(d, part, q) is limit, (d, part, q)
+            h = meet_height(d, part, q)
+            if up_ and cmp(best, h) < 0:
+                assert cmp(h, q.ht) <= 0, (d, part, q)
+            else:
+                assert cmp(h, best) == 0, (d, part, q, h, best)
+            asked += 1
+            limits += limit
+            rising += up_
+    # limits at 14 branch, 4 cone and 15 club queries; 1,007 family queries
+    # still rising at parameter 119, where the answer is their supremum
+    assert (asked, limits, rising) == (5517, 33, 1007)
