@@ -30,7 +30,7 @@ from .ordinals import ONE, Cofinality, Ordinal, add, cmp, pred
 from .records import field, record
 from .trees import (
     VIEW_CACHE_SIZE, Below, Card, Full, Graft, HatOf, Seg, TildeOf,
-    ancestor_at, children, hat_shift, height, leq_parts, resolve,
+    ancestor_at, children, hat_shift, height, resolve,
     structure_ok, tilde_shift, unc_sites, validate, view,
 )
 
@@ -134,8 +134,6 @@ def r_flags(d):
 # root and the leftmost top, enough to meet a branching and a limit level
 _WALK_NODES = 6   # walk nodes the panel keeps, so a check stays a handful
 _WALK_KIDS = 2    # children asked of each node: two show a branching
-_WALK_WIDTH = 3   # nodes kept per level, so a wide tree is walked deeper
-_WALK_DEPTH = 6   # levels walked; each adds a node, so _WALK_NODES binds first
 
 
 def _walk_nodes(d, root):
@@ -144,7 +142,7 @@ def _walk_nodes(d, root):
     raising."""
     out = []
     frontier = [root]
-    for _ in range(_WALK_DEPTH):
+    while frontier:
         nxt = []
         for n in frontier:
             for c in children(d, n, _WALK_KIDS):
@@ -152,7 +150,7 @@ def _walk_nodes(d, root):
                 if len(out) == _WALK_NODES:
                     return out
                 nxt.append(c)
-        frontier = nxt[:_WALK_WIDTH]
+        frontier = nxt
     return out
 
 
@@ -321,14 +319,14 @@ def _accumulating_split_points(d, spec):
     """Split points s(t) where the set accumulates in hat(d): the
     uncountable-cofinality points t on the chain below a branch's top or a
     club family's anchor that the part is a limit at (``topology.limit_at``),
-    plus whole cones (a cone accumulates at s(u) for every
-    uncountable-cofinality u above its base)."""
+    plus the set's cone parts (a cone accumulates at s(u) for every
+    uncountable-cofinality u strictly above its base)."""
     topology = wedgetree.topology
     out = {}
     cones = []
     for part in topology.spec_parts(spec):
         if isinstance(part, topology.ConeSet):
-            cones.extend(topology.named_nodes(d, part))
+            cones.append(part)
             continue
         if isinstance(part, topology.Branch):
             top, = topology.named_nodes(d, part)
@@ -374,22 +372,25 @@ def disjoint_closures(d, A, B):
 
 def _shared_split_points(d, A, B):
     """(the split points where both A and B accumulate, A's, B's), each as
-    {parts: node}."""
+    {parts: node}.  Where a cone accumulates is ``topology.limit_at``'s
+    answer."""
+    topology = wedgetree.topology
     acc_a, cones_a = _accumulating_split_points(d, A)
     acc_b, cones_b = _accumulating_split_points(d, B)
     common = set(acc_a) & set(acc_b)
-    for base in cones_a:
+    for cone in cones_a:
         for u in acc_b.values():
-            if leq_parts(base.parts, u.parts):
+            if topology.limit_at(d, cone, u):
                 common.add(u.parts)
                 acc_a[u.parts] = u
-    for base in cones_b:
+    for cone in cones_b:
         for u in acc_a.values():
-            if leq_parts(base.parts, u.parts):
+            if topology.limit_at(d, cone, u):
                 common.add(u.parts)
-    for ba in cones_a:
-        for bb in cones_b:
-            if leq_parts(ba.parts, bb.parts) or leq_parts(bb.parts, ba.parts):
+    for ca in cones_a:
+        for cb in cones_b:
+            bb, = topology.named_nodes(d, cb)
+            if topology.reaches(d, ca, bb):  # the two bases are comparable
                 raise UndecidableTailPattern(
                     "comparable cones share their whole upper accumulation")
     return {u: acc_a[u] for u in common}, acc_a, acc_b

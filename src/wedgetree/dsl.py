@@ -256,6 +256,18 @@ def _print_letters(letters):
     return '"%s"' % ",".join(str(l) for l in letters)
 
 
+def _parse_index(x, form, allow_param):
+    """A child letter or copy index: a NAT or an ordinal form worth one, or,
+    in a template, a ``Param``; otherwise a ParseError quoting ``form``."""
+    if isinstance(x, list) or (allow_param and x == "n"):
+        x = parse_ordinal(x, allow_param)
+    return x if isinstance(x, Param) else _nat(x, form)
+
+
+def _print_index(i):
+    return print_ordinal(i) if isinstance(i, Param) else str(i)
+
+
 def parse_address(x, allow_param=False):
     if not isinstance(x, list) or not x or x[0] != "addr":
         raise ParseError("not an address: %r" % (x,))
@@ -269,21 +281,15 @@ def parse_address(x, allow_param=False):
             steps.append(Up(parse_ordinal(delta, allow_param)))
         elif head == "child":
             arg, = _args(item, "(child NAT)", 1)
-            if isinstance(arg, list) or (allow_param and arg == "n"):
-                arg = parse_ordinal(arg, allow_param)
-            steps.append(Child(arg if isinstance(arg, Param)
-                               else _nat(arg, "(child NAT)")))
+            steps.append(Child(_parse_index(arg, "(child NAT)", allow_param)))
         elif head == "word":
             letters, count = _args(item, '(word "LETTERS" ORD)', 2)
             steps.append(Word(_parse_letters(letters),
                               parse_ordinal(count, allow_param)))
         elif head == "copy":
             slot, idx = _args(item, "(copy SLOT IDX)", 2)
-            if allow_param and (idx == "n" or isinstance(idx, list)):
-                idx = parse_ordinal(idx, allow_param)
-            else:
-                idx = _nat(idx, "(copy SLOT IDX)")
-            steps.append(Copy(_nat(slot, "(copy SLOT IDX)"), idx))
+            steps.append(Copy(_nat(slot, "(copy SLOT IDX)"),
+                              _parse_index(idx, "(copy SLOT IDX)", allow_param)))
         elif head == "below":
             _args(item, "(below)", 0)
             steps.append(Below())
@@ -298,18 +304,12 @@ def print_address(steps):
         if isinstance(s, Up):
             out.append("(up %s)" % print_ordinal(s.delta))
         elif isinstance(s, Child):
-            if isinstance(s.i, Param):
-                out.append("(child %s)" % print_ordinal(s.i))
-            else:
-                out.append("(child %d)" % s.i)
+            out.append("(child %s)" % _print_index(s.i))
         elif isinstance(s, Word):
             out.append("(word %s %s)" % (_print_letters(s.letters),
                                          print_ordinal(s.count)))
         elif isinstance(s, Copy):
-            if isinstance(s.idx, Param):
-                out.append("(copy %d %s)" % (s.slot, print_ordinal(s.idx)))
-            else:
-                out.append("(copy %d %d)" % (s.slot, s.idx))
+            out.append("(copy %d %s)" % (s.slot, _print_index(s.idx)))
         elif isinstance(s, Below):
             out.append("(below)")
         else:

@@ -18,16 +18,17 @@ A series depends only on its arguments, so the library builds them through
 for equal arguments.  A fit that raises ``UndecidableTailPattern`` is not
 kept and raises again on every call.
 
-A series is immutable, so it answers each profile question once:
-``le_profile``, ``eq_profile``, ``meet_profile_with`` and
+A series is immutable, so it answers each profile question once while the
+answer is kept: ``le_profile``, ``eq_profile``, ``meet_profile_with`` and
 ``children_profile`` resolve their argument to a node and look the answer up
-in the series' own ``answers`` memo, keyed on the question and that node
-(the node, not only its parts, since a meet profile reads its height).  The
-memo belongs to the series and dies with it, and it keeps at most
-``PROFILE_CACHE_SIZE`` answers, dropping the oldest first; every caller
-asking one question gets the same ``Profile`` or tuple, which nobody assigns
-to.  A question that raises ``UndecidableTailPattern`` is not kept and
-raises again on every call.
+in the series' own ``memo``, keyed on the question and that node (the node,
+not only its parts, since a meet profile reads its height).  It is the
+per-object memo a view keeps (``trees.per_object_memo``): it belongs to the
+series and dies with it, and it keeps at most ``trees.MEMO_CACHE_SIZE``
+answers, dropping the oldest first.  Every caller asking a kept question gets
+the same ``Profile`` or tuple, which nobody assigns to.  A question that
+raises ``UndecidableTailPattern`` is not kept and raises again on every
+call.
 
 Every profile is read off the slot, with no probe: ``_locate`` finds the
 value c that a node holds in the slot, and the members from 2 on hold a
@@ -59,7 +60,7 @@ from .ordinals import (
 )
 from .trees import (
     Child, Copy, Param, Up, Word, as_node, child_toward, leq_parts, meet,
-    node_at, parts_to_steps, resolve,
+    node_at, parts_to_steps, per_object_memo, resolve,
 )
 
 
@@ -300,38 +301,6 @@ def _unify(params, shapes, ordinal):
 # short tuple of steps or None.
 SERIES_CACHE_SIZE = 128
 
-# Answers kept by the profile memo of one ``SymbolicSeries`` (``le_profile``,
-# ``eq_profile``, ``meet_profile_with``, ``children_profile``), keyed on the
-# question and the node.  The memo lives on the series, so it is freed with
-# the series, and the value is a small ``Profile`` or tuple.  The benchmark's
-# witness workload (seed 901, its warm-up and 4,000 draws) builds 83 series
-# and asks them 23,900 profile questions, 484 of them distinct and at most 23
-# of one series, so this bound holds a series' questions many times over, and
-# the ``SERIES_CACHE_SIZE`` series that ``cached_series`` keeps hold at most
-# 32,768 answers.
-PROFILE_CACHE_SIZE = 256
-
-
-def _per_series(method):
-    """Keep a profile method's answers (never None) in its series' ``answers``
-    memo, under the method name and the node.  At ``PROFILE_CACHE_SIZE``
-    answers the oldest is dropped; a call that raises is not kept."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def once(self, node):
-        memo = self.answers
-        key = (name, node)
-        out = memo.get(key)
-        if out is None:
-            out = method(self, node)
-            if len(memo) >= PROFILE_CACHE_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = out
-        return out
-
-    return once
-
 
 class SymbolicSeries:
     """Members s_p of a parameterized family, fitted from probes."""
@@ -342,7 +311,7 @@ class SymbolicSeries:
         self.ordinal = ordinal
         self.bound = bound
         self._small = {}
-        self.answers = {}  # (question, node) -> answer, filled by ``_per_series``
+        self.memo = {}  # (question, node) -> answer
         probes = _ord_probes() if ordinal else _NAT_PROBES
         nodes = [resolve(d, instantiate(template, p)) for p in probes]
         self.parts, self.slot = _unify(probes, [n.parts for n in nodes], ordinal)
@@ -444,7 +413,7 @@ class SymbolicSeries:
         """Profile of {p : u <= s_p} over the parameter range."""
         return self._le_profile(as_node(self.d, u))
 
-    @_per_series
+    @per_object_memo()
     def _le_profile(self, u):
         ucore = u.parts
         while ucore and ucore[-1][0] == "below":
@@ -458,7 +427,7 @@ class SymbolicSeries:
         """Profile of {p : u == s_p} over the parameter range."""
         return self._eq_profile(as_node(self.d, u))
 
-    @_per_series
+    @per_object_memo()
     def _eq_profile(self, u):
         if u.parts and u.parts[-1][0] == "below":
             return Profile.never()
@@ -559,7 +528,7 @@ class SymbolicSeries:
         reading and raises ``UndecidableTailPattern``."""
         return self._children_profile(as_node(self.d, t))
 
-    @_per_series
+    @per_object_memo()
     def _children_profile(self, t):
         d = self.d
         if not self.constant and self.slot.kind in ("copy", "letter") \
@@ -603,7 +572,7 @@ class SymbolicSeries:
         leaves the fitted parts first (``_locate``), member 2."""
         return self._meet_profile_with(as_node(self.d, t))
 
-    @_per_series
+    @per_object_memo()
     def _meet_profile_with(self, t):
         if self.le_profile(t).eventually:
             return ("const", t.ht)

@@ -454,22 +454,15 @@ def _least_member_above(d, S, lower, avoid_cone):
     lower <= s_p and not avoid_cone <= s_p."""
     best = None
     for part in spec_parts(S):
-        if isinstance(part, Explicit):
-            for pt in part.points:
-                n = resolve(d, pt)
-                if leq(d, lower, n) and not leq(d, avoid_cone, n):
-                    if best is None:
-                        best = n
-        elif isinstance(part, (OmegaFamily, ClubFamily)):
+        if isinstance(part, (OmegaFamily, ClubFamily)):
             series = series_of(d, part)
             p = series.le_profile(lower).first(series.le_profile(avoid_cone))
             if p is not None and best is None:
                 best = series.at(p)
-        elif isinstance(part, Branch):
-            top = as_node(d, part.top)
-            if leq(d, lower, top) and not leq(d, avoid_cone, top):
-                if best is None:
-                    best = top
+        elif not isinstance(part, ConeSet):  # explicit points or a branch's top
+            for n in named_nodes(d, part):
+                if leq(d, lower, n) and not leq(d, avoid_cone, n) and best is None:
+                    best = n
     return best
 
 

@@ -32,26 +32,29 @@ to a Node.
 Descriptions, address steps and ``Param`` are frozen, slotted
 ``records.record`` classes: ``record`` builds their ``__init__``, ``__eq__``
 and ``__hash__``, and each computes its hash on first use and keeps it.  ``view(desc)`` caches the view of the
-``VIEW_CACHE_SIZE`` most recently used descriptions, and each view keeps one
-``memo`` dict of its answers.  It computes its nullary facts (``height``,
-``unc_sites``, ``maximal_heights``, ``gaps``, ``leftmost_top``) and its sites
-at each height once: later calls return the same ordinal, node, tuple or
-frozenset, which no caller can change.  It also walks each ``(steps, i)``
-once, lists the children of each ``(parts, count)`` once and finds the
-ancestor of each ``(parts, h)`` once, so ``resolve`` and ``ancestor_at`` on a
-graft, hat or tilde view reach into its inner views at an address only the
-first time.  It resolves each canonical parts tuple once (``node_at``), by
-walking the address ``parts_to_steps`` spells, so ``node_at`` and ``meet``
-hand out the node that ``resolve`` gives that address.  Calls that raise are
-not kept.  Resolved nodes and ancestors are shared between callers, so no
-code outside ``Node.__init__`` sets a node's attributes; ``children`` returns
-a new list on every call.  The tree order on parts, ``leq_parts``, and the
-meet of parts, ``meet_parts``, keep their answers for the
-``ORDER_CACHE_SIZE`` most recently asked pairs each.  The height maps of hat
-and tilde (``hat_shift``, ``hat_unshift``, ``tilde_shift``,
-``tilde_unshift``) are pure functions of one ordinal and keep their answers
-for the ``ordinals.ORDINAL_CACHE_SIZE`` most recently used heights, as the
-ordinal arithmetic does; a height that raises is not kept.  ``structure_ok``
+``VIEW_CACHE_SIZE`` most recently used descriptions, and each view keeps its
+answers in one ``memo`` dict (``per_object_memo``, which fills each series'
+memo too) of at most ``MEMO_CACHE_SIZE`` answers, dropping the oldest first.
+Each "once" below holds while the answer is kept.  A view computes its
+nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``,
+``leftmost_top``) and its sites at each height once: later calls return the
+same ordinal, node, tuple or frozenset, which no caller can change.  It also
+walks each ``(steps, i)`` once, lists the children of each ``(parts,
+count)`` once and finds the ancestor of each ``(parts, h)`` once, so
+``resolve`` and ``ancestor_at`` on a graft, hat or tilde view reach into its
+inner views at an address only the first time.  It resolves each canonical
+parts tuple once (``node_at``), by walking the address ``parts_to_steps``
+spells, so ``node_at`` and ``meet`` hand out the node that ``resolve`` gives
+that address.  Calls that raise are not kept.  Resolved nodes and ancestors
+are shared between callers while they are kept (a dropped one is resolved
+again to an equal node), so no code outside ``Node.__init__`` sets a node's
+attributes; ``children`` returns a new list on every call.  The tree order
+on parts, ``leq_parts``, and the meet of parts, ``meet_parts``, keep their
+answers for the ``ORDER_CACHE_SIZE`` most recently asked pairs each.  The
+height maps of hat and tilde (``hat_shift``, ``hat_unshift``,
+``tilde_shift``, ``tilde_unshift``) are pure functions of one ordinal and
+keep their answers for the ``ordinals.ORDINAL_CACHE_SIZE`` most recently
+used heights, as the ordinal arithmetic does; a height that raises is not kept.  ``structure_ok``
 keeps the ``VIEW_CACHE_SIZE`` most recently used descriptions that pass it;
 one that fails raises again on every call.
 """
@@ -83,6 +86,17 @@ _EXPAND_CAP = 10000  # letters a finite multi-letter word spells out; longer is 
 # one round of the witness cases 25, so 32 holds a request's views.  The
 # series memo has its own bound, ``series.SERIES_CACHE_SIZE``.
 VIEW_CACHE_SIZE = 32
+
+# Answers kept in the one ``memo`` dict of each view and each series
+# (``per_object_memo``); the oldest go first.  An entry is a key of a few
+# parts and a node, tuple or ``Profile``, so the ``VIEW_CACHE_SIZE`` views
+# and the ``series.SERIES_CACHE_SIZE`` series kept hold at most 32,768 and
+# 131,072 small entries.  The benchmark's workloads (seed 901, their
+# warm-ups and 4,000 requests each) keep at most 276 answers in one view and
+# 22 in one series (witness) and 61 in one view (corpus), so neither drops
+# one.  Resolving 100,000 distinct addresses in one view keeps this many, not
+# 100,000: max RSS 18.8 MB instead of 106.8 MB (CPython 3.11).
+MEMO_CACHE_SIZE = 1024
 
 # Pairs kept by each of the ``leq_parts`` and ``meet_parts`` memos.  Keys are
 # two immutable parts tuples and the value a bool or a parts tuple, so an
@@ -430,23 +444,29 @@ def meet_parts(a, b):
 _MISS = object()  # no answer filed yet: ``None`` and ``False`` are answers
 
 
-def _memo(key=None):
-    """Keep a view method's answers in its view's one ``memo`` dict.
+def per_object_memo(key=None):
+    """Keep a method's answers in its object's one ``memo`` dict: a view's or
+    a series'.
 
     An answer is filed under the method name and ``key(*args)``, or the
-    arguments themselves when ``key`` is None.  A view belongs to one
-    immutable description, so each answer is computed once per view and the
-    same ordinal, node, tuple or frozenset is returned on every later call; a
-    call that raises is not kept and raises again next time."""
+    arguments themselves when ``key`` is None.  The object belongs to one
+    immutable value, so while an answer is kept every later call returns the
+    same ordinal, node, tuple or ``Profile``.  At ``MEMO_CACHE_SIZE`` answers
+    the oldest is dropped first; a call that raises is not kept and raises
+    again next time."""
     def memoize(method):
-        name = method.__name__
+        name = (method.__name__,)
 
         @wraps(method)
         def once(self, *args):
-            k = (name, *(args if key is None else key(*args)))
-            out = self.memo.get(k, _MISS)
+            memo = self.memo
+            k = name + (args if key is None else key(*args))  # faster than (name, *args)
+            out = memo.get(k, _MISS)
             if out is _MISS:
-                out = self.memo[k] = method(self, *args)
+                out = method(self, *args)
+                if len(memo) >= MEMO_CACHE_SIZE:
+                    del memo[next(iter(memo))]
+                memo[k] = out
             return out
 
         return once
@@ -461,9 +481,9 @@ def _on_parts(node, x):
 class _View:
     def __init__(self, desc):
         self.desc = desc
-        self.memo = {}  # (method name, *key) -> answer, filled by ``_memo``
+        self.memo = {}  # (method name, *key) -> answer
 
-    @_memo()
+    @per_object_memo()
     def walk(self, steps, i):
         """The node that ``steps[i:]`` leads to, and the index of the first
         step it could not take, from ``_walk``.  The graft, hat and tilde
@@ -471,7 +491,7 @@ class _View:
         views, which raise again on every call.  Callers share the ``Node``."""
         return self._walk(steps, i)
 
-    @_memo()
+    @per_object_memo()
     def node_at(self, parts):
         """The node at canonical parts: the shared node that ``walk`` gives
         their address, which is built once per view and parts.  Parts that
@@ -482,7 +502,7 @@ class _View:
             raise InvalidAddress("address step %d cannot be taken from %r" % (i, node))
         return node
 
-    @_memo(_on_parts)
+    @per_object_memo(_on_parts)
     def _kids(self, node, count):
         return tuple(self._children(node, count))
 
@@ -491,13 +511,13 @@ class _View:
         ``_children`` once per view, parts and count, as a new list."""
         return list(self._kids(node, count))
 
-    @_memo(_on_parts)
+    @per_object_memo(_on_parts)
     def ancestor_at(self, node, h):
         """The ancestor of ``node`` at height ``h`` (at most ``node.ht``),
         from ``_ancestor_at``.  Callers share the returned ``Node``."""
         return self._ancestor_at(node, h)
 
-    @_memo()
+    @per_object_memo()
     def height(self):
         """The least height above every node: one past each maximal height,
         and a gap's own height, where a branch with no supremum ends."""
@@ -508,7 +528,7 @@ class _View:
                 best = h
         return best
 
-    @_memo()
+    @per_object_memo()
     def unc_sites(self):
         """The sites of every level w1*j, lowest level first."""
         return tuple(s for j in range(1, self.height().omega1 + 1)
@@ -537,11 +557,11 @@ class _SegView(_View):
         super().__init__(desc)
         self.eta = desc.eta
 
-    @_memo()
+    @per_object_memo()
     def height(self):
         return add(self.eta, ONE)
 
-    @_memo()
+    @per_object_memo()
     def maximal_heights(self):
         return frozenset((self.eta,))
 
@@ -576,11 +596,11 @@ class _SegView(_View):
             return []
         return [self._node(add(node.ht, ONE))][:count]
 
-    @_memo()
+    @per_object_memo()
     def leftmost_top(self):
         return self._node(self.eta)
 
-    @_memo()
+    @per_object_memo()
     def sites_at_height(self, h):
         if cmp(h, self.eta) <= 0:
             return (self._node(h),)
@@ -596,7 +616,7 @@ class _FullView(_View):
     def height(self):
         return self.desc.h
 
-    @_memo()
+    @per_object_memo()
     def maximal_heights(self):
         return frozenset((self.top,))
 
@@ -688,13 +708,13 @@ class _FullView(_View):
             out.append(self._node(ext))
         return out
 
-    @_memo()
+    @per_object_memo()
     def leftmost_top(self):
         if self.top.is_zero:
             return self._node(())
         return self._node([(0, self.top)])
 
-    @_memo()
+    @per_object_memo()
     def sites_at_height(self, h):
         if cmp(h, self.top) <= 0:
             return (self._node([(0, h)] if not h.is_zero else []),)
@@ -708,7 +728,7 @@ class _GraftView(_View):
         self.slots = [(view(d), mult) for d, mult in desc.children]
         self.offset = self.base.height()  # children roots live at this level
 
-    @_memo()
+    @per_object_memo()
     def height(self):
         if not self.slots:
             return self.base.height()
@@ -719,7 +739,7 @@ class _GraftView(_View):
                 best = h
         return add(self.base.height(), best)
 
-    @_memo()
+    @per_object_memo()
     def maximal_heights(self):
         if not self.slots:
             return self.base.maximal_heights()
@@ -822,7 +842,7 @@ class _GraftView(_View):
             return out
         return [self._wrap_base(c) for c in self.base.children(bnode, count)]
 
-    @_memo()
+    @per_object_memo()
     def leftmost_top(self):
         bnode = self.base.leftmost_top()
         if not self.slots:
@@ -830,7 +850,7 @@ class _GraftView(_View):
         child, _ = self.slots[0]
         return self._wrap_child(bnode, 0, 0, child.leftmost_top())
 
-    @_memo()
+    @per_object_memo()
     def gaps(self):
         out = list(self.base.gaps())
         if self.slots:
@@ -846,7 +866,7 @@ class _GraftView(_View):
             return True
         return any(child.bounded_supless() for child, _ in self.slots)
 
-    @_memo()
+    @per_object_memo()
     def sites_at_height(self, h):
         out = [self._wrap_base(s) for s in self.base.sites_at_height(h)]
         if self.slots and cmp(h, self.offset) >= 0:
@@ -863,7 +883,7 @@ class _HatView(_View):
         super().__init__(desc)
         self.inner = view(desc.inner)
 
-    @_memo()
+    @per_object_memo()
     def maximal_heights(self):
         return frozenset([hat_shift(mh) for mh in self.inner.maximal_heights()]
                          + [g.ht for g in self.inner.gaps()])
@@ -928,11 +948,11 @@ class _HatView(_View):
             return []
         return [self._image(c) for c in self.inner.children(node.inner, count)]
 
-    @_memo()
+    @per_object_memo()
     def leftmost_top(self):
         return self._image(self.inner.leftmost_top())
 
-    @_memo()
+    @per_object_memo()
     def sites_at_height(self, h):
         kind, hi = hat_unshift(h)
         if kind == "spoint":
@@ -970,12 +990,12 @@ class _TildeView(_View):
             raise InvalidAddress("node at a removed level")
         return self._remap(n), i
 
-    @_memo()
+    @per_object_memo()
     def maximal_heights(self):
         return frozenset(tilde_shift(mh) for mh in self.inner.maximal_heights()
                          if mh.cof() is not Cofinality.OMEGA1)
 
-    @_memo()
+    @per_object_memo()
     def gaps(self):
         return tuple(GapSite(s.parts, s.ht) for s in self.inner.unc_sites()
                      if s.ims.is_zero) + self.inner.gaps()
@@ -997,14 +1017,14 @@ class _TildeView(_View):
     def _children(self, node, count):
         return [self._remap(c) for c in self.inner.children(node.inner, count)]
 
-    @_memo()
+    @per_object_memo()
     def leftmost_top(self):
         n = self.inner.leftmost_top()
         if self._survives(n):
             return self._remap(n)
         raise InvalidAddress("leftmost branch has no surviving top")
 
-    @_memo()
+    @per_object_memo()
     def sites_at_height(self, h):
         # at w1*j this asks for w1*j + 1, the level that drops onto the removed one
         return tuple(self._remap(s)

@@ -14,7 +14,7 @@ from wedgetree.trees import (
     height, resolve, validate,
 )
 from wedgetree.topology import (
-    Branch, ClubFamily, Explicit, OmegaFamily, Param, UnionSpec,
+    Branch, ClubFamily, ConeSet, Explicit, OmegaFamily, Param, UnionSpec,
 )
 from wedgetree.constructions import (
     _spot_nodes, disjoint_closures, hat, is_r1_tree, iso_check, normalize,
@@ -387,12 +387,14 @@ def test_closedness_is_undecidable_only_when_extraction_fails(monkeypatch):
 
 
 def test_club_without_top_is_closed_and_disjoint_from_top():
-    # all predecessors of the top, as a club family, plus the isolated point 1
+    # all predecessors of the top, as a club family, plus the top: a maximal
+    # node, so the one-point set and its cone are the same set, which
+    # accumulates at no split point
     A = ClubFamily((word("0", W1),), (Word((0,), Param()),))
-    B = Explicit(((word("0", W1),),))
-    v = disjoint_closures(BINARY_W1, A, B)
-    assert v.kind == "disjoint"
-    assert v.accumulation_a  # the family marches up to the split point
+    for B in (Explicit(((word("0", W1),),)), ConeSet((word("0", W1),))):
+        v = disjoint_closures(BINARY_W1, A, B)
+        assert v.kind == "disjoint", B
+        assert v.accumulation_a  # the family marches up to the split point
 
 
 def test_club_with_trailing_step_is_not_closed():

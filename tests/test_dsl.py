@@ -67,6 +67,29 @@ def test_parse_addresses():
     assert tpl2[0].count == Param(OMEGA, ONE)
 
 
+def test_index_slots_take_ordinal_forms():
+    """A child letter and a copy index read a NAT, an ordinal form worth one
+    or, in a template, the parameter, and print as a NAT or the parameter."""
+    cases = [  # (text, allow_param values, step, printed)
+        ("(addr (child (+ 1 1)))", (False, True), Child(2), "(addr (child 2))"),
+        ("(addr (copy 0 (+ 1 1)))", (False, True), Copy(0, 2), "(addr (copy 0 2))"),
+        ("(addr (child (+ 1 n)))", (True,), Child(Param(ONE, ONE)),
+         "(addr (child (lin 1 1)))"),
+        ("(addr (copy 0 n))", (True,), Copy(0, Param(ZERO, ONE)), "(addr (copy 0 n))"),
+    ]
+    for text, allows, step, printed in cases:
+        for allow in allows:
+            got, = dsl.parse_address(dsl.read_sexpr(text), allow_param=allow)
+            index = got.i if isinstance(got, Child) else got.idx
+            assert got == step and type(index) in (int, Param), (text, allow, got)
+            assert dsl.print_address((got,)) == printed
+            assert dsl.parse_address(dsl.read_sexpr(printed), allow_param=allow) == (step,)
+    for text, allow in [("(addr (child w))", True), ("(addr (copy 0 (+ w 1)))", True),
+                        ("(addr (child (+ 1 n)))", False), ("(addr (copy 0 n))", False)]:
+        with pytest.raises(ParseError):
+            dsl.parse_address(dsl.read_sexpr(text), allow_param=allow)
+
+
 def test_parse_sets_and_seqs():
     s = dsl.parse_set(dsl.read_sexpr(
         '(union (branch (addr (word "0" w1))) (explicit (addr (child 1))))'))

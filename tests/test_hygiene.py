@@ -6,10 +6,10 @@ underscore-prefixed name from another wedgetree module or reads an
 underscore-prefixed attribute that it does not define itself.  Every name a
 library module assigns at its top level is read somewhere in the library, so a
 constant or budget that nothing reads any more does not linger.  Every
-``lru_cache``/``cache`` memo is bounded by a named size, and no code sets an
-attribute of the shared ``Node``s that the views memoize.  Each view states
-its sites per level only, and the list of all sites is derived once, on
-``_View``.  ``__init__.py`` imports no library module (it maps each public
+``lru_cache``/``cache`` memo and the one per-object memo of views and series
+are bounded by a named size, and no code sets an attribute of the shared
+``Node``s that the views memoize.  Each view states its sites per level only,
+and the list of all sites is derived once, on ``_View``.  ``__init__.py`` imports no library module (it maps each public
 name to its home module and loads that module on first use), so it is not
 checked here; instead the package surface is checked, and fresh interpreters
 check that the CLI and its light commands leave the heavy modules unloaded,
@@ -175,14 +175,46 @@ def _maxsize(dec):
     return dec.args[0] if dec.args else None
 
 
+def _names_memo(x):
+    return getattr(x, "id", getattr(x, "attr", None)) == "memo"
+
+
+def _memo_writers(tree):
+    """Top-level functions and methods that store into, delete from or update
+    a dict named ``memo``."""
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    defs += [f for c in tree.body if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)]
+    for fn in defs:
+        for n in ast.walk(fn):
+            stored = isinstance(n, ast.Subscript) and \
+                isinstance(n.ctx, (ast.Store, ast.Del)) and _names_memo(n.value)
+            updated = isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and _names_memo(n.func.value) \
+                and n.func.attr in ("setdefault", "update", "pop", "popitem")
+            if stored or updated:
+                yield fn
+                break
+
+
 def test_caches_are_bounded_by_a_named_size():
     unbounded = []
+    writers = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn, dec in _cache_decorators(tree):
             if not isinstance(_maxsize(dec), (ast.Name, ast.Attribute)):
                 unbounded.append("%s:%d: %s" % (path.name, dec.lineno, fn.name))
+        writers += [(path.name, fn) for fn in _memo_writers(tree)]
     assert not unbounded, unbounded
+    # the per-object memo of views and series is filled in one place, which
+    # compares its length with a named size
+    names = ["%s: %s" % (name, fn.name) for name, fn in writers]
+    assert names == ["trees.py: per_object_memo"], names
+    bounds = [c.comparators[0] for c in ast.walk(writers[0][1])
+              if isinstance(c, ast.Compare) and isinstance(c.left, ast.Call)
+              and getattr(c.left.func, "id", None) == "len"]
+    assert [type(b) for b in bounds] == [ast.Name], bounds
 
 
 _SETTERS = ("setattr", "delattr", "__setattr__", "__delattr__")

@@ -21,7 +21,7 @@ from wedgetree.trees import (
 from wedgetree.topology import (
     ClubFamily, OmegaFamily, contains, series_of, spec_parts,
 )
-from wedgetree import series as series_module
+from wedgetree import series as series_module, trees as trees_module
 from wedgetree.series import (
     _NAT_PROBES, Param, Profile, SymbolicSeries, _Slot, _fit_affine, _ord_probes,
     cached_series, fit_template, instantiate, next_param,
@@ -516,7 +516,7 @@ def test_profile_answers_die_with_their_series():
     first = cached_series(d, (Up(Param(ZERO, ONE)),))
     for name in PROFILE_QUESTIONS:
         getattr(first, name)((up(OMEGA1),))
-    assert len(first.answers) == len(PROFILE_QUESTIONS)
+    assert len(first.memo) == len(PROFILE_QUESTIONS)
     gone = weakref.ref(first)
     del first
     for i in range(1, 201):
@@ -526,14 +526,14 @@ def test_profile_answers_die_with_their_series():
 
 
 def test_profile_memo_keeps_its_named_bound(monkeypatch):
-    """At ``PROFILE_CACHE_SIZE`` answers a series drops its oldest one, and
+    """At ``MEMO_CACHE_SIZE`` answers a series drops its oldest one, and
     the answers it still holds are the ones asked last."""
-    monkeypatch.setattr(series_module, "PROFILE_CACHE_SIZE", 5)
+    monkeypatch.setattr(trees_module, "MEMO_CACHE_SIZE", 5)
     s = SymbolicSeries(seg(OMEGA1), (Up(Param(ZERO, ONE)),))
     asked = [resolve(s.d, (up(i),)) for i in range(12)]
     answers = [s.le_profile(u) for u in asked]
-    assert len(s.answers) == 5
-    assert list(s.answers) == [("_le_profile", u) for u in asked[-5:]]
+    assert len(s.memo) == 5
+    assert list(s.memo) == [("_le_profile", u) for u in asked[-5:]]
     assert s.le_profile(asked[-1]) is answers[-1]
 
 

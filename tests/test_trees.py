@@ -792,6 +792,35 @@ def test_parts_that_do_not_resolve_raise_on_every_call():
         assert ("node_at", parts) not in view(d).memo, (d, parts)
 
 
+def test_the_view_memo_keeps_its_named_bound(monkeypatch):
+    """Past ``MEMO_CACHE_SIZE`` answers a view drops its oldest ones first:
+    resolving more distinct addresses than that keeps its memo at the bound,
+    every node equals the one a view with the default bound resolves, a hit
+    still hands out the shared node, and parts that do not resolve are still
+    not kept."""
+    bound = 4
+    cases = [(d, _panel(d)) for d in walk_trees()]
+    cases.append((seg(o(W1, 1)), [(up(i),) for i in range(3 * bound)]))
+    view.cache_clear()
+    cold = {(d, a): _shape(resolve(d, a)) for d, addrs in cases for a in addrs}
+    monkeypatch.setattr(trees, "MEMO_CACHE_SIZE", bound)
+    view.cache_clear()
+    for d, addrs in cases:
+        for _ in range(2):  # the second round resolves dropped answers again
+            for a in addrs:
+                n = resolve(d, a)
+                assert _shape(n) == cold[d, a] and resolve(d, a) is n, (d, a)
+                assert len(view(d).memo) <= bound, (d, a)
+    d = cases[-1][0]
+    past_top = resolve(seg(o(W1, 2)), [up(o(W1, 2))]).parts
+    for _ in range(3):
+        with pytest.raises(InvalidAddress):
+            node_at(d, past_top)
+        assert ("node_at", past_top) not in view(d).memo
+        assert len(view(d).memo) == bound
+    view.cache_clear()
+
+
 # -- hat / tilde views -------------------------------------------------------------
 
 def test_hat_inserts_point_below_uncountable_node():
