@@ -19,7 +19,7 @@ import enum
 import wedgetree
 
 from .errors import HeightTooLarge, PreconditionFailed
-from .ordinals import OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp
+from .ordinals import OMEGA1, ONE, ZERO, Cofinality, Ordinal, add
 from .records import record
 from .trees import (
     Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
@@ -151,7 +151,7 @@ def tall_address(d):
         best, best_h = 0, None
         for slot, (child, _) in enumerate(d.children):
             h = height(child)
-            if best_h is None or cmp(h, best_h) > 0:
+            if best_h is None or h > best_h:
                 best, best_h = slot, h
         return tall_address(d.base) + (Copy(best, 0),) + tall_address(d.children[best][0])
     if isinstance(d, (HatOf, TildeOf)):
@@ -161,7 +161,7 @@ def tall_address(d):
 
 def has_omega1_chain(d):
     """(flag, witness address of a node at height w1, or None)."""
-    if cmp(height(d), add(OMEGA1, ONE)) < 0:
+    if height(d) < add(OMEGA1, ONE):
         return False, None
     top = resolve(d, tall_address(d))
     node = ancestor_at(d, top, OMEGA1)
@@ -209,7 +209,7 @@ def _binary_region(d, prefix):
     if isinstance(d, Seg):
         return None
     if isinstance(d, Full):
-        if d.k != 1 and cmp(view(d).top, OMEGA1) >= 0:
+        if d.k != 1 and view(d).top >= OMEGA1:
             return (prefix, 0)
         return None
     if isinstance(d, Graft):
@@ -401,7 +401,7 @@ def build_separating_family(d, S):
     height at most w1+1."""
     topology = wedgetree.topology
     validate(d)
-    if cmp(height(d), add(OMEGA1, ONE)) > 0:
+    if height(d) > add(OMEGA1, ONE):
         raise HeightTooLarge("separating families need height at most w1+1")
     parts = _countable_parts(d, S)
     s1 = _leftover_points(d, S, parts)
@@ -414,7 +414,7 @@ def build_separating_family(d, S):
         beta = ZERO
         for h in [topology.meet_height(d, part, s) for part in parts] + \
                 [meet(d, s, other).ht for other in s1 if other.parts != s.parts]:
-            if cmp(h, beta) > 0:
+            if h > beta:
                 beta = h
         ts = ancestor_at(d, s, add(beta, ONE))
         if not ts.in_I:
@@ -491,7 +491,7 @@ def classify_report(d):
                  "Prop 5.2 proof citing [N2, Thm 2.8] (no w1-chains)")
 
     eng.tried.append("R2")
-    if cmp(height(d), add(OMEGA1, ONE)) <= 0:
+    if height(d) <= add(OMEGA1, ONE):
         eng.fire("Valdivia", V3.YES, "R2", "Prop 2.4")
         eng.fire("HereditarilyValdivia", V3.YES, "R2", "Prop 2.4")
 
@@ -519,7 +519,7 @@ def classify_report(d):
                  "Remark after Thm 4.2 (ordinal segments below w2)")
 
     eng.tried.append("R6")
-    if cmp(height(d), OMEGA1) <= 0:
+    if height(d) <= OMEGA1:
         eng.fire("WeaklyCorson", V3.YES, "R6",
                  "Thm 4.2 (iii)=>(i): the hat construction acts trivially")
 

@@ -107,7 +107,7 @@ def _check_witness_args(kind, args):
     many forms as it reads."""
     want = _WITNESS_ARGS.get(kind)
     if want is None:
-        raise ParseError("unknown witness kind: %s" % kind)
+        raise ParseError("unknown witness kind: %s" % (kind,))
     least = len(want) - want.count("...")
     if len(args) < least or (len(args) > least and "..." not in want):
         raise ParseError(
@@ -136,7 +136,7 @@ def cmd_witness(args):
             SeqSpec, Topology, Verdict, cluster_or_limit, contains, fu_extract,
         )
         A = dsl.parse_set(dsl.read_sexpr(args.args[0]))
-        t = resolve(d, dsl.parse_address(dsl.read_sexpr(args.args[1])))
+        t = dsl.parse_address(dsl.read_sexpr(args.args[1]))
         seq = fu_extract(d, A, t)
         # the tail converges to t, and the head starts inside A
         verified = cluster_or_limit(d, SeqSpec(tail=seq.tail), t,

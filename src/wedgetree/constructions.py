@@ -26,7 +26,7 @@ from .errors import (
     ChoiceUnavailable, InvalidAddress, NotClosed, NotInClosure,
     PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
 )
-from .ordinals import ONE, Cofinality, Ordinal, add, cmp, pred
+from .ordinals import ONE, Cofinality, Ordinal, add, pred
 from .records import field, record
 from .trees import (
     VIEW_CACHE_SIZE, Below, Card, Full, Graft, HatOf, Seg, TildeOf,
@@ -178,7 +178,7 @@ def _spot_nodes(d):
 
 
 def _node_data_match(a, b):
-    return cmp(a.ht, b.ht) == 0 and a.cof is b.cof and a.ims == b.ims \
+    return a.ht == b.ht and a.cof is b.cof and a.ims == b.ims \
         and a.maximal == b.maximal
 
 
@@ -190,7 +190,7 @@ def iso_check(d1, d2):
     """Equal heights, equal normal forms and equal site summaries.  This is
     a sound isomorphism check for the round-trip shapes it is used on, not a
     general tree-isomorphism decision."""
-    if cmp(height(d1), height(d2)) != 0:
+    if height(d1) != height(d2):
         return False
     return normalize(d1) == normalize(d2) and _site_summary(d1) == _site_summary(d2)
 
@@ -257,7 +257,7 @@ def _hat_tilde_address(d, node, addr, panel):
 def _hat_tilde_spot_iso(d, ht_, panel):
     """hat(tilde(d)) recovers d, on d's spot panel.  Every site of d is in
     the panel, so a tree that is not r1 fails: it is decided by r1 first."""
-    return r_flags(d)[1] and cmp(height(d), height(ht_)) == 0 and _spot_iso(
+    return r_flags(d)[1] and height(d) == height(ht_) and _spot_iso(
         ht_, ((n, _hat_tilde_address(d, n, a, panel)) for n, a in panel.values()))
 
 
@@ -311,7 +311,7 @@ def _sigma_closed_check(d, spec, name):
                     raise UndecidableTailPattern(
                         "cannot certify closedness of %s at %r" % (name, x)) from exc
                 raise NotClosed(
-                    "%s is not closed in the countably coarse wedge topology" % name,
+                    "%s is not closed in the countably coarse wedge topology" % (name,),
                     which=name, witness=(seq, x.address()))
 
 

@@ -95,7 +95,7 @@ def _args(x, form, least, most=None):
     """The arguments of the list form ``x``: exactly ``least`` of them, or
     from ``least`` to ``most``; otherwise a ParseError quoting ``form``."""
     if not least <= len(x) - 1 <= (least if most is None else most):
-        raise ParseError("%s expected" % form)
+        raise ParseError("%s expected" % (form,))
     return x[1:]
 
 
@@ -161,7 +161,7 @@ def print_ordinal(o):
         return "(lin %s %s)" % (print_ordinal(o.base), print_ordinal(o.scale))
     terms = []
     if o.omega1:
-        terms.append("w1" if o.omega1 == 1 else "(* %d w1)" % o.omega1)
+        terms.append("w1" if o.omega1 == 1 else "(* %d w1)" % (o.omega1,))
     for exp, coeff in o.terms:
         if exp.is_zero:
             terms.append(str(coeff))
@@ -218,7 +218,7 @@ def parse_desc(x):
             children.append((parse_desc(item[0]), parse_card(item[1])))
         return Graft(parse_desc(base), tuple(children))
     if head in ("hat", "tilde"):
-        inner, = _args(x, "(%s DESC)" % head, 1)
+        inner, = _args(x, "(%s DESC)" % (head,), 1)
         return (HatOf if head == "hat" else TildeOf)(parse_desc(inner))
     raise ParseError("unknown description form: %r" % (head,))
 
@@ -339,7 +339,7 @@ def parse_set(x):
             raise ParseError("family template needs the parameter n")
         return ClubFamily(parse_address(anchor), tpl)
     if head in ("branch", "cone-set"):
-        t, = _args(x, "(%s ADDR)" % head, 1)
+        t, = _args(x, "(%s ADDR)" % (head,), 1)
         return (Branch if head == "branch" else ConeSet)(parse_address(t))
     if head == "union":
         return UnionSpec(tuple(parse_set(p) for p in x[1:]))
@@ -402,10 +402,10 @@ def parse_open(x):
         raise ParseError("not a basic open: %r" % (x,))
     head = x[0]
     if head in ("cone", "cocone"):
-        t, = _args(x, "(%s ADDR)" % head, 1)
+        t, = _args(x, "(%s ADDR)" % (head,), 1)
         return (Cone if head == "cone" else ConeComplement)(parse_address(t))
     if head in ("wedge", "cdiff"):
-        t, *rest = _args(x, "(%s ADDR (ADDR ...))" % head, 1, 2)
+        t, *rest = _args(x, "(%s ADDR (ADDR ...))" % (head,), 1, 2)
         excluded = tuple(parse_address(a) for a in rest[0]) if rest else ()
         return (Wedge if head == "wedge" else CDiff)(parse_address(t), excluded)
     raise ParseError("unknown open form: %r" % (head,))

@@ -4,6 +4,8 @@ A value is a pair (omega1 coefficient, Cantor normal form of the countable
 part).  The CNF is a tuple of (exponent, coefficient) terms with strictly
 decreasing countable exponents and positive integer coefficients, so equality
 is structural and every operation returns the canonical representative.
+``Ordinal`` is that pair as a tuple: CNF order is tuple order, so equality,
+hashing and comparison are tuple's own and run in C.
 
 The range is deliberately capped at w1*m + gamma: it covers every height the
 tree descriptions can produce while keeping canonical forms finite.  w2 is not
@@ -15,13 +17,14 @@ of their ``ORDINAL_CACHE_SIZE`` most recently used arguments and hand every
 caller the same ``Ordinal``.  A call that raises is not kept and raises again.
 Every newly built value still validates its CNF; a cache hit returns one
 that was validated when it was built.  ``Ordinal.cof()`` reads the
-cofinality class that the constructor stores once, like the hash.
+cofinality class off the last term.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache, total_ordering
+from collections import namedtuple
+from functools import lru_cache
 
 from .errors import OracleRangeError, OrdinalUnderflowError, SupNotRepresentable
 
@@ -54,39 +57,47 @@ class Cofinality(enum.Enum):
         return self.value
 
 
-@total_ordering
-class Ordinal:
-    __slots__ = ("omega1", "terms", "_hash", "_cof")
+# cof() reads these names: a member read off the enum class costs more
+_ZERO_COF, _OMEGA_COF, _OMEGA1_COF = Cofinality.ZERO, Cofinality.OMEGA, Cofinality.OMEGA1
+
+# C field getters, faster than a property over ``itemgetter``
+_FIELDS = namedtuple("_Fields", "omega1 terms")
+
+
+class Ordinal(tuple):
+    """The value ``(omega1, terms)`` itself, as a tuple.
+
+    Cantor normal form order is lexicographic on the w1 coefficient and then
+    on the (exponent, coefficient) terms, a proper prefix counting as
+    smaller, which is exactly tuple order; so ``==``, ``<`` and ``hash`` are
+    tuple's own and run in C.  An ``Ordinal`` therefore equals, and hashes
+    as, the plain tuple ``(omega1, terms)``.  Tuple repetition and
+    concatenation are switched off: ``*`` raises and ``+`` is ordinal sum.
+    """
+
+    __slots__ = ()
+
+    omega1 = _FIELDS.omega1
+    terms = _FIELDS.terms
+
+    def __new__(cls, omega1=0, terms=()):
+        return tuple.__new__(cls, (omega1, tuple(terms)))
 
     def __init__(self, omega1=0, terms=()):
-        terms = tuple(terms)
         if omega1 < 0:
             raise ValueError("negative omega1 coefficient")
         prev = None
-        for exp, coeff in terms:
+        for exp, coeff in self.terms:
             if not isinstance(exp, Ordinal) or exp.omega1 != 0:
                 raise ValueError("CNF exponents must be countable ordinals")
             if coeff < 1:
                 raise ValueError("CNF coefficients must be positive")
-            if prev is not None and cmp(exp, prev) >= 0:
+            if prev is not None and not exp < prev:
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
-        object.__setattr__(self, "omega1", omega1)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash((omega1, terms)))
-        if terms:
-            cof = Cofinality.ZERO if terms[-1][0].is_zero else Cofinality.OMEGA
-        else:
-            cof = Cofinality.OMEGA1 if omega1 else Cofinality.ZERO
-        object.__setattr__(self, "_cof", cof)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__: the default restore of
-        # the slots would go through the raising __setattr__
-        return (Ordinal, (self.omega1, self.terms))
+    def __getnewargs__(self):
+        return tuple(self)
 
     # -- structure ----------------------------------------------------------
 
@@ -112,7 +123,7 @@ class Ordinal:
 
     def to_int(self):
         if not self.is_finite:
-            raise ValueError("not a finite ordinal: %s" % self)
+            raise ValueError("not a finite ordinal: %s" % (self,))
         return self.finite_tail
 
     @property
@@ -131,37 +142,32 @@ class Ordinal:
 
     def cof(self):
         """ZERO at zero and successors, OMEGA at countable-cofinality limits,
-        OMEGA1 at w1*m; stored by the constructor."""
-        return self._cof
-
-    # -- comparison / hashing ------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.omega1 == other.omega1 and self.terms == other.terms
-
-    def __lt__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return cmp(self, other) < 0
-
-    def __hash__(self):
-        return self._hash
+        OMEGA1 at w1*m; read off the last term."""
+        terms = self.terms
+        if terms:  # a countable exponent is zero when it has no terms
+            return _OMEGA_COF if terms[-1][0].terms else _ZERO_COF
+        return _OMEGA1_COF if self.omega1 else _ZERO_COF
 
     # -- arithmetic sugar ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
             other = nat(other)
+        elif not isinstance(other, Ordinal):
+            return NotImplemented
         return add(self, other)
+
+    def __mul__(self, other):
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
         if self.omega1:
-            parts.append("w1" if self.omega1 == 1 else "w1*%d" % self.omega1)
+            parts.append("w1" if self.omega1 == 1 else "w1*%d" % (self.omega1,))
         for exp, coeff in self.terms:
             if exp.is_zero:
                 parts.append(str(coeff))
@@ -170,12 +176,12 @@ class Ordinal:
                 base = "w"
             else:
                 e = str(exp)
-                base = "w^%s" % (e if e.isalnum() else "(%s)" % e)
+                base = "w^%s" % (e if e.isalnum() else "(%s)" % (e,))
             parts.append(base if coeff == 1 else "%s*%d" % (base, coeff))
         return "+".join(parts)
 
     def __repr__(self):
-        return "Ordinal(%s)" % self
+        return "Ordinal(%s)" % (self,)
 
 
 def nat(n):
@@ -191,18 +197,8 @@ def omega_power(exp, coeff=1):
 
 
 def cmp(a, b):
-    """Total order: lexicographic on (omega1 coefficient, CNF term list)."""
-    if a.omega1 != b.omega1:
-        return -1 if a.omega1 < b.omega1 else 1
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = cmp(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    """Three-way compare: -1, 0 or 1 as a is below, equal to or above b."""
+    return 0 if a == b else (-1 if a < b else 1)
 
 
 def _cnf_add(s, t):
@@ -212,10 +208,9 @@ def _cnf_add(s, t):
     lead = t[0][0]
     keep = []
     for exp, coeff in s:
-        c = cmp(exp, lead)
-        if c > 0:
+        if exp > lead:
             keep.append((exp, coeff))
-        elif c == 0:
+        elif exp == lead:
             return tuple(keep) + ((lead, coeff + t[0][1]),) + t[1:]
         else:
             break
@@ -268,11 +263,10 @@ def times_nat(a, n):
 @lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def left_sub(a, b):
     """The unique delta with a + delta = b; requires a <= b."""
-    c = cmp(a, b)
-    if c > 0:
-        raise OrdinalUnderflowError("left_sub: %s > %s" % (a, b))
-    if c == 0:
+    if a == b:
         return ZERO
+    if a > b:
+        raise OrdinalUnderflowError("left_sub: %s > %s" % (a, b))
     if a.omega1 < b.omega1:
         return Ordinal(b.omega1 - a.omega1, b.terms)
     s, t = a.terms, b.terms
@@ -283,7 +277,7 @@ def left_sub(a, b):
         return Ordinal(0, t[i:])
     ea, ca = s[i]
     eb, cb = t[i]
-    if cmp(ea, eb) < 0:
+    if ea < eb:
         return Ordinal(0, t[i:])
     # equal exponents, ca < cb
     return Ordinal(0, ((eb, cb - ca),) + t[i + 1:])
@@ -302,7 +296,7 @@ def right_sub(a, b):
     # coefficient at e to b's and absorbs x's terms below e
     (e, c), t = b.terms[0], a.terms
     i = 0
-    while i < len(t) and cmp(t[i][0], e) > 0:
+    while i < len(t) and t[i][0] > e:
         i += 1
     if i == len(t) or t[i][0] != e or t[i][1] < c or t[i + 1:] != b.terms[1:]:
         return None
@@ -320,7 +314,7 @@ def pred(a):
     """Predecessor of a successor ordinal."""
     k = a.finite_tail
     if not k:
-        raise ValueError("pred of a non-successor ordinal: %s" % a)
+        raise ValueError("pred of a non-successor ordinal: %s" % (a,))
     return Ordinal(a.omega1, a.terms[:-1] + (((ZERO, k - 1),) if k > 1 else ()))
 
 
@@ -414,7 +408,7 @@ class TripleLexOrder:
 def oracle_encode(a):
     """Explicit well-order of type a on triples of naturals; a < w^3 only."""
     if a.omega1:
-        raise OracleRangeError("oracle range is a < w^3, got %s" % a)
+        raise OracleRangeError("oracle range is a < w^3, got %s" % (a,))
     c2 = c1 = c0 = 0
     for exp, coeff in a.terms:
         if exp == nat(2):
@@ -424,7 +418,7 @@ def oracle_encode(a):
         elif exp.is_zero:
             c0 = coeff
         else:
-            raise OracleRangeError("oracle range is a < w^3, got %s" % a)
+            raise OracleRangeError("oracle range is a < w^3, got %s" % (a,))
     return TripleLexOrder(c2, c1, c0)
 
 

@@ -52,11 +52,11 @@ def replace(obj, **changes):
 
 
 def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError("cannot assign to field %r" % name)
+    raise FrozenInstanceError("cannot assign to field %r" % (name,))
 
 
 def _frozen_delattr(self, name):
-    raise FrozenInstanceError("cannot delete field %r" % name)
+    raise FrozenInstanceError("cannot delete field %r" % (name,))
 
 
 def _sources(cls, frozen):
@@ -72,9 +72,9 @@ def _sources(cls, frozen):
     if frozen:
         sets.append(("_h", "None"))
         env.update(("_s_" + name, vars(cls)[name].__set__) for name in cls.__slots__)
-        sets = ["_s_%s(self, %s)" % s for s in sets]
+        sets = ["_s_%s(self, %s)" % (name, value) for name, value in sets]
     else:
-        sets = ["self.%s = %s" % s for s in sets]
+        sets = ["self.%s = %s" % (name, value) for name, value in sets]
 
     def attrs(obj, names):
         return "(%s)" % "".join("%s.%s," % (obj, n) for n in names)
@@ -109,7 +109,7 @@ def _compiled_on_first_call(cls, frozen, name):
     def method(self, *args, **kwargs):
         sources, env = _sources(cls, frozen)
         compiled = {}
-        exec(compile(sources[name], "<record %s>" % cls.__qualname__, "exec"),
+        exec(compile(sources[name], "<record %s>" % (cls.__qualname__,), "exec"),
              env, compiled)
         setattr(cls, name, compiled[name])
         return compiled[name](self, *args, **kwargs)

@@ -55,7 +55,7 @@ import functools
 
 from .errors import InvalidAddress, OrdinalUnderflowError, UndecidableTailPattern
 from .ordinals import (
-    OMEGA, ONE, ZERO, Ordinal, add, cmp, left_sub, limit_of_affine, nat,
+    OMEGA, ONE, ZERO, Ordinal, add, left_sub, limit_of_affine, nat,
     omega_power, right_sub, times_nat,
 )
 from .trees import (
@@ -124,7 +124,7 @@ def _fit_affine(values, ordinal_params):
             tail = add(omega_power(ONE, m - 1), tail)
         base = right_sub(v1, add(p1, tail))
     else:
-        if cmp(v1, v2) > 0:
+        if v1 > v2:
             return None
         delta, gap = left_sub(v1, v2), p2 - p1
         if delta.is_finite:
@@ -187,21 +187,21 @@ class _Slot:
             except OrdinalUnderflowError:  # c lies below the base
                 return ZERO
             a = right_sub(rest, nat(min(rest.finite_tail, self.tail.to_int())))
-            return None if bound is not None and cmp(a, bound) >= 0 else a
+            return None if bound is not None and a >= bound else a
         if self.scale.is_zero:
-            return 0 if cmp(self.value(0), c) >= 0 else None
-        if cmp(c, limit_of_affine(self.base, self.scale)) >= 0:
+            return 0 if self.value(0) >= c else None
+        if c >= limit_of_affine(self.base, self.scale):
             return None
         # value(p) = (base + scale*p) + tail never decreases in p, and some p
         # reaches c below the supremum: gallop to it, then bisect
-        if cmp(self.value(0), c) >= 0:
+        if self.value(0) >= c:
             return 0
         lo, hi = 0, 1  # value(lo) < c
-        while cmp(self.value(hi), c) < 0:
+        while self.value(hi) < c:
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if cmp(self.value(mid), c) >= 0:
+            if self.value(mid) >= c:
                 hi = mid
             else:
                 lo = mid
@@ -217,12 +217,12 @@ class _Slot:
             except OrdinalUnderflowError:  # c lies below the base
                 return []
             a = right_sub(rho, self.tail)
-            if a is None or (bound is not None and cmp(a, bound) >= 0):
+            if a is None or (bound is not None and a >= bound):
                 return []
             return [a]
         if self.scale.is_zero:
             return []
-        if cmp(c, limit_of_affine(self.base, self.scale)) >= 0:
+        if c >= limit_of_affine(self.base, self.scale):
             return []  # values stay strictly below their supremum
         # below the supremum the values strictly increase: value(p) ==
         # value(p + 1) would need scale + tail == tail, so tail would absorb
@@ -289,7 +289,7 @@ def _unify(params, shapes, ordinal):
         if fit is None:
             raise UndecidableTailPattern("non-affine count slot")
         return first, _Slot("count", ci, j, *fit, ordinal)
-    raise UndecidableTailPattern("varying component of kind %s" % kind)
+    raise UndecidableTailPattern("varying component of kind %s" % (kind,))
 
 
 # Series kept by ``cached_series``, and fits kept by ``fit_template``; least
@@ -365,7 +365,7 @@ class SymbolicSeries:
     def params_upto(self, k):
         if self.ordinal:
             out = [nat(i) for i in range(k)]
-            if self.bound is not None and cmp(OMEGA, self.bound) < 0:
+            if self.bound is not None and OMEGA < self.bound:
                 out += [OMEGA, add(OMEGA, ONE), times_nat(OMEGA, 2)]
             return out
         return list(range(k))
@@ -380,7 +380,7 @@ class SymbolicSeries:
         slot = self.slot
         if slot.kind == "count" and self.ordinal:
             values = [slot.value(lam) for lam in (OMEGA, times_nat(OMEGA, 2))
-                      if cmp(lam, self.bound) < 0]
+                      if lam < self.bound]
         elif self.ordinal:
             return []
         elif slot.kind in ("up", "count"):
@@ -589,7 +589,7 @@ class SymbolicSeries:
         best = ZERO
         for p in params:
             h = meet(self.d, self.at(p), t).ht
-            if cmp(h, best) > 0:
+            if h > best:
                 best = h
         return ("const", best)
 
@@ -650,7 +650,7 @@ class Profile:
             if isinstance(self.data, Ordinal) or isinstance(p, Ordinal):
                 pp = p if isinstance(p, Ordinal) else nat(p)
                 dd = self.data if isinstance(self.data, Ordinal) else nat(self.data)
-                return cmp(dd, pp) <= 0
+                return dd <= pp
             return p >= self.data
         return p in self.data
 

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
 )
 from .ordinals import (
-    OMEGA, ONE, ZERO, Cofinality, Ordinal, add, cmp, left_sub,
+    OMEGA, ONE, ZERO, Cofinality, Ordinal, add, left_sub,
     limit_of_affine, pred,
 )
 from .records import record
@@ -39,7 +39,7 @@ from .series import SERIES_CACHE_SIZE, cached_series, fit_template, instantiate
 from .trees import Param as Param
 from .trees import (
     Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
-    leq_parts, meet, resolve,
+    leq_parts, meet, resolve, validate,
 )
 
 
@@ -92,7 +92,7 @@ def _check_wedge_legal(d, base, excluded):
         return
     nodes = [as_node(d, f) for f in excluded]
     h = nodes[0].ht
-    if any(cmp(n.ht, h) != 0 for n in nodes):
+    if any(n.ht != h for n in nodes):
         raise IllegalWedge("exclusions sit at different levels")
     if len({n.parts for n in nodes}) != len(nodes):
         raise IllegalWedge("repeated exclusion")
@@ -279,7 +279,7 @@ def meet_height(d, part, t):
     best = ZERO
     for n in named_nodes(d, part):  # a branch meets t highest at its top
         h = meet(d, n, t).ht
-        if cmp(h, best) > 0:
+        if h > best:
             best = h
     return best
 
@@ -291,7 +291,7 @@ def limit_at(d, part, s):
         return False
     if isinstance(part, (OmegaFamily, ClubFamily)):
         kind, sup = series_of(d, part).meet_profile_with(s)
-        return kind == "increasing" and cmp(sup, s.ht) == 0
+        return kind == "increasing" and sup == s.ht
     if isinstance(part, Branch):
         top, = named_nodes(d, part)
         return leq_parts(s.parts, top.parts)
@@ -330,10 +330,10 @@ def sample_members(d, spec, k):
             top = as_node(d, part.top)
             out.append(top)
             hts = [ZERO, ONE]
-            if cmp(OMEGA, top.ht) < 0:
+            if OMEGA < top.ht:
                 hts.append(OMEGA)
             for h in hts:
-                if cmp(h, top.ht) <= 0:
+                if h <= top.ht:
                     out.append(ancestor_at(d, top, h))
         elif isinstance(part, ConeSet):
             base = as_node(d, part.t)
@@ -379,7 +379,7 @@ def cluster_or_limit(d, seq, x, topology):
         # wedge bases below x: cf(x) = omega, or uncountable in the coarse
         # wedge topology
         kind, sup = series.meet_profile_with(x)
-        reach = kind == "increasing" and cmp(sup, x.ht) == 0
+        reach = kind == "increasing" and sup == x.ht
         b1_conv = b1_clust = reach
 
     if b1_conv and excl_ok:
@@ -406,9 +406,10 @@ class CountablyClosedWitness:
 def countably_closed_witness(d, t, S):
     """A point p in I(T) with p <= t and V_p disjoint from the countable set S,
     certifying that the closure of S misses V_t."""
+    validate(d)
     t = as_node(d, t)
     if t.cof is not Cofinality.OMEGA1:
-        raise PreconditionFailed("witness requires cf(t) uncountable, got %s" % t.cof)
+        raise PreconditionFailed("witness requires cf(t) uncountable, got %s" % (t.cof,))
     if not is_countable_spec(d, S):
         raise PreconditionFailed("S must be countable")
     parts = spec_parts(S)
@@ -416,11 +417,11 @@ def countably_closed_witness(d, t, S):
     for part in parts:
         # a member in V_t meets t at t's height, so only then can one lie there
         h = meet_height(d, part, t)
-        if cmp(h, t.ht) >= 0 and reaches(d, part, t):
+        if h >= t.ht and reaches(d, part, t):
             raise PreconditionFailed("an element of S lies in the cone of t")
-        if cmp(h, sup) > 0:
+        if h > sup:
             sup = h
-    if cmp(sup, t.ht) >= 0:
+    if sup >= t.ht:
         raise SupNotRepresentable("meets are cofinal in t; no separating point exists")
     p = ancestor_at(d, t, add(sup, ONE))
     verified = not any(reaches(d, part, p) for part in parts) and p.in_I and leq(d, p, t)
@@ -470,6 +471,7 @@ def club_accumulation(d, t, S):
     """The closed-unbounded accumulation construction below an
     uncountable-cofinality point t: alternately pick s_j in S above r_j + 1
     and set r_{j+1} to the meet of s_j with t; r is the supremum."""
+    validate(d)
     t = as_node(d, t)
     if t.cof is not Cofinality.OMEGA1:
         raise PreconditionFailed("club accumulation requires cf(t) uncountable")
@@ -480,10 +482,10 @@ def club_accumulation(d, t, S):
         s = _least_member_above(d, S, toward, t)
         if s is None:
             raise NotAccumulating(
-                "no member of S above %r outside the cone of t" % toward)
+                "no member of S above %r outside the cone of t" % (toward,))
         pairs.append((r, s))
         r_next = meet(d, s, t)
-        if cmp(r_next.ht, r.ht) <= 0 and pairs[:-1]:
+        if r_next.ht <= r.ht and pairs[:-1]:
             raise UndecidableTailPattern("meets stopped increasing")
         r = r_next
     hts = [p[0].ht for p in pairs[1:]] + [r.ht]
@@ -492,13 +494,13 @@ def club_accumulation(d, t, S):
         raise UndecidableTailPattern("accumulation pattern is not affine")
     delta = left_sub(hts[-2], hts[-1])
     r_sup_ht = limit_of_affine(hts[0], delta)
-    if cmp(r_sup_ht, t.ht) >= 0:
+    if r_sup_ht >= t.ht:
         raise SupNotRepresentable("r_j are cofinal in t itself")
     r_sup = ancestor_at(d, t, r_sup_ht)
     seq = SeqSpec(head=tuple(s.address() for _, s in pairs), tail=None)
     verdict = _cluster_of_concrete_tail(d, [s for _, s in pairs], r_sup)
-    verified = all(cmp(a.ht, b.ht) < 0 for (a, _), (b, _) in zip(pairs, pairs[1:]))
-    verified = verified and cmp(r_sup.ht, t.ht) < 0 and verdict is not Verdict.NEITHER
+    verified = all(a.ht < b.ht for (a, _), (b, _) in zip(pairs, pairs[1:]))
+    verified = verified and r_sup.ht < t.ht and verdict is not Verdict.NEITHER
     for (rj, sj), (rk, _) in zip(pairs, pairs[1:]):
         verified = verified and meet(d, sj, t).parts == rk.parts
     return ClubWitness(tuple(pairs), r_sup, tuple(hts), seq, verdict, verified)
@@ -522,6 +524,7 @@ def fu_extract(d, A, t):
     many do, the sequence takes, above each of _FU_PICKS cofinal I-points
     below t, the family's least member outside them and other than t, and
     raises UndecidableTailPattern when those members fit no template."""
+    validate(d)
     t = as_node(d, t)
     if contains(d, A, t):
         raise PreconditionFailed("t itself belongs to A")
@@ -636,6 +639,7 @@ def maximality_witness(d, opens):
     union that converges to it (so the union cannot be open in any countably
     compact refinement), or the verdict that the union is already open in the
     countably coarse wedge topology."""
+    validate(d)
     for t in minimal_bases(d, opens):
         if t.cof is Cofinality.OMEGA:
             seq_nodes = cofinal_I_nodes(d, t, _MAXIMALITY_HEAD)

@@ -68,7 +68,7 @@ from .errors import (
     UndecidableTailPattern, UnsupportedAddress,
 )
 from .ordinals import (
-    ONE, ORDINAL_CACHE_SIZE, ZERO, Cofinality, Ordinal, add, cmp,
+    ONE, ORDINAL_CACHE_SIZE, ZERO, Cofinality, Ordinal, add,
     drop_leading_unit, fundamental, left_sub, pred, times_nat,
 )
 from .records import record
@@ -340,7 +340,7 @@ def _parts_str(parts):
     out = []
     for p in parts:
         if p[0] == "up":
-            out.append("up:%s" % p[1])
+            out.append("up:%s" % (p[1],))
         elif p[0] == "runs":
             out.append(".".join("%d^%s" % (l, c) for l, c in p[1]))
         elif p[0] == "copy":
@@ -368,7 +368,7 @@ def _runs_strict_prefix(r1, r2):
     if i == len(r2):
         return False
     (l1, c1), (l2, c2) = r1[i], r2[i]
-    return l1 == l2 and cmp(c1, c2) < 0 and i == len(r1) - 1
+    return l1 == l2 and c1 < c2 and i == len(r1) - 1
 
 
 def _core_strict_prefix(x, y):
@@ -382,7 +382,7 @@ def _core_strict_prefix(x, y):
     if x[i][0] != y[i][0] or i != len(x) - 1:
         return False
     if x[i][0] == "up":
-        return cmp(x[i][1], y[i][1]) < 0
+        return x[i][1] < y[i][1]
     if x[i][0] == "runs":
         return _runs_strict_prefix(x[i][1], y[i][1])
     return False
@@ -407,7 +407,7 @@ def _runs_meet(r1, r2):
     if i < len(r1) and i < len(r2):
         (l1, c1), (l2, c2) = r1[i], r2[i]
         if l1 == l2:
-            out.append((l1, c1 if cmp(c1, c2) <= 0 else c2))
+            out.append((l1, c1 if c1 <= c2 else c2))
     return tuple(out)
 
 
@@ -429,7 +429,7 @@ def meet_parts(a, b):
         i += 1
     if i < len(xa) and i < len(xb) and xa[i][0] == xb[i][0]:
         if xa[i][0] == "up":
-            low = xa[i][1] if cmp(xa[i][1], xb[i][1]) <= 0 else xb[i][1]
+            low = xa[i][1] if xa[i][1] <= xb[i][1] else xb[i][1]
             if not low.is_zero:
                 out.append(("up", low))
         elif xa[i][0] == "runs":
@@ -524,7 +524,7 @@ class _View:
         best = ONE  # at least the root level exists
         for h in [add(mh, ONE) for mh in self.maximal_heights()] + \
                 [g.ht for g in self.gaps()]:
-            if cmp(h, best) > 0:
+            if h > best:
                 best = h
         return best
 
@@ -582,7 +582,7 @@ class _SegView(_View):
                 raise InvalidAddress("a chain node has a unique immediate successor")
             else:
                 break
-            if cmp(nxt, self.eta) > 0:
+            if nxt > self.eta:
                 raise InvalidAddress("ascent past the top of the segment")
             pos = nxt
             i += 1
@@ -602,7 +602,7 @@ class _SegView(_View):
 
     @per_object_memo()
     def sites_at_height(self, h):
-        if cmp(h, self.eta) <= 0:
+        if h <= self.eta:
             return (self._node(h),)
         return ()
 
@@ -640,9 +640,9 @@ class _FullView(_View):
         if count.is_zero:
             return ht
         if not self._letter_ok(letter):
-            raise InvalidAddress("branch letter %d out of range" % letter)
+            raise InvalidAddress("branch letter %d out of range" % (letter,))
         nxt = add(ht, count)
-        if cmp(nxt, self.top) > 0:
+        if nxt > self.top:
             raise InvalidAddress("path exceeds the tree height")
         if runs and runs[-1][0] == letter:
             runs[-1] = (letter, add(runs[-1][1], count))
@@ -681,10 +681,10 @@ class _FullView(_View):
         out, acc = [], ZERO
         for letter, count in runs:
             nxt = add(acc, count)
-            if cmp(nxt, h) <= 0:
+            if nxt <= h:
                 out.append((letter, count))
                 acc = nxt
-                if cmp(acc, h) == 0:
+                if acc == h:
                     break
             else:
                 part = left_sub(acc, h)
@@ -716,7 +716,7 @@ class _FullView(_View):
 
     @per_object_memo()
     def sites_at_height(self, h):
-        if cmp(h, self.top) <= 0:
+        if h <= self.top:
             return (self._node([(0, h)] if not h.is_zero else []),)
         return ()
 
@@ -735,7 +735,7 @@ class _GraftView(_View):
         best = None
         for child, _ in self.slots:
             h = child.height()
-            if best is None or cmp(h, best) > 0:
+            if best is None or h > best:
                 best = h
         return add(self.base.height(), best)
 
@@ -778,10 +778,10 @@ class _GraftView(_View):
                 raise InvalidAddress("copies attach above maximal nodes only")
             s = steps[i]
             if not 0 <= s.slot < len(self.slots):
-                raise InvalidAddress("graft slot %d out of range" % s.slot)
+                raise InvalidAddress("graft slot %d out of range" % (s.slot,))
             child, mult = self.slots[s.slot]
             if mult.is_finite and s.idx >= mult.n:
-                raise InvalidAddress("copy index %d out of range" % s.idx)
+                raise InvalidAddress("copy index %d out of range" % (s.idx,))
             if s.idx < 0:
                 raise InvalidAddress("negative copy index")
             try:
@@ -801,7 +801,7 @@ class _GraftView(_View):
         if kind == "child":
             _, bnode, slot, idx, cnode = node.inner
             start = add(bnode.ht, ONE)
-            if cmp(h, start) >= 0:
+            if h >= start:
                 child, _ = self.slots[slot]
                 canc = child.ancestor_at(cnode, left_sub(start, h))
                 return self._wrap_child(bnode, slot, idx, canc)
@@ -813,7 +813,7 @@ class _GraftView(_View):
         if kind == "child":
             _, bnode, slot, idx, inner_payload = payload
             start = add(bnode.ht, ONE)
-            if cmp(h, start) >= 0:
+            if h >= start:
                 child, _ = self.slots[slot]
                 cnode = child.branch_node(inner_payload, left_sub(start, h))
                 return self._wrap_child(bnode, slot, idx, cnode)
@@ -869,7 +869,7 @@ class _GraftView(_View):
     @per_object_memo()
     def sites_at_height(self, h):
         out = [self._wrap_base(s) for s in self.base.sites_at_height(h)]
-        if self.slots and cmp(h, self.offset) >= 0:
+        if self.slots and h >= self.offset:
             rel = left_sub(self.offset, h)
             bnode = self.base.leftmost_top()
             for slot, (child, _) in enumerate(self.slots):
@@ -928,7 +928,7 @@ class _HatView(_View):
         return self._image(n), i
 
     def _ancestor_at(self, node, h):
-        if cmp(h, node.ht) == 0:
+        if h == node.ht:
             return node
         if node.tag == "spoint":
             return self.ancestor_at(self._image(node.inner), h)
@@ -959,7 +959,7 @@ class _HatView(_View):
             out = [self._spoint(s) for s in self.inner.sites_at_height(h)
                    if s.ht.cof() is Cofinality.OMEGA1]
             out.extend(self.walk(parts_to_steps(g.parts), 0)[0]  # the captop filling g
-                       for g in self.inner.gaps() if cmp(g.ht, h) == 0)
+                       for g in self.inner.gaps() if g.ht == h)
             return tuple(out)
         return tuple(self._image(s) for s in self.inner.sites_at_height(hi))
 
@@ -1155,10 +1155,9 @@ def meet(desc, a, b):
 
 def ancestor_at(desc, node, h):
     node = as_node(desc, node)
-    c = cmp(h, node.ht)
-    if c > 0:
+    if h > node.ht:
         raise InvalidAddress("ancestor height above the node")
-    if c == 0:
+    if h == node.ht:
         return node
     return view(desc).ancestor_at(node, h)
 

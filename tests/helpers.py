@@ -322,6 +322,24 @@ def outcome(fn, d):
         return type(e), str(e)
 
 
+def reference_cmp(a, b):
+    """The CNF order term by term, a reference for the tuple order of
+    ``Ordinal``: the w1 coefficients first, then the (exponent, coefficient)
+    terms from the top, exponents compared recursively; a proper prefix is
+    smaller."""
+    if a.omega1 != b.omega1:
+        return -1 if a.omega1 < b.omega1 else 1
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = reference_cmp(ea, eb)
+        if c:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
 def reference_roundtrip(d):
     """``roundtrip_check`` as three spot panels, a reference for the
     library's: the panel of tilde(hat(d)) resolved on d, d's panel resolved

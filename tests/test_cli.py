@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from wedgetree import topology
+from wedgetree import dsl, topology
 from wedgetree.cli import main
+from wedgetree.errors import WedgeTreeError
 from wedgetree.ordinals import nat
 from wedgetree.topology import Topology
+from wedgetree.trees import validate
 
 
 def run(capsys, *argv):
@@ -234,6 +236,45 @@ def test_witness_argument_counts_are_parse_errors(capsys, kind, forms):
     assert payload["error"] == "parse-error"
     assert payload["got"] == len(forms)
     assert kind in payload["message"]
+
+
+# trees that ``validate`` rejects: three are not chain complete below a tilde,
+# one has a graft base of limit height, and four are full trees of limit
+# height, whose views cannot even be built
+_OUTSIDE_THE_DOMAIN = [
+    "(tilde (seg w1))", "(tilde (graft (seg w1) (((seg w1) 2))))",
+    "(graft (seg 1) (((tilde (seg w1)) 2)))", "(graft (tilde (seg w1)) (((seg 1) 1)))",
+    "(full 2 w)", "(full 2 (+ w1 w))", "(full 3 w1)", "(tilde (full 2 (* 2 w1)))",
+]
+
+# witness kind -> (construction, the forms after the tree)
+_TOPOLOGY_WITNESSES = {
+    "countably-closed": (topology.countably_closed_witness, ["(addr)", "(explicit)"]),
+    "club": (topology.club_accumulation, ["(addr)", "(explicit)"]),
+    "fu-extract": (topology.fu_extract, ["(explicit)", "(addr)"]),
+    "maximality": (topology.maximality_witness, ["(cone (addr))"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TOPOLOGY_WITNESSES))
+def test_topology_witnesses_refuse_trees_outside_the_domain(capsys, kind):
+    """Each construction raises the error ``validate`` raises, before it
+    answers or fails on its own, and the CLI exits 1 with that error."""
+    fn, forms = _TOPOLOGY_WITNESSES[kind]
+    parse = {"(addr)": dsl.parse_address, "(explicit)": dsl.parse_set,
+             "(cone (addr))": lambda x: [dsl.parse_open(x)]}
+    args = [parse[f](dsl.read_sexpr(f)) for f in forms]
+    for tree in _OUTSIDE_THE_DOMAIN:
+        d = dsl.parse_desc(dsl.read_sexpr(tree))
+        with pytest.raises(WedgeTreeError) as want:
+            validate(d)
+        with pytest.raises(WedgeTreeError) as got:
+            fn(d, *args)
+        assert type(got.value) is type(want.value), tree
+        assert str(got.value) == str(want.value), tree
+        code, out = run(capsys, "witness", kind, tree, *forms, "--json")
+        assert code == 1, tree
+        assert json.loads(out)["error"] == want.value.code, tree
 
 
 def test_not_closed_error_carries_its_escaping_sequence(capsys):

@@ -15,7 +15,9 @@ checked here; instead the package surface is checked, and fresh interpreters
 check that the CLI and its light commands leave the heavy modules unloaded,
 and that no CLI command loads ``dataclasses`` (no library module imports it).
 The description and address-step classes of ``trees`` are frozen, slotted
-values whose stored hash never shows, not even in a copy or a pickle.
+values whose stored hash never shows, not even in a copy or a pickle.  An
+``Ordinal`` is a tuple, so no ``%`` format in the library takes a bare
+variable as its operand.
 """
 
 import ast
@@ -281,10 +283,34 @@ def test_shared_profiles_are_never_assigned():
 
 
 def test_ordinal_values_are_written_only_by_their_constructor():
-    """The value memos hand one ``Ordinal`` to many callers, and ``cof()``
-    reads what ``__init__`` stored: no other code sets its slots."""
-    writes = _library_writes(set(Ordinal.__slots__))
+    """The value memos hand one ``Ordinal`` to many callers: it is a tuple
+    with no slot of its own, and no library code sets its fields."""
+    assert Ordinal.__slots__ == () and issubclass(Ordinal, tuple)
+    writes = _library_writes({"omega1", "terms"})
     assert not writes, writes
+
+
+def _bare_format_operands(tree):
+    """Lines of the ``%`` formats on a string literal whose right operand is
+    a bare name, attribute or subscript."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+                  and isinstance(n.left, ast.Constant) and isinstance(n.left.value, str)
+                  and isinstance(n.right, (ast.Name, ast.Attribute, ast.Subscript)))
+
+
+def test_format_operands_are_never_bare_variables():
+    """An ``Ordinal`` is a tuple, so ``"%s" % h`` would take it for the
+    argument tuple: a variable operand is wrapped in a one-tuple."""
+    bare = []
+    for path in MODULES + [SRC / "__init__.py"]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bare += ["%s:%d" % (path.name, line) for line in _bare_format_operands(tree)]
+    assert not bare, bare
+    flagged = ast.parse('a = "%s" % h\nb = "%d" % h.omega1\nc = "%s" % p[1]\n'
+                        'd = "%s" % (h,)\ne = "%s" % str(h)\nf = n % k\n'
+                        'g = "%s-%s" % (h, k)\n')
+    assert _bare_format_operands(flagged) == [1, 2, 3]
 
 
 def _view_methods():

@@ -6,6 +6,7 @@ measured by the absorption scan.  cmp/add/fin_mul must agree with it.
 """
 
 import copy
+import functools
 import itertools
 import pickle
 
@@ -22,6 +23,8 @@ from wedgetree.ordinals import (
     fin_mul, fundamental, left_sub, limit_of_affine, measure_blocks, nat,
     omega_power, oracle_encode, right_sub, times_nat,
 )
+
+from helpers import reference_cmp
 
 
 def w2(c=1):
@@ -162,6 +165,42 @@ def any_ordinals(draw):
     return Ordinal(m, gamma.terms)
 
 
+@st.composite
+def deep_ordinals(draw, depth=3):
+    """w1*m + gamma with m in 0..3 and gamma's exponents drawn recursively,
+    ``depth`` levels down to naturals: w^(w^w+1) and w^(w^(w^2)) are in
+    reach.  Exponents are ordered by ``reference_cmp``."""
+    n = draw(st.integers(0, 3))
+    if depth == 0:
+        exps = [nat(e) for e in draw(st.lists(st.integers(0, 4), min_size=n,
+                                              max_size=n, unique=True))]
+    else:
+        exps = draw(st.lists(deep_ordinals(depth - 1).map(lambda x: x.countable),
+                             min_size=n, max_size=n, unique_by=str))
+    exps.sort(key=functools.cmp_to_key(reference_cmp), reverse=True)
+    coeffs = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return Ordinal(draw(st.integers(0, 3)), tuple(zip(exps, coeffs)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(deep_ordinals(), min_size=2, max_size=6))
+def test_tuple_order_is_the_cnf_order(xs):
+    """``cmp``, the operators and ``sorted`` agree with the term-by-term CNF
+    order on exponents nested three deep, and the hash is that of the plain
+    pair; a rebuilt twin compares equal and a proper prefix below."""
+    a = xs[0]
+    xs = xs + [Ordinal(a.omega1, a.terms), Ordinal(a.omega1, a.terms[:-1])]
+    for x, y in itertools.product(xs, repeat=2):
+        want = reference_cmp(x, y)
+        assert cmp(x, y) == want, (x, y)
+        assert ((x < y), (x == y), (x > y)) == (want < 0, want == 0, want > 0)
+        assert (x <= y, x >= y, x != y) == (want <= 0, want >= 0, want != 0)
+    assert [str(x) for x in sorted(xs)] == \
+        [str(x) for x in sorted(xs, key=functools.cmp_to_key(reference_cmp))]
+    for x in xs:
+        assert hash(x) == hash((x.omega1, x.terms))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(any_ordinals(), any_ordinals(), any_ordinals())
 def test_add_associative(a, b, c):
@@ -298,6 +337,33 @@ def test_ordinals_are_immutable():
         with pytest.raises(AttributeError):
             setattr(x, name, value)
     assert x == add(OMEGA1, nat(2)) and x.cof() is Cofinality.ZERO
+
+
+def test_ordinals_are_no_sequences_to_arithmetic():
+    """``*`` is not repetition and ``+`` is not concatenation; the value is
+    the plain pair, so it equals and hashes as that pair."""
+    x = add(OMEGA1, nat(2))
+    for op in (lambda: x * 2, lambda: 2 * x, lambda: x * x, lambda: x + (1,),
+               lambda: x + "w"):
+        with pytest.raises(TypeError):
+            op()
+    assert x + 1 == add(OMEGA1, nat(3)) and x + OMEGA == add(x, OMEGA)
+    assert x == (1, ((ZERO, 2),)) and hash(x) == hash((1, ((ZERO, 2),)))
+
+
+def test_messages_name_the_ordinal():
+    """Messages show an ordinal as one value, never as the pair it is."""
+    with pytest.raises(ValueError, match=r"^pred of a non-successor ordinal: w$"):
+        o.pred(OMEGA)
+    with pytest.raises(OracleRangeError, match=r"got w1$"):
+        oracle_encode(OMEGA1)
+    with pytest.raises(OracleRangeError, match=r"got w\^3$"):
+        oracle_encode(omega_power(nat(3)))
+    with pytest.raises(ValueError, match=r"^not a finite ordinal: w1\+2$"):
+        add(OMEGA1, nat(2)).to_int()
+    assert repr(OMEGA) == "Ordinal(w)" and str(Ordinal(3)) == "w1*3"
+    node = trees.resolve(trees.Seg(add(OMEGA1, ONE)), (trees.Up(OMEGA),))
+    assert repr(node) == "<node up:w ht=w cf=w ims=1>"
 
 
 # -- value memos ---------------------------------------------------------------
