@@ -183,7 +183,7 @@ def _node_data_match(a, b):
 
 
 def _site_summary(d):
-    return sorted((str(s.ht), str(s.ims), s.maximal) for s in unc_sites(d))
+    return sorted((s.ht, s.ims.kind, s.ims.n, s.maximal) for s in unc_sites(d))
 
 
 def iso_check(d1, d2):
@@ -230,8 +230,10 @@ class RoundTrip:
 
 def roundtrip_check(d):
     """tilde(hat(d)) recovers d always; hat(tilde(d)) recovers d exactly on
-    trees whose uncountable-cofinality nodes have at most one successor."""
-    structure_ok(d)
+    trees whose uncountable-cofinality nodes have at most one successor.
+    A tree that ``validate`` rejects raises its error: the laws speak of
+    chain-complete trees only."""
+    validate(d)
     th = TildeOf(HatOf(d))
     _, r1 = r_flags(d)
     panel = _panel(d)  # each address built once, shared by both halves

@@ -39,16 +39,20 @@ Each "once" below holds while the answer is kept.  A view computes its
 nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``,
 ``leftmost_top``) and its sites at each height once: later calls return the
 same ordinal, node, tuple or frozenset, which no caller can change.  It also
-walks each ``(steps, i)`` once, lists the children of each ``(parts,
-count)`` once and finds the ancestor of each ``(parts, h)`` once, so
-``resolve`` and ``ancestor_at`` on a graft, hat or tilde view reach into its
-inner views at an address only the first time.  It resolves each canonical
-parts tuple once (``node_at``), by walking the address ``parts_to_steps``
-spells, so ``node_at`` and ``meet`` hand out the node that ``resolve`` gives
-that address.  Calls that raise are not kept.  Resolved nodes and ancestors
-are shared between callers while they are kept (a dropped one is resolved
-again to an equal node), so no code outside ``Node.__init__`` sets a node's
-attributes; ``children`` returns a new list on every call.  The tree order
+lists the children of each ``(parts, count)`` once and finds the ancestor of
+each ``(parts, h)`` once.  A walk is kept only at the view it was asked of
+(``walk``: ``resolve``, ``node_at``, ``root`` and a hat's sites ask it): the
+graft, hat and tilde walks take their inner views' ``_walk`` unkept, so
+``resolve`` on a nested view keeps one answer for an address, not one per
+layer, and reaches into the inner views at that address only the first
+time.  It resolves each canonical parts tuple once (``node_at``), by walking
+the address ``parts_to_steps`` spells, so ``node_at`` and ``meet`` hand out
+the node that ``resolve`` gives that address.  Calls that raise are not kept.
+Resolved nodes and ancestors are shared between callers while they are kept
+(a dropped one is resolved again to an equal node), so no code outside
+``Node.__init__`` sets a node's attributes, and none sets the ``kind`` or
+``n`` of a ``Card``, whose counts 0 to 3 ``Card.fin`` shares; ``children``
+returns a new list on every call.  The tree order
 on parts, ``leq_parts``, and the meet of parts, ``meet_parts``, keep their
 answers for the ``ORDER_CACHE_SIZE`` most recently asked pairs each.  The
 height maps of hat and tilde (``hat_shift``, ``hat_unshift``,
@@ -78,10 +82,11 @@ from .records import record
 _EXPAND_CAP = 10000  # letters a finite multi-letter word spells out; longer is unsupported
 
 # Views kept by the ``view`` cache; least recently used go first.  Each cached
-# view keeps its memo of facts, walks, children and ancestors, so an entry
-# holds many nodes.  At 128 entries the benchmark's corpus workload kept them
-# long enough to push them into the older GC generations: against this bound
-# its peak RSS rose by 0.7-1.0 MB and its p99 latency from 5.4 to 7.2-7.7 ms.
+# view keeps its memo of facts, children, ancestors and the walks asked of it,
+# so an entry holds many nodes.  At 128 entries the benchmark's corpus workload
+# kept them long enough to push them into the older GC generations: against
+# this bound its peak RSS rose by 0.7-1.0 MB and its p99 latency from 5.4 to
+# 7.2-7.7 ms.
 # One corpus request touches at most 27 views (p99 23, over 2,000 trees) and
 # one round of the witness cases 25, so 32 holds a request's views.  The
 # series memo has its own bound, ``series.SERIES_CACHE_SIZE``.
@@ -123,9 +128,11 @@ class Card:
         self.kind = kind
         self.n = n if kind == "fin" else 0
 
-    @classmethod
-    def fin(cls, n):
-        return cls("fin", n)
+    @staticmethod
+    def fin(n):
+        """The class of exactly n; 0 to 3 are shared instances, so no code
+        sets a card's ``kind`` or ``n``."""
+        return _SMALL_FIN[n] if 0 <= n < len(_SMALL_FIN) else Card("fin", n)
 
     @property
     def is_finite(self):
@@ -160,6 +167,7 @@ class Card:
 
 CARD_OMEGA = Card("omega")
 CARD_OMEGA1 = Card("omega1")
+_SMALL_FIN = tuple(Card("fin", n) for n in range(4))  # the counts views hand out
 
 
 def card_of_branching(k):
@@ -442,40 +450,62 @@ def meet_parts(a, b):
 # -- views ---------------------------------------------------------------------
 
 _MISS = object()  # no answer filed yet: ``None`` and ``False`` are answers
+_CO_VARARGS, _CO_VARKEYWORDS = 0x04, 0x08  # ``inspect``'s code flags, without its import
 
 
-def per_object_memo(key=None):
+def per_object_memo(on_parts=False):
     """Keep a method's answers in its object's one ``memo`` dict: a view's or
     a series'.
 
-    An answer is filed under the method name and ``key(*args)``, or the
-    arguments themselves when ``key`` is None.  The object belongs to one
-    immutable value, so while an answer is kept every later call returns the
-    same ordinal, node, tuple or ``Profile``.  At ``MEMO_CACHE_SIZE`` answers
-    the oldest is dropped first; a call that raises is not kept and raises
-    again next time."""
+    The method takes no, one or two positional arguments besides ``self``,
+    and its answer is filed under ``(name,)``, ``(name, a)`` or ``(name, a,
+    b)``; with ``on_parts`` it takes a node and one more argument and files
+    under ``(name, node.parts, b)``.  Each shape gets its own wrapper when the
+    method is decorated, so a call builds its key directly; any other
+    signature raises ``TypeError`` then.  The object belongs to one immutable
+    value, so while an answer is kept every later call returns the same
+    ordinal, node, tuple or ``Profile``.  At ``MEMO_CACHE_SIZE`` answers the
+    oldest is dropped first; a call that raises is not kept and raises again
+    next time."""
+    def keep(memo, k, out):
+        # the one place a miss is filed, for every shape
+        if len(memo) >= MEMO_CACHE_SIZE:
+            del memo[next(iter(memo))]
+        memo[k] = out
+        return out
+
     def memoize(method):
-        name = (method.__name__,)
+        name = method.__name__
+        code = method.__code__
+        arity = code.co_argcount - 1
+        if code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS) or code.co_kwonlyargcount \
+                or not 0 <= arity <= 2 or (on_parts and arity != 2):
+            raise TypeError("per_object_memo cannot key %s%s" % (
+                name, "(self, node, x)" if on_parts else "(self[, a[, b]])"))
+        if arity == 0:
+            k0 = (name,)
 
-        @wraps(method)
-        def once(self, *args):
-            memo = self.memo
-            k = name + (args if key is None else key(*args))  # faster than (name, *args)
-            out = memo.get(k, _MISS)
-            if out is _MISS:
-                out = method(self, *args)
-                if len(memo) >= MEMO_CACHE_SIZE:
-                    del memo[next(iter(memo))]
-                memo[k] = out
-            return out
-
-        return once
+            def once(self):
+                out = self.memo.get(k0, _MISS)
+                return keep(self.memo, k0, method(self)) if out is _MISS else out
+        elif arity == 1:
+            def once(self, a):
+                k = (name, a)
+                out = self.memo.get(k, _MISS)
+                return keep(self.memo, k, method(self, a)) if out is _MISS else out
+        elif on_parts:
+            def once(self, node, b):
+                k = (name, node.parts, b)
+                out = self.memo.get(k, _MISS)
+                return keep(self.memo, k, method(self, node, b)) if out is _MISS else out
+        else:
+            def once(self, a, b):
+                k = (name, a, b)
+                out = self.memo.get(k, _MISS)
+                return keep(self.memo, k, method(self, a, b)) if out is _MISS else out
+        return wraps(method)(once)
 
     return memoize
-
-
-def _on_parts(node, x):
-    return node.parts, x
 
 
 class _View:
@@ -486,9 +516,10 @@ class _View:
     @per_object_memo()
     def walk(self, steps, i):
         """The node that ``steps[i:]`` leads to, and the index of the first
-        step it could not take, from ``_walk``.  The graft, hat and tilde
-        walks catch ``GapAddress`` and ``InvalidAddress`` from their inner
-        views, which raise again on every call.  Callers share the ``Node``."""
+        step it could not take, from ``_walk``, kept at this view only: the
+        graft, hat and tilde ``_walk``s call their inner views' ``_walk``,
+        and catch ``GapAddress`` and ``InvalidAddress`` from them, which raise
+        again on every call.  Callers share the ``Node``."""
         return self._walk(steps, i)
 
     @per_object_memo()
@@ -502,7 +533,7 @@ class _View:
             raise InvalidAddress("address step %d cannot be taken from %r" % (i, node))
         return node
 
-    @per_object_memo(_on_parts)
+    @per_object_memo(on_parts=True)
     def _kids(self, node, count):
         return tuple(self._children(node, count))
 
@@ -511,7 +542,7 @@ class _View:
         ``_children`` once per view, parts and count, as a new list."""
         return list(self._kids(node, count))
 
-    @per_object_memo(_on_parts)
+    @per_object_memo(on_parts=True)
     def ancestor_at(self, node, h):
         """The ancestor of ``node`` at height ``h`` (at most ``node.ht``),
         from ``_ancestor_at``.  Callers share the returned ``Node``."""
@@ -768,7 +799,7 @@ class _GraftView(_View):
 
     def _walk(self, steps, i):
         try:
-            bnode, i = self.base.walk(steps, i)
+            bnode, i = self.base._walk(steps, i)
         except GapAddress as g:
             raise GapAddress(
                 str(g), node=g.node, consumed=g.details.get("consumed"),
@@ -785,7 +816,7 @@ class _GraftView(_View):
             if s.idx < 0:
                 raise InvalidAddress("negative copy index")
             try:
-                cnode, j = child.walk(steps, i + 1)
+                cnode, j = child._walk(steps, i + 1)
             except GapAddress as g:
                 raise GapAddress(
                     "unbounded branch inside a grafted copy",
@@ -892,7 +923,7 @@ class _HatView(_View):
         return self.inner.bounded_supless()
 
     def _image(self, n):
-        ht = hat_shift(n.ht)
+        ht = hat_shift(n.ht) if n.ht.omega1 else n.ht  # the identity below w1
         return Node(self.desc, n.parts, ht, ht.cof(), n.ims, n.maximal, "plain", n)
 
     def _spoint(self, n):
@@ -905,7 +936,7 @@ class _HatView(_View):
 
     def _walk(self, steps, i):
         try:
-            n, i = self.inner.walk(steps, i)
+            n, i = self.inner._walk(steps, i)
         except GapAddress as g:
             return self._captop(g.node, g.details.get("payload")), g.details.get("consumed")
         except InvalidAddress:
@@ -915,7 +946,7 @@ class _HatView(_View):
             if not (len(steps) > i and isinstance(steps[-1], Below)):
                 raise
             prefix = tuple(steps[i:len(steps) - 1])
-            n2, j2 = self.walk(prefix, 0)
+            n2, j2 = self._walk(prefix, 0)
             if j2 != len(prefix) or n2.tag != "plain" or \
                     n2.inner.cof is not Cofinality.OMEGA1:
                 raise
@@ -973,12 +1004,12 @@ class _TildeView(_View):
         return n.cof is not Cofinality.OMEGA1
 
     def _remap(self, n):
-        ht = tilde_shift(n.ht)
+        ht = tilde_shift(n.ht) if n.ht.omega1 else n.ht  # the identity below w1
         return Node(self.desc, n.parts, ht, ht.cof(), n.ims, n.maximal, "plain", n)
 
     def _walk(self, steps, i):
         try:
-            n, i = self.inner.walk(steps, i)
+            n, i = self.inner._walk(steps, i)
         except GapAddress as g:
             raise GapAddress(str(g), node=g.node,
                              consumed=g.details.get("consumed"),

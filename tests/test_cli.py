@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wedgetree import dsl, topology
+from wedgetree import constructions, dsl, topology
 from wedgetree.cli import main
 from wedgetree.errors import WedgeTreeError
 from wedgetree.ordinals import nat
@@ -247,20 +247,23 @@ _OUTSIDE_THE_DOMAIN = [
     "(full 2 w)", "(full 2 (+ w1 w))", "(full 3 w1)", "(tilde (full 2 (* 2 w1)))",
 ]
 
-# witness kind -> (construction, the forms after the tree)
-_TOPOLOGY_WITNESSES = {
+# witness kind -> (construction, the forms after the tree): the four topology
+# witnesses and the round trip
+_GATED_WITNESSES = {
     "countably-closed": (topology.countably_closed_witness, ["(addr)", "(explicit)"]),
     "club": (topology.club_accumulation, ["(addr)", "(explicit)"]),
     "fu-extract": (topology.fu_extract, ["(explicit)", "(addr)"]),
     "maximality": (topology.maximality_witness, ["(cone (addr))"]),
+    "roundtrip": (constructions.roundtrip_check, []),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_TOPOLOGY_WITNESSES))
+@pytest.mark.parametrize("kind", sorted(_GATED_WITNESSES))
 def test_topology_witnesses_refuse_trees_outside_the_domain(capsys, kind):
-    """Each construction raises the error ``validate`` raises, before it
-    answers or fails on its own, and the CLI exits 1 with that error."""
-    fn, forms = _TOPOLOGY_WITNESSES[kind]
+    """Each construction, the round trip included, raises the error
+    ``validate`` raises, before it answers or fails on its own, and the CLI
+    exits 1 with that error."""
+    fn, forms = _GATED_WITNESSES[kind]
     parse = {"(addr)": dsl.parse_address, "(explicit)": dsl.parse_set,
              "(cone (addr))": lambda x: [dsl.parse_open(x)]}
     args = [parse[f](dsl.read_sexpr(f)) for f in forms]

@@ -275,6 +275,26 @@ def test_shared_nodes_are_never_assigned():
     assert _attribute_writes(kept, names) == []
 
 
+def test_shared_cards_are_never_assigned():
+    """``Card.fin`` hands one card of each small count to every caller: only
+    a constructor sets a card's ``kind`` or ``n``."""
+    assert Card.fin(2) is Card.fin(2) and Card.fin(2) == Card("fin", 2)
+    names = set(Card.__slots__)
+    writes = _library_writes(names)
+    assert not writes, writes
+    flagged = ast.parse(
+        "def f(c):\n    c.n = 1\n    setattr(c, 'kind', 'w')\n    del c.n\n"
+        "class A:\n    def __init__(self, c):\n        c.kind = 'fin'\n"
+        "    def later(self):\n        self.n = 2\n"
+        "        object.__setattr__(self, 'kind', 0)\n")
+    assert _attribute_writes(flagged, names) == [2, 3, 4, 7, 9, 10]
+    kept = ast.parse(
+        "class A:\n    def __init__(self):\n        self.kind = 1\n"
+        "        object.__setattr__(self, 'n', 2)\n        self.other = 3\n"
+        "def g(c):\n    c.other = 1\n")
+    assert _attribute_writes(kept, names) == []
+
+
 def test_shared_profiles_are_never_assigned():
     """Each series memoizes its profiles, so one ``Profile`` reaches every
     caller that asks the same question: only a constructor sets its names."""

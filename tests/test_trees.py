@@ -821,6 +821,93 @@ def test_the_view_memo_keeps_its_named_bound(monkeypatch):
     view.cache_clear()
 
 
+def _inner_views(v):
+    """The views a graft, hat or tilde view asks, and theirs, all the way in."""
+    if isinstance(v, trees._GraftView):
+        kids = [v.base] + [child for child, _ in v.slots]
+    else:
+        kids = [v.inner] if hasattr(v, "inner") else []
+    return kids + [w for k in kids for w in _inner_views(k)]
+
+
+def test_walks_are_kept_only_at_the_view_asked():
+    """``resolve`` keeps its walk at the view it asks; the graft, hat and
+    tilde walks take their inner views' walks unkept.  A repeated ``resolve``
+    hands out the kept node, and every node equals one that a cold view
+    resolves."""
+    nested = [TildeOf(HatOf(d)) for d in walk_trees()]
+    grafts = [d for d in walk_trees() if isinstance(d, Graft)]
+    assert len(grafts) >= 4
+    for d in nested + grafts:
+        addrs = _panel(d) + (_panel(d.inner.inner) if d in nested else [])
+        cold = []
+        for a in addrs:
+            view.cache_clear()
+            cold.append(_shape(resolve(d, a)))
+        view.cache_clear()
+        nodes = [resolve(d, a) for a in addrs]
+        outer = view(d)
+        assert any(k[0] == "walk" for k in outer.memo), d
+        for inner in _inner_views(outer):
+            assert not [k for k in inner.memo if k[0] == "walk"], (d, inner.desc)
+        for a, n, want in zip(addrs, nodes, cold):
+            assert resolve(d, a) is n and _shape(n) == want, (d, a)
+    view.cache_clear()
+
+
+def test_per_object_memo_files_each_shape_under_its_key():
+    """Each method shape files its answer under its own key, a node-keyed
+    one under the node's parts; a signature no shape fits raises
+    ``TypeError`` when it is decorated, so no call is filed under a wrong
+    key."""
+    memo = trees.per_object_memo
+
+    class Asker:
+        def __init__(self):
+            self.memo = {}
+            self.calls = 0
+
+        def _answer(self):
+            self.calls += 1
+            return object()
+
+        @memo()
+        def none(self):
+            return self._answer()
+
+        @memo()
+        def one(self, a):
+            return self._answer()
+
+        @memo()
+        def two(self, a, b):
+            return self._answer()
+
+        @memo(on_parts=True)
+        def at(self, node, b):
+            return self._answer()
+
+    x = Asker()
+    n = resolve(BINARY_W1, [Child(1)])
+    same_parts = resolve(TildeOf(BINARY_W1), [Child(1)])
+    assert same_parts.parts == n.parts
+    first = [x.none(), x.one(3), x.two(3, 4), x.at(n, 5)]
+    assert list(x.memo) == [("none",), ("one", 3), ("two", 3, 4), ("at", n.parts, 5)]
+    again = [x.none(), x.one(3), x.two(3, 4), x.at(same_parts, 5)]
+    assert all(a is b for a, b in zip(first, again)) and x.calls == 4
+    assert Asker.two.__name__ == Asker.two.__wrapped__.__name__ == "two"
+
+    def star(self, *args): pass
+    def keyword_only(self, a, *, b): pass
+    def keywords(self, **kw): pass
+    def three(self, a, b, c): pass
+    def node_only(self, node): pass
+    for method, on_parts in ((star, False), (keyword_only, False), (keywords, False),
+                             (three, False), (three, True), (node_only, True)):
+        with pytest.raises(TypeError):
+            memo(on_parts=on_parts)(method)
+
+
 # -- hat / tilde views -------------------------------------------------------------
 
 def test_hat_inserts_point_below_uncountable_node():
