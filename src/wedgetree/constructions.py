@@ -75,11 +75,19 @@ def tilde(d):
 @lru_cache(maxsize=VIEW_CACHE_SIZE)
 def normalize(d):
     """Rewrite a description into an equivalent simpler one where the
-    wrappers act trivially or collapse.  A description and its normal form
-    are immutable, so the answers for the ``VIEW_CACHE_SIZE`` most recently
-    used descriptions are kept: ``classify_report`` and ``roundtrip_check``
-    on one tree ask for the normal form of d four times between them (R5,
-    ``iso_check`` and twice inside the normal form of tilde(hat(d)))."""
+    wrappers act trivially or collapse.  Whether a wrapper acts trivially
+    (its tree has no uncountable-cofinality sites, and for a hat no gaps) is
+    asked of the view of the wrapped description it was given, not of that
+    description's normal form: the two denote isomorphic trees, and
+    ``validate`` and the round trip have built the given one's view already,
+    so ``normalize`` builds no view of a description that is not a subterm
+    of its argument.  A description that is already in normal form is
+    returned itself, not an equal copy, so normal forms share their subterm
+    objects.  A description and its normal form are immutable, so the
+    answers for the ``VIEW_CACHE_SIZE`` most recently used descriptions are
+    kept: ``classify_report`` and ``roundtrip_check`` on one tree ask for
+    the normal form of d three times between them (R5, ``iso_check`` and
+    inside the normal form of tilde(hat(d)))."""
     if isinstance(d, Seg):
         return d
     if isinstance(d, Full):
@@ -95,23 +103,25 @@ def normalize(d):
                 and isinstance(children_[0][0], Seg)
                 and children_[0][1] == Card.fin(1)):
             return Seg(add(add(base.eta, ONE), children_[0][0].eta))
+        if base == d.base and children_ == d.children:
+            return d
         return Graft(base, children_)
     if isinstance(d, TildeOf):
         inner = normalize(d.inner)
         if isinstance(inner, HatOf):
-            return normalize(inner.inner)
-        if not unc_sites(inner):
+            return inner.inner  # in normal form already, as inner is
+        if not unc_sites(d.inner):
             return inner
         if isinstance(inner, Seg) and inner.eta.cof() is not Cofinality.OMEGA1:
             return Seg(tilde_shift(inner.eta))
-        return TildeOf(inner)
+        return d if inner == d.inner else TildeOf(inner)
     if isinstance(d, HatOf):
         inner = normalize(d.inner)
-        if not unc_sites(inner) and not view(inner).gaps():
+        if not unc_sites(d.inner) and not view(d.inner).gaps():
             return inner
         if isinstance(inner, Seg):
             return Seg(hat_shift(inner.eta))
-        return HatOf(inner)
+        return d if inner == d.inner else HatOf(inner)
     return d
 
 
@@ -136,16 +146,16 @@ _WALK_NODES = 6   # walk nodes the panel keeps, so a check stays a handful
 _WALK_KIDS = 2    # children asked of each node: two show a branching
 
 
-def _walk_nodes(d, root):
-    """The first ``_WALK_NODES`` nodes of a breadth-first walk from root.
-    It only takes immediate successors, which every view lists without
-    raising."""
+def _walk_nodes(v, root):
+    """The first ``_WALK_NODES`` nodes of a breadth-first walk from root in
+    the view v.  It only takes immediate successors, which every view lists
+    without raising."""
     out = []
     frontier = [root]
     while frontier:
         nxt = []
         for n in frontier:
-            for c in children(d, n, _WALK_KIDS):
+            for c in v.children(n, _WALK_KIDS):
                 out.append(c)
                 if len(out) == _WALK_NODES:
                     return out
@@ -169,8 +179,8 @@ def _spot_nodes(d):
         out.append(v.leftmost_top())
     except InvalidAddress:
         pass  # a tilde removed the top of the leftmost branch
-    out.extend(unc_sites(d))
-    out.extend(_walk_nodes(d, root))
+    out.extend(v.unc_sites())
+    out.extend(_walk_nodes(v, root))
     uniq = {}
     for n in out:
         uniq.setdefault(n.parts, n)

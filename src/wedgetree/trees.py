@@ -52,10 +52,13 @@ Resolved nodes and ancestors are shared between callers while they are kept
 (a dropped one is resolved again to an equal node), so no code outside
 ``Node.__init__`` sets a node's attributes, and none sets the ``kind`` or
 ``n`` of a ``Card``, whose counts 0 to 3 ``Card.fin`` shares; ``children``
-returns a new list on every call.  The tree order
-on parts, ``leq_parts``, and the meet of parts, ``meet_parts``, keep their
-answers for the ``ORDER_CACHE_SIZE`` most recently asked pairs each.  The
-height maps of hat and tilde (``hat_shift``, ``hat_unshift``,
+returns a new list on every call, while the graft, hat and tilde views read
+their inner views' children from the kept tuple.  Every node's ``cof`` is
+its height's cofinality: below w1 a hat or tilde node takes the height and
+cofinality of its inner node, and a grafted node the cofinality of its node
+in the child tree.  The tree order on parts, ``leq_parts``, and the meet of
+parts, ``meet_parts``, keep their answers for the ``ORDER_CACHE_SIZE`` most
+recently asked pairs each.  The height maps of hat and tilde (``hat_shift``, ``hat_unshift``,
 ``tilde_shift``, ``tilde_unshift``) are pure functions of one ordinal and
 keep their answers for the ``ordinals.ORDINAL_CACHE_SIZE`` most recently
 used heights, as the ordinal arithmetic does; a height that raises is not kept.  ``structure_ok``
@@ -87,9 +90,12 @@ _EXPAND_CAP = 10000  # letters a finite multi-letter word spells out; longer is 
 # kept them long enough to push them into the older GC generations: against
 # this bound its peak RSS rose by 0.7-1.0 MB and its p99 latency from 5.4 to
 # 7.2-7.7 ms.
-# One corpus request touches at most 27 views (p99 23, over 2,000 trees) and
-# one round of the witness cases 25, so 32 holds a request's views.  The
-# series memo has its own bound, ``series.SERIES_CACHE_SIZE``.
+# One corpus request touches at most 23 views (p99 18, over the first 2,000
+# trees of the benchmark's corpus for seed 11; 21 and 18 for seed 5), since
+# ``constructions.normalize`` asks the views of the descriptions it is given
+# and builds none of its normal forms', and one round of the witness cases
+# 25, so 32 holds a request's views.  The series memo has its own bound,
+# ``series.SERIES_CACHE_SIZE``.
 VIEW_CACHE_SIZE = 32
 
 # Answers kept in the one ``memo`` dict of each view and each series
@@ -643,6 +649,7 @@ class _FullView(_View):
         super().__init__(desc)
         self.k = desc.k
         self.top = pred(desc.h)
+        self.branching = card_of_branching(desc.k)
 
     def height(self):
         return self.desc.h
@@ -651,21 +658,17 @@ class _FullView(_View):
     def maximal_heights(self):
         return frozenset((self.top,))
 
-    def _branching(self):
-        return card_of_branching(self.k)
-
     def _letter_ok(self, letter):
         if letter < 0:
             return False
         return self.k == OMEGA_BRANCH or letter < self.k
 
-    def _node(self, runs):
-        ht = ZERO
-        for _, count in runs:
-            ht = add(ht, count)
+    def _node(self, runs, ht):
+        """The node at ``runs``, whose counts sum to ``ht``: every caller has
+        that sum already."""
         maximal = ht == self.top
         return Node(self.desc, (("runs", tuple(runs)),) if runs else (),
-                    ht, ht.cof(), Card.fin(0) if maximal else self._branching(), maximal)
+                    ht, ht.cof(), Card.fin(0) if maximal else self.branching, maximal)
 
     def _append(self, runs, ht, letter, count):
         if count.is_zero:
@@ -705,7 +708,7 @@ class _FullView(_View):
             else:
                 break
             i += 1
-        return self._node(runs), i
+        return self._node(runs, ht), i
 
     def _ancestor_at(self, node, h):
         runs = node.parts[0][1] if node.parts else ()
@@ -721,13 +724,15 @@ class _FullView(_View):
                 part = left_sub(acc, h)
                 if not part.is_zero:
                     out.append((letter, part))
+                acc = h
                 break
-        return self._node(out)
+        return self._node(out, acc)
 
     def _children(self, node, count):
         if node.maximal:
             return []
         runs = list(node.parts[0][1]) if node.parts else []
+        ht = add(node.ht, ONE)
         out = []
         n = count if self.k == OMEGA_BRANCH else min(count, self.k)
         for letter in range(n):
@@ -736,19 +741,19 @@ class _FullView(_View):
                 ext[-1] = (letter, add(ext[-1][1], ONE))
             else:
                 ext.append((letter, ONE))
-            out.append(self._node(ext))
+            out.append(self._node(ext, ht))
         return out
 
     @per_object_memo()
     def leftmost_top(self):
         if self.top.is_zero:
-            return self._node(())
-        return self._node([(0, self.top)])
+            return self._node((), ZERO)
+        return self._node([(0, self.top)], self.top)
 
     @per_object_memo()
     def sites_at_height(self, h):
         if h <= self.top:
-            return (self._node([(0, h)] if not h.is_zero else []),)
+            return (self._node([(0, h)] if not h.is_zero else [], h),)
         return ()
 
 
@@ -794,7 +799,9 @@ class _GraftView(_View):
         start = add(bnode.ht, ONE)
         ht = add(start, cnode.ht)
         parts = bnode.parts + (("copy", slot, idx),) + cnode.parts
-        return Node(self.desc, parts, ht, ht.cof(), cnode.ims, cnode.maximal,
+        # cof(a + b) = cof(b) for b > 0, and a child root (b = 0) sits at a
+        # successor height, as it does in its own tree
+        return Node(self.desc, parts, ht, cnode.cof, cnode.ims, cnode.maximal,
                     "plain", ("child", bnode, slot, idx, cnode))
 
     def _walk(self, steps, i):
@@ -859,7 +866,7 @@ class _GraftView(_View):
             _, bnode, slot, idx, cnode = node.inner
             child, _ = self.slots[slot]
             return [self._wrap_child(bnode, slot, idx, c)
-                    for c in child.children(cnode, count)]
+                    for c in child._kids(cnode, count)]
         bnode = node.inner[1]
         if bnode.maximal and self.slots:
             out = []
@@ -871,7 +878,7 @@ class _GraftView(_View):
                     if len(out) >= count:
                         return out
             return out
-        return [self._wrap_base(c) for c in self.base.children(bnode, count)]
+        return [self._wrap_base(c) for c in self.base._kids(bnode, count)]
 
     @per_object_memo()
     def leftmost_top(self):
@@ -923,7 +930,9 @@ class _HatView(_View):
         return self.inner.bounded_supless()
 
     def _image(self, n):
-        ht = hat_shift(n.ht) if n.ht.omega1 else n.ht  # the identity below w1
+        if not n.ht.omega1:  # the identity below w1
+            return Node(self.desc, n.parts, n.ht, n.cof, n.ims, n.maximal, "plain", n)
+        ht = hat_shift(n.ht)
         return Node(self.desc, n.parts, ht, ht.cof(), n.ims, n.maximal, "plain", n)
 
     def _spoint(self, n):
@@ -977,7 +986,7 @@ class _HatView(_View):
             return [self._image(node.inner)]
         if node.tag == "captop":
             return []
-        return [self._image(c) for c in self.inner.children(node.inner, count)]
+        return [self._image(c) for c in self.inner._kids(node.inner, count)]
 
     @per_object_memo()
     def leftmost_top(self):
@@ -1004,7 +1013,9 @@ class _TildeView(_View):
         return n.cof is not Cofinality.OMEGA1
 
     def _remap(self, n):
-        ht = tilde_shift(n.ht) if n.ht.omega1 else n.ht  # the identity below w1
+        if not n.ht.omega1:  # the identity below w1
+            return Node(self.desc, n.parts, n.ht, n.cof, n.ims, n.maximal, "plain", n)
+        ht = tilde_shift(n.ht)
         return Node(self.desc, n.parts, ht, ht.cof(), n.ims, n.maximal, "plain", n)
 
     def _walk(self, steps, i):
@@ -1046,7 +1057,7 @@ class _TildeView(_View):
         return self._remap(self.inner.branch_node(payload[1], tilde_unshift(h)))
 
     def _children(self, node, count):
-        return [self._remap(c) for c in self.inner.children(node.inner, count)]
+        return [self._remap(c) for c in self.inner._kids(node.inner, count)]
 
     @per_object_memo()
     def leftmost_top(self):

@@ -14,7 +14,7 @@ from wedgetree.dsl import print_desc, print_seq
 from wedgetree.errors import WedgeTreeError
 from wedgetree.ordinals import (
     OMEGA, OMEGA1, ONE, ZERO, Cofinality, Ordinal, add, cmp, nat, omega_power,
-    times_nat,
+    pred, times_nat,
 )
 from wedgetree.series import fit_template
 from wedgetree.topology import (
@@ -23,8 +23,8 @@ from wedgetree.topology import (
 )
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
-    TildeOf, Up, Word, ancestor_at, children, cofinal_I_nodes, resolve,
-    structure_ok, validate,
+    TildeOf, Up, Word, ancestor_at, children, cofinal_I_nodes, hat_shift,
+    resolve, structure_ok, tilde_shift, unc_sites, validate, view,
 )
 
 W = OMEGA
@@ -353,6 +353,47 @@ def reference_roundtrip(d):
         _spot_iso(d, _panel(th).values()) and _spot_iso(th, panel.values())
     hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), panel)
     return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
+
+
+def reference_normalize(d):
+    """``constructions.normalize`` as it was before it asked the views of
+    the descriptions it was given, a reference for the library's: each
+    wrapper asks the sites and gaps of the normal form it has just built,
+    and a description already in normal form comes back as an equal copy.
+    It keeps no answers."""
+    if isinstance(d, Seg):
+        return d
+    if isinstance(d, Full):
+        if d.k == 1:
+            return Seg(pred(d.h))
+        return d
+    if isinstance(d, Graft):
+        base = reference_normalize(d.base)
+        children_ = tuple((reference_normalize(c), m) for c, m in d.children)
+        if not children_:
+            return base
+        if (len(children_) == 1 and isinstance(base, Seg)
+                and isinstance(children_[0][0], Seg)
+                and children_[0][1] == Card.fin(1)):
+            return Seg(add(add(base.eta, ONE), children_[0][0].eta))
+        return Graft(base, children_)
+    if isinstance(d, TildeOf):
+        inner = reference_normalize(d.inner)
+        if isinstance(inner, HatOf):
+            return reference_normalize(inner.inner)
+        if not unc_sites(inner):
+            return inner
+        if isinstance(inner, Seg) and inner.eta.cof() is not Cofinality.OMEGA1:
+            return Seg(tilde_shift(inner.eta))
+        return TildeOf(inner)
+    if isinstance(d, HatOf):
+        inner = reference_normalize(d.inner)
+        if not unc_sites(inner) and not view(inner).gaps():
+            return inner
+        if isinstance(inner, Seg):
+            return Seg(hat_shift(inner.eta))
+        return HatOf(inner)
+    return d
 
 
 def output_digest(seed=21, count=300):

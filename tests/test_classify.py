@@ -17,14 +17,14 @@ from wedgetree.classify import (
     check_t0, classify_report, gdelta_analysis, gdelta_class,
     has_omega1_chain, r_flags,
 )
-from wedgetree.constructions import hat
+from wedgetree.constructions import hat, normalize, tilde
 from wedgetree.corpus import random_description, sample_nodes
 from wedgetree.dsl import parse_address, parse_desc, parse_set, read_sexpr
 from wedgetree.records import replace
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
-    separating_family_cases, seg, up, walk_trees, word,
+    separating_family_cases, seg, up, valid_draws, walk_trees, word,
 )
 
 
@@ -560,3 +560,16 @@ def test_hat_reports_r1_on_corpus():
         rep = classify_report(h)
         assert rep.verdict("R1Tree") is V3.YES
         seen += 1
+
+
+def test_verdicts_are_invariant_under_normalize_and_tilde_of_hat():
+    # the metamorphic law: d, its normal form and tilde(hat(d)) denote
+    # isomorphic trees, so every property gets the same verdict on all three
+    for d in walk_trees() + valid_draws(11, 800):
+        want = _verdicts(d)
+        assert _verdicts(normalize(d)) == want, d
+        assert _verdicts(tilde(hat(d)[0])) == want, d
+
+
+def _verdicts(d):
+    return {p: rep.verdict for p, rep in classify_report(d).props.items()}

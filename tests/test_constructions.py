@@ -24,7 +24,8 @@ from wedgetree.corpus import random_description
 
 from helpers import (
     BINARY_W, BINARY_W1, REMARK_TREE, W, W1, full, graft, o, outcome,
-    reference_roundtrip, seg, up, valid_draws, walk_trees, word,
+    reference_normalize, reference_roundtrip, seg, up, valid_draws,
+    walk_trees, word,
 )
 
 
@@ -443,3 +444,44 @@ def test_normalize_rules():
     assert normalize(TildeOf(HatOf(REMARK_TREE))) == REMARK_TREE
     assert normalize(TildeOf(seg(o(W1, 1)))) == seg(W1)
     assert normalize(HatOf(seg(o(W1, W)))) == seg(o(W1, W))
+
+
+def _subterms(d):
+    out = {d}
+    if isinstance(d, Graft):
+        out |= _subterms(d.base)
+        for c, _ in d.children:
+            out |= _subterms(c)
+    elif isinstance(d, (HatOf, TildeOf)):
+        out |= _subterms(d.inner)
+    return out
+
+
+def test_normalize_agrees_with_the_reference(monkeypatch):
+    # normalize asks the views of the descriptions it was given, not those of
+    # the normal forms it builds, and returns a normal argument itself; the
+    # reference asks the normal forms and copies.  Every memo is dropped
+    # before each input, so each answer is computed, and the views built
+    # meanwhile are exactly the ones normalize asked for
+    rng = random.Random(17)
+    drawn = [random_description(rng) for _ in range(2000)]  # valid or not
+    wraps = (HatOf, TildeOf, lambda x: TildeOf(HatOf(x)))
+    built = []
+    init = trees._View.__init__
+
+    def counted(self, desc):
+        built.append(desc)
+        init(self, desc)
+
+    monkeypatch.setattr(trees._View, "__init__", counted)
+    for d in walk_trees() + drawn + [f(x) for x in drawn for f in wraps]:
+        _clear_memos()
+        built.clear()
+        got = outcome(normalize, d)
+        assert set(built) <= _subterms(d), d
+        want = outcome(reference_normalize, d)
+        assert got[0] is want[0], d
+        if got[0] == "ok":
+            assert got[1] == want[1], d
+            assert got[1] is d or got[1] != d, d
+    _clear_memos()

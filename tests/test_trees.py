@@ -24,7 +24,7 @@ from wedgetree.topology import ConeSet
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, fact_trees, full,
-    graft, o, outcome, seg, up, walk_trees, word,
+    graft, o, outcome, seg, up, valid_draws, walk_trees, word,
 )
 
 
@@ -424,8 +424,8 @@ def _ref_unc_sites(v):
     if isinstance(v, trees._SegView):
         return [v._node(Ordinal(j, ())) for j in range(1, v.eta.omega1 + 1)]
     if isinstance(v, trees._FullView):
-        return [v._node([(0, Ordinal(j, ()))]) for j in range(1, v.top.omega1 + 1)
-                if cmp(Ordinal(j, ()), v.top) <= 0]
+        return [v._node([(0, Ordinal(j, ()))], Ordinal(j, ()))
+                for j in range(1, v.top.omega1 + 1) if cmp(Ordinal(j, ()), v.top) <= 0]
     if isinstance(v, trees._GraftView):
         out = [v._wrap_base(s) for s in _ref_unc_sites(v.base)]
         bnode = v.base.leftmost_top()
@@ -906,6 +906,52 @@ def test_per_object_memo_files_each_shape_under_its_key():
                              (three, False), (three, True), (node_only, True)):
         with pytest.raises(TypeError):
             memo(on_parts=on_parts)(method)
+
+
+# -- what a wrapper node takes from its inner node ---------------------------------
+
+_COF_HEIGHTS = _ANCESTOR_HEIGHTS + (o(W1, W), times_nat(W1, 2), o(times_nat(W1, 2), 1))
+
+
+def _down_inner(x):
+    """``x`` and every node down its ``inner`` chain."""
+    if isinstance(x, Node):
+        yield x
+        yield from _down_inner(x.inner)
+    elif isinstance(x, tuple):
+        for y in x:
+            yield from _down_inner(y)
+
+
+def _nodes_around(d):
+    """Nodes of d from its spot panel and sites, the walk to each panel
+    node's address, and each panel node's children and ancestors."""
+    panel = _spot_nodes(d)
+    out = panel + list(unc_sites(d))
+    for n in panel:
+        out.append(resolve(d, n.address()))
+        out.extend(children(d, n, 3))
+        out.extend(ancestor_at(d, n, h) for h in _COF_HEIGHTS if cmp(h, n.ht) <= 0)
+    return out
+
+
+def test_every_node_has_the_cofinality_of_its_height():
+    # below w1 a hat or tilde node takes the height and cofinality of its
+    # inner node, a grafted node the cofinality of its node in the child
+    # tree, and a full-tree node the height its caller summed, which is the
+    # sum of its runs
+    base = walk_trees() + valid_draws(23, 300)
+    seen = 0
+    for d in base + [f(x) for x in base
+                     for f in (lambda x: TildeOf(HatOf(x)), lambda x: HatOf(TildeOf(x)))]:
+        for n in _nodes_around(d):
+            for m in _down_inner(n):
+                assert m.cof is m.ht.cof(), (d, m)
+                if isinstance(m.desc, Full):
+                    runs = m.parts[0][1] if m.parts else ()
+                    assert m.ht == functools.reduce(add, (c for _, c in runs), ZERO), (d, m)
+                seen += 1
+    assert seen > 200000
 
 
 # -- hat / tilde views -------------------------------------------------------------
