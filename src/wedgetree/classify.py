@@ -15,6 +15,7 @@ or running ``classify_report`` loads neither ``topology`` nor ``series``.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 import wedgetree
 
@@ -22,8 +23,8 @@ from .errors import HeightTooLarge, PreconditionFailed
 from .ordinals import OMEGA1, ONE, ZERO, Cofinality, Ordinal, add
 from .records import record
 from .trees import (
-    Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up, Word,
-    ancestor_at, as_node, child_toward, height, leq_parts, meet,
+    ORDER_CACHE_SIZE, Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up,
+    Word, ancestor_at, as_node, child_toward, height, leq_parts, meet,
     resolve, validate, view,
 )
 from .constructions import normalize, r_flags
@@ -95,15 +96,19 @@ class RuleConflict(AssertionError):
 
 
 class _Engine:
+    """The verdicts fired so far, ``None`` for a property still UNKNOWN:
+    ``finish`` builds an UNKNOWN property's ``PropVerdict``, with the rules
+    tried, once."""
+
     def __init__(self, desc):
         self.desc = desc
-        self.props = {p: PropVerdict() for p in PROPERTIES}
+        self.props = dict.fromkeys(PROPERTIES)
         self.notes = []
         self.tried = []
 
     def fire(self, prop, verdict, rule, citation, witness=None):
         cur = self.props[prop]
-        if cur.verdict is not V3.UNKNOWN:
+        if cur is not None:
             if cur.verdict is not verdict:
                 raise RuleConflict(
                     "%s fired %s on %s but %s already said %s"
@@ -112,28 +117,43 @@ class _Engine:
         self.props[prop] = PropVerdict(verdict, rule, citation, witness)
 
     def close(self):
-        changed = True
-        while changed:
-            changed = False
-            for a, b, rule, cite in IMPLICATIONS:
-                if self.props[a].verdict is V3.YES and \
-                        self.props[b].verdict is V3.UNKNOWN:
-                    self.props[b] = PropVerdict(V3.YES, rule, cite)
-                    changed = True
-                if self.props[b].verdict is V3.NO and \
-                        self.props[a].verdict is V3.UNKNOWN:
-                    self.props[a] = PropVerdict(
-                        V3.NO, rule + "*", cite + " (contrapositive)")
-                    changed = True
-                if self.props[a].verdict is V3.YES and \
-                        self.props[b].verdict is V3.NO:
-                    raise RuleConflict("closure violated between %s and %s" % (a, b))
+        for prop, verdict, rule, cite in _closure(tuple(
+                V3.UNKNOWN if v is None else v.verdict for v in self.props.values())):
+            self.props[prop] = PropVerdict(verdict, rule, cite)
 
     def finish(self):
         for p, v in self.props.items():
-            if v.verdict is V3.UNKNOWN:
+            if v is None:
                 self.props[p] = PropVerdict(tried=tuple(self.tried))
         return ClassificationReport(self.desc, self.props, tuple(self.notes))
+
+
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _closure(verdicts):
+    """What the closure pass derives from the verdicts of ``PROPERTIES``, in
+    order, before it: ``(property, verdict, rule, citation)`` for each
+    derivation, in the order the pass makes them.  The pass applies
+    ``IMPLICATIONS`` in order until nothing changes, and a Yes above a No
+    raises ``RuleConflict``.  The answer depends on the verdicts alone, so
+    it is kept for each of their at most 3**8 patterns; a pattern that
+    raises is not kept and raises again on every call."""
+    cur = dict(zip(PROPERTIES, verdicts))
+    out = []
+    changed = True
+    while changed:
+        changed = False
+        for a, b, rule, cite in IMPLICATIONS:
+            if cur[a] is V3.YES and cur[b] is V3.UNKNOWN:
+                cur[b] = V3.YES
+                out.append((b, V3.YES, rule, cite))
+                changed = True
+            if cur[b] is V3.NO and cur[a] is V3.UNKNOWN:
+                cur[a] = V3.NO
+                out.append((a, V3.NO, rule + "*", cite + " (contrapositive)"))
+                changed = True
+            if cur[a] is V3.YES and cur[b] is V3.NO:
+                raise RuleConflict("closure violated between %s and %s" % (a, b))
+    return tuple(out)
 
 
 # -- structural analyses ---------------------------------------------------------
@@ -534,7 +554,8 @@ def classify_report(d):
 
     eng.close()
 
-    if eng.props["HereditarilyValdivia"].verdict is V3.YES:
+    hv = eng.props["HereditarilyValdivia"]
+    if hv is not None and hv.verdict is V3.YES:
         eng.notes.append(
             "hereditarily weakly Valdivia (Example 4.5: hereditarily Valdivia"
             " implies hereditarily weakly Valdivia)")

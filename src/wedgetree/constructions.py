@@ -129,9 +129,13 @@ def is_r1_tree(d):
     return r_flags(d)[1]
 
 
+@lru_cache(maxsize=VIEW_CACHE_SIZE)
 def r_flags(d):
     """(is r-tree, is r1-tree): every uncountable-cofinality node has
-    finitely many / at most one immediate successor."""
+    finitely many / at most one immediate successor.  The answer is kept
+    for the ``VIEW_CACHE_SIZE`` most recently used descriptions, as their
+    views are: ``classify_report`` and ``roundtrip_check`` on one tree ask
+    it three times between them."""
     sites = unc_sites(d)
     is_r = all(s.ims.is_finite for s in sites)
     is_r1 = all(s.ims.is_finite and s.ims.n <= 1 for s in sites)
@@ -188,7 +192,8 @@ def _spot_nodes(d):
 
 
 def _node_data_match(a, b):
-    return a.ht == b.ht and a.cof is b.cof and a.ims == b.ims \
+    # the cards of counts 0 to 3 are shared, so most match by identity
+    return a.ht == b.ht and a.cof is b.cof and (a.ims is b.ims or a.ims == b.ims) \
         and a.maximal == b.maximal
 
 

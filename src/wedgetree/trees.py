@@ -37,8 +37,9 @@ answers in one ``memo`` dict (``per_object_memo``, which fills each series'
 memo too) of at most ``MEMO_CACHE_SIZE`` answers, dropping the oldest first.
 Each "once" below holds while the answer is kept.  A view computes its
 nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``,
-``leftmost_top``) and its sites at each height once: later calls return the
-same ordinal, node, tuple or frozenset, which no caller can change.  It also
+``chain_complete``, ``leftmost_top``) and its sites at each height once:
+later calls return the same ordinal, node, tuple, frozenset or bool, which
+no caller can change.  It also
 lists the children of each ``(parts, count)`` once and finds the ancestor of
 each ``(parts, h)`` once.  A walk is kept only at the view it was asked of
 (``walk``: ``resolve``, ``node_at``, ``root`` and a hat's sites ask it): the
@@ -578,6 +579,7 @@ class _View:
     def bounded_supless(self):
         return False
 
+    @per_object_memo()
     def chain_complete(self):
         return not self.gaps() and not self.bounded_supless()
 
@@ -604,8 +606,8 @@ class _SegView(_View):
 
     def _node(self, pos):
         maximal = pos == self.eta
-        return Node(self.desc, (("up", pos),) if not pos.is_zero else (),
-                    pos, pos.cof(), Card.fin(0 if maximal else 1), maximal)
+        return Node(self.desc, (("up", pos),) if pos != ZERO else (),
+                    pos, pos.cof(), _SMALL_FIN[0 if maximal else 1], maximal)
 
     def _walk(self, steps, i):
         pos = ZERO
@@ -658,22 +660,17 @@ class _FullView(_View):
     def maximal_heights(self):
         return frozenset((self.top,))
 
-    def _letter_ok(self, letter):
-        if letter < 0:
-            return False
-        return self.k == OMEGA_BRANCH or letter < self.k
-
     def _node(self, runs, ht):
         """The node at ``runs``, whose counts sum to ``ht``: every caller has
         that sum already."""
         maximal = ht == self.top
         return Node(self.desc, (("runs", tuple(runs)),) if runs else (),
-                    ht, ht.cof(), Card.fin(0) if maximal else self.branching, maximal)
+                    ht, ht.cof(), _SMALL_FIN[0] if maximal else self.branching, maximal)
 
     def _append(self, runs, ht, letter, count):
-        if count.is_zero:
+        if count == ZERO:
             return ht
-        if not self._letter_ok(letter):
+        if letter < 0 or (self.k != OMEGA_BRANCH and letter >= self.k):
             raise InvalidAddress("branch letter %d out of range" % (letter,))
         nxt = add(ht, count)
         if nxt > self.top:
@@ -746,14 +743,14 @@ class _FullView(_View):
 
     @per_object_memo()
     def leftmost_top(self):
-        if self.top.is_zero:
+        if self.top == ZERO:
             return self._node((), ZERO)
         return self._node([(0, self.top)], self.top)
 
     @per_object_memo()
     def sites_at_height(self, h):
         if h <= self.top:
-            return (self._node([(0, h)] if not h.is_zero else [], h),)
+            return (self._node([(0, h)] if h != ZERO else [], h),)
         return ()
 
 
@@ -763,6 +760,10 @@ class _GraftView(_View):
         self.base = view(desc.base)
         self.slots = [(view(d), mult) for d, mult in desc.children]
         self.offset = self.base.height()  # children roots live at this level
+        total = _SMALL_FIN[0]
+        for _, mult in self.slots:
+            total = total.plus(mult)
+        self.top_ims = total  # of a maximal base node: every copy's root is its child
 
     @per_object_memo()
     def height(self):
@@ -782,16 +783,10 @@ class _GraftView(_View):
         return frozenset(add(self.offset, mh)
                          for child, _ in self.slots for mh in child.maximal_heights())
 
-    def _sum_mult(self):
-        total = Card.fin(0)
-        for _, mult in self.slots:
-            total = total.plus(mult)
-        return total
-
     def _wrap_base(self, bnode):
         if bnode.maximal and self.slots:
             return Node(self.desc, bnode.parts, bnode.ht, bnode.cof,
-                        self._sum_mult(), False, "plain", ("base", bnode))
+                        self.top_ims, False, "plain", ("base", bnode))
         return Node(self.desc, bnode.parts, bnode.ht, bnode.cof,
                     bnode.ims, bnode.maximal, "plain", ("base", bnode))
 
@@ -818,7 +813,7 @@ class _GraftView(_View):
             if not 0 <= s.slot < len(self.slots):
                 raise InvalidAddress("graft slot %d out of range" % (s.slot,))
             child, mult = self.slots[s.slot]
-            if mult.is_finite and s.idx >= mult.n:
+            if mult.kind == "fin" and s.idx >= mult.n:
                 raise InvalidAddress("copy index %d out of range" % (s.idx,))
             if s.idx < 0:
                 raise InvalidAddress("negative copy index")
@@ -872,7 +867,7 @@ class _GraftView(_View):
             out = []
             for slot, (child, mult) in enumerate(self.slots):
                 croot = child.root()
-                n = mult.n if mult.is_finite else count
+                n = mult.n if mult.kind == "fin" else count
                 for idx in range(n):
                     out.append(self._wrap_child(bnode, slot, idx, croot))
                     if len(out) >= count:
@@ -937,11 +932,11 @@ class _HatView(_View):
 
     def _spoint(self, n):
         return Node(self.desc, n.parts + (("below",),), n.ht, Cofinality.OMEGA1,
-                    Card.fin(1), False, "spoint", n)
+                    _SMALL_FIN[1], False, "spoint", n)
 
     def _captop(self, node, payload):
         return Node(self.desc, node.parts, node.ht, Cofinality.OMEGA1,
-                    Card.fin(0), True, "captop", (node, payload))
+                    _SMALL_FIN[0], True, "captop", (node, payload))
 
     def _walk(self, steps, i):
         try:
@@ -1009,9 +1004,6 @@ class _TildeView(_View):
         super().__init__(desc)
         self.inner = view(desc.inner)
 
-    def _survives(self, n):
-        return n.cof is not Cofinality.OMEGA1
-
     def _remap(self, n):
         if not n.ht.omega1:  # the identity below w1
             return Node(self.desc, n.parts, n.ht, n.cof, n.ims, n.maximal, "plain", n)
@@ -1025,7 +1017,7 @@ class _TildeView(_View):
             raise GapAddress(str(g), node=g.node,
                              consumed=g.details.get("consumed"),
                              payload=("inner", g.details.get("payload"))) from None
-        if not self._survives(n):
+        if n.cof is Cofinality.OMEGA1:  # at a removed level
             if n.maximal:
                 raise GapAddress("address names a removed branch supremum",
                                  node=n, consumed=i, payload=("here", n))
@@ -1062,7 +1054,7 @@ class _TildeView(_View):
     @per_object_memo()
     def leftmost_top(self):
         n = self.inner.leftmost_top()
-        if self._survives(n):
+        if n.cof is not Cofinality.OMEGA1:
             return self._remap(n)
         raise InvalidAddress("leftmost branch has no surviving top")
 

@@ -4,7 +4,10 @@ import hashlib
 import json
 import random
 
-from wedgetree.classify import build_separating_family, classify_report
+from wedgetree.classify import (
+    IMPLICATIONS, V3, PropVerdict, RuleConflict, build_separating_family,
+    classify_report,
+)
 from wedgetree.constructions import (
     RoundTrip, _hat_tilde_spot_iso, _panel, _spot_iso, _spot_nodes,
     disjoint_closures, iso_check, r_flags, roundtrip_check,
@@ -299,6 +302,16 @@ def fu_triples(seed=7, count=300):
     return out[:count]
 
 
+# trees that ``validate`` rejects, as the DSL writes them: three are not chain
+# complete below a tilde, one has a graft base of limit height, and four are
+# full trees of limit height, whose views cannot even be built
+OUTSIDE_THE_DOMAIN = [
+    "(tilde (seg w1))", "(tilde (graft (seg w1) (((seg w1) 2))))",
+    "(graft (seg 1) (((tilde (seg w1)) 2)))", "(graft (tilde (seg w1)) (((seg 1) 1)))",
+    "(full 2 w)", "(full 2 (+ w1 w))", "(full 3 w1)", "(tilde (full 2 (* 2 w1)))",
+]
+
+
 def valid_draws(seed, count):
     """The first ``count`` valid ``random_description(Random(seed))`` trees."""
     rng = random.Random(seed)
@@ -353,6 +366,27 @@ def reference_roundtrip(d):
         _spot_iso(d, _panel(th).values()) and _spot_iso(th, panel.values())
     hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), panel)
     return RoundTrip(tilde_hat_ok, hat_tilde_ok, r1)
+
+
+def reference_close(props):
+    """The closure pass of ``classify`` as a fixpoint over the verdicts
+    themselves, a reference for the library's table of derivations: it
+    applies ``IMPLICATIONS`` in order to ``props`` (property ->
+    ``PropVerdict``, an UNKNOWN one holding no rule) until nothing changes,
+    and raises ``RuleConflict`` on a Yes above a No."""
+    changed = True
+    while changed:
+        changed = False
+        for a, b, rule, cite in IMPLICATIONS:
+            if props[a].verdict is V3.YES and props[b].verdict is V3.UNKNOWN:
+                props[b] = PropVerdict(V3.YES, rule, cite)
+                changed = True
+            if props[b].verdict is V3.NO and props[a].verdict is V3.UNKNOWN:
+                props[a] = PropVerdict(V3.NO, rule + "*", cite + " (contrapositive)")
+                changed = True
+            if props[a].verdict is V3.YES and props[b].verdict is V3.NO:
+                raise RuleConflict("closure violated between %s and %s" % (a, b))
+    return props
 
 
 def reference_normalize(d):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -13,7 +14,8 @@ from wedgetree.trees import (
 )
 from wedgetree.topology import Branch, Explicit, UnionSpec, sample_members
 from wedgetree.classify import (
-    V3, build_separating_family, binary_obstruction, check_point_countable,
+    PROPERTIES, V3, PropVerdict, RuleConflict, _closure, _Engine,
+    build_separating_family, binary_obstruction, check_point_countable,
     check_t0, classify_report, gdelta_analysis, gdelta_class,
     has_omega1_chain, r_flags,
 )
@@ -24,7 +26,8 @@ from wedgetree.records import replace
 
 from helpers import (
     BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
-    separating_family_cases, seg, up, valid_draws, walk_trees, word,
+    reference_close, separating_family_cases, seg, up, valid_draws, walk_trees,
+    word,
 )
 
 
@@ -545,6 +548,64 @@ def _assert_closure(rep):
             assert v[b] is V3.YES, (a, b, v)
         if v[b] is V3.NO:
             assert v[a] is V3.NO, (a, b, v)
+
+
+class _Logged(dict):
+    """Props that log each verdict set after the first one of a property:
+    the derivations of the closure pass, in the order it makes them."""
+
+    def __init__(self, props):
+        super().__init__(props)
+        self.log = []
+
+    def __setitem__(self, prop, v):
+        self.log.append((prop, v.verdict, v.rule, v.citation))
+        super().__setitem__(prop, v)
+
+
+def _closed(pattern):
+    """(the engine's report props, the reference's) for one pre-closure
+    verdict per property, each fired by a dummy rule, or the class and
+    message of the ``RuleConflict`` each raises; and (the kept table's
+    derivations, the reference's, in the order made) when neither raises."""
+    eng = _Engine(None)
+    ref = {p: PropVerdict() for p in PROPERTIES}
+    for i, (p, v) in enumerate(zip(PROPERTIES, pattern)):
+        if v is not V3.UNKNOWN:
+            eng.fire(p, v, "D%d" % i, "dummy %d" % i)
+            ref[p] = PropVerdict(v, "D%d" % i, "dummy %d" % i)
+    ref = _Logged(ref)
+    out = []
+    for close in (lambda: eng.close() or eng.finish().props,
+                  lambda: reference_close(ref)):
+        try:
+            out.append(close())
+        except RuleConflict as e:
+            out.append((RuleConflict, str(e)))
+    if isinstance(out[1], dict):
+        out.append((_closure(pattern), tuple(ref.log)))
+    return out
+
+
+def test_closure_table_matches_the_fixpoint_on_every_pattern():
+    """Each of the 3**8 pre-closure patterns gets from the kept closure
+    table the verdict, rule and citation per property that the fixpoint
+    pass gives it, or the same ``RuleConflict``, and the table lists its
+    derivations in the order the pass makes them; twice, so a kept pattern
+    is read back too."""
+    patterns = list(itertools.product(list(V3), repeat=len(PROPERTIES)))
+    conflicts = derived = 0
+    for _ in range(2):
+        for pattern in patterns:
+            got, want, *order = _closed(pattern)
+            assert got == want, pattern
+            if isinstance(want, tuple):
+                conflicts += 1
+            else:
+                (table, made), = order
+                assert table == made, pattern
+                derived += len(made)
+    assert len(patterns) == 6561 and conflicts and derived
 
 
 def test_hat_reports_r1_on_corpus():

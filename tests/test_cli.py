@@ -9,6 +9,8 @@ from wedgetree.ordinals import nat
 from wedgetree.topology import Topology
 from wedgetree.trees import validate
 
+from helpers import OUTSIDE_THE_DOMAIN
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -238,15 +240,6 @@ def test_witness_argument_counts_are_parse_errors(capsys, kind, forms):
     assert kind in payload["message"]
 
 
-# trees that ``validate`` rejects: three are not chain complete below a tilde,
-# one has a graft base of limit height, and four are full trees of limit
-# height, whose views cannot even be built
-_OUTSIDE_THE_DOMAIN = [
-    "(tilde (seg w1))", "(tilde (graft (seg w1) (((seg w1) 2))))",
-    "(graft (seg 1) (((tilde (seg w1)) 2)))", "(graft (tilde (seg w1)) (((seg 1) 1)))",
-    "(full 2 w)", "(full 2 (+ w1 w))", "(full 3 w1)", "(tilde (full 2 (* 2 w1)))",
-]
-
 # witness kind -> (construction, the forms after the tree): the four topology
 # witnesses and the round trip
 _GATED_WITNESSES = {
@@ -267,7 +260,7 @@ def test_topology_witnesses_refuse_trees_outside_the_domain(capsys, kind):
     parse = {"(addr)": dsl.parse_address, "(explicit)": dsl.parse_set,
              "(cone (addr))": lambda x: [dsl.parse_open(x)]}
     args = [parse[f](dsl.read_sexpr(f)) for f in forms]
-    for tree in _OUTSIDE_THE_DOMAIN:
+    for tree in OUTSIDE_THE_DOMAIN:
         d = dsl.parse_desc(dsl.read_sexpr(tree))
         with pytest.raises(WedgeTreeError) as want:
             validate(d)

@@ -18,14 +18,15 @@ from wedgetree.topology import (
 )
 from wedgetree.constructions import (
     _spot_nodes, disjoint_closures, hat, is_r1_tree, iso_check, normalize,
-    roundtrip_check, tilde,
+    r_flags, roundtrip_check, tilde,
 )
 from wedgetree.corpus import random_description
+from wedgetree.dsl import parse_desc, read_sexpr
 
 from helpers import (
-    BINARY_W, BINARY_W1, REMARK_TREE, W, W1, full, graft, o, outcome,
-    reference_normalize, reference_roundtrip, seg, up, valid_draws,
-    walk_trees, word,
+    BINARY_W, BINARY_W1, OUTSIDE_THE_DOMAIN, REMARK_TREE, W, W1, full, graft,
+    o, outcome, reference_normalize, reference_roundtrip, seg, up,
+    valid_draws, walk_trees, word,
 )
 
 
@@ -423,6 +424,52 @@ def test_copy_family_missing_its_parent_is_not_closed():
     _, limit = ei.value.witness
     from wedgetree.trees import resolve
     assert resolve(d, limit).ht == o(1)         # the fan's parent
+
+
+# -- answers kept per description ------------------------------------------------
+
+def _answer(fn, d):
+    """``("ok", fn(d))``, or the class and message of any exception it
+    raises: the views of some trees outside the domain cannot be built."""
+    try:
+        return "ok", fn(d)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _kept_questions(d):
+    return [_answer(lambda x: trees.view(x).chain_complete(), d),
+            _answer(r_flags, d), _answer(validate, d)]
+
+
+def test_kept_answers_equal_fresh_ones(monkeypatch):
+    """A view's chain completeness and ``r_flags``, both kept per
+    description, equal the answers of a cold view after ``view`` and
+    ``r_flags`` are cleared; a repeated ``validate`` asks no view for
+    ``bounded_supless``; and a tree outside the domain raises the same error
+    on every call.  On valid trees, the trees ``validate`` rejects, and
+    tilde(hat(.)) and hat(tilde(.)) of each."""
+    asked = []
+    for cls in [c for c in vars(trees).values()
+                if isinstance(c, type) and "bounded_supless" in vars(c)]:
+        monkeypatch.setattr(cls, "bounded_supless",
+                            lambda self, _f=vars(cls)["bounded_supless"]:
+                            asked.append(self) or _f(self))
+    base = walk_trees() + valid_draws(11, 300) + [
+        parse_desc(read_sexpr(t)) for t in OUTSIDE_THE_DOMAIN]
+    outside = 0
+    for d in base + [w(x) for x in base for w in (
+            lambda x: TildeOf(HatOf(x)), lambda x: HatOf(TildeOf(x)))]:
+        first = _kept_questions(d)
+        assert _kept_questions(d) == first, d
+        before = len(asked)
+        assert _answer(validate, d) == first[2], d
+        assert len(asked) == before, d
+        trees.view.cache_clear()
+        r_flags.cache_clear()
+        assert _kept_questions(d) == first, d
+        outside += first[2][0] != "ok"
+    assert asked and outside >= 3 * len(OUTSIDE_THE_DOMAIN)
 
 
 # -- normalization ---------------------------------------------------------------
