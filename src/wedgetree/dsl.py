@@ -15,8 +15,7 @@ Sequences:     SEQ  := (seq (head ADDR ...) (tail ADDR)) | (seq (head ...) (cons
 Basic opens:   OPEN := (cone ADDR) | (wedge ADDR (ADDR ...)) | (cocone ADDR)
                      | (cdiff ADDR (ADDR ...))
 
-Printing returns canonical forms that re-parse to equal values; the form of
-each recently printed ordinal is kept (``print_ordinal``).  The set,
+Printing returns canonical forms that re-parse to equal values.  The set,
 sequence and open specs are classes of ``topology``, which each function that
 builds or reads them imports when called, so parsing a description or an
 address never loads ``topology``; the template slot ``Param`` is a class of
@@ -25,12 +24,9 @@ address never loads ``topology``; the template slot ``Param`` is a class of
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import ParseError
 from .ordinals import (
-    OMEGA, OMEGA1, ONE, ORDINAL_CACHE_SIZE, ZERO, Ordinal, add, nat, omega_power,
-    times_nat,
+    OMEGA, OMEGA1, ONE, ZERO, Ordinal, add, nat, omega_power, times_nat,
 )
 from .trees import (
     Below, Card, CARD_OMEGA, CARD_OMEGA1, Child, Copy, Full, Graft, HatOf,
@@ -158,12 +154,7 @@ def parse_ordinal(x, allow_param=False):
     raise ParseError("not an ordinal form: %r" % (x,))
 
 
-@lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def print_ordinal(o):
-    """The canonical form of an ordinal or a ``Param``, kept for the
-    ``ORDINAL_CACHE_SIZE`` most recently printed values, as the ordinal
-    arithmetic keeps its answers: the witness addresses of reports repeat
-    their heights."""
     if isinstance(o, Param):
         if o.base == ZERO and o.scale == ONE:
             return "n"
