@@ -1,6 +1,7 @@
 """S-expression surface syntax.
 
 Ordinals:      ORD  := NAT | w | w1 | (+ ORD ORD ...) | (* NAT ORD) | (^ w ORD)
+                      with a countable ORD under ^
 Descriptions:  DESC := (seg ORD) | (full K ORD) | (graft DESC ((DESC CARD) ...))
                      | (hat DESC) | (tilde DESC)         with K := NAT | w
 Addresses:     ADDR := (addr STEP ...)
@@ -147,7 +148,11 @@ def parse_ordinal(x, allow_param=False):
         base, e = _args(x, "(^ w ORD)", 2)
         if base != "w":
             raise ParseError("(^ w ORD) expected")
-        return omega_power(parse_ordinal(e))
+        exp = parse_ordinal(e)
+        if exp.omega1:
+            raise ParseError("(^ w ORD) takes a countable exponent, got %s"
+                             % (print_ordinal(exp),))
+        return omega_power(exp)
     if head == "lin" and allow_param:
         base, scale = _args(x, "(lin BASE SCALE)", 2)
         return Param(parse_ordinal(base), parse_ordinal(scale))

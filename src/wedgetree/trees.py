@@ -32,7 +32,10 @@ to a Node.
 Descriptions, address steps and ``Param`` are frozen, slotted
 ``records.record`` classes: ``record`` builds their ``__init__``, ``__eq__``
 and ``__hash__``, and each computes its hash on first use and keeps it.  ``view(desc)`` caches the view of the
-``VIEW_CACHE_SIZE`` most recently used descriptions, and each view keeps its
+``VIEW_CACHE_SIZE`` most recently used descriptions and takes the view of a
+``Seg`` or ``Full`` from ``leaf_view``, which keeps the
+``LEAF_VIEW_CACHE_SIZE`` most recently used leaves, so a leaf's view outlives
+its place in the ``view`` cache.  Each view keeps its
 answers in one ``memo`` dict (``per_object_memo``, which fills each series'
 memo too) of at most ``MEMO_CACHE_SIZE`` answers, dropping the oldest first.
 Each "once" below holds while the answer is kept.  A view computes its
@@ -48,7 +51,9 @@ graft, hat and tilde walks take their inner views' ``_walk`` unkept, so
 layer, and reaches into the inner views at that address only the first
 time.  It resolves each canonical parts tuple once (``node_at``), by walking
 the address ``parts_to_steps`` spells, so ``node_at`` and ``meet`` hand out
-the node that ``resolve`` gives that address.  Calls that raise are not kept.
+the node that ``resolve`` gives that address.  A Seg or Full view builds the
+node at each position once (``_node``), so its walks, children, sites, tops
+and ancestors share one node per position.  Calls that raise are not kept.
 Resolved nodes and ancestors are shared between callers while they are kept
 (a dropped one is resolved again to an equal node), so no code outside
 ``Node.__init__`` sets a node's attributes, and none sets the ``kind`` or
@@ -90,24 +95,42 @@ _EXPAND_CAP = 10000  # letters a finite multi-letter word spells out; longer is 
 # so an entry holds many nodes.  At 128 entries the benchmark's corpus workload
 # kept them long enough to push them into the older GC generations: against
 # this bound its peak RSS rose by 0.7-1.0 MB and its p99 latency from 5.4 to
-# 7.2-7.7 ms.
+# 7.2-7.7 ms.  Before leaf views had their own cache, 64 entries were still
+# 3.8% slower than 32 on corpus (seed 11, three 10 s runs each).
 # One corpus request touches at most 23 views (p99 18, over the first 2,000
 # trees of the benchmark's corpus for seed 11; 21 and 18 for seed 5), since
 # ``constructions.normalize`` asks the views of the descriptions it is given
 # and builds none of its normal forms', and one round of the witness cases
-# 25, so 32 holds a request's views.  The series memo has its own bound,
-# ``series.SERIES_CACHE_SIZE``.
+# 25, so 32 holds a request's views.  A corpus request misses this cache 9.5
+# times (6.7 composite views built and 2.8 leaf views taken from
+# ``leaf_view``; seed 11, 3,000 requests), so it turns over every 3.4
+# requests.  The series memo has its own bound, ``series.SERIES_CACHE_SIZE``.
 VIEW_CACHE_SIZE = 32
+
+# Seg and Full views kept by ``leaf_view``, which ``view`` asks for every
+# leaf; least recently used go first.  A leaf that drops out of the ``view``
+# cache comes back with its memo and the nodes it has built.  The
+# benchmark's corpus draws its leaves from 16 ordinals, 80 Seg and Full
+# leaves (85 kept after 3,000 seed-11 requests: five more are segments that
+# the constructions build).  With the ``view`` cache alone a request rebuilt
+# 2.8 leaf views and built 35.9 leaf nodes; at this bound it builds 0.01 and
+# 0.1 (seed 11).  A bound of ``VIEW_CACHE_SIZE`` (32) measured no gain.  At
+# most 128 * ``MEMO_CACHE_SIZE`` answers are kept, as many as the series
+# memos hold.
+LEAF_VIEW_CACHE_SIZE = 128
 
 # Answers kept in the one ``memo`` dict of each view and each series
 # (``per_object_memo``); the oldest go first.  An entry is a key of a few
-# parts and a node, tuple or ``Profile``, so the ``VIEW_CACHE_SIZE`` views
-# and the ``series.SERIES_CACHE_SIZE`` series kept hold at most 32,768 and
-# 131,072 small entries.  The benchmark's workloads (seed 901, their
-# warm-ups and 4,000 requests each) keep at most 276 answers in one view and
-# 22 in one series (witness) and 61 in one view (corpus), so neither drops
-# one.  Resolving 100,000 distinct addresses in one view keeps this many, not
-# 100,000: max RSS 18.8 MB instead of 106.8 MB (CPython 3.11).
+# parts and a node, tuple or ``Profile``, so the ``VIEW_CACHE_SIZE`` views,
+# the ``LEAF_VIEW_CACHE_SIZE`` leaf views and the ``series.SERIES_CACHE_SIZE``
+# series kept hold at most 32,768, 131,072 and 131,072 small entries.  The
+# benchmark's workloads (seed 901, their warm-ups and 4,000 requests each,
+# each in its own process) keep at most 410 answers in one leaf view, 47 in
+# one composite view and 22 in one series (witness), and 37 in one leaf view
+# and 36 in one composite view (corpus), the nodes a leaf view builds
+# included, so none drops one.  Resolving 100,000 distinct addresses in one
+# view keeps this many, not 100,000: max RSS 18.8 MB instead of 106.8 MB
+# (CPython 3.11).
 MEMO_CACHE_SIZE = 1024
 
 # Pairs kept by each of the ``leq_parts`` and ``meet_parts`` memos.  Keys are
@@ -604,7 +627,10 @@ class _SegView(_View):
     def maximal_heights(self):
         return frozenset((self.eta,))
 
+    @per_object_memo()
     def _node(self, pos):
+        """The node at height ``pos``, built once per view and kept in its
+        memo, so walks, children, sites and ancestors share it."""
         maximal = pos == self.eta
         return Node(self.desc, (("up", pos),) if pos != ZERO else (),
                     pos, pos.cof(), _SMALL_FIN[0 if maximal else 1], maximal)
@@ -660,11 +686,13 @@ class _FullView(_View):
     def maximal_heights(self):
         return frozenset((self.top,))
 
+    @per_object_memo()
     def _node(self, runs, ht):
-        """The node at ``runs``, whose counts sum to ``ht``: every caller has
-        that sum already."""
+        """The node at the tuple ``runs``, whose counts sum to ``ht``: every
+        caller has that sum already.  It is built once per view and kept in
+        its memo, so walks, children, sites and ancestors share it."""
         maximal = ht == self.top
-        return Node(self.desc, (("runs", tuple(runs)),) if runs else (),
+        return Node(self.desc, (("runs", runs),) if runs else (),
                     ht, ht.cof(), _SMALL_FIN[0] if maximal else self.branching, maximal)
 
     def _append(self, runs, ht, letter, count):
@@ -705,7 +733,7 @@ class _FullView(_View):
             else:
                 break
             i += 1
-        return self._node(runs, ht), i
+        return self._node(tuple(runs), ht), i
 
     def _ancestor_at(self, node, h):
         runs = node.parts[0][1] if node.parts else ()
@@ -723,21 +751,20 @@ class _FullView(_View):
                     out.append((letter, part))
                 acc = h
                 break
-        return self._node(out, acc)
+        return self._node(tuple(out), acc)
 
     def _children(self, node, count):
         if node.maximal:
             return []
-        runs = list(node.parts[0][1]) if node.parts else []
+        runs = node.parts[0][1] if node.parts else ()
         ht = add(node.ht, ONE)
         out = []
         n = count if self.k == OMEGA_BRANCH else min(count, self.k)
         for letter in range(n):
-            ext = list(runs)
-            if ext and ext[-1][0] == letter:
-                ext[-1] = (letter, add(ext[-1][1], ONE))
+            if runs and runs[-1][0] == letter:
+                ext = runs[:-1] + ((letter, add(runs[-1][1], ONE)),)
             else:
-                ext.append((letter, ONE))
+                ext = runs + ((letter, ONE),)
             out.append(self._node(ext, ht))
         return out
 
@@ -745,12 +772,12 @@ class _FullView(_View):
     def leftmost_top(self):
         if self.top == ZERO:
             return self._node((), ZERO)
-        return self._node([(0, self.top)], self.top)
+        return self._node(((0, self.top),), self.top)
 
     @per_object_memo()
     def sites_at_height(self, h):
         if h <= self.top:
-            return (self._node([(0, h)] if h != ZERO else [], h),)
+            return (self._node(((0, h),) if h != ZERO else (), h),)
         return ()
 
 
@@ -1071,12 +1098,19 @@ class GapSite:
     ht: Ordinal
 
 
+@lru_cache(maxsize=LEAF_VIEW_CACHE_SIZE)
+def leaf_view(desc):
+    """The view of a ``Seg`` or ``Full``, kept for the
+    ``LEAF_VIEW_CACHE_SIZE`` most recently used leaves: ``view`` takes a
+    leaf's view from here, so a leaf that drops out of the ``view`` cache
+    comes back with its memo."""
+    return _SegView(desc) if isinstance(desc, Seg) else _FullView(desc)
+
+
 @lru_cache(maxsize=VIEW_CACHE_SIZE)
 def view(desc):
-    if isinstance(desc, Seg):
-        return _SegView(desc)
-    if isinstance(desc, Full):
-        return _FullView(desc)
+    if isinstance(desc, (Seg, Full)):
+        return leaf_view(desc)
     if isinstance(desc, Graft):
         return _GraftView(desc)
     if isinstance(desc, HatOf):

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
 
-from wedgetree import constructions, dsl, topology
+from wedgetree import classify, constructions, dsl, topology
 from wedgetree.cli import main
 from wedgetree.errors import WedgeTreeError
 from wedgetree.ordinals import nat
@@ -240,14 +243,16 @@ def test_witness_argument_counts_are_parse_errors(capsys, kind, forms):
     assert kind in payload["message"]
 
 
-# witness kind -> (construction, the forms after the tree): the four topology
-# witnesses and the round trip
+# witness kind -> (construction, the forms after the tree): every witness kind
 _GATED_WITNESSES = {
     "countably-closed": (topology.countably_closed_witness, ["(addr)", "(explicit)"]),
     "club": (topology.club_accumulation, ["(addr)", "(explicit)"]),
     "fu-extract": (topology.fu_extract, ["(explicit)", "(addr)"]),
     "maximality": (topology.maximality_witness, ["(cone (addr))"]),
     "roundtrip": (constructions.roundtrip_check, []),
+    "disjoint-closures": (constructions.disjoint_closures,
+                          ["(cone-set (addr))", "(cone-set (addr))"]),
+    "separating-family": (classify.build_separating_family, ["(cone-set (addr))"]),
 }
 
 
@@ -258,6 +263,7 @@ def test_topology_witnesses_refuse_trees_outside_the_domain(capsys, kind):
     exits 1 with that error."""
     fn, forms = _GATED_WITNESSES[kind]
     parse = {"(addr)": dsl.parse_address, "(explicit)": dsl.parse_set,
+             "(cone-set (addr))": dsl.parse_set,
              "(cone (addr))": lambda x: [dsl.parse_open(x)]}
     args = [parse[f](dsl.read_sexpr(f)) for f in forms]
     for tree in OUTSIDE_THE_DOMAIN:
@@ -404,3 +410,146 @@ def test_witness_disjoint_closures_verified_follows_its_recheck(capsys, monkeypa
         code, out = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["verified"] is False
+
+
+@pytest.mark.parametrize("argv", [("classify",), ("resolve", "(addr)")],
+                         ids=lambda argv: argv[0])
+def test_classify_and_resolve_refuse_trees_outside_the_domain(capsys, argv):
+    """With the witness kinds above, every command that takes a tree exits
+    1 with the error ``validate`` raises on each tree outside the domain."""
+    for tree in OUTSIDE_THE_DOMAIN:
+        with pytest.raises(WedgeTreeError) as want:
+            validate(dsl.parse_desc(dsl.read_sexpr(tree)))
+        code, out = run(capsys, argv[0], tree, *argv[1:], "--json")
+        assert code == 1, tree
+        assert json.loads(out)["error"] == want.value.code, tree
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "(seg (^ w w1))"), ("classify", "(full 2 (+ (^ w w1) 1))"),
+    ("resolve", "(seg w1)", "(addr (up (^ w (+ w1 1))))"),
+], ids=lambda argv: argv[-1])
+def test_an_uncountable_exponent_is_a_parse_error(capsys, argv):
+    code, out = run(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "parse-error"
+
+
+# -- fuzzing the command line ---------------------------------------------------
+# Arguments come from a small grammar over the DSL heads, whose ordinals
+# include uncountable exponents, and from the forms of the acceptance case
+# tables, then take a few token-level edits.
+
+_HEADS = ("seg", "full", "graft", "hat", "tilde", "addr", "up", "child", "word",
+          "copy", "below", "explicit", "omega-family", "club", "branch",
+          "cone-set", "union", "seq", "head", "tail", "const", "cone", "wedge",
+          "cocone", "cdiff", "+", "*", "^", "lin", "n", "w", "w1", "0", "1",
+          "2", '"0"', '"01"', "(", ")")
+# each command that takes a tree -> the forms after the tree
+_COMMAND_FORMS = {
+    ("classify",): (), ("resolve",): ("ADDR",),
+    ("witness", "countably-closed"): ("ADDR", "SET"), ("witness", "club"): ("ADDR", "SET"),
+    ("witness", "fu-extract"): ("SET", "ADDR"), ("witness", "maximality"): ("OPEN", "OPEN"),
+    ("witness", "disjoint-closures"): ("SET", "SET"),
+    ("witness", "separating-family"): ("SET",), ("witness", "roundtrip"): (),
+}
+
+
+def _case_forms():
+    """The trees, addresses and sets of the acceptance case tables, printed."""
+    from helpers import (club_cases, disjoint_closure_cases, fu_cases,
+                         separating_family_cases)
+    trees, addrs, sets = [], [], []
+    for d, t, S in club_cases():
+        trees.append(d), addrs.append(t), sets.append(S)
+    for _, d, t, A in fu_cases():
+        trees.append(d), addrs.append(t), sets.append(A)
+    for d, S in separating_family_cases():
+        trees.append(d), sets.append(S)
+    for d, A, B, _ in disjoint_closure_cases():
+        trees.append(d), sets.extend((A, B))
+    return {"DESC": OUTSIDE_THE_DOMAIN + [dsl.print_desc(d) for d in trees],
+            "ADDR": [dsl.print_address(a) for a in addrs],
+            "SET": [dsl.print_set(S) for S in sets]}
+
+
+def _cli_argvs():
+    from hypothesis import strategies as st
+
+    ords = st.recursive(
+        st.sampled_from(["0", "1", "2", "5", "w", "w1"]),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map("(+ %s %s)".__mod__),
+            st.tuples(st.sampled_from(["2", "3"]), inner).map("(* %s %s)".__mod__),
+            inner.map("(^ w %s)".__mod__)),
+        max_leaves=4)
+    cards = st.sampled_from(["1", "2", "w", "w1"])
+    descs = st.recursive(
+        st.one_of(ords.map("(seg %s)".__mod__),
+                  st.tuples(st.sampled_from(["1", "2", "w"]), ords)
+                  .map("(full %s %s)".__mod__)),
+        lambda inner: st.one_of(
+            inner.map("(hat %s)".__mod__), inner.map("(tilde %s)".__mod__),
+            st.tuples(inner, inner, cards).map("(graft %s ((%s %s)))".__mod__)),
+        max_leaves=3)
+    steps = st.one_of(ords.map("(up %s)".__mod__),
+                      st.sampled_from(["0", "1"]).map("(child %s)".__mod__),
+                      st.tuples(st.sampled_from(['"0"', '"01"']), ords)
+                      .map("(word %s %s)".__mod__),
+                      st.just("(copy 0 1)"), st.just("(below)"))
+    addrs = st.lists(steps, max_size=3).map(lambda s: "(addr %s)" % " ".join(s))
+    sets = st.one_of(st.lists(addrs, max_size=2).map(lambda a: "(explicit %s)" % " ".join(a)),
+                     addrs.map("(branch %s)".__mod__), addrs.map("(cone-set %s)".__mod__),
+                     st.just('(omega-family (addr (word "0" n) (child 1)))'))
+    opens = st.one_of(addrs.map("(cone %s)".__mod__), addrs.map("(cocone %s)".__mod__),
+                      st.tuples(addrs, addrs).map("(wedge %s (%s))".__mod__))
+    cases = _case_forms()
+    grammar = {"DESC": descs, "ADDR": addrs, "SET": sets, "OPEN": opens}
+    edits = st.lists(st.tuples(st.sampled_from(["drop", "dup", "swap", "put"]),
+                               st.integers(0, 63), st.sampled_from(_HEADS)), max_size=3)
+
+    @st.composite
+    def form(draw, slot, edited):
+        text = draw(st.one_of(grammar[slot],
+                              st.sampled_from(cases.get(slot, ["(cone (addr))"]))))
+        tokens = re.findall(r'[()]|"[^"]*"|[^\s()]+', text)
+        for op, at, token in draw(edits) if edited else ():
+            i = at % len(tokens) if tokens else 0
+            if op == "drop" and tokens:
+                del tokens[i]
+            elif op == "dup" and tokens:
+                tokens.insert(i, tokens[i])
+            elif op == "swap" and i + 1 < len(tokens):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+            elif op == "put":
+                tokens.insert(i, token)
+        return " ".join(tokens)
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(_COMMAND_FORMS)))
+        slots = ("DESC",) + _COMMAND_FORMS[command]
+        edited = draw(st.integers(0, len(slots) - 1))  # one form takes the edits
+        forms = [draw(form(slot, i == edited)) for i, slot in enumerate(slots)]
+        return list(command) + forms + draw(st.sampled_from([[], ["--json"]]))
+
+    return argv()
+
+
+def test_the_cli_answers_every_argument_list_with_an_exit_code():
+    """``main`` returns 0, 1 or 2 and raises nothing on fuzzed arguments, and
+    it returns 0 only on a tree ``validate`` accepts."""
+    from hypothesis import given, settings
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_cli_argvs())
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            tree = argv[2] if argv[0] == "witness" else argv[1]
+            validate(dsl.parse_desc(dsl.read_sexpr(tree)))
+
+    check()

@@ -224,7 +224,7 @@ def test_roundtrip_check_agrees_with_the_three_panel_reference():
 
 
 def _clear_memos():
-    for memo in (trees.view, trees.structure_ok, normalize):
+    for memo in (trees.view, trees.leaf_view, trees.structure_ok, normalize):
         memo.cache_clear()
 
 

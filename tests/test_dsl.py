@@ -43,6 +43,20 @@ def test_parse_ordinal_errors():
         rt_ordinal("q")
 
 
+def test_an_uncountable_exponent_is_a_parse_error():
+    """An ``Ordinal`` takes countable exponents only, so ``(^ w ORD)`` with
+    an uncountable ORD is a ParseError wherever it sits, never the bare
+    ``ValueError`` of the ``Ordinal`` constructor."""
+    for text in ("(^ w w1)", "(^ w (+ w1 2))", "(^ w (* 2 w1))",
+                 "(+ (^ w w1) 1)", "(* 3 (^ w w1))", "(^ w (^ w (+ w1 1)))"):
+        with pytest.raises(ParseError, match="countable exponent"):
+            rt_ordinal(text)
+    for text in ("(seg (^ w w1))", "(full 2 (+ (^ w w1) 1))"):
+        with pytest.raises(ParseError, match="countable exponent"):
+            dsl.parse_desc(dsl.read_sexpr(text))
+    assert rt_ordinal("(^ w (^ w 2))") == omega_power(omega_power(nat(2)))
+
+
 def test_parse_descriptions():
     assert dsl.parse_desc(dsl.read_sexpr("(full 2 (+ w1 1))")) == BINARY_W1
     assert dsl.parse_desc(dsl.read_sexpr("(graft (seg w1) (((seg 0) w)))")) == REMARK_TREE

@@ -424,7 +424,7 @@ def _ref_unc_sites(v):
     if isinstance(v, trees._SegView):
         return [v._node(Ordinal(j, ())) for j in range(1, v.eta.omega1 + 1)]
     if isinstance(v, trees._FullView):
-        return [v._node([(0, Ordinal(j, ()))], Ordinal(j, ()))
+        return [v._node(((0, Ordinal(j, ())),), Ordinal(j, ()))
                 for j in range(1, v.top.omega1 + 1) if cmp(Ordinal(j, ()), v.top) <= 0]
     if isinstance(v, trees._GraftView):
         out = [v._wrap_base(s) for s in _ref_unc_sites(v.base)]
@@ -770,7 +770,14 @@ def test_memoized_meet_agrees_with_the_plain_one():
 
 # -- nodes by parts --------------------------------------------------------------------
 
+def _cold_views():
+    """Drop every kept view, leaf views included."""
+    view.cache_clear()
+    trees.leaf_view.cache_clear()
+
+
 def test_node_at_shares_the_node_of_its_address():
+    _cold_views()
     for d in walk_trees():
         for a in _panel(d):
             n = resolve(d, a)
@@ -802,9 +809,11 @@ def test_the_view_memo_keeps_its_named_bound(monkeypatch):
     cases = [(d, _panel(d)) for d in walk_trees()]
     cases.append((seg(o(W1, 1)), [(up(i),) for i in range(3 * bound)]))
     view.cache_clear()
+    trees.leaf_view.cache_clear()
     cold = {(d, a): _shape(resolve(d, a)) for d, addrs in cases for a in addrs}
     monkeypatch.setattr(trees, "MEMO_CACHE_SIZE", bound)
     view.cache_clear()
+    trees.leaf_view.cache_clear()
     for d, addrs in cases:
         for _ in range(2):  # the second round resolves dropped answers again
             for a in addrs:
@@ -819,6 +828,7 @@ def test_the_view_memo_keeps_its_named_bound(monkeypatch):
         assert ("node_at", past_top) not in view(d).memo
         assert len(view(d).memo) == bound
     view.cache_clear()
+    trees.leaf_view.cache_clear()
 
 
 def _inner_views(v):
@@ -843,8 +853,10 @@ def test_walks_are_kept_only_at_the_view_asked():
         cold = []
         for a in addrs:
             view.cache_clear()
+            trees.leaf_view.cache_clear()
             cold.append(_shape(resolve(d, a)))
         view.cache_clear()
+        trees.leaf_view.cache_clear()
         nodes = [resolve(d, a) for a in addrs]
         outer = view(d)
         assert any(k[0] == "walk" for k in outer.memo), d
@@ -853,6 +865,81 @@ def test_walks_are_kept_only_at_the_view_asked():
         for a, n, want in zip(addrs, nodes, cold):
             assert resolve(d, a) is n and _shape(n) == want, (d, a)
     view.cache_clear()
+    trees.leaf_view.cache_clear()
+
+
+def test_the_leaf_cache_keeps_its_named_bound():
+    """``view`` takes each Seg and Full view from ``leaf_view``, which keeps
+    ``LEAF_VIEW_CACHE_SIZE`` of them past the ``view`` cache and rebuilds
+    the least recently used, cold, after one more."""
+    leaves = [seg(i) for i in range(trees.LEAF_VIEW_CACHE_SIZE + 1)]
+    _cold_views()
+    first = [view(d) for d in leaves[:-1]]
+    resolve(leaves[0], ())
+    view.cache_clear()
+    assert all(view(d) is v for d, v in zip(leaves, first))
+    assert trees.leaf_view.cache_info().currsize == trees.LEAF_VIEW_CACHE_SIZE
+    assert first[0].memo
+    view(leaves[-1])  # one more leaf: the least recently used, leaves[0], goes
+    again = view(leaves[0])
+    assert again is not first[0] and again.memo == {}
+    assert view(leaves[2]) is first[2]
+    _cold_views()
+
+
+def _leaves(d):
+    """The Seg and Full subterms of a description."""
+    if isinstance(d, (Seg, Full)):
+        return [d]
+    if isinstance(d, Graft):
+        return _leaves(d.base) + [x for c, _ in d.children for x in _leaves(c)]
+    return _leaves(d.inner)
+
+
+def _leaf_answers(d, addrs, fresh):
+    """Shapes of the nodes at ``addrs`` of a leaf, of their first two
+    children, of the nodes at those children's addresses, of its sites and of
+    its leftmost top, calling ``fresh`` before each question."""
+    out = []
+    for a in addrs:
+        fresh()
+        out.append(_shape(resolve(d, a)))
+        fresh()
+        out.append([_shape(c) for c in children(d, resolve(d, a), 2)])
+        for i in range(len(out[-1])):
+            fresh()
+            out.append(_shape(resolve(d, tuple(a) + (Child(i),))))
+    fresh()
+    out.append([_shape(s) for s in unc_sites(d)])
+    fresh()
+    out.append(_shape(view(d).leftmost_top()))
+    return out
+
+
+def test_kept_leaf_views_answer_as_cold_ones():
+    """A leaf view kept across requests, with the nodes its walks, children
+    and sites have built, answers ``resolve``, ``children`` and the sites as
+    a cold view of the same leaf answers each question alone."""
+    ds = walk_trees() + valid_draws(11, 300)
+    cold = {}
+    for d in ds:
+        for leaf in _leaves(d):
+            if leaf not in cold:
+                _cold_views()
+                addrs = _panel(leaf)
+                cold[leaf] = addrs, _leaf_answers(leaf, addrs, _cold_views)
+    _cold_views()
+    seen, kept = {}, 0
+    for d in ds:
+        classify_report(d)
+        roundtrip_check(d)
+        for leaf in _leaves(d):
+            kept += seen.get(leaf) is view(leaf)
+            seen[leaf] = view(leaf)
+            addrs, want = cold[leaf]
+            assert _leaf_answers(leaf, addrs, lambda: None) == want, (d, leaf)
+    assert kept > len(ds), kept
+    _cold_views()
 
 
 def test_per_object_memo_files_each_shape_under_its_key():
