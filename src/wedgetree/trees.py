@@ -49,11 +49,13 @@ each ``(parts, h)`` once.  A walk is kept only at the view it was asked of
 graft, hat and tilde walks take their inner views' ``_walk`` unkept, so
 ``resolve`` on a nested view keeps one answer for an address, not one per
 layer, and reaches into the inner views at that address only the first
-time.  It resolves each canonical parts tuple once (``node_at``), by walking
-the address ``parts_to_steps`` spells, so ``node_at`` and ``meet`` hand out
-the node that ``resolve`` gives that address.  A Seg or Full view builds the
-node at each position once (``_node``), so its walks, children, sites, tops
-and ancestors share one node per position.  Calls that raise are not kept.
+time.  It spells each canonical parts tuple as its address once
+(``_address``), and ``node_at`` takes the node of the walk kept for that
+address, so ``node_at`` and ``meet`` hand out the node that ``resolve``
+gives that address, also once the memo has dropped answers: no node is kept
+under the parts.  A Seg or Full view builds the node at each position once
+(``_node``), so its walks, children, sites, tops and ancestors share one
+node per position.  Calls that raise are not kept.
 Resolved nodes and ancestors are shared between callers while they are kept
 (a dropped one is resolved again to an equal node), so no code outside
 ``Node.__init__`` sets a node's attributes, and none sets the ``kind`` or
@@ -553,11 +555,18 @@ class _View:
         return self._walk(steps, i)
 
     @per_object_memo()
+    def _address(self, parts):
+        """The canonical address that ``parts`` spell, once per view and
+        parts."""
+        return parts_to_steps(parts)
+
     def node_at(self, parts):
-        """The node at canonical parts: the shared node that ``walk`` gives
-        their address, which is built once per view and parts.  Parts that
-        do not resolve raise ``InvalidAddress`` on every call."""
-        steps = parts_to_steps(parts)
+        """The node at canonical parts: the shared node that ``walk`` keeps
+        for the address they spell.  Only that address is kept per parts,
+        never the node, so no answer of ``node_at`` outlives the walk and
+        hands out a node that ``resolve`` no longer gives.  Parts that do not
+        resolve raise ``InvalidAddress`` on every call."""
+        steps = self._address(parts)
         node, i = self.walk(steps, 0)
         if i != len(steps):
             raise InvalidAddress("address step %d cannot be taken from %r" % (i, node))
@@ -1203,8 +1212,9 @@ def parts_to_steps(parts):
 
 
 def node_at(desc, parts):
-    """Resolve trusted canonical parts back into a Node, once per view and
-    parts; callers share the Node that ``resolve`` gives its address."""
+    """Resolve trusted canonical parts back into a Node through the walk kept
+    for their address; callers share the Node that ``resolve`` gives that
+    address."""
     return view(desc).node_at(tuple(parts))
 
 

@@ -362,6 +362,12 @@ def test_sites_are_the_nodes_at_their_parts():
 
 # -- memoized view facts ------------------------------------------------------------
 
+def _cold_views():
+    """Drop every kept view, leaf views included."""
+    view.cache_clear()
+    trees.leaf_view.cache_clear()
+
+
 _FACTS = ("height", "unc_sites", "maximal_heights", "gaps")
 
 
@@ -372,7 +378,7 @@ def _levels(v):
 
 def test_view_facts_are_computed_once():
     trees = fact_trees()
-    view.cache_clear()
+    _cold_views()
     cold = {}
     for d in trees:
         v = view(d)
@@ -398,7 +404,7 @@ def test_view_facts_are_computed_once():
 
 def test_leftmost_top_is_computed_once():
     trees = fact_trees()
-    view.cache_clear()
+    _cold_views()
     cold = {}
     for d in trees:
         try:
@@ -571,7 +577,7 @@ def test_spot_panel_agrees_with_the_depth_six_walk():
 def test_memoized_walks_and_children_agree_with_cold_ones():
     for d in walk_trees():
         addrs = _panel(d)
-        view.cache_clear()
+        _cold_views()
         cold = []
         for a in addrs:
             n = resolve(d, a)
@@ -645,7 +651,7 @@ def test_memoized_ancestors_agree_with_cold_ones():
     families = 0
     for d in walk_trees():
         cases = _ancestor_cases(d)
-        view.cache_clear()
+        _cold_views()
         cold = []
         for a, h in cases:
             n = resolve(d, a)
@@ -697,7 +703,7 @@ def test_each_ancestor_is_found_once_per_view(monkeypatch):
         monkeypatch.setattr(cls, "_ancestor_at", counted)
     for d in walk_trees():
         cases = _ancestor_cases(d)
-        view.cache_clear()
+        _cold_views()
         for _ in range(2):
             for a, h in cases:
                 ancestor_at(d, a, h)
@@ -770,19 +776,30 @@ def test_memoized_meet_agrees_with_the_plain_one():
 
 # -- nodes by parts --------------------------------------------------------------------
 
-def _cold_views():
-    """Drop every kept view, leaf views included."""
-    view.cache_clear()
-    trees.leaf_view.cache_clear()
-
-
 def test_node_at_shares_the_node_of_its_address():
-    _cold_views()
     for d in walk_trees():
         for a in _panel(d):
             n = resolve(d, a)
             assert node_at(d, n.parts) is resolve(d, n.address()), (d, a)
             assert node_at(d, list(n.parts)) is node_at(d, n.parts), (d, a)
+
+
+def test_node_at_shares_the_node_of_its_address_once_answers_are_dropped(monkeypatch):
+    """A full memo drops its oldest answers, and a hit does not refresh one;
+    ``node_at`` still hands out the node that ``resolve`` gives the address
+    its parts spell, whichever answers were dropped."""
+    cases = [(d, _panel(d)) for d in walk_trees()]
+    cases.append((seg(o(W1, 1)), [(up(i),) for i in range(12)]))
+    for bound in (3, 4, 5, 6, 7):
+        monkeypatch.setattr(trees, "MEMO_CACHE_SIZE", bound)
+        _cold_views()
+        for d, addrs in cases:
+            nodes = []
+            for a in addrs:
+                nodes.append(resolve(d, a))
+                for n in nodes[-4:]:
+                    assert node_at(d, n.parts) is resolve(d, n.address()), (bound, d, a)
+    _cold_views()
 
 
 def test_parts_that_do_not_resolve_raise_on_every_call():
@@ -808,12 +825,10 @@ def test_the_view_memo_keeps_its_named_bound(monkeypatch):
     bound = 4
     cases = [(d, _panel(d)) for d in walk_trees()]
     cases.append((seg(o(W1, 1)), [(up(i),) for i in range(3 * bound)]))
-    view.cache_clear()
-    trees.leaf_view.cache_clear()
+    _cold_views()
     cold = {(d, a): _shape(resolve(d, a)) for d, addrs in cases for a in addrs}
     monkeypatch.setattr(trees, "MEMO_CACHE_SIZE", bound)
-    view.cache_clear()
-    trees.leaf_view.cache_clear()
+    _cold_views()
     for d, addrs in cases:
         for _ in range(2):  # the second round resolves dropped answers again
             for a in addrs:
@@ -827,8 +842,7 @@ def test_the_view_memo_keeps_its_named_bound(monkeypatch):
             node_at(d, past_top)
         assert ("node_at", past_top) not in view(d).memo
         assert len(view(d).memo) == bound
-    view.cache_clear()
-    trees.leaf_view.cache_clear()
+    _cold_views()
 
 
 def _inner_views(v):
@@ -852,11 +866,9 @@ def test_walks_are_kept_only_at_the_view_asked():
         addrs = _panel(d) + (_panel(d.inner.inner) if d in nested else [])
         cold = []
         for a in addrs:
-            view.cache_clear()
-            trees.leaf_view.cache_clear()
+            _cold_views()
             cold.append(_shape(resolve(d, a)))
-        view.cache_clear()
-        trees.leaf_view.cache_clear()
+        _cold_views()
         nodes = [resolve(d, a) for a in addrs]
         outer = view(d)
         assert any(k[0] == "walk" for k in outer.memo), d
@@ -864,8 +876,7 @@ def test_walks_are_kept_only_at_the_view_asked():
             assert not [k for k in inner.memo if k[0] == "walk"], (d, inner.desc)
         for a, n, want in zip(addrs, nodes, cold):
             assert resolve(d, a) is n and _shape(n) == want, (d, a)
-    view.cache_clear()
-    trees.leaf_view.cache_clear()
+    _cold_views()
 
 
 def test_the_leaf_cache_keeps_its_named_bound():
