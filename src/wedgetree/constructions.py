@@ -172,8 +172,8 @@ def _spot_nodes(d):
     """A panel of nodes of d covering the structural regions, every
     uncountable-cofinality site included: the root, the leftmost top, the
     sites and the walk's nodes, the first node with each parts kept.  A spot
-    check resolves each panel node's address, or a translation of it, on the
-    other tree, so the panel is never resolved on d itself; the round trip
+    check walks each panel node's address, or a translation of it, on the
+    other tree, so the panel is never walked on d itself; the round trip
     matches the panel of tilde(hat(d)) to d's by parts, so it builds no
     address of that panel."""
     v = view(d)
@@ -212,10 +212,13 @@ def iso_check(d1, d2):
 
 def _spot_iso(d, pairs):
     """Node data of each ``(node, address)`` pair against the node of d at
-    that address; the caller has checked that the heights agree."""
+    that address; the caller has checked that the heights agree.  Each
+    address is walked afresh (``find``) and its walk is not kept: the round
+    trip builds d's view for this one call and asks each address of it once."""
+    find = view(d).find
     for a, addr in pairs:
         try:
-            b = resolve(d, addr)
+            b = find(addr)
         except InvalidAddress:
             return False
         if not _node_data_match(a, b):
@@ -247,14 +250,17 @@ def roundtrip_check(d):
     """tilde(hat(d)) recovers d always; hat(tilde(d)) recovers d exactly on
     trees whose uncountable-cofinality nodes have at most one successor.
     A tree that ``validate`` rejects raises its error: the laws speak of
-    chain-complete trees only."""
+    chain-complete trees only.  The views of tilde(hat(d)) and hat(tilde(d))
+    are built for this call, and each panel address is walked on them once,
+    afresh, with no walk kept; ``resolve``, ``node_at`` and ``root`` keep
+    theirs, for callers that ask an address again."""
     validate(d)
     th = TildeOf(HatOf(d))
     _, r1 = r_flags(d)
     panel = _panel(d)  # each address built once, shared by both halves
     # removing the split points restores the parts and the addresses, so the
     # panel of tilde(hat(d)) matches d's node for node by parts, and d's
-    # panel is resolved on tilde(hat(d)) at its own addresses, once each
+    # panel is walked on tilde(hat(d)) at its own addresses, once each
     tilde_hat_ok = iso_check(th, d) and _parts_match(th, panel) and \
         _spot_iso(th, panel.values())
     hat_tilde_ok = _hat_tilde_spot_iso(d, HatOf(TildeOf(d)), panel)

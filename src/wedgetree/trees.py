@@ -49,7 +49,13 @@ each ``(parts, h)`` once.  A walk is kept only at the view it was asked of
 graft, hat and tilde walks take their inner views' ``_walk`` unkept, so
 ``resolve`` on a nested view keeps one answer for an address, not one per
 layer, and reaches into the inner views at that address only the first
-time.  It spells each canonical parts tuple as its address once
+time.  ``find`` walks an address afresh and keeps no walk at all: the round
+trip asks it of the views of tilde(hat(d)) and hat(tilde(d)), which it
+builds for one call and asks each address of once, so only the callers
+that ask an address again (``resolve``, ``node_at``, ``root``) keep their
+walks.  ``find``, ``resolve`` and ``node_at`` check that their walk took
+every step in one place (``_whole``).  A view spells each canonical parts
+tuple as its address once
 (``_address``), and ``node_at`` takes the node of the walk kept for that
 address, so ``node_at`` and ``meet`` hand out the node that ``resolve``
 gives that address, also once the memo has dropped answers: no node is kept
@@ -540,6 +546,15 @@ def per_object_memo(on_parts=False):
     return memoize
 
 
+def _whole(steps, walked):
+    """The node of a walk ``(node, i)`` of ``steps`` that took every step; a
+    walk that stopped short of the end raises ``InvalidAddress``."""
+    node, i = walked
+    if i != len(steps):
+        raise InvalidAddress("address step %d cannot be taken from %r" % (i, node))
+    return node
+
+
 class _View:
     def __init__(self, desc):
         self.desc = desc
@@ -551,8 +566,20 @@ class _View:
         step it could not take, from ``_walk``, kept at this view only: the
         graft, hat and tilde ``_walk``s call their inner views' ``_walk``,
         and catch ``GapAddress`` and ``InvalidAddress`` from them, which raise
-        again on every call.  Callers share the ``Node``."""
+        again on every call.  Callers share the ``Node``.  ``resolve``,
+        ``node_at``, ``root`` and a hat's sites ask it, since they ask an
+        address again; ``find`` walks afresh and keeps nothing."""
         return self._walk(steps, i)
+
+    def find(self, steps):
+        """The node at the address ``steps``, walked afresh from the root by
+        ``_walk`` and not kept: no ``walk`` answer is filed, at this view or
+        any inner one.  It is for a caller that asks each address of a view
+        once, as the round trip does of the views it builds for one call; the
+        node equals the one ``resolve`` gives, and is shared only where a Seg
+        or Full view shares its node at a position.  An address that does not
+        resolve raises ``InvalidAddress``, as in ``resolve``."""
+        return _whole(steps, self._walk(steps, 0))
 
     @per_object_memo()
     def _address(self, parts):
@@ -567,10 +594,7 @@ class _View:
         hands out a node that ``resolve`` no longer gives.  Parts that do not
         resolve raise ``InvalidAddress`` on every call."""
         steps = self._address(parts)
-        node, i = self.walk(steps, 0)
-        if i != len(steps):
-            raise InvalidAddress("address step %d cannot be taken from %r" % (i, node))
-        return node
+        return _whole(steps, self.walk(steps, 0))
 
     @per_object_memo(on_parts=True)
     def _kids(self, node, count):
@@ -1177,7 +1201,15 @@ def validate(desc):
 
 
 def is_chain_complete(desc):
-    structure_ok(desc)
+    """Whether ``desc`` denotes a chain-complete tree: False wherever
+    ``validate`` raises ``NotChainComplete``, a full tree of limit height
+    included, and True on every tree ``validate`` accepts.  A description
+    with a bad graft base or bad branching raises ``BadGraftBase`` or
+    ``BadBranching``, as ``validate`` does: it denotes no tree at all."""
+    try:
+        structure_ok(desc)
+    except NotChainComplete:
+        return False
     return view(desc).chain_complete()
 
 
@@ -1186,10 +1218,10 @@ def height(desc):
 
 
 def resolve(desc, steps):
-    node, i = view(desc).walk(tuple(steps), 0)
-    if i != len(steps):
-        raise InvalidAddress("address step %d cannot be taken from %r" % (i, node))
-    return node
+    """The node at address ``steps``, through the walk kept at the view of
+    ``desc``: a repeated ``resolve`` hands out the kept node."""
+    steps = tuple(steps)
+    return _whole(steps, view(desc).walk(steps, 0))
 
 
 def parts_to_steps(parts):

@@ -10,7 +10,7 @@ from wedgetree.classify import (
 )
 from wedgetree.constructions import (
     RoundTrip, _hat_tilde_spot_iso, _panel, _spot_iso, _spot_nodes,
-    disjoint_closures, iso_check, r_flags, roundtrip_check,
+    disjoint_closures, iso_check, normalize, r_flags, roundtrip_check,
 )
 from wedgetree.corpus import random_description
 from wedgetree.dsl import print_desc, print_seq
@@ -27,7 +27,7 @@ from wedgetree.topology import (
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Card, Child, Copy, Full, Graft, HatOf, Seg,
     TildeOf, Up, Word, ancestor_at, children, cofinal_I_nodes, hat_shift,
-    resolve, structure_ok, tilde_shift, unc_sites, validate, view,
+    leaf_view, resolve, structure_ok, tilde_shift, unc_sites, validate, view,
 )
 
 W = OMEGA
@@ -41,6 +41,14 @@ def o(*parts):
     for p in parts:
         out = add(out, nat(p) if isinstance(p, int) else p)
     return out
+
+
+def cold_caches():
+    """Drop every kept answer about descriptions: the ``view`` and
+    ``leaf_view`` caches, so each view is built again with an empty memo,
+    and the answers of ``structure_ok``, ``normalize`` and ``r_flags``."""
+    for cache in (view, leaf_view, structure_ok, normalize, r_flags):
+        cache.cache_clear()
 
 
 def seg(x):

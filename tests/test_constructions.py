@@ -25,8 +25,8 @@ from wedgetree.dsl import parse_desc, read_sexpr
 
 from helpers import (
     BINARY_W, BINARY_W1, OUTSIDE_THE_DOMAIN, REMARK_TREE, W, W1, full, graft,
-    o, outcome, reference_normalize, reference_roundtrip, seg, up,
-    valid_draws, walk_trees, word,
+    cold_caches, o, outcome, reference_normalize, reference_roundtrip, seg,
+    up, valid_draws, walk_trees, word,
 )
 
 
@@ -115,19 +115,39 @@ def test_roundtrip_chain_with_successor_after_limit():
     assert rt.tilde_hat_ok and rt.hat_tilde_ok and rt.is_r1
 
 
+def _simulated_bug(*args):
+    raise TypeError("simulated bug")
+
+
 def test_roundtrip_check_propagates_programming_errors(monkeypatch):
     # only library errors count as a failed spot check; a bug must surface
-    import wedgetree.constructions as constructions
-    real_resolve = constructions.resolve
+    # from the spot walks of both halves and from the children the panels of
+    # the wrapper views are built from.  Kept answers are dropped before
+    # each fault, so it is reached, and after, so none outlives it
+    real_find = trees._View.find
 
-    def broken(desc, steps):
-        if isinstance(desc, (HatOf, TildeOf)):
-            raise TypeError("simulated bug")
-        return real_resolve(desc, steps)
+    def find_failing_on(cls):
+        def find(self, steps):
+            if isinstance(self.desc, cls):
+                _simulated_bug()
+            return real_find(self, steps)
+        return find
 
-    monkeypatch.setattr(constructions, "resolve", broken)
-    with pytest.raises(TypeError):
-        roundtrip_check(full(2, o(W1, 1)))
+    faults = [
+        (trees._View, "find", find_failing_on(TildeOf)),  # on tilde(hat(d))
+        (trees._View, "find", find_failing_on(HatOf)),    # on hat(tilde(d))
+        (trees._HatView, "_children", _simulated_bug),
+        (trees._TildeView, "_children", _simulated_bug),
+    ]
+    for cls, name, fault in faults:
+        monkeypatch.setattr(cls, name, fault)
+        cold_caches()
+        try:
+            with pytest.raises(TypeError, match="simulated bug"):
+                roundtrip_check(full(2, o(W1, 1)))
+        finally:
+            monkeypatch.undo()
+            cold_caches()
 
 
 def test_roundtrip_check_builds_each_spot_panel_once(monkeypatch):
@@ -147,10 +167,10 @@ def test_roundtrip_check_builds_each_spot_panel_once(monkeypatch):
 
 def test_roundtrip_check_resolves_only_the_panel_of_d(monkeypatch):
     # the panel of tilde(hat(d)) is matched to d's by parts, so only d's
-    # panel is resolved, on tilde(hat(d)) once per address; nothing is
-    # resolved on d, and no node of tilde(hat(d))'s panel gets an address
-    import wedgetree.constructions as constructions
-    real_resolve, real_address = constructions.resolve, Node.address
+    # panel is walked by the spot check, on tilde(hat(d)) once per address;
+    # nothing is walked on d, and no node of tilde(hat(d))'s panel gets an
+    # address
+    real_find, real_address = trees._View.find, Node.address
     for d in (BINARY_W1, REMARK_TREE, seg(o(W1, 1)),
               graft(seg(W1), (HatOf(BINARY_W1), 2))):
         th = TildeOf(HatOf(d))
@@ -158,15 +178,15 @@ def test_roundtrip_check_resolves_only_the_panel_of_d(monkeypatch):
         th_panel = _parts(th)
         calls, built = [], []
 
-        def resolve(desc, steps):
-            calls.append((desc, tuple(steps)))
-            return real_resolve(desc, steps)
+        def find(self, steps):
+            calls.append((self.desc, tuple(steps)))
+            return real_find(self, steps)
 
         def address(node):
             built.append((node.desc, node.parts))
             return real_address(node)
 
-        monkeypatch.setattr(constructions, "resolve", resolve)
+        monkeypatch.setattr(trees._View, "find", find)
         monkeypatch.setattr(Node, "address", address)
         rt = roundtrip_check(d)
         monkeypatch.undo()
@@ -223,11 +243,6 @@ def test_roundtrip_check_agrees_with_the_three_panel_reference():
         assert _parts(TildeOf(HatOf(d))) == _parts(d), d
 
 
-def _clear_memos():
-    for memo in (trees.view, trees.leaf_view, trees.structure_ok, normalize):
-        memo.cache_clear()
-
-
 def _flagged_under(monkeypatch, cls, name, fault):
     """Indices of 300 valid seed-5 trees whose ``tilde_hat_ok`` is False with
     ``fault(method)`` in place of ``cls.name``: (the library's, the
@@ -235,7 +250,7 @@ def _flagged_under(monkeypatch, cls, name, fault):
     so the fault reaches every view and leaves none behind."""
     draws = valid_draws(5, 300)
     monkeypatch.setattr(cls, name, fault(getattr(cls, name)))
-    _clear_memos()
+    cold_caches()
     try:
         lib = {i for i, d in enumerate(draws)
                if not roundtrip_check(d).tilde_hat_ok}
@@ -243,7 +258,7 @@ def _flagged_under(monkeypatch, cls, name, fault):
                if not reference_roundtrip(d).tilde_hat_ok}
     finally:
         monkeypatch.undo()
-        _clear_memos()
+        cold_caches()
     return lib, ref
 
 
@@ -522,7 +537,7 @@ def test_normalize_agrees_with_the_reference(monkeypatch):
 
     monkeypatch.setattr(trees._View, "__init__", counted)
     for d in walk_trees() + drawn + [f(x) for x in drawn for f in wraps]:
-        _clear_memos()
+        cold_caches()
         built.clear()
         got = outcome(normalize, d)
         assert set(built) <= _subterms(d), d
@@ -531,4 +546,4 @@ def test_normalize_agrees_with_the_reference(monkeypatch):
         if got[0] == "ok":
             assert got[1] == want[1], d
             assert got[1] is d or got[1] != d, d
-    _clear_memos()
+    cold_caches()

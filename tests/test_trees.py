@@ -20,11 +20,13 @@ from wedgetree import trees
 from wedgetree.classify import build_separating_family, classify_report
 from wedgetree.constructions import _spot_nodes, roundtrip_check
 from wedgetree.corpus import random_description, sample_nodes
+from wedgetree.dsl import parse_desc, read_sexpr
 from wedgetree.topology import ConeSet
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA, REMARK_TREE, W, W1, W2, fact_trees, full,
-    graft, o, outcome, seg, up, valid_draws, walk_trees, word,
+    BINARY_W, BINARY_W1, FAN_OMEGA, OUTSIDE_THE_DOMAIN, REMARK_TREE, W, W1, W2,
+    cold_caches, fact_trees, full, graft, o, outcome, seg, up, valid_draws,
+    walk_trees, word,
 )
 
 
@@ -93,6 +95,30 @@ def test_tilde_of_binary_tree_is_not_chain_complete():
 def test_tilde_of_r1_chain_is_chain_complete():
     assert is_chain_complete(TildeOf(seg(o(W1, 1))))
     validate(TildeOf(seg(o(W1, 1))))
+
+
+# the answer of is_chain_complete on each tree outside the domain, in the
+# order of ``OUTSIDE_THE_DOMAIN``: False where ``validate`` raises
+# NotChainComplete, the four full trees of limit height included, and the
+# error of a description that denotes no tree
+_CHAIN_COMPLETE_ROWS = [False, False, False, BadGraftBase, False, False, False, False]
+
+
+def test_is_chain_complete_is_false_wherever_validate_says_not_chain_complete():
+    rows = [(parse_desc(read_sexpr(t)), want)
+            for t, want in zip(OUTSIDE_THE_DOMAIN, _CHAIN_COMPLETE_ROWS)]
+    rows.append((Full(0, nat(3)), BadBranching))
+    for d, want in rows:
+        with pytest.raises(WedgeTreeError) as err:
+            validate(d)
+        assert (want is False) == isinstance(err.value, NotChainComplete), d
+        if want is False:
+            assert is_chain_complete(d) is False, d
+        else:
+            with pytest.raises(want):
+                is_chain_complete(d)
+    for d in walk_trees() + valid_draws(11, 100):
+        assert is_chain_complete(d) is True, d
 
 
 # -- heights --------------------------------------------------------------------
@@ -362,12 +388,6 @@ def test_sites_are_the_nodes_at_their_parts():
 
 # -- memoized view facts ------------------------------------------------------------
 
-def _cold_views():
-    """Drop every kept view, leaf views included."""
-    view.cache_clear()
-    trees.leaf_view.cache_clear()
-
-
 _FACTS = ("height", "unc_sites", "maximal_heights", "gaps")
 
 
@@ -378,7 +398,7 @@ def _levels(v):
 
 def test_view_facts_are_computed_once():
     trees = fact_trees()
-    _cold_views()
+    cold_caches()
     cold = {}
     for d in trees:
         v = view(d)
@@ -404,7 +424,7 @@ def test_view_facts_are_computed_once():
 
 def test_leftmost_top_is_computed_once():
     trees = fact_trees()
-    _cold_views()
+    cold_caches()
     cold = {}
     for d in trees:
         try:
@@ -577,7 +597,7 @@ def test_spot_panel_agrees_with_the_depth_six_walk():
 def test_memoized_walks_and_children_agree_with_cold_ones():
     for d in walk_trees():
         addrs = _panel(d)
-        _cold_views()
+        cold_caches()
         cold = []
         for a in addrs:
             n = resolve(d, a)
@@ -651,7 +671,7 @@ def test_memoized_ancestors_agree_with_cold_ones():
     families = 0
     for d in walk_trees():
         cases = _ancestor_cases(d)
-        _cold_views()
+        cold_caches()
         cold = []
         for a, h in cases:
             n = resolve(d, a)
@@ -703,7 +723,7 @@ def test_each_ancestor_is_found_once_per_view(monkeypatch):
         monkeypatch.setattr(cls, "_ancestor_at", counted)
     for d in walk_trees():
         cases = _ancestor_cases(d)
-        _cold_views()
+        cold_caches()
         for _ in range(2):
             for a, h in cases:
                 ancestor_at(d, a, h)
@@ -792,14 +812,14 @@ def test_node_at_shares_the_node_of_its_address_once_answers_are_dropped(monkeyp
     cases.append((seg(o(W1, 1)), [(up(i),) for i in range(12)]))
     for bound in (3, 4, 5, 6, 7):
         monkeypatch.setattr(trees, "MEMO_CACHE_SIZE", bound)
-        _cold_views()
+        cold_caches()
         for d, addrs in cases:
             nodes = []
             for a in addrs:
                 nodes.append(resolve(d, a))
                 for n in nodes[-4:]:
                     assert node_at(d, n.parts) is resolve(d, n.address()), (bound, d, a)
-    _cold_views()
+    cold_caches()
 
 
 def test_parts_that_do_not_resolve_raise_on_every_call():
@@ -825,10 +845,10 @@ def test_the_view_memo_keeps_its_named_bound(monkeypatch):
     bound = 4
     cases = [(d, _panel(d)) for d in walk_trees()]
     cases.append((seg(o(W1, 1)), [(up(i),) for i in range(3 * bound)]))
-    _cold_views()
+    cold_caches()
     cold = {(d, a): _shape(resolve(d, a)) for d, addrs in cases for a in addrs}
     monkeypatch.setattr(trees, "MEMO_CACHE_SIZE", bound)
-    _cold_views()
+    cold_caches()
     for d, addrs in cases:
         for _ in range(2):  # the second round resolves dropped answers again
             for a in addrs:
@@ -842,7 +862,7 @@ def test_the_view_memo_keeps_its_named_bound(monkeypatch):
             node_at(d, past_top)
         assert ("node_at", past_top) not in view(d).memo
         assert len(view(d).memo) == bound
-    _cold_views()
+    cold_caches()
 
 
 def _inner_views(v):
@@ -866,9 +886,9 @@ def test_walks_are_kept_only_at_the_view_asked():
         addrs = _panel(d) + (_panel(d.inner.inner) if d in nested else [])
         cold = []
         for a in addrs:
-            _cold_views()
+            cold_caches()
             cold.append(_shape(resolve(d, a)))
-        _cold_views()
+        cold_caches()
         nodes = [resolve(d, a) for a in addrs]
         outer = view(d)
         assert any(k[0] == "walk" for k in outer.memo), d
@@ -876,7 +896,50 @@ def test_walks_are_kept_only_at_the_view_asked():
             assert not [k for k in inner.memo if k[0] == "walk"], (d, inner.desc)
         for a, n, want in zip(addrs, nodes, cold):
             assert resolve(d, a) is n and _shape(n) == want, (d, a)
-    _cold_views()
+    cold_caches()
+
+
+def _answers(ds):
+    """The round trip and the report JSON of each description, in order."""
+    return [(roundtrip_check(d), classify_report(d).to_json()) for d in ds]
+
+
+def _node_data(n):
+    return n.parts, n.ht, n.cof, n.ims, n.maximal
+
+
+def test_kept_answers_never_change_an_answer(monkeypatch):
+    """``roundtrip_check`` and ``classify_report`` answer alike cold (every
+    kept answer dropped before each tree), warm (each tree asked twice) and
+    with each view's memo bound at 1, 2 and 3.  ``find`` gives the node data
+    ``resolve`` gives at every panel address of d, tilde(hat(d)) and
+    hat(tilde(d)), and keeps no walk at the view it is asked of or any view
+    inside it."""
+    draws = valid_draws(11, 300)
+    ds = walk_trees() + draws + [TildeOf(HatOf(d)) for d in draws[:100]]
+    cold = []
+    for d in ds:
+        cold_caches()
+        cold.extend(_answers([d]))
+    cold_caches()
+    for d, want in zip(ds, cold):
+        assert _answers([d, d]) == [want, want], d
+    for bound in (1, 2, 3):
+        monkeypatch.setattr(trees, "MEMO_CACHE_SIZE", bound)
+        cold_caches()
+        assert _answers(ds) == cold, bound
+    monkeypatch.undo()
+    for d in walk_trees() + draws[:100]:
+        for x in (d, TildeOf(HatOf(d)), HatOf(TildeOf(d))):
+            addrs = _panel(x)
+            cold_caches()
+            v = view(x)
+            found = [v.find(a) for a in addrs]
+            assert not [k for w in [v] + _inner_views(v) for k in w.memo
+                        if k[0] == "walk"], x
+            assert [_node_data(n) for n in found] == \
+                [_node_data(resolve(x, a)) for a in addrs], x
+    cold_caches()
 
 
 def test_the_leaf_cache_keeps_its_named_bound():
@@ -884,7 +947,7 @@ def test_the_leaf_cache_keeps_its_named_bound():
     ``LEAF_VIEW_CACHE_SIZE`` of them past the ``view`` cache and rebuilds
     the least recently used, cold, after one more."""
     leaves = [seg(i) for i in range(trees.LEAF_VIEW_CACHE_SIZE + 1)]
-    _cold_views()
+    cold_caches()
     first = [view(d) for d in leaves[:-1]]
     resolve(leaves[0], ())
     view.cache_clear()
@@ -895,7 +958,7 @@ def test_the_leaf_cache_keeps_its_named_bound():
     again = view(leaves[0])
     assert again is not first[0] and again.memo == {}
     assert view(leaves[2]) is first[2]
-    _cold_views()
+    cold_caches()
 
 
 def _leaves(d):
@@ -936,10 +999,10 @@ def test_kept_leaf_views_answer_as_cold_ones():
     for d in ds:
         for leaf in _leaves(d):
             if leaf not in cold:
-                _cold_views()
+                cold_caches()
                 addrs = _panel(leaf)
-                cold[leaf] = addrs, _leaf_answers(leaf, addrs, _cold_views)
-    _cold_views()
+                cold[leaf] = addrs, _leaf_answers(leaf, addrs, cold_caches)
+    cold_caches()
     seen, kept = {}, 0
     for d in ds:
         classify_report(d)
@@ -950,7 +1013,7 @@ def test_kept_leaf_views_answer_as_cold_ones():
             addrs, want = cold[leaf]
             assert _leaf_answers(leaf, addrs, lambda: None) == want, (d, leaf)
     assert kept > len(ds), kept
-    _cold_views()
+    cold_caches()
 
 
 def test_per_object_memo_files_each_shape_under_its_key():
