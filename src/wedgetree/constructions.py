@@ -60,12 +60,17 @@ class HatMap:
 
 
 def hat(d):
+    """hat(d) and its ``HatMap``.  It raises exactly what ``structure_ok``
+    raises and answers on chain-incomplete trees, since hat(d) can be valid
+    when d is not: it fills the gaps of ``(tilde (seg w1))``."""
     structure_ok(d)
     out = HatOf(d)
     return out, HatMap(d, out)
 
 
 def tilde(d):
+    """tilde(d).  Like ``hat``, it raises exactly what ``structure_ok``
+    raises and answers on chain-incomplete trees."""
     structure_ok(d)
     return TildeOf(d)
 

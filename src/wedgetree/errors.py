@@ -55,7 +55,8 @@ class InvalidAddress(WedgeTreeError):
 
 class GapAddress(InvalidAddress):
     """Address names the missing supremum of an unbounded chain (a node that
-    a level-removal deleted together with everything above it)."""
+    a level-removal deleted together with everything above it).  Its
+    ``node`` is the gap node, whose ancestors are the branch below it."""
     code = "gap-address"
 
     def __init__(self, message, node=None, **details):

@@ -23,7 +23,6 @@ are read off the family's profiles and slot, so no budget decides a verdict.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 from .errors import (
     ChoiceUnavailable, IllegalWedge, NotAccumulating, NotInClosure,
@@ -35,7 +34,7 @@ from .ordinals import (
 )
 from .records import record
 from .series import SymbolicSeries as SymbolicSeries
-from .series import SERIES_CACHE_SIZE, cached_series, fit_template, instantiate
+from .series import cached_series, fit_template, instantiate
 from .trees import Param as Param
 from .trees import (
     Node, ancestor_at, as_node, child_toward, children, cofinal_I_nodes, leq,
@@ -241,11 +240,9 @@ def contains(d, spec, x):
 # A family answers from its series' profiles, the other kinds from the nodes
 # they name.
 
-@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def named_nodes(d, part):
     """The nodes a part names: an explicit set's points, a branch's top or a
-    cone set's base.  A family names none.  Kept per tree and part, like the
-    series: one round of the witness cases asks 84 distinct parts."""
+    cone set's base.  A family names none."""
     if isinstance(part, Explicit):
         return tuple(resolve(d, p) for p in part.points)
     if isinstance(part, Branch):

@@ -18,7 +18,13 @@ A description denotes a tree:
 Individual nodes at uncountable limit levels are functions on w1 and cannot
 all be named; addresses cover the finitely-presentable fragment (finite lists
 of letter runs with ordinal repeat counts), which is dense and contains every
-node the witness constructions need.  A template is an address whose count or
+node the witness constructions need.  A gap, the missing supremum of a branch
+with no upper bound, is a ``Node`` too: a tilde view finds each one (tag
+``"gap"``, the inner node it stands at as ``inner``), and the views above lift
+it like any other node.  ``gaps()`` lists them, a walk to one raises
+``GapAddress`` carrying it, and its ancestors are the branch below it, so a
+hat's completion point (tag ``"captop"``, the gap as ``inner``) finds its
+ancestors as every other node does.  A template is an address whose count or
 index slot holds a ``Param``, a linear parameter slot (``has_param`` tells
 whether one does); ``series`` fills it in and fits families from it.  Node
 equality is canonical-address equality.  Each level w1*j is summarised by its
@@ -643,9 +649,6 @@ class _View:
         node, _ = self.walk((), 0)
         return node
 
-    def branch_node(self, payload, h):
-        raise InvalidAddress("no unbounded branches here")
-
 
 class _SegView(_View):
     def __init__(self, desc):
@@ -863,9 +866,8 @@ class _GraftView(_View):
         try:
             bnode, i = self.base._walk(steps, i)
         except GapAddress as g:
-            raise GapAddress(
-                str(g), node=g.node, consumed=g.details.get("consumed"),
-                payload=("base", g.details.get("payload"))) from None
+            raise GapAddress(str(g), node=self._wrap_base(g.node),
+                             consumed=g.details.get("consumed")) from None
         if i < len(steps) and isinstance(steps[i], Copy) and self.slots:
             if not bnode.maximal:
                 raise InvalidAddress("copies attach above maximal nodes only")
@@ -883,9 +885,7 @@ class _GraftView(_View):
                 raise GapAddress(
                     "unbounded branch inside a grafted copy",
                     node=self._wrap_child(bnode, s.slot, s.idx, g.node),
-                    consumed=g.details.get("consumed"),
-                    payload=("child", bnode, s.slot, s.idx, g.details.get("payload")),
-                ) from None
+                    consumed=g.details.get("consumed")) from None
             return self._wrap_child(bnode, s.slot, s.idx, cnode), j
         return self._wrap_base(bnode), i
 
@@ -900,20 +900,6 @@ class _GraftView(_View):
                 return self._wrap_child(bnode, slot, idx, canc)
             return self._wrap_base(self.base.ancestor_at(bnode, h))
         return self._wrap_base(self.base.ancestor_at(node.inner[1], h))
-
-    def branch_node(self, payload, h):
-        kind = payload[0]
-        if kind == "child":
-            _, bnode, slot, idx, inner_payload = payload
-            start = add(bnode.ht, ONE)
-            if h >= start:
-                child, _ = self.slots[slot]
-                cnode = child.branch_node(inner_payload, left_sub(start, h))
-                return self._wrap_child(bnode, slot, idx, cnode)
-            return self._wrap_base(self.base.ancestor_at(bnode, h))
-        if kind == "base":
-            return self._wrap_base(self.base.branch_node(payload[1], h))
-        raise InvalidAddress("unknown branch payload")
 
     def _children(self, node, count):
         kind = node.inner[0]
@@ -945,13 +931,11 @@ class _GraftView(_View):
 
     @per_object_memo()
     def gaps(self):
-        out = list(self.base.gaps())
+        out = [self._wrap_base(g) for g in self.base.gaps()]
         if self.slots:
-            bparts = self.base.leftmost_top().parts
+            bnode = self.base.leftmost_top()
             for slot, (child, _) in enumerate(self.slots):
-                for g in child.gaps():
-                    parts = bparts + (("copy", slot, 0),) + g.parts
-                    out.append(GapSite(parts, add(self.offset, g.ht)))
+                out.extend(self._wrap_child(bnode, slot, 0, g) for g in child.gaps())
         return tuple(out)
 
     def bounded_supless(self):
@@ -994,15 +978,16 @@ class _HatView(_View):
         return Node(self.desc, n.parts + (("below",),), n.ht, Cofinality.OMEGA1,
                     _SMALL_FIN[1], False, "spoint", n)
 
-    def _captop(self, node, payload):
-        return Node(self.desc, node.parts, node.ht, Cofinality.OMEGA1,
-                    _SMALL_FIN[0], True, "captop", (node, payload))
+    def _captop(self, gap):
+        """The completion point that fills the inner view's ``gap``."""
+        return Node(self.desc, gap.parts, gap.ht, Cofinality.OMEGA1,
+                    _SMALL_FIN[0], True, "captop", gap)
 
     def _walk(self, steps, i):
         try:
             n, i = self.inner._walk(steps, i)
         except GapAddress as g:
-            return self._captop(g.node, g.details.get("payload")), g.details.get("consumed")
+            return self._captop(g.node), g.details.get("consumed")
         except InvalidAddress:
             # a trailing below-marker may belong to this layer even when the
             # inner tree rejects it (its own split points can be deleted by a
@@ -1027,11 +1012,6 @@ class _HatView(_View):
             return node
         if node.tag == "spoint":
             return self.ancestor_at(self._image(node.inner), h)
-        if node.tag == "captop":
-            base, payload = node.inner
-            kind, hi = hat_unshift(h)
-            anc = self.inner.branch_node(payload, hi if kind == "image" else h)
-            return self._spoint(anc) if kind == "spoint" else self._image(anc)
         kind, hi = hat_unshift(h)
         anc = self.inner.ancestor_at(node.inner, hi if kind == "image" else h)
         return self._spoint(anc) if kind == "spoint" else self._image(anc)
@@ -1053,8 +1033,7 @@ class _HatView(_View):
         if kind == "spoint":
             out = [self._spoint(s) for s in self.inner.sites_at_height(h)
                    if s.ht.cof() is Cofinality.OMEGA1]
-            out.extend(self.walk(parts_to_steps(g.parts), 0)[0]  # the captop filling g
-                       for g in self.inner.gaps() if g.ht == h)
+            out.extend(self._captop(g) for g in self.inner.gaps() if g.ht == h)
             return tuple(out)
         return tuple(self._image(s) for s in self.inner.sites_at_height(hi))
 
@@ -1070,17 +1049,22 @@ class _TildeView(_View):
         ht = tilde_shift(n.ht)
         return Node(self.desc, n.parts, ht, ht.cof(), n.ims, n.maximal, "plain", n)
 
+    def _gap(self, n):
+        """The gap at the inner node ``n``: a removed maximal node, or an
+        inner view's gap.  Its parts name no node of this view."""
+        return Node(self.desc, n.parts, n.ht, Cofinality.OMEGA1, _SMALL_FIN[0],
+                    False, "gap", n)
+
     def _walk(self, steps, i):
         try:
             n, i = self.inner._walk(steps, i)
         except GapAddress as g:
-            raise GapAddress(str(g), node=g.node,
-                             consumed=g.details.get("consumed"),
-                             payload=("inner", g.details.get("payload"))) from None
+            raise GapAddress(str(g), node=self._gap(g.node),
+                             consumed=g.details.get("consumed")) from None
         if n.cof is Cofinality.OMEGA1:  # at a removed level
             if n.maximal:
                 raise GapAddress("address names a removed branch supremum",
-                                 node=n, consumed=i, payload=("here", n))
+                                 node=self._gap(n), consumed=i)
             raise InvalidAddress("node at a removed level")
         return self._remap(n), i
 
@@ -1091,8 +1075,8 @@ class _TildeView(_View):
 
     @per_object_memo()
     def gaps(self):
-        return tuple(GapSite(s.parts, s.ht) for s in self.inner.unc_sites()
-                     if s.ims.is_zero) + self.inner.gaps()
+        return tuple(self._gap(n) for n in self.inner.unc_sites() if n.ims.is_zero) + \
+            tuple(self._gap(g) for g in self.inner.gaps())
 
     def bounded_supless(self):
         if self.inner.bounded_supless():
@@ -1102,11 +1086,6 @@ class _TildeView(_View):
 
     def _ancestor_at(self, node, h):
         return self._remap(self.inner.ancestor_at(node.inner, tilde_unshift(h)))
-
-    def branch_node(self, payload, h):
-        if payload[0] == "here":
-            return self._remap(self.inner.ancestor_at(payload[1], tilde_unshift(h)))
-        return self._remap(self.inner.branch_node(payload[1], tilde_unshift(h)))
 
     def _children(self, node, count):
         return [self._remap(c) for c in self.inner._kids(node.inner, count)]
@@ -1123,12 +1102,6 @@ class _TildeView(_View):
         # at w1*j this asks for w1*j + 1, the level that drops onto the removed one
         return tuple(self._remap(s)
                      for s in self.inner.sites_at_height(tilde_unshift(h)))
-
-
-@record(frozen=True)
-class GapSite:
-    parts: object
-    ht: Ordinal
 
 
 @lru_cache(maxsize=LEAF_VIEW_CACHE_SIZE)

@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 
 from wedgetree.errors import (
-    ChoiceUnavailable, InvalidAddress, NotClosed, NotInClosure,
-    PreconditionFailed, SupNotRepresentable, UndecidableTailPattern,
+    BadGraftBase, ChoiceUnavailable, InvalidAddress, NotChainComplete,
+    NotClosed, NotInClosure, PreconditionFailed, SupNotRepresentable,
+    UndecidableTailPattern,
 )
 from wedgetree.ordinals import ONE, add, cmp, times_nat
 from wedgetree import trees
@@ -85,6 +86,30 @@ def test_tilde_non_r1_is_flagged_not_chain_complete():
     assert not is_chain_complete(tilde(seg(W1)))
     # a successor above the uncountable level drops down and keeps completeness
     assert is_chain_complete(tilde(seg(o(W1, 1))))
+
+
+# the class of the error that hat and tilde raise on each tree outside the
+# domain, in the order of ``OUTSIDE_THE_DOMAIN``, or None where both answer:
+# they raise what ``structure_ok`` raises, and answer on chain-incomplete trees
+_HAT_TILDE_ROWS = [None, None, None, BadGraftBase,
+                   NotChainComplete, NotChainComplete, NotChainComplete, NotChainComplete]
+
+
+def test_hat_and_tilde_raise_what_structure_ok_raises():
+    for t, want in zip(OUTSIDE_THE_DOMAIN, _HAT_TILDE_ROWS):
+        d = parse_desc(read_sexpr(t))
+        kind, _ = outcome(trees.structure_ok, d)
+        assert (kind == "ok") == (want is None), t
+        for build in (hat, tilde):
+            got, _ = outcome(build, d)
+            assert got == ("ok" if want is None else want), (t, build)
+    assert len(OUTSIDE_THE_DOMAIN) == len(_HAT_TILDE_ROWS)
+    # the hat fills the gaps that make its inner tree invalid
+    for t in ("(tilde (seg w1))", "(graft (seg 1) (((tilde (seg w1)) 2)))"):
+        inner = parse_desc(read_sexpr(t))
+        with pytest.raises(NotChainComplete):
+            validate(inner)
+        validate(hat(inner)[0])
 
 
 # -- r flags and round trips ------------------------------------------------------

@@ -655,6 +655,50 @@ def test_an_invalid_address_raises_on_every_call():
             resolve(TildeOf(BINARY_W1), [word("0", W1)])
 
 
+# -- completion points: the branch below a gap ----------------------------------------
+
+def _gap_trees():
+    """Hats over five kinds of gap: in a graft base, in a grafted copy, in a
+    copy two grafts deep, and a tilde's removed branch top under a tilde and
+    under a graft."""
+    copy_gap = graft(seg(W1), (TildeOf(BINARY_W1), 2))
+    # the copy whose top survives the tilde comes first: a graft on this base
+    # reads its sites and gaps above the base's leftmost top
+    base_gap = TildeOf(graft(seg(1), (seg(o(W1, 2)), 1), (seg(W1), 1)))
+    return [
+        HatOf(graft(base_gap, (seg(1), 2))),
+        HatOf(copy_gap),
+        HatOf(graft(seg(1), (copy_gap, 1))),
+        HatOf(TildeOf(TildeOf(seg(o(W1, W1))))),
+        HatOf(TildeOf(graft(seg(W), (seg(W1), 2)))),
+    ]
+
+
+def test_a_completion_point_has_the_branch_below_its_gap_as_ancestors():
+    for d in _gap_trees():
+        validate(d)
+        caps = [s for s in unc_sites(d) if s.tag == "captop"]
+        assert caps, d
+        for cap in caps:
+            assert _shape(resolve(d, cap.address())) == _shape(cap), d
+            j = cap.ht.omega1
+            heights = sorted({ZERO, ONE, nat(2), W, o(W, 1), o(W, W),
+                              o(Ordinal(j - 1, ()), W)})
+            chain = []
+            for h in heights:
+                anc = ancestor_at(d, cap, h)
+                assert anc.ht == h and leq(d, anc, cap), (d, h)
+                assert _shape(resolve(d, anc.address())) == _shape(anc), (d, h)
+                chain.append(anc)
+            for lo, hi in zip(chain, chain[1:]):
+                assert leq(d, lo, hi) and lo.parts != hi.parts, (d, lo, hi)
+    d = HatOf(graft(seg(W1), (TildeOf(BINARY_W1), 2)))
+    cap = resolve(d, [up(W1), Copy(0, 1), word("0", W1)])
+    assert cap.tag == "captop"
+    assert ancestor_at(d, cap, o(W1, W)).parts == \
+        resolve(d, [up(W1), Copy(0, 1), word("0", W)]).parts
+
+
 # -- memoized ancestors ------------------------------------------------------------
 
 _ANCESTOR_HEIGHTS = (ZERO, ONE, nat(2), W, o(W, 1), W1, o(W1, 1))
