@@ -25,7 +25,7 @@ from .records import record
 from .trees import (
     ORDER_CACHE_SIZE, Below, Card, Copy, Full, Graft, HatOf, Seg, TildeOf, Up,
     Word, ancestor_at, as_node, child_toward, height, leq_parts, meet,
-    resolve, validate, view,
+    validate, view,
 )
 from .constructions import normalize, r_flags
 
@@ -34,6 +34,12 @@ class V3(enum.Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
+
+
+# the functions below read these names: a member read off the enum class
+# costs more than a module global
+_YES, _NO, _UNKNOWN = V3.YES, V3.NO, V3.UNKNOWN
+_ZERO_COF, _OMEGA1_COF = Cofinality.ZERO, Cofinality.OMEGA1
 
 
 PROPERTIES = (
@@ -57,6 +63,9 @@ IMPLICATIONS = (
 
 @record
 class PropVerdict:
+    """A property's verdict.  ``witness`` is the object a rule found (an
+    ``Omega1Chain`` or a ``BinaryEmbedding``), or None; ``to_json`` prints
+    it, so a caller that reads no JSON pays for no printing."""
     verdict: V3 = V3.UNKNOWN
     rule: str = ""
     citation: str = ""
@@ -65,13 +74,13 @@ class PropVerdict:
 
     def to_json(self):
         out = {"verdict": self.verdict.value}
-        if self.verdict is V3.UNKNOWN:
+        if self.verdict is _UNKNOWN:
             out["tried"] = list(self.tried)
         else:
             out["rule"] = self.rule
             out["citation"] = self.citation
             if self.witness is not None:
-                out["witness"] = self.witness
+                out["witness"] = self.witness.to_json()
         return out
 
 
@@ -118,7 +127,7 @@ class _Engine:
 
     def close(self):
         for prop, verdict, rule, cite in _closure(tuple(
-                V3.UNKNOWN if v is None else v.verdict for v in self.props.values())):
+                _UNKNOWN if v is None else v.verdict for v in self.props.values())):
             self.props[prop] = PropVerdict(verdict, rule, cite)
 
     def finish(self):
@@ -143,15 +152,15 @@ def _closure(verdicts):
     while changed:
         changed = False
         for a, b, rule, cite in IMPLICATIONS:
-            if cur[a] is V3.YES and cur[b] is V3.UNKNOWN:
-                cur[b] = V3.YES
-                out.append((b, V3.YES, rule, cite))
+            if cur[a] is _YES and cur[b] is _UNKNOWN:
+                cur[b] = _YES
+                out.append((b, _YES, rule, cite))
                 changed = True
-            if cur[b] is V3.NO and cur[a] is V3.UNKNOWN:
-                cur[a] = V3.NO
-                out.append((a, V3.NO, rule + "*", cite + " (contrapositive)"))
+            if cur[b] is _NO and cur[a] is _UNKNOWN:
+                cur[a] = _NO
+                out.append((a, _NO, rule + "*", cite + " (contrapositive)"))
                 changed = True
-            if cur[a] is V3.YES and cur[b] is V3.NO:
+            if cur[a] is _YES and cur[b] is _NO:
                 raise RuleConflict("closure violated between %s and %s" % (a, b))
     return tuple(out)
 
@@ -180,12 +189,25 @@ def tall_address(d):
 
 
 def has_omega1_chain(d):
-    """(flag, witness address of a node at height w1, or None)."""
+    """(flag, witness address of a node at height w1, or None).  The top
+    address is asked once, so it is walked afresh (``find``) and kept
+    nowhere."""
     if height(d) < add(OMEGA1, ONE):
         return False, None
-    top = resolve(d, tall_address(d))
+    top = view(d).find(tall_address(d))
     node = ancestor_at(d, top, OMEGA1)
     return True, node.address()
+
+
+@record(frozen=True)
+class Omega1Chain:
+    """The witness of rule R1: the address of a node at height w1, so the
+    chain below it and the node form a closed copy of [0, w1]."""
+    address: tuple
+
+    def to_json(self):
+        from .dsl import print_address
+        return {"omega1_chain": print_address(self.address)}
 
 
 @record(frozen=True)
@@ -211,7 +233,8 @@ def binary_obstruction(d):
         return None
     prefix, hats = found
     top = prefix + (Word((0,), OMEGA1),) + (Below(),) * hats
-    return BinaryEmbedding(prefix, resolve(d, prefix).ht, top)
+    # the region root is asked once: walked afresh, kept nowhere
+    return BinaryEmbedding(prefix, view(d).find(prefix).ht, top)
 
 
 def _binary_region(d, prefix):
@@ -236,7 +259,10 @@ def _binary_region(d, prefix):
         found = _binary_region(d.base, prefix)
         if found:
             return found
-        btop = view(d.base).leftmost_top()
+        if not d.children:
+            return None
+        # the copies hang on a top the base keeps (``base_top``)
+        btop = view(d).base_top()
         for slot, (child, _) in enumerate(d.children):
             sub = _binary_region(
                 child, prefix + btop.address() + (Copy(slot, 0),))
@@ -263,9 +289,9 @@ def gdelta_class(node):
     A point is a countable intersection of opens exactly when a countable
     local base exists: cofinality at most omega and countably many immediate
     successors."""
-    if node.cof is Cofinality.ZERO and node.ims.is_finite:
+    if node.cof is _ZERO_COF and node.ims.is_finite:
         return "isolated"
-    if node.cof is not Cofinality.OMEGA1 and node.ims.le_omega:
+    if node.cof is not _OMEGA1_COF and node.ims.le_omega:
         return "gdelta"
     return "not-gdelta"
 
@@ -311,7 +337,7 @@ class FamilyU:
     singletons: tuple      # the S1 points
 
     def cone_allowed(self, r):
-        if r.cof is not Cofinality.ZERO:
+        if r.cof is not _ZERO_COF:
             return False
         return all(not leq_parts(ts.parts, r.parts)
                    for _, ts in self.markers.values())
@@ -410,7 +436,7 @@ def _leftover_points(d, S, countable):
     out = {}
     for part in topology.spec_parts(S):
         for n in topology.named_nodes(d, part):
-            if n.cof is Cofinality.OMEGA1:
+            if n.cof is _OMEGA1_COF:
                 out[n.parts] = n
     return [s for s in out.values()
             if not any(topology.limit_at(d, part, s) for part in countable)]
@@ -503,68 +529,63 @@ def classify_report(d):
     chain, chain_witness = has_omega1_chain(d)
     eng.tried.append("R1")
     if chain:
-        eng.fire("Corson", V3.NO, "R1",
+        eng.fire("Corson", _NO, "R1",
                  "§1 ([0,w1] is not Corson; closed subspaces persist)",
-                 witness={"omega1_chain": _addr_json(chain_witness)})
+                 witness=Omega1Chain(chain_witness))
     else:
-        eng.fire("Corson", V3.YES, "R1",
+        eng.fire("Corson", _YES, "R1",
                  "Prop 5.2 proof citing [N2, Thm 2.8] (no w1-chains)")
 
     eng.tried.append("R2")
     if height(d) <= add(OMEGA1, ONE):
-        eng.fire("Valdivia", V3.YES, "R2", "Prop 2.4")
-        eng.fire("HereditarilyValdivia", V3.YES, "R2", "Prop 2.4")
+        eng.fire("Valdivia", _YES, "R2", "Prop 2.4")
+        eng.fire("HereditarilyValdivia", _YES, "R2", "Prop 2.4")
 
     is_r, is_r1 = r_flags(d)
-    eng.fire("RTree", V3.YES if is_r else V3.NO, "RF", "§2 (r-tree check)")
-    eng.fire("R1Tree", V3.YES if is_r1 else V3.NO, "RF", "§2 (r1-tree check)")
+    eng.fire("RTree", _YES if is_r else _NO, "RF", "§2 (r-tree check)")
+    eng.fire("R1Tree", _YES if is_r1 else _NO, "RF", "§2 (r1-tree check)")
     eng.tried.append("R3")
     if not is_r:
-        eng.fire("Valdivia", V3.NO, "R3",
+        eng.fire("Valdivia", _NO, "R3",
                  "§2 / Remark after Thm 4.2 (Valdivia trees are r-trees)")
 
     eng.tried.append("R4")
     obstruction = binary_obstruction(d)
     if obstruction is not None:
-        eng.fire("WeaklyCorson", V3.NO, "R4",
+        eng.fire("WeaklyCorson", _NO, "R4",
                  "Example 4.5 with Prop 5.2 (closed subspaces persist)",
-                 witness=obstruction.to_json())
+                 witness=obstruction)
 
     eng.tried.append("R5")
     norm = normalize(d)
     if isinstance(norm, Seg):
-        eng.fire("WeaklyCorson", V3.YES, "R5",
+        eng.fire("WeaklyCorson", _YES, "R5",
                  "Remark after Thm 4.2 (ordinal segments below w2)")
-        eng.fire("Valdivia", V3.YES, "R5",
+        eng.fire("Valdivia", _YES, "R5",
                  "Remark after Thm 4.2 (ordinal segments below w2)")
 
     eng.tried.append("R6")
     if height(d) <= OMEGA1:
-        eng.fire("WeaklyCorson", V3.YES, "R6",
+        eng.fire("WeaklyCorson", _YES, "R6",
                  "Thm 4.2 (iii)=>(i): the hat construction acts trivially")
 
     eng.tried.append("R7")
     if _is_remark_shape(norm):
-        eng.fire("WeaklyCorson", V3.YES, "R7", "Remark after Thm 4.2")
+        eng.fire("WeaklyCorson", _YES, "R7", "Remark after Thm 4.2")
 
     eng.tried.append("R8")
     # derived for every valid description (see ``gdelta_analysis``)
-    eng.fire("DenseGdelta", V3.YES, "R8",
+    eng.fire("DenseGdelta", _YES, "R8",
              "§5 (successor-height points are isolated) / Prop 5.2")
 
     eng.close()
 
     hv = eng.props["HereditarilyValdivia"]
-    if hv is not None and hv.verdict is V3.YES:
+    if hv is not None and hv.verdict is _YES:
         eng.notes.append(
             "hereditarily weakly Valdivia (Example 4.5: hereditarily Valdivia"
             " implies hereditarily weakly Valdivia)")
     return eng.finish()
-
-
-def _addr_json(addr):
-    from .dsl import print_address
-    return print_address(addr)
 
 
 def _is_remark_shape(norm):

@@ -35,6 +35,11 @@ from .trees import (
 )
 
 
+# the functions below read this name: a member read off the enum class costs
+# more than a module global
+_OMEGA1_COF = Cofinality.OMEGA1
+
+
 # -- the constructions ----------------------------------------------------------
 
 @record(frozen=True)
@@ -50,7 +55,7 @@ class HatMap:
 
     def s_of(self, steps):
         t = resolve(self.source, steps)
-        if t.cof is not Cofinality.OMEGA1:
+        if t.cof is not _OMEGA1_COF:
             raise PreconditionFailed(
                 "split points exist below uncountable-cofinality nodes only")
         return tuple(steps) + (Below(),)
@@ -117,7 +122,7 @@ def normalize(d):
             return inner.inner  # in normal form already, as inner is
         if not unc_sites(d.inner):
             return inner
-        if isinstance(inner, Seg) and inner.eta.cof() is not Cofinality.OMEGA1:
+        if isinstance(inner, Seg) and inner.eta.cof() is not _OMEGA1_COF:
             return Seg(tilde_shift(inner.eta))
         return d if inner == d.inner else TildeOf(inner)
     if isinstance(d, HatOf):
@@ -276,7 +281,7 @@ def _hat_tilde_address(d, node, addr, panel):
     """Translation of ``node`` of d, at address ``addr``, to an address of
     hat(tilde(d)); d is an r1 tree, so a site that is not maximal has one
     immediate successor."""
-    if node.cof is not Cofinality.OMEGA1 or node.maximal:
+    if node.cof is not _OMEGA1_COF or node.maximal:
         return addr  # a maximal one's completion point has its address too
     k, = children(d, node, 2)
     return (panel[k.parts][1] if k.parts in panel else k.address()) + (Below(),)
@@ -312,7 +317,7 @@ class DisjointVerdict:
         except InvalidAddress:
             return False
         t = resolve(self.sets[0], self.at[:-1])
-        return t.cof is Cofinality.OMEGA1 and t.parts in common
+        return t.cof is _OMEGA1_COF and t.parts in common
 
     def to_json(self):
         out = {"kind": "disjoint-closures", "verdict": self.kind,

@@ -28,7 +28,10 @@ ancestors as every other node does.  A template is an address whose count or
 index slot holds a ``Param``, a linear parameter slot (``has_param`` tells
 whether one does); ``series`` fills it in and fits families from it.  Node
 equality is canonical-address equality.  Each level w1*j is summarised by its
-sites, one representative Node per structural region.  A view states its sites
+sites, one representative Node per structural region; a graft hangs the
+representative copies of its children on one top of its base (``base_top``),
+which ``top_at``, the leftmost maximal node at a height, finds where a tilde
+removed the base's leftmost top.  A view states its sites
 once, per level (``sites_at_height``); ``unc_sites``, the sites of every level
 lowest first, is derived from them on the base view class.  So is the height of
 a hat or tilde view: one past its highest maximal height, or its highest gap.
@@ -48,19 +51,23 @@ Each "once" below holds while the answer is kept.  A view computes its
 nullary facts (``height``, ``unc_sites``, ``maximal_heights``, ``gaps``,
 ``chain_complete``, ``leftmost_top``) and its sites at each height once:
 later calls return the same ordinal, node, tuple, frozenset or bool, which
-no caller can change.  It also
-lists the children of each ``(parts, count)`` once and finds the ancestor of
-each ``(parts, h)`` once.  A walk is kept only at the view it was asked of
+no caller can change.  It also finds the ancestor of each ``(parts, h)``
+once, and a Seg, Full or graft view lists the children of each ``(parts,
+count)`` once; a hat or tilde view lists them afresh and keeps none (the
+round trip, the one caller that lists them on corpus, asks each node of those
+views once).  A walk is kept only at the view it was asked of
 (``walk``: ``resolve``, ``node_at``, ``root`` and a hat's sites ask it): the
 graft, hat and tilde walks take their inner views' ``_walk`` unkept, so
 ``resolve`` on a nested view keeps one answer for an address, not one per
 layer, and reaches into the inner views at that address only the first
 time.  ``find`` walks an address afresh and keeps no walk at all: the round
 trip asks it of the views of tilde(hat(d)) and hat(tilde(d)), which it
-builds for one call and asks each address of once, so only the callers
-that ask an address again (``resolve``, ``node_at``, ``root``) keep their
-walks.  ``find``, ``resolve`` and ``node_at`` check that their walk took
-every step in one place (``_whole``).  A view spells each canonical parts
+builds for one call and asks each address of once, and ``classify`` asks it
+for the two addresses its report looks up once (R1's top and R4's region
+root), so only the callers that ask an address again (``resolve``,
+``node_at``, ``root``) keep their walks.  ``find``, ``resolve`` and
+``node_at`` check that their walk took every step in one place
+(``_whole``).  A view spells each canonical parts
 tuple as its address once
 (``_address``), and ``node_at`` takes the node of the walk kept for that
 address, so ``node_at`` and ``meet`` hand out the node that ``resolve``
@@ -73,7 +80,8 @@ Resolved nodes and ancestors are shared between callers while they are kept
 ``Node.__init__`` sets a node's attributes, and none sets the ``kind`` or
 ``n`` of a ``Card``, whose counts 0 to 3 ``Card.fin`` shares; ``children``
 returns a new list on every call, while the graft, hat and tilde views read
-their inner views' children from the kept tuple.  Every node's ``cof`` is
+their inner views' children from ``_kids``: the kept tuple, or a hat's or
+tilde's fresh list.  Every node's ``cof`` is
 its height's cofinality: below w1 a hat or tilde node takes the height and
 cofinality of its inner node, and a grafted node the cofinality of its node
 in the child tree.  The tree order on parts, ``leq_parts``, and the meet of
@@ -157,6 +165,10 @@ MEMO_CACHE_SIZE = 1024
 ORDER_CACHE_SIZE = 4096
 
 OMEGA_BRANCH = "w"
+
+# the functions below read these names: a member read off the enum class
+# costs more than a module global
+_ZERO_COF, _OMEGA_COF, _OMEGA1_COF = Cofinality.ZERO, Cofinality.OMEGA, Cofinality.OMEGA1
 
 
 # -- cardinal classes ---------------------------------------------------------
@@ -320,7 +332,7 @@ def hat_shift(h):
 @lru_cache(maxsize=ORDINAL_CACHE_SIZE)
 def hat_unshift(h):
     """Inverse of the hat height map; returns ("spoint"|"image", inner height)."""
-    if h.cof() is Cofinality.OMEGA1:
+    if h.cof() is _OMEGA1_COF:
         return ("spoint", h)
     if h.omega1 >= 1 and h.countable.is_finite:
         k = h.countable.to_int()
@@ -366,7 +378,7 @@ class Node:
 
     @property
     def in_I(self):
-        return self.cof is Cofinality.ZERO
+        return self.cof is _ZERO_COF
 
     @property
     def is_root(self):
@@ -581,9 +593,11 @@ class _View:
         """The node at the address ``steps``, walked afresh from the root by
         ``_walk`` and not kept: no ``walk`` answer is filed, at this view or
         any inner one.  It is for a caller that asks each address of a view
-        once, as the round trip does of the views it builds for one call; the
-        node equals the one ``resolve`` gives, and is shared only where a Seg
-        or Full view shares its node at a position.  An address that does not
+        once: the round trip, of the views it builds for one call, and
+        ``classify``'s one-shot lookups (``has_omega1_chain``,
+        ``binary_obstruction``).  The node equals the one ``resolve`` gives,
+        and is shared only where a Seg or Full view shares its node at a
+        position.  An address that does not
         resolve raises ``InvalidAddress``, as in ``resolve``."""
         return _whole(steps, self._walk(steps, 0))
 
@@ -701,6 +715,14 @@ class _SegView(_View):
     def leftmost_top(self):
         return self._node(self.eta)
 
+    def top_at(self, h):
+        """The leftmost maximal node at height ``h``, or None when no
+        maximal node is that high; each view kind finds it afresh and keeps
+        nothing, since ``base_top`` asks it only where a tilde removed a graft
+        base's leftmost top.  Where a view's leftmost top survives,
+        ``top_at`` of its height is that node."""
+        return self._node(h) if h == self.eta else None
+
     @per_object_memo()
     def sites_at_height(self, h):
         if h <= self.eta:
@@ -809,6 +831,9 @@ class _FullView(_View):
         if self.top == ZERO:
             return self._node((), ZERO)
         return self._node(((0, self.top),), self.top)
+
+    def top_at(self, h):
+        return self.leftmost_top() if h == self.top else None
 
     @per_object_memo()
     def sites_at_height(self, h):
@@ -921,19 +946,43 @@ class _GraftView(_View):
             return out
         return [self._wrap_base(c) for c in self.base._kids(bnode, count)]
 
+    def base_top(self):
+        """The maximal base node that the representative copies hang on: the
+        base's leftmost top, or, where a tilde removed that top while others
+        survive, the leftmost node of the base's top level (``top_at``).  A
+        base of limit height has no top level and raises ``InvalidAddress``."""
+        try:
+            return self.base.leftmost_top()
+        except InvalidAddress:
+            if self.offset.kind() != "successor":
+                raise
+            return self.base.top_at(pred(self.offset))
+
     @per_object_memo()
     def leftmost_top(self):
-        bnode = self.base.leftmost_top()
         if not self.slots:
-            return self._wrap_base(bnode)
+            return self._wrap_base(self.base.leftmost_top())
         child, _ = self.slots[0]
-        return self._wrap_child(bnode, 0, 0, child.leftmost_top())
+        return self._wrap_child(self.base_top(), 0, 0, child.leftmost_top())
+
+    def top_at(self, h):
+        if not self.slots:
+            top = self.base.top_at(h)
+            return None if top is None else self._wrap_base(top)
+        if h < self.offset:
+            return None
+        rel = left_sub(self.offset, h)
+        for slot, (child, _) in enumerate(self.slots):
+            top = child.top_at(rel)
+            if top is not None:
+                return self._wrap_child(self.base_top(), slot, 0, top)
+        return None
 
     @per_object_memo()
     def gaps(self):
         out = [self._wrap_base(g) for g in self.base.gaps()]
         if self.slots:
-            bnode = self.base.leftmost_top()
+            bnode = self.base_top()
             for slot, (child, _) in enumerate(self.slots):
                 out.extend(self._wrap_child(bnode, slot, 0, g) for g in child.gaps())
         return tuple(out)
@@ -948,7 +997,7 @@ class _GraftView(_View):
         out = [self._wrap_base(s) for s in self.base.sites_at_height(h)]
         if self.slots and h >= self.offset:
             rel = left_sub(self.offset, h)
-            bnode = self.base.leftmost_top()
+            bnode = self.base_top()
             for slot, (child, _) in enumerate(self.slots):
                 out.extend(self._wrap_child(bnode, slot, 0, s)
                            for s in child.sites_at_height(rel))
@@ -975,12 +1024,12 @@ class _HatView(_View):
         return Node(self.desc, n.parts, ht, ht.cof(), n.ims, n.maximal, "plain", n)
 
     def _spoint(self, n):
-        return Node(self.desc, n.parts + (("below",),), n.ht, Cofinality.OMEGA1,
+        return Node(self.desc, n.parts + (("below",),), n.ht, _OMEGA1_COF,
                     _SMALL_FIN[1], False, "spoint", n)
 
     def _captop(self, gap):
         """The completion point that fills the inner view's ``gap``."""
-        return Node(self.desc, gap.parts, gap.ht, Cofinality.OMEGA1,
+        return Node(self.desc, gap.parts, gap.ht, _OMEGA1_COF,
                     _SMALL_FIN[0], True, "captop", gap)
 
     def _walk(self, steps, i):
@@ -997,11 +1046,11 @@ class _HatView(_View):
             prefix = tuple(steps[i:len(steps) - 1])
             n2, j2 = self._walk(prefix, 0)
             if j2 != len(prefix) or n2.tag != "plain" or \
-                    n2.inner.cof is not Cofinality.OMEGA1:
+                    n2.inner.cof is not _OMEGA1_COF:
                 raise
             return self._spoint(n2.inner), len(steps)
         if i < len(steps) and isinstance(steps[i], Below):
-            if n.cof is not Cofinality.OMEGA1:
+            if n.cof is not _OMEGA1_COF:
                 raise InvalidAddress(
                     "inserted points sit below uncountable-cofinality nodes only")
             return self._spoint(n), i + 1
@@ -1023,16 +1072,30 @@ class _HatView(_View):
             return []
         return [self._image(c) for c in self.inner._kids(node.inner, count)]
 
+    def _kids(self, node, count):
+        """The children afresh, kept nowhere: the round trip, the one caller
+        that lists them on corpus, asks each node of a hat or tilde view once."""
+        return self._children(node, count)
+
     @per_object_memo()
     def leftmost_top(self):
         return self._image(self.inner.leftmost_top())
+
+    def top_at(self, h):
+        # an image never sits at a height of uncountable cofinality, and a
+        # completion point always does
+        kind, hi = hat_unshift(h)
+        if kind == "image":
+            top = self.inner.top_at(hi)
+            return None if top is None else self._image(top)
+        return next((self._captop(g) for g in self.inner.gaps() if g.ht == h), None)
 
     @per_object_memo()
     def sites_at_height(self, h):
         kind, hi = hat_unshift(h)
         if kind == "spoint":
             out = [self._spoint(s) for s in self.inner.sites_at_height(h)
-                   if s.ht.cof() is Cofinality.OMEGA1]
+                   if s.ht.cof() is _OMEGA1_COF]
             out.extend(self._captop(g) for g in self.inner.gaps() if g.ht == h)
             return tuple(out)
         return tuple(self._image(s) for s in self.inner.sites_at_height(hi))
@@ -1052,7 +1115,7 @@ class _TildeView(_View):
     def _gap(self, n):
         """The gap at the inner node ``n``: a removed maximal node, or an
         inner view's gap.  Its parts name no node of this view."""
-        return Node(self.desc, n.parts, n.ht, Cofinality.OMEGA1, _SMALL_FIN[0],
+        return Node(self.desc, n.parts, n.ht, _OMEGA1_COF, _SMALL_FIN[0],
                     False, "gap", n)
 
     def _walk(self, steps, i):
@@ -1061,7 +1124,7 @@ class _TildeView(_View):
         except GapAddress as g:
             raise GapAddress(str(g), node=self._gap(g.node),
                              consumed=g.details.get("consumed")) from None
-        if n.cof is Cofinality.OMEGA1:  # at a removed level
+        if n.cof is _OMEGA1_COF:  # at a removed level
             if n.maximal:
                 raise GapAddress("address names a removed branch supremum",
                                  node=self._gap(n), consumed=i)
@@ -1071,7 +1134,7 @@ class _TildeView(_View):
     @per_object_memo()
     def maximal_heights(self):
         return frozenset(tilde_shift(mh) for mh in self.inner.maximal_heights()
-                         if mh.cof() is not Cofinality.OMEGA1)
+                         if mh.cof() is not _OMEGA1_COF)
 
     @per_object_memo()
     def gaps(self):
@@ -1090,12 +1153,20 @@ class _TildeView(_View):
     def _children(self, node, count):
         return [self._remap(c) for c in self.inner._kids(node.inner, count)]
 
+    def _kids(self, node, count):
+        return self._children(node, count)  # afresh, as on the hat view
+
     @per_object_memo()
     def leftmost_top(self):
         n = self.inner.leftmost_top()
-        if n.cof is not Cofinality.OMEGA1:
+        if n.cof is not _OMEGA1_COF:
             return self._remap(n)
         raise InvalidAddress("leftmost branch has no surviving top")
+
+    def top_at(self, h):
+        # a surviving node never sits at a removed level
+        top = self.inner.top_at(tilde_unshift(h))
+        return None if top is None else self._remap(top)
 
     @per_object_memo()
     def sites_at_height(self, h):
@@ -1259,7 +1330,7 @@ def child_toward(desc, lower, upper):
 def cofinal_I_nodes(desc, node, count):
     """Strictly increasing successor-height ancestors cofinal in a
     countable-cofinality limit node."""
-    if node.cof is not Cofinality.OMEGA:
+    if node.cof is not _OMEGA_COF:
         raise InvalidAddress("cofinal omega-sequence needs a cf=omega node")
     out = []
     for j in range(count):

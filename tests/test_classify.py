@@ -8,14 +8,16 @@ from wedgetree.errors import HeightTooLarge, PreconditionFailed, WedgeTreeError
 from wedgetree.ordinals import (
     ONE, ZERO, Cofinality, add, cmp, fin_mul, nat, times_nat,
 )
+from wedgetree import dsl
 from wedgetree.trees import (
     CARD_OMEGA, CARD_OMEGA1, Below, Child, Graft, HatOf, TildeOf, ancestor_at,
-    as_node, children, resolve, validate,
+    as_node, children, resolve, validate, view,
 )
 from wedgetree.topology import Branch, Explicit, UnionSpec, sample_members
 from wedgetree.classify import (
-    PROPERTIES, V3, PropVerdict, RuleConflict, _closure, _Engine,
-    build_separating_family, binary_obstruction, check_point_countable,
+    PROPERTIES, V3, BinaryEmbedding, Omega1Chain, PropVerdict, RuleConflict,
+    _closure, _Engine, build_separating_family, binary_obstruction,
+    check_point_countable,
     check_t0, classify_report, gdelta_analysis, gdelta_class,
     has_omega1_chain, r_flags,
 )
@@ -25,9 +27,9 @@ from wedgetree.dsl import parse_address, parse_desc, parse_set, read_sexpr
 from wedgetree.records import replace
 
 from helpers import (
-    BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, full, graft, o,
-    reference_close, separating_family_cases, seg, up, valid_draws, walk_trees,
-    word,
+    BINARY_W, BINARY_W1, FAN_OMEGA1, REMARK_TREE, W, W1, cold_caches, full,
+    graft, o, reference_close, separating_family_cases, seg, up, valid_draws,
+    walk_trees, word,
 )
 
 
@@ -57,6 +59,8 @@ def test_binary_obstruction_examples():
     emb3 = binary_obstruction(graft(seg(3), (full(2, o(W1, 1)), 2)))
     assert emb3 is not None and emb3.offset == nat(4)
     assert binary_obstruction(REMARK_TREE) is None
+    assert binary_obstruction(graft(seg(W1))) is None  # a graft with no copies
+    assert binary_obstruction(graft(BINARY_W1)) == emb
 
 
 def test_binary_obstruction_through_hat():
@@ -519,6 +523,54 @@ def test_report_long_segment_keeps_unknowns_honest():
     assert rep.verdict("Valdivia") is V3.YES
     assert rep.verdict("HereditarilyValdivia") is V3.UNKNOWN
     assert rep.props["HereditarilyValdivia"].tried
+
+
+def test_report_prints_its_witnesses_only_in_to_json(monkeypatch):
+    """``classify_report`` keeps each witness as the object its rule found
+    and prints no address; ``to_json`` prints them, as the rule fired."""
+    printed = []
+
+    def spy(addr):
+        printed.append(addr)
+        return real(addr)
+
+    real = dsl.print_address
+    monkeypatch.setattr(dsl, "print_address", spy)
+    ds = walk_trees() + valid_draws(11, 300)
+    reports = [classify_report(d) for d in ds]
+    assert not printed
+    kinds = set()
+    for d, report in zip(ds, reports):
+        out = report.to_json()
+        for prop, v in report.props.items():
+            if v.witness is None:
+                assert "witness" not in out[prop], (d, prop)
+                continue
+            kinds.add(type(v.witness))
+            assert out[prop]["witness"] == v.witness.to_json(), (d, prop)
+            if v.rule == "R1":
+                assert out[prop]["witness"] == {
+                    "omega1_chain": real(has_omega1_chain(d)[1])}, d
+            else:
+                assert v.witness == binary_obstruction(d), (d, prop)
+    assert kinds == {Omega1Chain, BinaryEmbedding}
+    assert printed
+
+
+def test_report_keeps_no_walk():
+    """The report asks each address once (R1's top, R4's region root), so
+    it walks them afresh: no view of d or inside it files a ``walk``."""
+    for d in walk_trees() + valid_draws(11, 300):
+        cold_caches()
+        classify_report(d)
+        views = [view(d)]
+        for v in views:  # d's view, then every view inside it
+            assert not [k for k in v.memo if k[0] == "walk"], (d, v.desc)
+            if hasattr(v, "slots"):
+                views += [v.base] + [child for child, _ in v.slots]
+            elif hasattr(v, "inner"):
+                views.append(v.inner)
+    cold_caches()
 
 
 def test_report_consistency_on_random_corpus():

@@ -8,9 +8,11 @@ library module assigns at its top level is read somewhere in the library, so a
 constant or budget that nothing reads any more does not linger.  Every
 ``lru_cache``/``cache`` memo and the one per-object memo of views and series
 are bounded by a named size, and no code sets an attribute of the shared
-``Node``s that the views memoize.  Each view states its sites per level only,
-and the list of all sites is derived once, on ``_View``.  ``__init__.py`` imports no library module (it maps each public
-name to its home module and loads that module on first use), so it is not
+``Node``s that the views memoize.  No function of ``trees``,
+``constructions`` or ``classify`` reads an enum member off its class.  Each
+view states its sites per level only, and the list of all sites is derived
+once, on ``_View``.  ``__init__.py`` imports no library module (it maps each
+public name to its home module and loads that module on first use), so it is not
 checked here; instead the package surface is checked, and fresh interpreters
 check that the CLI and its light commands leave the heavy modules unloaded,
 and that no CLI command loads ``dataclasses`` (no library module imports it).
@@ -354,6 +356,34 @@ def test_sites_and_heights_are_stated_once():
     assert {c for c, m in methods.items() if "sites_at_height" in m} == \
         set(methods) - {"_View"}
     assert not any("_completion" in m for m in methods.values())
+
+
+def _enum_member_reads(tree):
+    """(line, class, member) for each read off ``Cofinality`` or ``V3`` in
+    the body of a function or lambda, sorted."""
+    out = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            out.update((n.lineno, n.value.id, n.attr)
+                       for st in body for n in ast.walk(st)
+                       if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                       and n.value.id in ("Cofinality", "V3"))
+    return sorted(out)
+
+
+def test_hot_modules_read_enum_members_bound_once():
+    """No function body in ``trees``, ``constructions`` or ``classify``
+    reads a member off ``Cofinality`` or ``V3``: each module binds the
+    members it reads to globals once, as ``ordinals.cof`` does, since a
+    member read off the enum class costs more than a global read."""
+    reads = ["%s:%d: %s.%s" % ((name,) + r)
+             for name in ("trees.py", "constructions.py", "classify.py")
+             for r in _enum_member_reads(ast.parse((SRC / name).read_text()))]
+    assert not reads, reads
+    flagged = ast.parse("A = V3.YES\ndef f(x, y=Cofinality.ZERO):\n"
+                        "    return x is Cofinality.OMEGA1 or (lambda: V3.NO)\n")
+    assert _enum_member_reads(flagged) == [(3, "Cofinality", "OMEGA1"), (3, "V3", "NO")]
 
 
 def _values():

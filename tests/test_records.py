@@ -163,7 +163,7 @@ def _options(f, missing):
 
 def test_every_record_class_has_a_twin_and_a_sample(twins):
     sampled = {type(x) for x in _samples()}
-    assert len(twins) == 35
+    assert len(twins) == 36
     assert sampled == set(twins), set(twins) - sampled
 
 

@@ -45,6 +45,66 @@ def test_validate_graft_base_must_be_topped():
         validate(Graft(TildeOf(BINARY_W1), ((seg(0), Card.fin(1)),)))
 
 
+# a tilde base that removes the top of its leftmost copy (the w1 segment)
+# while the other copy's top survives, under a graft whose copies must hang
+# on a surviving top; the twin lists the two copies the other way round
+_TILDE_BASE = "(tilde (graft (seg 1) ((%s 1) (%s 1))))"
+_OVER_TILDE = "(graft %s (((seg 1) 2)))"
+
+
+def test_a_graft_hangs_its_copies_on_a_surviving_top_of_a_tilde_base():
+    base, twin = (_TILDE_BASE % pair for pair in (
+        ("(seg w1)", "(seg (+ w1 2))"), ("(seg (+ w1 2))", "(seg w1)")))
+    answers = []
+    for b in (base, twin):
+        d = parse_desc(read_sexpr("(hat %s)" % (_OVER_TILDE % b,)))
+        validate(d)
+        sites = unc_sites(d)
+        assert [s.tag for s in sites] == ["spoint", "captop"], d
+        report = classify_report(d)
+        answers.append((height(d), sorted((s.ht, str(s.ims), s.maximal) for s in sites),
+                        {p: v.verdict for p, v in report.props.items()},
+                        roundtrip_check(d)))
+        # without the hat the gap left by the removed top stays open
+        bare = parse_desc(read_sexpr(_OVER_TILDE % b))
+        with pytest.raises(NotChainComplete):
+            validate(bare)
+        gaps = view(bare).gaps()
+        assert [g.ht for g in gaps] == [W1], bare
+    assert answers[0] == answers[1]
+    assert answers[0][3].tilde_hat_ok and answers[0][3].hat_tilde_ok
+
+
+def test_top_at_finds_the_maximal_nodes_and_the_leftmost_top():
+    """At each maximal height of each view, ``top_at`` gives a maximal node
+    of that height, the one its address names; at a height with no maximal
+    node it gives None; at the height of a surviving leftmost top it gives
+    that top, so a graft hangs its copies where it always did."""
+    twins = [parse_desc(read_sexpr(t % b))
+             for t in ("(hat %s)" % _OVER_TILDE, _OVER_TILDE)
+             for b in (_TILDE_BASE % ("(seg w1)", "(seg (+ w1 2))"),
+                       _TILDE_BASE % ("(seg (+ w1 2))", "(seg w1)"))]
+    # grafts with no copies, bare and under hat and tilde
+    bare = [graft(seg(W1)), TildeOf(HatOf(graft(BINARY_W1))),
+            HatOf(TildeOf(graft(seg(W1))))]
+    lows = (ZERO, ONE, W1)
+    for d in walk_trees() + valid_draws(11, 100) + twins + bare:
+        for v in [view(d)] + _inner_views(view(d)):
+            tops = v.maximal_heights()
+            for h in tops:
+                top = v.top_at(h)
+                assert top.maximal and top.ht == h, (v.desc, h)
+                assert _shape(v.find(top.address())) == _shape(top), (v.desc, h)
+            assert all(v.top_at(h) is None for h in lows if h not in tops), v.desc
+            try:
+                left = v.leftmost_top()
+            except InvalidAddress:
+                continue
+            assert _shape(v.top_at(left.ht)) == _shape(left), v.desc
+    with pytest.raises(InvalidAddress):  # a base of limit height has no top level
+        view(graft(TildeOf(seg(W1)), (seg(1), 1))).base_top()
+
+
 def test_bad_branching_is_a_library_error():
     # the parser rejects (full 0 3); a description built in code reaches
     # structure_ok, which answers with a coded library error
@@ -611,6 +671,33 @@ def test_memoized_walks_and_children_agree_with_cold_ones():
             assert _shape(n) == node, (d, a)
             assert [_shape(c) for c in children(d, n, 2)] == kids, (d, a)
             assert [_shape(c) for c in children(d, n, 1)] == kids[:1], (d, a)
+
+
+def test_hat_and_tilde_views_list_children_afresh():
+    """A hat or tilde view keeps no children: its ``_kids`` lists them
+    afresh, so after the report and the round trip no ``_kids`` key is in
+    the memo of a hat or tilde view of d, tilde(hat(d)) or hat(tilde(d)),
+    and what such a view lists then equals what a cold view lists."""
+    for d in walk_trees() + valid_draws(11, 100):
+        xs = (d, TildeOf(HatOf(d)), HatOf(TildeOf(d)))
+        cold_caches()
+        classify_report(d)
+        roundtrip_check(d)
+        warm = []
+        for x in xs:
+            v = view(x)
+            assert not [(w.desc, k) for w in [v] + _inner_views(v)
+                        if isinstance(w, (trees._HatView, trees._TildeView))
+                        for k in w.memo if k[0] == "_kids"], x
+            nodes = [resolve(x, a) for a in _panel(x)]
+            warm.append([[_shape(c) for c in children(x, n, k)]
+                         for n in nodes for k in (1, 2)])
+        for x, want in zip(xs, warm):
+            cold_caches()
+            nodes = [resolve(x, a) for a in _panel(x)]
+            assert [[_shape(c) for c in children(x, n, k)]
+                    for n in nodes for k in (1, 2)] == want, x
+    cold_caches()
 
 
 def test_a_resolved_node_is_shared():
